@@ -178,7 +178,7 @@ def run_sample(cfg) -> list[str]:
         "seed": seed,
         "samples": n,
         "mode": cfg["mode"],
-        "sequence": "sobol-scrambled",
+        "sequence": ens.sequence_kind,
         "clash_factor": clash,
         "accepted": [c.sample_index for c in accepted],
         "rejected": [

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from moluq.molio import Structure, bonded_exclusions
+from moluq.pairs import cutoff_pairs, not_excluded
 from moluq.sampling import (
     LowDiscrepancySequence,
     gaussian_dimension,
@@ -46,9 +47,13 @@ class Conformer:
 
 @dataclass(frozen=True)
 class Ensemble:
+    """Conformers drawn from ``source``; ``sequence_kind`` names the
+    low-discrepancy stream that drew them (see LowDiscrepancySequence.kind)."""
+
     source: Structure
     conformers: tuple[Conformer, ...]
     seed: int
+    sequence_kind: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "conformers", tuple(self.conformers))
@@ -275,35 +280,30 @@ def clash_filter(c: Conformer, s: Structure, factor: float = 0.6) -> Conformer:
 
     Rejects when any pair that is not a 1-2 or 1-3 bonded neighbor sits
     closer than factor * (r_i + r_j); the worst (deepest relative overlap)
-    pair is named in the rejection reason.  Stands in for the force-field
-    relaxation step of the original accept/reject protocol.
+    pair is named in the rejection reason, the first in (i, j) order on a
+    tie.  Candidate pairs come from the neighbour search of
+    :func:`moluq.pairs.cutoff_pairs`, so memory grows with the number of
+    close pairs rather than n^2.  Stands in for the force-field relaxation
+    step of the original accept/reject protocol.
     """
     if not (0.0 < factor <= 1.0):
         raise ValueError("factor must be in (0, 1]")
     n = s.n_atoms
     if n < 2:
         return c
-    pos = c.positions
     radii = np.array([a.vdw_radius for a in s.atoms])
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    cutoff = factor * (radii[:, None] + radii[None, :])
-    ratio = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
-    iu = np.triu_indices(n, k=1)
-    excluded = bonded_exclusions(s)
-    mask = np.ones(len(iu[0]), dtype=bool)
-    for idx, (i, j) in enumerate(zip(*iu)):
-        if (int(i), int(j)) in excluded:
-            mask[idx] = False
-    ratios = ratio[iu][mask]
+    ii, jj, dist = cutoff_pairs(c.positions, factor * (2.0 * radii.max()))
+    keep = not_excluded(ii, jj, n, bonded_exclusions(s))
+    ii, jj, dist = ii[keep], jj[keep], dist[keep]
+    cutoff = factor * (radii[ii] + radii[jj])
+    ratios = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
     if ratios.size == 0 or ratios.min() >= 1.0:
         return c
-    pairs = np.array(list(zip(*iu)))[mask]
-    worst = pairs[np.argmin(ratios)]
-    i, j = int(worst[0]), int(worst[1])
+    worst = int(np.argmin(ratios))
+    i, j = int(ii[worst]), int(jj[worst])
     reason = (
         f"atoms {s.atoms[i].serial}-{s.atoms[j].serial} at "
-        f"{dist[i, j]:.3f} A < {cutoff[i, j]:.3f} A"
+        f"{dist[worst]:.3f} A < {cutoff[worst]:.3f} A"
     )
     return Conformer(positions=c.positions, sample_index=c.sample_index,
                      accepted=False, rejection_reason=reason)
@@ -337,7 +337,8 @@ def sample_cartesian_ensemble(
         if clash_factor is not None:
             conf = clash_filter(conf, s, factor=clash_factor)
         conformers.append(conf)
-    return Ensemble(source=s, conformers=tuple(conformers), seed=seed)
+    return Ensemble(source=s, conformers=tuple(conformers), seed=seed,
+                    sequence_kind=seq.kind)
 
 
 def sample_torsion_ensemble(
@@ -361,7 +362,8 @@ def sample_torsion_ensemble(
         if clash_factor is not None:
             conf = clash_filter(conf, g.structure, factor=clash_factor)
         conformers.append(conf)
-    return Ensemble(source=g.structure, conformers=tuple(conformers), seed=seed)
+    return Ensemble(source=g.structure, conformers=tuple(conformers), seed=seed,
+                    sequence_kind=seq.kind)
 
 
 def rmsd(a: Conformer, b: Conformer, superpose: bool = False) -> float:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from moluq.pairs import cutoff_pairs
+
 EIGHT_PI_SQ = 8.0 * math.pi**2
 
 # Bondi-style van der Waals radii (Angstrom), used for clash/SASA/volume work.
@@ -372,11 +374,24 @@ def _coord(value: float) -> str:
     return text
 
 
-def _atom_line(a: Atom) -> str:
-    record = "ATOM  "
+def _int_col(value: int, width: int, what: str) -> str:
+    text = f"{value:{width}d}"
+    if len(text) > width:
+        raise PdbFormatError(f"{what} {value} does not fit its {width}-column field")
+    return text
+
+
+def _atom_id(a: Atom) -> str:
+    """Columns 7-26 shared by ATOM and ANISOU: serial, name, residue, chain, number."""
     return (
-        f"{record}{a.serial:5d} {_format_atom_name(a.name, a.element)} "
-        f"{a.residue_name:>3s} {a.chain_id}{a.residue_seq:4d}    "
+        f"{_int_col(a.serial, 5, 'serial')} {_format_atom_name(a.name, a.element)} "
+        f"{a.residue_name:>3s} {a.chain_id}{_int_col(a.residue_seq, 4, 'residue number')}"
+    )
+
+
+def _atom_line(a: Atom) -> str:
+    return (
+        f"ATOM  {_atom_id(a)}    "
         f"{_coord(a.position[0])}{_coord(a.position[1])}{_coord(a.position[2])}"
         f"{1.0:6.2f}{a.b_iso:6.2f}          {a.element:>2s}"
     )
@@ -385,8 +400,7 @@ def _atom_line(a: Atom) -> str:
 def _anisou_line(a: Atom) -> str:
     u = np.rint(np.asarray(a.b_aniso) / EIGHT_PI_SQ * 1e4).astype(int)
     return (
-        f"ANISOU{a.serial:5d} {_format_atom_name(a.name, a.element)} "
-        f"{a.residue_name:>3s} {a.chain_id}{a.residue_seq:4d}  "
+        f"ANISOU{_atom_id(a)}  "
         f"{u[0]:7d}{u[1]:7d}{u[2]:7d}{0:7d}{0:7d}{0:7d}      {a.element:>2s}"
     )
 
@@ -446,20 +460,18 @@ def detect_bonds(s: Structure, tolerance: float = 0.45) -> Structure:
 
     Two atoms are bonded when their distance is below the sum of covalent
     radii plus ``tolerance`` (Angstrom).  Element radii default to carbon's
-    when unknown.
+    when unknown.  Candidate pairs come from the neighbour search of
+    :func:`moluq.pairs.cutoff_pairs`, so memory grows with the number of
+    close pairs rather than n^2; bonds are listed in (i, j) order.
     """
-    pos = s.positions()
-    n = s.n_atoms
     radii = np.array([
         _COVALENT_RADII.get(a.element.upper(), _COVALENT_RADII["C"]) for a in s.atoms
     ])
     bonds = []
-    if n >= 2:
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        cut = radii[:, None] + radii[None, :] + tolerance
-        ii, jj = np.nonzero((dist < cut) & (dist > 1e-6))
-        bonds = [(int(i), int(j)) for i, j in zip(ii, jj) if i < j]
+    if s.n_atoms >= 2:
+        ii, jj, dist = cutoff_pairs(s.positions(), 2.0 * radii.max() + tolerance)
+        bonded = (dist < radii[ii] + radii[jj] + tolerance) & (dist > 1e-6)
+        bonds = list(zip(ii[bonded].tolist(), jj[bonded].tolist()))
     return s.with_bonds(bonds)
 
 

@@ -22,6 +22,7 @@ from scipy.spatial import cKDTree
 
 from moluq.molio import Structure, bonded_exclusions
 from moluq.conformers import Conformer, Ensemble
+from moluq.pairs import not_excluded
 
 COULOMB_CONSTANT = 332.0636  # kcal mol^-1 A e^-2
 
@@ -135,7 +136,7 @@ def _pair_arrays(n: int, exclusions, cross=None):
         return ii, jj
     ii, jj = np.triu_indices(n, k=1)
     if exclusions:
-        keep = np.array([(int(i), int(j)) not in exclusions for i, j in zip(ii, jj)])
+        keep = not_excluded(ii, jj, n, exclusions)
         ii, jj = ii[keep], jj[keep]
     return ii, jj
 
@@ -150,6 +151,21 @@ def _pair_distances(positions, ii, jj, context: str) -> np.ndarray:
     return d
 
 
+def _lj_atom_terms(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Per-atom well depth eps = b^2/(4a) and minimum distance rmin = (2a/b)^(1/6)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    eps = np.divide(b**2, 4.0 * a, out=np.zeros_like(b), where=a > 0)
+    rmin = np.where(b > 0, np.divide(2.0 * a, b, out=np.ones_like(a),
+                                     where=b > 0) ** (1.0 / 6.0), 0.0)
+    return eps, rmin
+
+
+def _lj_pair_terms(eps_i, rmin_i, eps_j, rmin_j) -> tuple[np.ndarray, np.ndarray]:
+    eps = np.sqrt(eps_i * eps_j)
+    rmin = 0.5 * (rmin_i + rmin_j)
+    return eps * rmin**12, 2.0 * eps * rmin**6
+
+
 def combine_lj(a_i, b_i, a_j, b_j) -> tuple[np.ndarray, np.ndarray]:
     """Pair 12-6 coefficients from per-atom ones.
 
@@ -157,31 +173,24 @@ def combine_lj(a_i, b_i, a_j, b_j) -> tuple[np.ndarray, np.ndarray]:
     rmin = (2a/b)^(1/6); pairs combine with geometric-mean depth and
     arithmetic-mean minimum distance.
     """
-    a_i, b_i, a_j, b_j = (np.asarray(x, dtype=float) for x in (a_i, b_i, a_j, b_j))
-    eps_i = np.divide(b_i**2, 4.0 * a_i, out=np.zeros_like(b_i), where=a_i > 0)
-    eps_j = np.divide(b_j**2, 4.0 * a_j, out=np.zeros_like(b_j), where=a_j > 0)
-    rmin_i = np.where(b_i > 0, np.divide(2.0 * a_i, b_i, out=np.ones_like(a_i),
-                                         where=b_i > 0) ** (1.0 / 6.0), 0.0)
-    rmin_j = np.where(b_j > 0, np.divide(2.0 * a_j, b_j, out=np.ones_like(a_j),
-                                         where=b_j > 0) ** (1.0 / 6.0), 0.0)
-    eps = np.sqrt(eps_i * eps_j)
-    rmin = 0.5 * (rmin_i + rmin_j)
-    return eps * rmin**12, 2.0 * eps * rmin**6
+    return _lj_pair_terms(*_lj_atom_terms(a_i, b_i), *_lj_atom_terms(a_j, b_j))
 
 
 def lj_energy(positions, lj_a, lj_b, exclusions=frozenset(), cross=None) -> float:
     """12-6 energy sum a_ij/r^12 - b_ij/r^6 over unordered pairs (kcal/mol).
 
     ``cross=(idx_a, idx_b)`` restricts to inter-group pairs; otherwise all
-    intra pairs except the bonded ``exclusions`` contribute.
+    intra pairs except the bonded ``exclusions`` contribute.  Per-atom depth
+    and minimum distance are computed once and gathered per pair, with the
+    same per-pair arithmetic as :func:`combine_lj`.
     """
     positions = np.asarray(positions, dtype=float)
     ii, jj = _pair_arrays(positions.shape[0], exclusions, cross)
     if len(ii) == 0:
         return 0.0
     r = _pair_distances(positions, ii, jj, "lj_energy")
-    a_ij, b_ij = combine_lj(np.asarray(lj_a)[ii], np.asarray(lj_b)[ii],
-                            np.asarray(lj_a)[jj], np.asarray(lj_b)[jj])
+    eps, rmin = _lj_atom_terms(lj_a, lj_b)
+    a_ij, b_ij = _lj_pair_terms(eps[ii], rmin[ii], eps[jj], rmin[jj])
     r6 = r**6
     return float(np.sum(a_ij / r6**2 - b_ij / r6))
 

@@ -14,7 +14,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from moluq.molio import EIGHT_PI_SQ
 
@@ -37,6 +36,10 @@ class LowDiscrepancySequence:
         self.dimension = dimension
         self.scramble_seed = scramble_seed
         self.index = 0
+        # imported here: scipy.stats dominates the package's import time, and
+        # only sampling commands build a sequence
+        from scipy.stats import qmc
+
         if dimension <= SOBOL_MAX_DIM:
             self._engine = qmc.Sobol(dimension, scramble=True, seed=scramble_seed)
             self.kind = "sobol-scrambled"

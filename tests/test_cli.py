@@ -49,8 +49,18 @@ class TestSample:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3
         assert manifest["samples"] == 4
+        assert manifest["sequence"] == "sobol-scrambled"
         models = parse_pdb_models((out / "ensemble.pdb").read_text())
         assert len(models) == len(manifest["accepted"])
+
+    def test_manifest_names_the_fallback_sequence(self, workspace, monkeypatch):
+        from moluq import sampling
+        # 5 atoms need 16 unit coordinates, beyond a digital-net limit of 8
+        monkeypatch.setattr(sampling, "SOBOL_MAX_DIM", 8)
+        cfg = write_config(workspace, samples=2, seed=3)
+        assert main(["sample", "--config", str(cfg)]) == 0
+        manifest = json.loads((workspace / "run" / "manifest.json").read_text())
+        assert manifest["sequence"] == "halton-scrambled"
 
     def test_zero_variance_single_sample_identity(self, workspace, tmp_path):
         s = make_structure([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]], b_iso=0.0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -116,6 +117,20 @@ class TestWritePdb:
         s = make_structure([[99999.0, 0.0, 0.0]])
         with pytest.raises(PdbFormatError):
             write_pdb(s)
+
+    @pytest.mark.parametrize("field, value, fits", [
+        ("serial", 100000, 99999), ("residue_seq", 10000, 9999),
+    ])
+    def test_integer_field_overflow(self, field, value, fits):
+        # a value wider than its column would shift every later column
+        atom = make_atom(1, [0.0, 0.0, 0.0], b_aniso=[20.0, 20.0, 20.0])
+        ok = Structure(atoms=(replace(atom, **{field: fits}),))
+        assert parse_pdb(write_pdb(ok)).atoms[0].position[0] == 0.0
+        wide = Structure(atoms=(replace(atom, **{field: value}),))
+        with pytest.raises(PdbFormatError, match="does not fit"):
+            write_pdb(wide)
+        with pytest.raises(PdbFormatError, match="does not fit"):
+            write_pdb(Structure(atoms=(replace(atom, b_aniso=None, **{field: value}),)))
 
     def test_parse_write_parse_idempotent(self):
         s0 = parse_pdb(ATOM_LINE + "\n" + ANISOU_LINE)

@@ -1,0 +1,257 @@
+"""The pair layer against brute-force oracles of the dense n x n code it replaced.
+
+Each oracle below is the former dense implementation: a full distance block
+and a Python set-membership test per pair.  The new kernels must reproduce
+them exactly (``==``, not approx) on seeded, perturbed zigzag lattices.
+"""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from moluq.conformers import Conformer, clash_filter
+from moluq.molio import (
+    _COVALENT_RADII,
+    ParamTable,
+    Structure,
+    assign_params,
+    bonded_exclusions,
+    detect_bonds,
+)
+from moluq.pairs import cutoff_pairs, exclusion_codes, not_excluded
+from moluq.qoi import CoulombModel, _pair_arrays, coulomb_energy, lj_energy
+from conftest import make_atom, make_structure, zigzag_chain
+
+ELEMENTS = ("C", "C", "N", "C", "O")
+
+
+# ---------------------------------------------------------------- oracles
+
+def oracle_pair_arrays(n, exclusions):
+    ii, jj = np.triu_indices(n, k=1)
+    if exclusions:
+        keep = np.array([(int(i), int(j)) not in exclusions for i, j in zip(ii, jj)])
+        ii, jj = ii[keep], jj[keep]
+    return ii, jj
+
+
+def oracle_detect_bonds(s, tolerance=0.45):
+    pos = s.positions()
+    radii = np.array([_COVALENT_RADII.get(a.element.upper(), _COVALENT_RADII["C"])
+                      for a in s.atoms])
+    diff = pos[:, None, :] - pos[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    cut = radii[:, None] + radii[None, :] + tolerance
+    ii, jj = np.nonzero((dist < cut) & (dist > 1e-6))
+    return [(int(i), int(j)) for i, j in zip(ii, jj) if i < j]
+
+
+def oracle_clash(positions, s, factor):
+    """(accepted, reason) of the dense clash filter."""
+    n = s.n_atoms
+    radii = np.array([a.vdw_radius for a in s.atoms])
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt((diff**2).sum(axis=2))
+    cutoff = factor * (radii[:, None] + radii[None, :])
+    ratio = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
+    iu = np.triu_indices(n, k=1)
+    excluded = bonded_exclusions(s)
+    mask = np.array([(int(i), int(j)) not in excluded for i, j in zip(*iu)], dtype=bool)
+    ratios = ratio[iu][mask]
+    if ratios.size == 0 or ratios.min() >= 1.0:
+        return True, None
+    i, j = (int(x) for x in np.array(list(zip(*iu)))[mask][np.argmin(ratios)])
+    return False, (f"atoms {s.atoms[i].serial}-{s.atoms[j].serial} at "
+                   f"{dist[i, j]:.3f} A < {cutoff[i, j]:.3f} A")
+
+
+def oracle_combine_lj(a_i, b_i, a_j, b_j):
+    eps_i = np.divide(b_i**2, 4.0 * a_i, out=np.zeros_like(b_i), where=a_i > 0)
+    eps_j = np.divide(b_j**2, 4.0 * a_j, out=np.zeros_like(b_j), where=a_j > 0)
+    rmin_i = np.where(b_i > 0, np.divide(2.0 * a_i, b_i, out=np.ones_like(a_i),
+                                         where=b_i > 0) ** (1.0 / 6.0), 0.0)
+    rmin_j = np.where(b_j > 0, np.divide(2.0 * a_j, b_j, out=np.ones_like(a_j),
+                                         where=b_j > 0) ** (1.0 / 6.0), 0.0)
+    eps = np.sqrt(eps_i * eps_j)
+    rmin = 0.5 * (rmin_i + rmin_j)
+    return eps * rmin**12, 2.0 * eps * rmin**6
+
+
+def oracle_lj(positions, lj_a, lj_b, exclusions):
+    ii, jj = oracle_pair_arrays(positions.shape[0], exclusions)
+    r = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
+    a_ij, b_ij = oracle_combine_lj(lj_a[ii], lj_b[ii], lj_a[jj], lj_b[jj])
+    r6 = r**6
+    return float(np.sum(a_ij / r6**2 - b_ij / r6))
+
+
+def oracle_coulomb(positions, charges, model, exclusions):
+    ii, jj = oracle_pair_arrays(positions.shape[0], exclusions)
+    r = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
+    return float(np.sum(model.coulomb_constant * charges[ii] * charges[jj]
+                        / (model.epsilon(r) * r)))
+
+
+# ---------------------------------------------------------------- inputs
+
+def lattice(n_atoms, chain_len=20, gap=4.5):
+    """Zigzag chains of ``chain_len`` atoms on a (y, z) grid ``gap`` apart."""
+    n_chains = -(-n_atoms // chain_len)
+    cols = math.ceil(math.sqrt(n_chains))
+    base = zigzag_chain(chain_len)
+    pos = [base[:min(chain_len, n_atoms - c * chain_len)]
+           + [0.0, (c % cols) * gap, (c // cols) * gap] for c in range(n_chains)]
+    return np.vstack(pos)
+
+
+def lattice_structure(n_atoms, seed, jitter=0.05):
+    """Parameterized, bonded lattice; bonds come from the dense oracle so the
+    structure does not depend on the code under test."""
+    rng = np.random.default_rng(seed)
+    pos = lattice(n_atoms) + rng.uniform(-jitter, jitter, size=(n_atoms, 3))
+    atoms = tuple(make_atom(i + 1, p, element=ELEMENTS[i % 5]) for i, p in enumerate(pos))
+    s = assign_params(Structure(atoms=atoms), ParamTable.default())
+    return s.with_bonds(oracle_detect_bonds(s))
+
+
+def perturbed(s, seed, sigma):
+    rng = np.random.default_rng(seed)
+    return s.positions() + rng.normal(scale=sigma, size=(s.n_atoms, 3))
+
+
+CASES = [(120, 1), (200, 2), (333, 3)]
+
+
+# ---------------------------------------------------------------- pair layer
+
+def test_cutoff_pairs_are_the_dense_pairs_in_triu_order():
+    pos = perturbed(lattice_structure(200, 4), 5, 0.4)
+    ii, jj, dist = cutoff_pairs(pos, 3.0)
+    di, dj = np.triu_indices(len(pos), k=1)
+    dense = np.sqrt(((pos[di] - pos[dj]) ** 2).sum(axis=1))
+    near = dense <= 3.0
+    assert np.array_equal(ii, di[near]) and np.array_equal(jj, dj[near])
+    assert np.array_equal(dist, dense[near])
+
+
+def test_exclusion_codes_drop_malformed_entries():
+    n = 6
+    entries = {(0, 1), (4, 2), (-1, 3), (2, 6), (6, 7), (3, 3), (1.0, 5.0), (1.5, 2)}
+    assert exclusion_codes(entries, n).tolist() == [0 * n + 1, 1 * n + 5]
+    assert exclusion_codes(frozenset(), n).dtype == np.int64
+    ii, jj = np.triu_indices(n, k=1)
+    mask = not_excluded(ii, jj, n, entries)
+    assert mask.tolist() == [(int(i), int(j)) not in entries for i, j in zip(ii, jj)]
+
+
+# ---------------------------------------------------------------- equivalence
+
+@pytest.mark.parametrize("n_atoms, seed", CASES)
+def test_detect_bonds_matches_dense_oracle(n_atoms, seed):
+    s = lattice_structure(n_atoms, seed)
+    for sigma, tol in ((0.0, 0.45), (0.3, 0.45), (0.6, 0.9), (0.3, -0.5), (0.3, -2.0)):
+        moved = s.with_positions(perturbed(s, seed + 10, sigma))
+        assert list(detect_bonds(moved, tolerance=tol).bonds) == oracle_detect_bonds(moved, tol)
+
+
+def test_detect_bonds_skips_coincident_atoms():
+    s = make_structure([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.4, 0.0, 0.0]])
+    assert list(detect_bonds(s).bonds) == oracle_detect_bonds(s) == [(0, 2), (1, 2)]
+
+
+@pytest.mark.parametrize("n_atoms, seed", CASES)
+def test_clash_filter_matches_dense_oracle(n_atoms, seed):
+    s = lattice_structure(n_atoms, seed)
+    outcomes = set()
+    for k, sigma in enumerate((0.05, 0.3, 0.5, 0.8)):
+        pos = perturbed(s, 100 * seed + k, sigma)
+        for factor in (0.5, 0.6, 1.0):
+            got = clash_filter(Conformer(positions=pos, sample_index=k), s, factor=factor)
+            want = oracle_clash(pos, s, factor)
+            assert (got.accepted, got.rejection_reason) == want
+            outcomes.add(got.accepted)
+    assert outcomes == {True, False}
+
+
+def test_clash_filter_tie_names_first_pair_in_triu_order():
+    # pairs (1, 3) and (0, 2) overlap equally; (0, 2) comes first
+    pos = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [1.0, 0.0, 0.0], [11.0, 0.0, 0.0]])
+    s = make_structure(pos)
+    got = clash_filter(Conformer(positions=pos, sample_index=0), s)
+    assert (got.accepted, got.rejection_reason) == oracle_clash(pos, s, 0.6)
+    assert got.rejection_reason.startswith("atoms 1-3 ")
+
+
+def test_clash_filter_coincident_pair_and_zero_radius():
+    pos = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [5.0, 0.0, 0.0], [9.0, 0.0, 0.0],
+                    [9.0, 0.0, 0.0], [9.5, 0.0, 0.0]])
+    s = make_structure(pos)
+    # serials 4 and 5 get zero radius: their coincident pair has cutoff 0 and
+    # never clashes, while 4-6 and 5-6 still do; the coincident 2-3 is worst
+    for idx in (3, 4):
+        object.__setattr__(s.atoms[idx], "vdw_radius", 0.0)
+    got = clash_filter(Conformer(positions=pos, sample_index=0), s)
+    assert (got.accepted, got.rejection_reason) == oracle_clash(pos, s, 0.6)
+    assert got.rejection_reason == "atoms 2-3 at 0.000 A < 2.040 A"
+    s_zero = make_structure(pos[3:5])
+    for atom in s_zero.atoms:
+        object.__setattr__(atom, "vdw_radius", 0.0)
+    got = clash_filter(Conformer(positions=pos[3:5], sample_index=0), s_zero)
+    assert got.accepted and oracle_clash(pos[3:5], s_zero, 0.6) == (True, None)
+
+
+@pytest.mark.parametrize("n_atoms, seed", CASES)
+def test_pair_arrays_match_oracle_with_malformed_exclusions(n_atoms, seed):
+    s = lattice_structure(n_atoms, seed)
+    n = s.n_atoms
+    base = bonded_exclusions(s)
+    odd = {(7, 3), (-1, 4), (5, n), (n + 2, n + 9), (2, 2), (-3, -1)}
+    for exclusions in (frozenset(), base, base | odd, frozenset(odd)):
+        got, want = _pair_arrays(n, exclusions), oracle_pair_arrays(n, exclusions)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("n_atoms, seed", CASES)
+def test_lj_and_coulomb_match_oracle(n_atoms, seed):
+    s = lattice_structure(n_atoms, seed)
+    lj_a = np.array([a.lj_a for a in s.atoms])
+    lj_b = np.array([a.lj_b for a in s.atoms])
+    lj_a[::7] = 0.0  # atoms without a well: eps 0, rmin 0
+    lj_b[3::11] = 0.0
+    charges = np.array([a.charge for a in s.atoms])
+    excl = bonded_exclusions(s) | {(5, 1), (-1, 2), (0, n_atoms)}
+    for k in range(2):
+        pos = perturbed(s, seed * 7 + k, 0.2)
+        assert lj_energy(pos, lj_a, lj_b, exclusions=excl) == oracle_lj(pos, lj_a, lj_b, excl)
+        for model in (CoulombModel(), CoulombModel("distance_dependent", 4.0)):
+            assert (coulomb_energy(pos, charges, model, exclusions=excl)
+                    == oracle_coulomb(pos, charges, model, excl))
+
+
+# ---------------------------------------------------------------- memory
+
+def _traced_peak_mib(fn, *args) -> float:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_cutoff_kernels_stay_below_n_squared_memory_at_3000_atoms():
+    # a dense 3,000 x 3,000 float block alone is 69 MiB; these kernels used
+    # 480-550 MiB before the neighbour search
+    n = 3000
+    atoms = tuple(make_atom(i + 1, p, element=ELEMENTS[i % 5])
+                  for i, p in enumerate(lattice(n)))
+    s = Structure(atoms=atoms)
+    assert _traced_peak_mib(detect_bonds, s) < 16.0
+    bonded = detect_bonds(s)
+    assert len(bonded.bonds) == n - n // 20
+    conf = Conformer(positions=perturbed(bonded, 0, 0.3), sample_index=0)
+    assert _traced_peak_mib(clash_filter, conf, bonded, 0.6) < 16.0
