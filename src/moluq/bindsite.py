@@ -89,19 +89,26 @@ def _contact_rows(receptor_positions, ligand_positions, pose, cutoff) -> np.ndar
     return (d2.min(axis=1) <= cutoff * cutoff).astype(float)
 
 
+def _contact_map(A: Structure, configs, m: ContactModel) -> BindingSiteMap:
+    """Contact fraction over (ligand positions, poses) pairs, each with k poses."""
+    rec = A.positions()
+    hits = np.zeros(A.n_atoms)
+    for positions, poses in configs:
+        for pose in poses:
+            hits += _contact_rows(rec, positions, pose, m.cutoff)
+    k = len(configs[0][1])
+    return BindingSiteMap(probabilities=hits / (k * len(configs)),
+                          serials=tuple(a.serial for a in A.atoms),
+                          cutoff=m.cutoff, k=k, n_configs=len(configs))
+
+
 def binding_site_prob(A: Structure, B: Conformer, poses,
                       m: ContactModel = ContactModel()) -> BindingSiteMap:
     """Fraction of poses contacting each receptor atom (single ligand config)."""
     poses = list(poses)
     if not poses:
         raise ValueError("need at least one pose")
-    rec = A.positions()
-    hits = np.zeros(A.n_atoms)
-    for pose in poses:
-        hits += _contact_rows(rec, B.positions, pose, m.cutoff)
-    return BindingSiteMap(probabilities=hits / len(poses),
-                          serials=tuple(a.serial for a in A.atoms),
-                          cutoff=m.cutoff, k=len(poses), n_configs=1)
+    return _contact_map(A, [(B.positions, poses)], m)
 
 
 def binding_site_prob_multi(A: Structure, ensemble_b: Ensemble, poses_per_conformer,
@@ -120,14 +127,7 @@ def binding_site_prob_multi(A: Structure, ensemble_b: Ensemble, poses_per_confor
     k = len(pose_lists[0])
     if k == 0 or any(len(p) != k for p in pose_lists):
         raise ValueError("every conformer must have the same positive pose count")
-    rec = A.positions()
-    hits = np.zeros(A.n_atoms)
-    for conf, poses in zip(confs, pose_lists):
-        for pose in poses:
-            hits += _contact_rows(rec, conf.positions, pose, m.cutoff)
-    return BindingSiteMap(probabilities=hits / (k * len(confs)),
-                          serials=tuple(a.serial for a in A.atoms),
-                          cutoff=m.cutoff, k=k, n_configs=len(confs))
+    return _contact_map(A, [(c.positions, p) for c, p in zip(confs, pose_lists)], m)
 
 
 def inhibit_score(known_site, candidate: BindingSiteMap) -> float:

@@ -96,8 +96,7 @@ def chernoff_table(d: EmpiricalDistribution, t_values=DEFAULT_T_GRID) -> Certifi
     t = _check_t_grid(t_values)
     if d.mean == 0.0:
         raise ValueError("relative-error certificate undefined for zero mean")
-    rel = np.abs(np.asarray(d.values) - d.mean) / abs(d.mean)
-    eps = (rel[:, None] > t[None, :]).mean(axis=0)
+    eps = _table_of(np.asarray(d.values), t)
     return CertificateTable(t_values=tuple(float(x) for x in t),
                             epsilons=tuple(float(e) for e in eps))
 
@@ -151,6 +150,7 @@ def expected_hypercube_distance(d: int) -> float:
 
 
 def _table_of(arr: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Fraction of values whose relative error from the block mean exceeds each t."""
     mean = arr.mean()
     if mean == 0.0:
         raise ValueError("certificate undefined for a zero-mean value block")

@@ -18,6 +18,7 @@ import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,18 +60,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _load_json(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise UsageError(f"input file not found: {path}")
-    return json.loads(p.read_text())
-
-
 def _read_text(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"input file not found: {path}")
     return p.read_text()
+
+
+def _load_json(path: str):
+    return json.loads(_read_text(path))
 
 
 def load_config(args) -> dict:
@@ -92,6 +90,14 @@ def _out_dir(cfg) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    path.write_text(buf.getvalue())
 
 
 def _write_meta(out: Path, command: str, cfg: dict, outputs: list[str]) -> None:
@@ -224,16 +230,24 @@ def run_qoi(cfg) -> list[str]:
     if any(k.is_delta for k in kinds) and not idx_b:
         raise ValueError("delta QOIs need two chains (set chain_a/chain_b)")
 
+    # parameters and bonded exclusions are built once; each row swaps positions in
+    full = qoi.AtomSet.from_structure(s)
+    if any(k.is_delta for k in kinds):
+        group_a = qoi.AtomSet.from_structure(s.subset(idx_a))
+        group_b = qoi.AtomSet.from_structure(s.subset(idx_b))
+
     def evaluate(positions) -> dict[str, float]:
+        if positions.shape != (s.n_atoms, 3):
+            raise ValueError("positions shape does not match structure")
         row = {}
-        full = qoi.AtomSet.from_structure(s, positions=positions)
         for kind in kinds:
             if kind.is_delta:
-                sub_a = qoi.AtomSet.from_structure(s.subset(idx_a), positions=positions[idx_a])
-                sub_b = qoi.AtomSet.from_structure(s.subset(idx_b), positions=positions[idx_b])
-                row[kind.value] = qoi.delta_qoi(kind.base, sub_a, sub_b, qcfg)
+                row[kind.value] = qoi.delta_qoi(
+                    kind.base, replace(group_a, positions=positions[idx_a]),
+                    replace(group_b, positions=positions[idx_b]), qcfg)
             else:
-                row[kind.value] = qoi.evaluate_qoi(kind, full, config=qcfg)
+                row[kind.value] = qoi.evaluate_qoi(kind, replace(full, positions=positions),
+                                                   config=qcfg)
         return row
 
     # keep original sample indices when the ensemble's manifest is available
@@ -248,13 +262,9 @@ def run_qoi(cfg) -> list[str]:
     ]
     rows = _map_workers(lambda item: (item[0], evaluate(item[1])), samples,
                         int(cfg.get("workers", 1)))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["qoi", "sample_index", "value"])
-    for kind in kinds:
-        for sample_index, row in rows:
-            writer.writerow([kind.value, sample_index, _fmt(row[kind.value])])
-    (out / "qoi_values.csv").write_text(buf.getvalue())
+    _write_csv(out / "qoi_values.csv", ["qoi", "sample_index", "value"],
+               ([kind.value, sample_index, _fmt(row[kind.value])]
+                for kind in kinds for sample_index, row in rows))
     return ["qoi_values.csv"]
 
 
@@ -281,37 +291,37 @@ def _read_value_streams(path: str):
     return streams
 
 
-# ---------------------------------------------------------------- certify
-
-def run_certify(cfg) -> list[str]:
-    out = _out_dir(cfg)
+def _load_streams(cfg):
+    """The run's value streams (see _read_value_streams) and its t grid."""
     values_path = _resolve_input(cfg, "values",
                                  default=str(Path(cfg["out"]) / "qoi_values.csv"))
     streams = _read_value_streams(values_path)
     if not streams:
         raise ValueError("no QOI streams found in values file")
-    t_grid = tuple(float(t) for t in cfg["t_grid"])
+    return streams, tuple(float(t) for t in cfg["t_grid"])
 
-    cert_buf = io.StringIO()
-    cw = csv.writer(cert_buf, lineterminator="\n")
-    cw.writerow(["qoi", "t", "epsilon"])
-    z_buf = io.StringIO()
-    zw = csv.writer(z_buf, lineterminator="\n")
-    zw.writerow(["qoi", "reference", "mean", "std", "zscore"])
+
+# ---------------------------------------------------------------- certify
+
+def run_certify(cfg) -> list[str]:
+    out = _out_dir(cfg)
+    streams, t_grid = _load_streams(cfg)
+
+    cert_rows, z_rows = [], []
     text_lines = ["qoi".ljust(16) + "".join(f"{t:>9g}" for t in t_grid)]
     for name, entry in sorted(streams.items()):
         dist = certificates.EmpiricalDistribution.from_values(entry["values"])
         table = certificates.chernoff_table(dist, t_grid)
         for t, eps in zip(table.t_values, table.epsilons):
-            cw.writerow([name, _fmt(t), _fmt(eps)])
+            cert_rows.append([name, _fmt(t), _fmt(eps)])
         text_lines.append(name.ljust(16) + "".join(f"{e:>9.3f}" for e in table.epsilons))
         if entry["reference"] is not None and dist.std > 0:
             z = certificates.zscore(entry["reference"], dist)
-            zw.writerow([name, _fmt(entry["reference"]), _fmt(dist.mean),
-                         _fmt(dist.std), _fmt(z)])
-    (out / "certificates.csv").write_text(cert_buf.getvalue())
+            z_rows.append([name, _fmt(entry["reference"]), _fmt(dist.mean),
+                           _fmt(dist.std), _fmt(z)])
+    _write_csv(out / "certificates.csv", ["qoi", "t", "epsilon"], cert_rows)
     (out / "certificates.txt").write_text("\n".join(text_lines) + "\n")
-    (out / "zscores.csv").write_text(z_buf.getvalue())
+    _write_csv(out / "zscores.csv", ["qoi", "reference", "mean", "std", "zscore"], z_rows)
     return ["certificates.csv", "certificates.txt", "zscores.csv"]
 
 
@@ -319,12 +329,7 @@ def run_certify(cfg) -> list[str]:
 
 def run_saturate(cfg) -> list[str]:
     out = _out_dir(cfg)
-    values_path = _resolve_input(cfg, "values",
-                                 default=str(Path(cfg["out"]) / "qoi_values.csv"))
-    streams = _read_value_streams(values_path)
-    if not streams:
-        raise ValueError("no QOI streams found in values file")
-    t_grid = tuple(float(t) for t in cfg["t_grid"])
+    streams, t_grid = _load_streams(cfg)
     outputs = []
     reports = []
     for name, entry in sorted(streams.items()):
@@ -337,13 +342,9 @@ def run_saturate(cfg) -> list[str]:
             # not allowed to abort the rest of the batch
             reports.append({"qoi": name, "error": str(exc)})
             continue
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["r", "error"])
-        for r, err in report.error_curve:
-            writer.writerow([r, _fmt(err)])
         fname = f"saturation_{name}.csv"
-        (out / fname).write_text(buf.getvalue())
+        _write_csv(out / fname, ["r", "error"],
+                   ([r, _fmt(err)] for r, err in report.error_curve))
         outputs.append(fname)
         reports.append({"qoi": name, "mode": report.mode, "tau": report.tau,
                         "r_star": report.r_star, "saturated": report.saturated})
@@ -399,18 +400,16 @@ def run_bound(cfg) -> list[str]:
     else:
         raise UsageError(f"unknown bound mode {mode!r}")
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["t", "bound"] + (["mc_estimate"] if mc_values is not None else [])
-    writer.writerow(header)
     if mc_values is not None:
         mean = float(mc_values.mean())
+    rows = []
     for t in t_grid:
         row = [_fmt(t), _fmt(bound_at(t))]
         if mc_values is not None:
             row.append(_fmt(float((np.abs(mc_values - mean) > t).mean())))
-        writer.writerow(row)
-    (out / "bounds.csv").write_text(buf.getvalue())
+        rows.append(row)
+    _write_csv(out / "bounds.csv", header, rows)
     if deviations:
         (out / "deviations.json").write_text(
             json.dumps({"deviations": deviations}, indent=2) + "\n")
@@ -431,6 +430,13 @@ def _load_poses(raw) -> list[bindsite.Pose]:
     return poses
 
 
+def _ensemble_of(source: molio.Structure, models, cfg) -> conformers.Ensemble:
+    """The models of a multi-MODEL file as conformers of ``source``, in file order."""
+    confs = tuple(conformers.Conformer(positions=m.positions(), sample_index=i)
+                  for i, m in enumerate(models))
+    return conformers.Ensemble(source=source, conformers=confs, seed=int(cfg["seed"]))
+
+
 def run_bindsite(cfg) -> list[str]:
     out = _out_dir(cfg)
     receptor = _load_structure(cfg)
@@ -438,34 +444,23 @@ def run_bindsite(cfg) -> list[str]:
     raw = _load_json(_resolve_input(cfg, "poses"))
     model = bindsite.ContactModel(cutoff=float(cfg["contact_cutoff"]))
 
+    # a grouped file pairs each ligand model with its poses; a flat pose list
+    # places the first model only
     if raw and isinstance(raw[0], dict) and "poses" in raw[0]:
-        per_conformer = []
-        for group in raw:
-            per_conformer.append(_load_poses(group["poses"]))
-        confs = tuple(
-            conformers.Conformer(positions=m.positions(), sample_index=i)
-            for i, m in enumerate(ligand_models)
-        )
-        ens = conformers.Ensemble(source=ligand_models[0], conformers=confs,
-                                  seed=int(cfg["seed"]))
-        site_map = bindsite.binding_site_prob_multi(receptor, ens, per_conformer, model)
+        pose_lists = [_load_poses(group["poses"]) for group in raw]
     else:
-        lig = conformers.Conformer(positions=ligand_models[0].positions(), sample_index=0)
-        site_map = bindsite.binding_site_prob(receptor, lig, _load_poses(raw), model)
+        pose_lists = [_load_poses(raw)]
+        ligand_models = ligand_models[:1]
+    ens = _ensemble_of(ligand_models[0], ligand_models, cfg)
+    site_map = bindsite.binding_site_prob_multi(receptor, ens, pose_lists, model)
 
-    atom_buf = io.StringIO()
-    aw = csv.writer(atom_buf, lineterminator="\n")
-    aw.writerow(["serial", "chain", "residue_seq", "residue_name", "p_bs"])
-    for atom, p in zip(receptor.atoms, site_map.probabilities):
-        aw.writerow([atom.serial, atom.chain_id, atom.residue_seq, atom.residue_name, _fmt(p)])
-    (out / "bindsite_atoms.csv").write_text(atom_buf.getvalue())
-
-    res_buf = io.StringIO()
-    rw = csv.writer(res_buf, lineterminator="\n")
-    rw.writerow(["chain", "residue_seq", "residue_name", "p_bs"])
-    for (chain, seq, name), p in bindsite.residue_site_probabilities(receptor, site_map):
-        rw.writerow([chain, seq, name, _fmt(p)])
-    (out / "bindsite_residues.csv").write_text(res_buf.getvalue())
+    _write_csv(out / "bindsite_atoms.csv",
+               ["serial", "chain", "residue_seq", "residue_name", "p_bs"],
+               ([atom.serial, atom.chain_id, atom.residue_seq, atom.residue_name, _fmt(p)]
+                for atom, p in zip(receptor.atoms, site_map.probabilities)))
+    _write_csv(out / "bindsite_residues.csv", ["chain", "residue_seq", "residue_name", "p_bs"],
+               ([chain, seq, name, _fmt(p)] for (chain, seq, name), p
+                in bindsite.residue_site_probabilities(receptor, site_map)))
 
     colors_csv, script = vizgrid.colormap_export(
         [a.serial for a in receptor.atoms], site_map.probabilities, palette="rainbow")
@@ -481,12 +476,7 @@ def _load_ensemble(cfg) -> conformers.Ensemble:
     s = _load_structure(cfg)
     ensemble_path = _resolve_input(cfg, "ensemble",
                                    default=str(Path(cfg["out"]) / "ensemble.pdb"))
-    models = molio.parse_pdb_models(_read_text(ensemble_path))
-    confs = tuple(
-        conformers.Conformer(positions=m.positions(), sample_index=i)
-        for i, m in enumerate(models)
-    )
-    return conformers.Ensemble(source=s, conformers=confs, seed=int(cfg["seed"]))
+    return _ensemble_of(s, molio.parse_pdb_models(_read_text(ensemble_path)), cfg)
 
 
 def run_volmap(cfg) -> list[str]:
@@ -502,14 +492,11 @@ def run_modes(cfg) -> list[str]:
     out = _out_dir(cfg)
     ens = _load_ensemble(cfg)
     variances, axes = conformers.atom_motion_modes(ens)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["serial", "var1", "var2", "var3",
-                     "v1x", "v1y", "v1z", "v2x", "v2y", "v2z", "v3x", "v3y", "v3z"])
-    for atom, var, ax in zip(ens.source.atoms, variances, axes):
-        writer.writerow([atom.serial] + [_fmt(v) for v in var]
-                        + [_fmt(x) for x in ax.reshape(-1)])
-    (out / "modes.csv").write_text(buf.getvalue())
+    _write_csv(out / "modes.csv",
+               ["serial", "var1", "var2", "var3",
+                "v1x", "v1y", "v1z", "v2x", "v2y", "v2z", "v3x", "v3y", "v3z"],
+               ([atom.serial] + [_fmt(v) for v in var] + [_fmt(x) for x in ax.reshape(-1)]
+                for atom, var, ax in zip(ens.source.atoms, variances, axes)))
     return ["modes.csv"]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moluq.molio import Structure, bonded_exclusions
+from moluq.molio import Structure, bond_adjacency, bonded_exclusions
 from moluq.pairs import cutoff_pairs, not_excluded
 from moluq.sampling import (
     LowDiscrepancySequence,
@@ -125,14 +125,6 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _adjacency(bonds, n: int) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for i, j in bonds:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
-
-
 def _downstream_of(adj, j: int, k: int) -> tuple[int, ...]:
     """Atoms reachable from k without using the j-k edge (k itself excluded).
 
@@ -171,7 +163,7 @@ def build_torsion_graph(
     n = s.n_atoms
     if not s.bonds:
         return TorsionGraph(structure=s, rotatable=())
-    adj = _adjacency(s.bonds, n)
+    adj = bond_adjacency(s.bonds, n)
     # BFS orientation/order from the root
     order: list[tuple[int, int]] = []
     seen = {root}
@@ -207,7 +199,7 @@ def torsion_graph_from_dihedrals(s: Structure, dihedrals) -> TorsionGraph:
     defining indices; downstream sets are derived from the bond graph and a
     cycle through any requested bond raises.
     """
-    adj = _adjacency(s.bonds, s.n_atoms)
+    adj = bond_adjacency(s.bonds, s.n_atoms)
     specs = []
     for atoms, lower, upper in dihedrals:
         i, j, k, l = atoms

@@ -8,6 +8,7 @@ are pure: they return new objects and never mutate their inputs.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -245,13 +246,14 @@ class ParamTable:
         return self.elements.get(element.upper())
 
 
-def _infer_element(atom_name: str) -> str:
-    letters = "".join(ch for ch in atom_name if ch.isalpha()).upper()
-    if not letters:
-        return "C"
-    if len(letters) >= 2 and letters[:2] in _VDW_RADII:
-        return letters[:2]
-    return letters[0]
+def _infer_element(name_field: str) -> str:
+    """Element from the unstripped atom-name columns 13-16, where the symbol is
+    right-justified in columns 13-14: ` CA ` is carbon, `CA  ` calcium."""
+    field = name_field.upper()
+    if field[:2] in _VDW_RADII:
+        return field[:2]
+    letters = [ch for ch in field if ch.isalpha()]
+    return letters[0] if letters else "C"
 
 
 def _float_field(line: str, lo: int, hi: int, what: str, lineno: int) -> float:
@@ -311,7 +313,7 @@ def parse_pdb(text: str) -> Structure:
             b_iso = _float_field(line, 60, 66, "B-factor", lineno) if b_text else 0.0
             element = line[76:78].strip() if len(line) >= 77 else ""
             if not element:
-                element = _infer_element(name)
+                element = _infer_element(line[12:16])
             atoms.append(
                 Atom(
                     serial=serial, name=name, element=element.upper(),
@@ -389,10 +391,11 @@ def _atom_id(a: Atom) -> str:
     )
 
 
-def _atom_line(a: Atom) -> str:
+def _atom_line(a: Atom, position) -> str:
+    """ATOM record of ``a`` placed at ``position``."""
     return (
         f"ATOM  {_atom_id(a)}    "
-        f"{_coord(a.position[0])}{_coord(a.position[1])}{_coord(a.position[2])}"
+        f"{_coord(position[0])}{_coord(position[1])}{_coord(position[2])}"
         f"{1.0:6.2f}{a.b_iso:6.2f}          {a.element:>2s}"
     )
 
@@ -410,7 +413,7 @@ def write_pdb(s: Structure) -> str:
     with TER records at chain boundaries."""
     lines = []
     for i, a in enumerate(s.atoms):
-        lines.append(_atom_line(a))
+        lines.append(_atom_line(a, a.position))
         if a.b_aniso is not None:
             lines.append(_anisou_line(a))
         nxt = s.atoms[i + 1] if i + 1 < len(s.atoms) else None
@@ -426,10 +429,12 @@ def write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
         model_numbers = range(1, len(positions_list) + 1)
     lines = []
     for num, positions in zip(model_numbers, positions_list):
+        positions = np.asarray(positions, dtype=float)
+        if positions.shape != (s.n_atoms, 3) or not np.all(np.isfinite(positions)):
+            raise ValueError(f"model {num}: expected ({s.n_atoms}, 3) finite positions, "
+                             f"got shape {positions.shape}")
         lines.append(f"MODEL     {num:4d}")
-        moved = s.with_positions(positions)
-        for a in moved.atoms:
-            lines.append(_atom_line(a))
+        lines.extend(_atom_line(a, p) for a, p in zip(s.atoms, positions))
         lines.append("ENDMDL")
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -475,18 +480,18 @@ def detect_bonds(s: Structure, tolerance: float = 0.45) -> Structure:
     return s.with_bonds(bonds)
 
 
+def bond_adjacency(bonds, n: int) -> list[set[int]]:
+    """Neighbour set of each of ``n`` atoms under the bond list."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for i, j in bonds:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
 def bonded_exclusions(s: Structure) -> frozenset[tuple[int, int]]:
     """1-2 and 1-3 pairs (as sorted index tuples) from the bond list."""
-    adj: dict[int, set[int]] = {}
-    for i, j in s.bonds:
-        adj.setdefault(i, set()).add(j)
-        adj.setdefault(j, set()).add(i)
-    pairs = set()
-    for i, j in s.bonds:
-        pairs.add((min(i, j), max(i, j)))
-    for center, nbrs in adj.items():
-        nbrs = sorted(nbrs)
-        for x in range(len(nbrs)):
-            for y in range(x + 1, len(nbrs)):
-                pairs.add((nbrs[x], nbrs[y]))
+    pairs = set(s.bonds)  # each bond is stored once as (min, max)
+    for nbrs in bond_adjacency(s.bonds, s.n_atoms):
+        pairs.update(itertools.combinations(sorted(nbrs), 2))
     return frozenset(pairs)

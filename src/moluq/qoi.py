@@ -21,8 +21,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from moluq.molio import Structure, bonded_exclusions
-from moluq.conformers import Conformer, Ensemble
+from moluq.conformers import Ensemble
 from moluq.pairs import not_excluded
+from moluq.vizgrid import cover_spheres, padded_box
 
 COULOMB_CONSTANT = 332.0636  # kcal mol^-1 A e^-2
 
@@ -54,7 +55,6 @@ class CoulombModel:
 
     mode: str = "constant"
     value: float = 1.0
-    coulomb_constant: float = COULOMB_CONSTANT
 
     def __post_init__(self):
         if self.mode not in ("constant", "distance_dependent"):
@@ -96,12 +96,9 @@ class AtomSet:
         return self.positions.shape[0]
 
     @classmethod
-    def from_structure(cls, s: Structure, positions: np.ndarray | None = None) -> "AtomSet":
-        pos = s.positions() if positions is None else np.asarray(positions, dtype=float)
-        if pos.shape != (s.n_atoms, 3):
-            raise ValueError("positions shape does not match structure")
+    def from_structure(cls, s: Structure) -> "AtomSet":
         return cls(
-            positions=pos,
+            positions=s.positions(),
             radii=np.array([a.vdw_radius for a in s.atoms]),
             charges=np.array([a.charge for a in s.atoms]),
             lj_a=np.array([a.lj_a for a in s.atoms]),
@@ -127,13 +124,8 @@ class AtomSet:
         )
 
 
-def _pair_arrays(n: int, exclusions, cross=None):
-    """Index arrays of the unordered pairs an intra/cross sum runs over."""
-    if cross is not None:
-        ga, gb = (np.asarray(g, dtype=int) for g in cross)
-        ii = np.repeat(ga, len(gb))
-        jj = np.tile(gb, len(ga))
-        return ii, jj
+def _pair_arrays(n: int, exclusions):
+    """Index arrays of the unordered (i < j) pairs a sum runs over, minus exclusions."""
     ii, jj = np.triu_indices(n, k=1)
     if exclusions:
         keep = not_excluded(ii, jj, n, exclusions)
@@ -176,16 +168,15 @@ def combine_lj(a_i, b_i, a_j, b_j) -> tuple[np.ndarray, np.ndarray]:
     return _lj_pair_terms(*_lj_atom_terms(a_i, b_i), *_lj_atom_terms(a_j, b_j))
 
 
-def lj_energy(positions, lj_a, lj_b, exclusions=frozenset(), cross=None) -> float:
+def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
     """12-6 energy sum a_ij/r^12 - b_ij/r^6 over unordered pairs (kcal/mol).
 
-    ``cross=(idx_a, idx_b)`` restricts to inter-group pairs; otherwise all
-    intra pairs except the bonded ``exclusions`` contribute.  Per-atom depth
+    All pairs except the bonded ``exclusions`` contribute.  Per-atom depth
     and minimum distance are computed once and gathered per pair, with the
     same per-pair arithmetic as :func:`combine_lj`.
     """
     positions = np.asarray(positions, dtype=float)
-    ii, jj = _pair_arrays(positions.shape[0], exclusions, cross)
+    ii, jj = _pair_arrays(positions.shape[0], exclusions)
     if len(ii) == 0:
         return 0.0
     r = _pair_distances(positions, ii, jj, "lj_energy")
@@ -196,15 +187,15 @@ def lj_energy(positions, lj_a, lj_b, exclusions=frozenset(), cross=None) -> floa
 
 
 def coulomb_energy(positions, charges, model: CoulombModel = CoulombModel(),
-                   exclusions=frozenset(), cross=None) -> float:
+                   exclusions=frozenset()) -> float:
     """Pairwise electrostatic sum C q_i q_j / (eps(r) r) (kcal/mol)."""
     positions = np.asarray(positions, dtype=float)
     charges = np.asarray(charges, dtype=float)
-    ii, jj = _pair_arrays(positions.shape[0], exclusions, cross)
+    ii, jj = _pair_arrays(positions.shape[0], exclusions)
     if len(ii) == 0:
         return 0.0
     r = _pair_distances(positions, ii, jj, "coulomb_energy")
-    return float(np.sum(model.coulomb_constant * charges[ii] * charges[jj]
+    return float(np.sum(COULOMB_CONSTANT * charges[ii] * charges[jj]
                         / (model.epsilon(r) * r)))
 
 
@@ -338,26 +329,8 @@ def volume(positions, radii, spacing: float) -> float:
     if positions.shape[0] == 0:
         return 0.0
     radii = np.asarray(radii, dtype=float)
-    pad = float(radii.max()) + spacing
-    lo = positions.min(axis=0) - pad
-    hi = positions.max(axis=0) + pad
-    dims = np.maximum(np.ceil((hi - lo) / spacing).astype(int), 1)
-    occupied = np.zeros(dims, dtype=bool)
-    for p, r in zip(positions, radii):
-        i_lo = np.maximum(np.floor((p - r - lo) / spacing - 0.5).astype(int), 0)
-        i_hi = np.minimum(np.ceil((p + r - lo) / spacing + 0.5).astype(int), dims - 1)
-        ranges = [np.arange(i_lo[ax], i_hi[ax] + 1) for ax in range(3)]
-        centers = [lo[ax] + (ranges[ax] + 0.5) * spacing - p[ax] for ax in range(3)]
-        d2 = (
-            centers[0][:, None, None] ** 2
-            + centers[1][None, :, None] ** 2
-            + centers[2][None, None, :] ** 2
-        )
-        sub = occupied[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1]
-        occupied[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1] = (
-            sub | (d2 <= r * r)
-        )
-    return float(occupied.sum()) * spacing**3
+    lo, dims = padded_box(positions, radii, spacing)
+    return float(cover_spheres(positions, radii, lo, spacing, dims).sum()) * spacing**3
 
 
 def evaluate_qoi(kind: QOIKind, a: AtomSet, b: AtomSet | None = None,

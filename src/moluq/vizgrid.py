@@ -53,10 +53,27 @@ class ScalarGrid:
         return self.values.reshape(nz, ny, nx).transpose(2, 1, 0)
 
 
-def _grid_geometry(lo, hi, spacing):
-    dims = np.maximum(np.ceil((hi - lo) / spacing).astype(int), 1)
+def padded_box(points, radii, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower corner and voxel counts of the box around ``points`` padded by max radius + spacing."""
+    pad = float(radii.max()) + spacing
+    lo = points.min(axis=0) - pad
+    hi = points.max(axis=0) + pad
+    return lo, np.maximum(np.ceil((hi - lo) / spacing).astype(int), 1)
+
+
+def cover_spheres(positions, radii, lo, spacing: float, dims) -> np.ndarray:
+    """Boolean (nx, ny, nz) grid: True where the voxel centre lo + (k + 1/2) * spacing
+    lies inside or on any atom sphere."""
     origin = lo + 0.5 * spacing
-    return origin, dims
+    covered = np.zeros(tuple(dims), dtype=bool)
+    for p, r in zip(positions, radii):
+        i_lo = np.maximum(np.floor((p - r - lo) / spacing - 0.5).astype(int), 0)
+        i_hi = np.minimum(np.ceil((p + r - lo) / spacing + 0.5).astype(int), dims - 1)
+        cts = [origin[ax] + np.arange(i_lo[ax], i_hi[ax] + 1) * spacing - p[ax]
+               for ax in range(3)]
+        d2 = cts[0][:, None, None] ** 2 + cts[1][None, :, None] ** 2 + cts[2][None, None, :] ** 2
+        covered[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1] |= d2 <= r * r
+    return covered
 
 
 def occupancy_map(e: Ensemble, spacing: float, radius_mode="vdw") -> ScalarGrid:
@@ -77,32 +94,17 @@ def occupancy_map(e: Ensemble, spacing: float, radius_mode="vdw") -> ScalarGrid:
         radii = np.array([a.vdw_radius for a in e.source.atoms])
     else:
         radii = np.full(e.source.n_atoms, float(radius_mode))
-        if radii.size and radii[0] <= 0:
+        if radii[0] <= 0:
             raise ValueError("fixed radius must be positive")
-    stack = np.stack([c.positions for c in accepted])
-    pad = (float(radii.max()) if radii.size else 0.0) + spacing
-    lo = stack.reshape(-1, 3).min(axis=0) - pad
-    hi = stack.reshape(-1, 3).max(axis=0) + pad
-    origin, dims = _grid_geometry(lo, hi, spacing)
+    lo, dims = padded_box(np.concatenate([c.positions for c in accepted]), radii, spacing)
     counts = np.zeros(tuple(dims), dtype=np.int64)
     for c in accepted:
-        covered = np.zeros(tuple(dims), dtype=bool)
-        for p, r in zip(c.positions, radii):
-            i_lo = np.maximum(np.floor((p - r - lo) / spacing - 0.5).astype(int), 0)
-            i_hi = np.minimum(np.ceil((p + r - lo) / spacing + 0.5).astype(int), dims - 1)
-            axes = [np.arange(i_lo[ax], i_hi[ax] + 1) for ax in range(3)]
-            cts = [origin[ax] + axes[ax] * spacing - p[ax] for ax in range(3)]
-            d2 = cts[0][:, None, None] ** 2 + cts[1][None, :, None] ** 2 + cts[2][None, None, :] ** 2
-            sub = covered[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1]
-            covered[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1] = (
-                sub | (d2 <= r * r)
-            )
-        counts += covered
+        counts += cover_spheres(c.positions, radii, lo, spacing, dims)
     frac = counts.astype(float) / len(accepted)
     # store x-fastest: transpose to (z, y, x) then flatten C-order
     flat = frac.transpose(2, 1, 0).reshape(-1)
-    return ScalarGrid(origin=origin, spacing=spacing, dims=tuple(int(d) for d in dims),
-                      values=flat)
+    return ScalarGrid(origin=lo + 0.5 * spacing, spacing=spacing,
+                      dims=tuple(int(d) for d in dims), values=flat)
 
 
 def grid_statistics(grids) -> tuple[ScalarGrid, ScalarGrid]:

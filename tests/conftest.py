@@ -54,3 +54,13 @@ def zigzag_chain(n_atoms, bond_length=1.5, angle=1.911):
         positions.append(positions[-1] + step)
         sign = -sign
     return np.array(positions)
+
+
+def lattice(n_atoms, chain_len=20, gap=4.5):
+    """Zigzag chains of ``chain_len`` atoms on a (y, z) grid ``gap`` apart."""
+    n_chains = -(-n_atoms // chain_len)
+    cols = math.ceil(math.sqrt(n_chains))
+    base = zigzag_chain(chain_len)
+    pos = [base[:min(chain_len, n_atoms - c * chain_len)]
+           + [0.0, (c % cols) * gap, (c // cols) * gap] for c in range(n_chains)]
+    return np.vstack(pos)

@@ -119,6 +119,23 @@ class TestQoiCertifySaturate:
         assert main(["sample", "--config", str(cfg)]) == 0
         return cfg
 
+    def test_qoi_builds_parameter_sets_once(self, workspace, monkeypatch):
+        from moluq import qoi
+        cfg = self._sampled(workspace, n=6)
+        calls = []
+        real = qoi.bonded_exclusions
+        monkeypatch.setattr(qoi, "bonded_exclusions", lambda s: calls.append(1) or real(s))
+        assert main(["qoi", "--config", str(cfg)]) == 0
+        # the full structure plus chains A and B, however many models there are
+        assert len(calls) == 3
+
+    def test_qoi_rejects_model_of_other_size(self, workspace):
+        cfg = self._sampled(workspace, n=2)
+        ensemble = workspace / "run" / "ensemble.pdb"
+        first = parse_pdb_models(ensemble.read_text())[0]
+        ensemble.write_text(write_pdb(first.subset(range(first.n_atoms - 1))))
+        assert main(["qoi", "--config", str(cfg)]) == 3
+
     def test_qoi_stream_then_certify(self, workspace):
         cfg = self._sampled(workspace)
         assert main(["qoi", "--config", str(cfg)]) == 0
@@ -296,6 +313,22 @@ class TestBindsite:
         rows = (workspace / "run" / "bindsite_atoms.csv").read_text().strip().splitlines()[1:]
         # first conformer contacts atom 1, far conformer contacts nothing -> 0.5
         assert float(rows[0].split(",")[4]) == pytest.approx(0.5)
+
+    def test_flat_pose_list_equals_one_group(self, workspace):
+        lig = make_structure([[0.0, 3.0, 0.0], [0.8, 3.9, 0.4]])
+        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        poses = [{"rank": r, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                  "translation": [dx, 0.0, 0.0]} for r, dx in enumerate((0.0, 2.5, 5.0), 1)]
+        outputs = {}
+        for label, raw in (("flat", poses), ("grouped", [{"model": 0, "poses": poses}])):
+            (workspace / f"{label}.json").write_text(json.dumps(raw))
+            cfg = write_config(workspace, ligand=str(workspace / "ligand.pdb"),
+                               poses=str(workspace / f"{label}.json"),
+                               out=str(workspace / label))
+            assert main(["bindsite", "--config", str(cfg)]) == 0
+            outputs[label] = {f.name: f.read_bytes() for f in (workspace / label).iterdir()
+                              if not f.name.endswith("_meta.json")}
+        assert len(outputs["flat"]) == 4 and outputs["flat"] == outputs["grouped"]
 
     def test_single_pose_binary_map(self, workspace):
         lig = make_structure([[0.0, 3.0, 0.0]])

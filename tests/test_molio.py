@@ -96,6 +96,23 @@ class TestParsePdb:
         assert set(chains) == {"A", "B"}
         assert sorted(i for idx in chains.values() for i in idx) == [0, 1]
 
+    @pytest.mark.parametrize("name_field, element", [
+        (" CA ", "C"), ("CA  ", "CA"), ("ZN  ", "ZN"), (" OG1", "O"), ("1HB ", "H"),
+        (" N  ", "N"), ("HG21", "H"), ("FE  ", "FE"), ("    ", "C"),
+    ])
+    def test_element_inferred_from_name_columns(self, name_field, element):
+        # no element column: the symbol is right-justified in columns 13-14
+        line = ATOM_LINE[:12] + name_field + ATOM_LINE[16:66]
+        assert parse_pdb(line).atoms[0].element == element
+
+    def test_alpha_carbon_without_element_column_gets_parameters(self):
+        lines = [ATOM_LINE[:12] + name + ATOM_LINE[16:66]
+                 for name in (" N  ", " CA ", " C  ", " O  ")]
+        lines = [ln[:6] + f"{i + 1:5d}" + ln[11:] for i, ln in enumerate(lines)]
+        s = assign_params(parse_pdb("\n".join(lines)), ParamTable.default())
+        assert [a.element for a in s.atoms] == ["N", "C", "C", "O"]
+        assert s.atoms[1].vdw_radius == ParamTable.default().elements["C"].vdw_radius
+
 
 class TestWritePdb:
     def test_roundtrip_single_atom(self):

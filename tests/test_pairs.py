@@ -5,7 +5,6 @@ and a Python set-membership test per pair.  The new kernels must reproduce
 them exactly (``==``, not approx) on seeded, perturbed zigzag lattices.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -21,8 +20,8 @@ from moluq.molio import (
     detect_bonds,
 )
 from moluq.pairs import cutoff_pairs, exclusion_codes, not_excluded
-from moluq.qoi import CoulombModel, _pair_arrays, coulomb_energy, lj_energy
-from conftest import make_atom, make_structure, zigzag_chain
+from moluq.qoi import COULOMB_CONSTANT, CoulombModel, _pair_arrays, coulomb_energy, lj_energy
+from conftest import lattice, make_atom, make_structure
 
 ELEMENTS = ("C", "C", "N", "C", "O")
 
@@ -90,21 +89,11 @@ def oracle_lj(positions, lj_a, lj_b, exclusions):
 def oracle_coulomb(positions, charges, model, exclusions):
     ii, jj = oracle_pair_arrays(positions.shape[0], exclusions)
     r = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
-    return float(np.sum(model.coulomb_constant * charges[ii] * charges[jj]
+    return float(np.sum(COULOMB_CONSTANT * charges[ii] * charges[jj]
                         / (model.epsilon(r) * r)))
 
 
 # ---------------------------------------------------------------- inputs
-
-def lattice(n_atoms, chain_len=20, gap=4.5):
-    """Zigzag chains of ``chain_len`` atoms on a (y, z) grid ``gap`` apart."""
-    n_chains = -(-n_atoms // chain_len)
-    cols = math.ceil(math.sqrt(n_chains))
-    base = zigzag_chain(chain_len)
-    pos = [base[:min(chain_len, n_atoms - c * chain_len)]
-           + [0.0, (c % cols) * gap, (c // cols) * gap] for c in range(n_chains)]
-    return np.vstack(pos)
-
 
 def lattice_structure(n_atoms, seed, jitter=0.05):
     """Parameterized, bonded lattice; bonds come from the dense oracle so the

@@ -1,0 +1,255 @@
+"""Merged code paths against verbatim copies of the duplicates they replaced.
+
+Each oracle below is the former second implementation of a job: the voxel
+loops of ``qoi.volume`` and ``vizgrid.occupancy_map``, the single-config
+``binding_site_prob`` loop, the counting in ``chernoff_table`` and the
+per-model ``Structure`` rebuild of ``write_pdb_models``.  The merged code
+must reproduce them exactly (``==``, not approx) on seeded, perturbed
+zigzag lattices.
+"""
+
+import numpy as np
+import pytest
+
+from moluq.bindsite import BindingSiteMap, ContactModel, Pose, _contact_rows, binding_site_prob
+from moluq.certificates import DEFAULT_T_GRID, EmpiricalDistribution, chernoff_table
+from moluq.conformers import Conformer, Ensemble
+from moluq.molio import (
+    ParamTable,
+    Structure,
+    _atom_id,
+    _coord,
+    assign_params,
+    write_pdb_models,
+)
+from moluq.qoi import volume
+from moluq.vizgrid import occupancy_map
+from conftest import lattice, make_atom
+
+ELEMENTS = ("C", "C", "N", "C", "O", "S", "H")
+
+
+def lattice_structure(n_atoms, seed, jitter=0.05):
+    rng = np.random.default_rng(seed)
+    pos = lattice(n_atoms) + rng.uniform(-jitter, jitter, size=(n_atoms, 3))
+    atoms = tuple(make_atom(i + 1, p, element=ELEMENTS[i % len(ELEMENTS)])
+                  for i, p in enumerate(pos))
+    return assign_params(Structure(atoms=atoms), ParamTable.default())
+
+
+def jittered(s, seed, sigma):
+    rng = np.random.default_rng(seed)
+    return s.positions() + rng.normal(scale=sigma, size=(s.n_atoms, 3))
+
+
+# ---------------------------------------------------------------- oracles
+
+def oracle_volume(positions, radii, spacing):
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape[0] == 0:
+        return 0.0
+    radii = np.asarray(radii, dtype=float)
+    pad = float(radii.max()) + spacing
+    lo = positions.min(axis=0) - pad
+    hi = positions.max(axis=0) + pad
+    dims = np.maximum(np.ceil((hi - lo) / spacing).astype(int), 1)
+    occupied = np.zeros(dims, dtype=bool)
+    for p, r in zip(positions, radii):
+        i_lo = np.maximum(np.floor((p - r - lo) / spacing - 0.5).astype(int), 0)
+        i_hi = np.minimum(np.ceil((p + r - lo) / spacing + 0.5).astype(int), dims - 1)
+        ranges = [np.arange(i_lo[ax], i_hi[ax] + 1) for ax in range(3)]
+        centers = [lo[ax] + (ranges[ax] + 0.5) * spacing - p[ax] for ax in range(3)]
+        d2 = (
+            centers[0][:, None, None] ** 2
+            + centers[1][None, :, None] ** 2
+            + centers[2][None, None, :] ** 2
+        )
+        sub = occupied[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1]
+        occupied[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1] = (
+            sub | (d2 <= r * r)
+        )
+    return float(occupied.sum()) * spacing**3
+
+
+def _grid_geometry(lo, hi, spacing):
+    dims = np.maximum(np.ceil((hi - lo) / spacing).astype(int), 1)
+    origin = lo + 0.5 * spacing
+    return origin, dims
+
+
+def oracle_occupancy(e, spacing, radius_mode="vdw"):
+    """(origin, dims, x-fastest values) of the former occupancy_map."""
+    accepted = e.accepted()
+    if radius_mode == "vdw":
+        radii = np.array([a.vdw_radius for a in e.source.atoms])
+    else:
+        radii = np.full(e.source.n_atoms, float(radius_mode))
+    stack = np.stack([c.positions for c in accepted])
+    pad = (float(radii.max()) if radii.size else 0.0) + spacing
+    lo = stack.reshape(-1, 3).min(axis=0) - pad
+    hi = stack.reshape(-1, 3).max(axis=0) + pad
+    origin, dims = _grid_geometry(lo, hi, spacing)
+    counts = np.zeros(tuple(dims), dtype=np.int64)
+    for c in accepted:
+        covered = np.zeros(tuple(dims), dtype=bool)
+        for p, r in zip(c.positions, radii):
+            i_lo = np.maximum(np.floor((p - r - lo) / spacing - 0.5).astype(int), 0)
+            i_hi = np.minimum(np.ceil((p + r - lo) / spacing + 0.5).astype(int), dims - 1)
+            axes = [np.arange(i_lo[ax], i_hi[ax] + 1) for ax in range(3)]
+            cts = [origin[ax] + axes[ax] * spacing - p[ax] for ax in range(3)]
+            d2 = cts[0][:, None, None] ** 2 + cts[1][None, :, None] ** 2 + cts[2][None, None, :] ** 2
+            sub = covered[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1]
+            covered[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1] = (
+                sub | (d2 <= r * r)
+            )
+        counts += covered
+    frac = counts.astype(float) / len(accepted)
+    flat = frac.transpose(2, 1, 0).reshape(-1)
+    return origin, tuple(int(d) for d in dims), flat
+
+
+def oracle_binding_site_prob(A, B, poses, m=ContactModel()):
+    poses = list(poses)
+    if not poses:
+        raise ValueError("need at least one pose")
+    rec = A.positions()
+    hits = np.zeros(A.n_atoms)
+    for pose in poses:
+        hits += _contact_rows(rec, B.positions, pose, m.cutoff)
+    return BindingSiteMap(probabilities=hits / len(poses),
+                          serials=tuple(a.serial for a in A.atoms),
+                          cutoff=m.cutoff, k=len(poses), n_configs=1)
+
+
+def oracle_epsilons(d, t_values):
+    t = np.asarray(t_values, dtype=float)
+    rel = np.abs(np.asarray(d.values) - d.mean) / abs(d.mean)
+    return (rel[:, None] > t[None, :]).mean(axis=0)
+
+
+def oracle_atom_line(a):
+    return (
+        f"ATOM  {_atom_id(a)}    "
+        f"{_coord(a.position[0])}{_coord(a.position[1])}{_coord(a.position[2])}"
+        f"{1.0:6.2f}{a.b_iso:6.2f}          {a.element:>2s}"
+    )
+
+
+def oracle_write_pdb_models(s, positions_list, model_numbers=None):
+    if model_numbers is None:
+        model_numbers = range(1, len(positions_list) + 1)
+    lines = []
+    for num, positions in zip(model_numbers, positions_list):
+        lines.append(f"MODEL     {num:4d}")
+        moved = s.with_positions(positions)
+        for a in moved.atoms:
+            lines.append(oracle_atom_line(a))
+        lines.append("ENDMDL")
+    lines.append("END")
+    return "\n".join(lines) + "\n"
+
+
+CASES = [(60, 1), (140, 2), (233, 3)]
+
+
+# ---------------------------------------------------------------- sphere rasterizer
+
+@pytest.mark.parametrize("n_atoms, seed", CASES)
+def test_volume_matches_former_loop(n_atoms, seed):
+    s = lattice_structure(n_atoms, seed)
+    radii = np.array([a.vdw_radius for a in s.atoms])
+    for k, sigma in enumerate((0.0, 0.2, 0.7)):
+        pos = jittered(s, 10 * seed + k, sigma)
+        for spacing in (0.3, 0.5, 0.77, 1.0):
+            assert volume(pos, radii, spacing) == oracle_volume(pos, radii, spacing)
+    assert volume(np.zeros((0, 3)), np.zeros(0), 0.5) == oracle_volume(np.zeros((0, 3)),
+                                                                        np.zeros(0), 0.5)
+
+
+@pytest.mark.parametrize("n_atoms, seed", CASES)
+def test_occupancy_map_matches_former_loop(n_atoms, seed):
+    s = lattice_structure(n_atoms, seed)
+    confs = tuple(
+        Conformer(jittered(s, 100 * seed + k, 0.4), k, accepted=k != 2,
+                  rejection_reason=None if k != 2 else "clash")
+        for k in range(6)
+    )
+    e = Ensemble(source=s, conformers=confs, seed=seed)
+    for spacing, mode in ((0.5, "vdw"), (0.8, "vdw"), (0.6, 1.6)):
+        g = occupancy_map(e, spacing=spacing, radius_mode=mode)
+        origin, dims, values = oracle_occupancy(e, spacing, mode)
+        assert np.array_equal(g.origin, origin) and g.dims == dims
+        assert np.array_equal(g.values, values)
+        assert 0.0 < values.max() <= 1.0
+
+
+# ---------------------------------------------------------------- contact map
+
+def random_poses(rng, k, spread):
+    poses = []
+    for rank in range(k):
+        q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+        q = q * np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 0] = -q[:, 0]
+        poses.append(Pose(rotation=q, translation=rng.uniform(-spread, spread, 3), rank=rank))
+    return poses
+
+
+@pytest.mark.parametrize("n_atoms, seed", CASES)
+def test_binding_site_prob_matches_former_loop(n_atoms, seed):
+    receptor = lattice_structure(n_atoms, seed)
+    rng = np.random.default_rng(seed)
+    centre = receptor.positions().mean(axis=0)
+    ligand = Conformer(centre + rng.normal(scale=1.5, size=(9, 3)), 0)
+    for k, cutoff in ((1, 5.0), (7, 4.0), (32, 6.5)):
+        poses = random_poses(rng, k, spread=8.0)
+        m = ContactModel(cutoff=cutoff)
+        got = binding_site_prob(receptor, ligand, poses, m)
+        want = oracle_binding_site_prob(receptor, ligand, poses, m)
+        assert np.array_equal(got.probabilities, want.probabilities)
+        assert (got.serials, got.cutoff, got.k, got.n_configs) == (
+            want.serials, want.cutoff, want.k, want.n_configs)
+
+
+# ---------------------------------------------------------------- exceedance count
+
+def test_chernoff_table_matches_former_count():
+    rng = np.random.default_rng(17)
+    grids = (DEFAULT_T_GRID, (0.05, 0.25, 0.5, 1.0))
+    for size in (1, 2, 5, 40, 333):
+        for scale in (1e-3, 0.1, 2.0):
+            d = EmpiricalDistribution.from_values(rng.normal(3.0, scale * 3.0, size))
+            for grid in grids:
+                assert chernoff_table(d, grid).epsilons == tuple(
+                    float(e) for e in oracle_epsilons(d, grid))
+    # |x - mean| / |mean| lands exactly on t = 0.5: the strict count skips it
+    d = EmpiricalDistribution.from_values([1.0, 2.0, 3.0])
+    assert chernoff_table(d, (0.25, 0.5)).epsilons == (2 / 3, 0.0)
+    assert tuple(oracle_epsilons(d, (0.25, 0.5))) == (2 / 3, 0.0)
+
+
+# ---------------------------------------------------------------- ATOM record
+
+def test_write_pdb_models_matches_former_rebuild():
+    s = lattice_structure(140, 4)
+    frames = [jittered(s, 40 + k, 0.3) for k in range(3)] + [s.positions() - 500.0]
+    assert write_pdb_models(s, frames) == oracle_write_pdb_models(s, frames)
+    assert (write_pdb_models(s, frames, [3, 9, 27, 81])
+            == oracle_write_pdb_models(s, frames, [3, 9, 27, 81]))
+
+
+@pytest.mark.parametrize("bad", [
+    lambda p: p[:-1],
+    lambda p: p[:, :2],
+    lambda p: p.reshape(-1),
+    lambda p: np.where(np.arange(p.size).reshape(p.shape) == 4, np.nan, p),
+    lambda p: np.where(np.arange(p.size).reshape(p.shape) == 7, np.inf, p),
+])
+def test_write_pdb_models_rejects_malformed_model(bad):
+    s = lattice_structure(12, 5)
+    good = s.positions()
+    with pytest.raises(ValueError, match=r"model 2: expected \(12, 3\) finite positions"):
+        write_pdb_models(s, [good, bad(good)])
