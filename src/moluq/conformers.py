@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from moluq.molio import Structure, bond_adjacency, bonded_exclusions
-from moluq.pairs import cutoff_pairs, not_excluded
+from moluq.pairs import cutoff_pairs, exclusion_codes, not_in_codes
 from moluq.sampling import (
     LowDiscrepancySequence,
     gaussian_dimension,
@@ -278,27 +278,42 @@ def clash_filter(c: Conformer, s: Structure, factor: float = 0.6) -> Conformer:
     close pairs rather than n^2.  Stands in for the force-field relaxation
     step of the original accept/reject protocol.
     """
+    return _clash_filter_for(s, factor)(c)
+
+
+def _clash_filter_for(s: Structure, factor: float):
+    """:func:`clash_filter` bound to one structure, for many conformers of it.
+
+    The radii and the bonded-exclusion codes are built once here rather
+    than once per conformer.
+    """
     if not (0.0 < factor <= 1.0):
         raise ValueError("factor must be in (0, 1]")
     n = s.n_atoms
     if n < 2:
-        return c
+        return lambda c: c
     radii = np.array([a.vdw_radius for a in s.atoms])
-    ii, jj, dist = cutoff_pairs(c.positions, factor * (2.0 * radii.max()))
-    keep = not_excluded(ii, jj, n, bonded_exclusions(s))
-    ii, jj, dist = ii[keep], jj[keep], dist[keep]
-    cutoff = factor * (radii[ii] + radii[jj])
-    ratios = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
-    if ratios.size == 0 or ratios.min() >= 1.0:
-        return c
-    worst = int(np.argmin(ratios))
-    i, j = int(ii[worst]), int(jj[worst])
-    reason = (
-        f"atoms {s.atoms[i].serial}-{s.atoms[j].serial} at "
-        f"{dist[worst]:.3f} A < {cutoff[worst]:.3f} A"
-    )
-    return Conformer(positions=c.positions, sample_index=c.sample_index,
-                     accepted=False, rejection_reason=reason)
+    codes = exclusion_codes(bonded_exclusions(s), n)
+    max_cutoff = factor * (2.0 * radii.max())
+
+    def check(c: Conformer) -> Conformer:
+        ii, jj, dist = cutoff_pairs(c.positions, max_cutoff)
+        keep = not_in_codes(ii, jj, n, codes)
+        ii, jj, dist = ii[keep], jj[keep], dist[keep]
+        cutoff = factor * (radii[ii] + radii[jj])
+        ratios = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
+        if ratios.size == 0 or ratios.min() >= 1.0:
+            return c
+        worst = int(np.argmin(ratios))
+        i, j = int(ii[worst]), int(jj[worst])
+        reason = (
+            f"atoms {s.atoms[i].serial}-{s.atoms[j].serial} at "
+            f"{dist[worst]:.3f} A < {cutoff[worst]:.3f} A"
+        )
+        return Conformer(positions=c.positions, sample_index=c.sample_index,
+                         accepted=False, rejection_reason=reason)
+
+    return check
 
 
 def sample_cartesian_ensemble(
@@ -321,13 +336,14 @@ def sample_cartesian_ensemble(
         sigmas = cartesian_sigmas(s)
     n_normals = 3 * s.n_atoms
     seq = LowDiscrepancySequence(max(gaussian_dimension(n_normals), 1), scramble_seed=seed)
+    screen = None if clash_factor is None else _clash_filter_for(s, clash_factor)
     conformers = []
     for idx in range(n_samples):
         point = seq.next_point()
         z = normals_from_unit(point, n_normals).reshape(s.n_atoms, 3)
         conf = perturb_cartesian(s, z, sigmas=sigmas, sample_index=idx)
-        if clash_factor is not None:
-            conf = clash_filter(conf, s, factor=clash_factor)
+        if screen is not None:
+            conf = screen(conf)
         conformers.append(conf)
     return Ensemble(source=s, conformers=tuple(conformers), seed=seed,
                     sequence_kind=seq.kind)
@@ -346,13 +362,14 @@ def sample_torsion_ensemble(
         raise ValueError("torsion graph has no rotatable dihedrals")
     ranges = g.ranges()
     seq = LowDiscrepancySequence(g.n_dihedrals, scramble_seed=seed)
+    screen = None if clash_factor is None else _clash_filter_for(g.structure, clash_factor)
     conformers = []
     for idx in range(n_samples):
         u = seq.next_point()
         angles = ranges[:, 0] + u * (ranges[:, 1] - ranges[:, 0])
         conf = apply_torsions(g, angles, sample_index=idx)
-        if clash_factor is not None:
-            conf = clash_filter(conf, g.structure, factor=clash_factor)
+        if screen is not None:
+            conf = screen(conf)
         conformers.append(conf)
     return Ensemble(source=g.structure, conformers=tuple(conformers), seed=seed,
                     sequence_kind=seq.kind)

@@ -34,7 +34,12 @@ def exclusion_codes(exclusions, n: int) -> np.ndarray:
 
 def not_excluded(ii, jj, n: int, exclusions) -> np.ndarray:
     """Boolean mask over the pairs (ii[k], jj[k]): True where not excluded."""
-    codes = exclusion_codes(exclusions, n)
+    return not_in_codes(ii, jj, n, exclusion_codes(exclusions, n))
+
+
+def not_in_codes(ii, jj, n: int, codes: np.ndarray) -> np.ndarray:
+    """Boolean mask over the pairs (ii[k], jj[k]): True where the pair's code
+    is not in ``codes``, as built once by :func:`exclusion_codes`."""
     return np.isin(np.asarray(ii, dtype=np.int64) * n + jj, codes, invert=True)
 
 

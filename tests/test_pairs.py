@@ -10,7 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moluq.conformers import Conformer, clash_filter
+from moluq import conformers
+from moluq.conformers import (
+    Conformer,
+    build_torsion_graph,
+    clash_filter,
+    sample_cartesian_ensemble,
+    sample_torsion_ensemble,
+)
 from moluq.molio import (
     _COVALENT_RADII,
     ParamTable,
@@ -20,7 +27,14 @@ from moluq.molio import (
     detect_bonds,
 )
 from moluq.pairs import cutoff_pairs, exclusion_codes, not_excluded
-from moluq.qoi import COULOMB_CONSTANT, CoulombModel, _pair_arrays, coulomb_energy, lj_energy
+from moluq.qoi import (
+    COULOMB_CONSTANT,
+    CoulombModel,
+    _pair_arrays,
+    coulomb_energy,
+    lj_energy,
+    sasa,
+)
 from conftest import lattice, make_atom, make_structure
 
 ELEMENTS = ("C", "C", "N", "C", "O")
@@ -191,6 +205,35 @@ def test_clash_filter_coincident_pair_and_zero_radius():
     assert got.accepted and oracle_clash(pos[3:5], s_zero, 0.6) == (True, None)
 
 
+def _sample(mode, s, clash_factor):
+    if mode == "cartesian":
+        return sample_cartesian_ensemble(s, seed=5, n_samples=12, clash_factor=clash_factor,
+                                         sigmas=np.full((s.n_atoms, 3), 0.45))
+    return sample_torsion_ensemble(build_torsion_graph(s), seed=5, n_samples=12,
+                                   clash_factor=clash_factor)
+
+
+@pytest.mark.parametrize("mode, n_atoms", [("cartesian", 120), ("torsion", 20)])
+def test_ensemble_builds_exclusions_once(monkeypatch, mode, n_atoms):
+    s = lattice_structure(n_atoms, 4)
+    calls = []
+
+    def counted(structure):
+        calls.append(structure)
+        return bonded_exclusions(structure)
+
+    monkeypatch.setattr(conformers, "bonded_exclusions", counted)
+    e = _sample(mode, s, 0.6)
+    assert len(calls) == 1
+    # the accept list and reasons are those of the public per-draw filter
+    free = _sample(mode, s, None)
+    want = [clash_filter(c, s, 0.6) for c in free.conformers]
+    got = [(c.accepted, c.rejection_reason) for c in e.conformers]
+    assert got == [(c.accepted, c.rejection_reason) for c in want]
+    assert {accepted for accepted, _ in got} == {True, False}
+    assert all(np.array_equal(c.positions, w.positions) for c, w in zip(e.conformers, want))
+
+
 @pytest.mark.parametrize("n_atoms, seed", CASES)
 def test_pair_arrays_match_oracle_with_malformed_exclusions(n_atoms, seed):
     s = lattice_structure(n_atoms, seed)
@@ -244,3 +287,13 @@ def test_cutoff_kernels_stay_below_n_squared_memory_at_3000_atoms():
     assert len(bonded.bonds) == n - n // 20
     conf = Conformer(positions=perturbed(bonded, 0, 0.3), sample_index=0)
     assert _traced_peak_mib(clash_filter, conf, bonded, 0.6) < 16.0
+
+
+def test_sasa_stays_below_n_squared_memory_at_3000_atoms():
+    # the dense Shrake-Rupley loop peaked at about 483 MiB here
+    n = 3000
+    atoms = tuple(make_atom(i + 1, p, element=ELEMENTS[i % 5])
+                  for i, p in enumerate(lattice(n)))
+    s = assign_params(Structure(atoms=atoms), ParamTable.default())
+    radii = np.array([a.vdw_radius for a in s.atoms])
+    assert _traced_peak_mib(sasa, perturbed(s, 1, 0.2), radii, 1.4, 960) < 32.0

@@ -260,6 +260,34 @@ class TestSasa:
         cloud = sasa_point_cloud(np.zeros((1, 3)), [1.6], probe=1.4, n_points=64)
         np.testing.assert_allclose(np.linalg.norm(cloud, axis=1), 3.0, atol=1e-12)
 
+    @pytest.mark.parametrize("probe, n_points, message", [
+        (-5.0, 960, "probe radius must be >= 0"),
+        (1.4, 8, "n_points must be >= 32"),
+        (-5.0, 8, "probe radius must be >= 0"),
+    ])
+    def test_every_entry_point_checks_probe_and_points(self, probe, n_points, message):
+        pos = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=message):
+            sasa(pos, [1.7, 1.7], probe=probe, n_points=n_points)
+        with pytest.raises(ValueError, match=message):
+            sasa(np.zeros((0, 3)), [], probe=probe, n_points=n_points)
+        with pytest.raises(ValueError, match=message):
+            sasa_point_cloud(pos, [1.7, 1.7], probe=probe, n_points=n_points)
+        with pytest.raises(ValueError, match=message):
+            sasa_point_cloud(np.zeros((0, 3)), [], probe=probe, n_points=n_points)
+        s = make_structure(pos, vdw_radius=1.7)
+        e = Ensemble(source=s, conformers=(Conformer(pos, 0),), seed=0)
+        with pytest.raises(ValueError, match=message):
+            surface_deviation(pos, e, probe=probe, n_points=n_points)
+        a = AtomSet.from_structure(s.subset([0]))
+        b = AtomSet.from_structure(make_structure(pos[1:], vdw_radius=1.7).subset([0]))
+        b = AtomSet(**{**b.__dict__, "serials": (2,)})
+        config = QOIConfig(probe=probe, n_points=n_points)
+        with pytest.raises(ValueError, match=message):
+            delta_qoi(QOIKind.AREA, a, b, config)
+        with pytest.raises(ValueError, match=message):
+            evaluate_qoi(QOIKind.DELTA_AREA, a, b, config)
+
 
 class TestVolume:
     def test_sphere_analytic(self):

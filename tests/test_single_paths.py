@@ -2,11 +2,14 @@
 
 Each oracle below is the former second implementation of a job: the voxel
 loops of ``qoi.volume`` and ``vizgrid.occupancy_map``, the single-config
-``binding_site_prob`` loop, the counting in ``chernoff_table`` and the
-per-model ``Structure`` rebuild of ``write_pdb_models``.  The merged code
-must reproduce them exactly (``==``, not approx) on seeded, perturbed
-zigzag lattices.
+``binding_site_prob`` loop, the counting in ``chernoff_table``, the
+per-model ``Structure`` rebuild of ``write_pdb_models``, and the dense
+per-atom Shrake-Rupley loop run once per group of ``delta_area``.  The
+merged code must reproduce them exactly (``==``, not approx) on seeded,
+perturbed zigzag lattices.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ import pytest
 from moluq.bindsite import BindingSiteMap, ContactModel, Pose, _contact_rows, binding_site_prob
 from moluq.certificates import DEFAULT_T_GRID, EmpiricalDistribution, chernoff_table
 from moluq.conformers import Conformer, Ensemble
+from scipy.spatial import cKDTree
 from moluq.molio import (
     ParamTable,
     Structure,
@@ -22,7 +26,19 @@ from moluq.molio import (
     assign_params,
     write_pdb_models,
 )
-from moluq.qoi import volume
+from moluq.qoi import (
+    AtomSet,
+    QOIConfig,
+    QOIKind,
+    _exposure_mask,
+    delta_qoi,
+    evaluate_qoi,
+    sasa,
+    sasa_point_cloud,
+    sphere_points,
+    surface_deviation,
+    volume,
+)
 from moluq.vizgrid import occupancy_map
 from conftest import lattice, make_atom
 
@@ -151,6 +167,70 @@ def oracle_write_pdb_models(s, positions_list, model_numbers=None):
     return "\n".join(lines) + "\n"
 
 
+def oracle_exposure_mask(positions, radii, probe, n_points):
+    positions = np.asarray(positions, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    n = positions.shape[0]
+    unit = sphere_points(n_points)
+    inflated = radii + probe
+    masks = np.ones((n, n_points), dtype=bool)
+    if n > 1:
+        diff = positions[:, None, :] - positions[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        for i in range(n):
+            nbr = np.nonzero((dist[i] < inflated[i] + inflated) & (np.arange(n) != i))[0]
+            if nbr.size == 0:
+                continue
+            pts = positions[i] + inflated[i] * unit
+            d2 = ((pts[:, None, :] - positions[nbr][None, :, :]) ** 2).sum(axis=2)
+            masks[i] = ~np.any(d2 < inflated[nbr][None, :] ** 2, axis=1)
+    return masks, inflated, unit
+
+
+def oracle_sasa(positions, radii, probe=1.4, n_points=960):
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape[0] == 0:
+        return 0.0, np.zeros(0)
+    masks, inflated, _unit = oracle_exposure_mask(positions, radii, probe, n_points)
+    frac = masks.mean(axis=1)
+    per_atom = frac * 4.0 * math.pi * inflated**2
+    return float(per_atom.sum()), per_atom
+
+
+def oracle_point_cloud(positions, radii, probe=1.4, n_points=960):
+    positions = np.asarray(positions, dtype=float)
+    if positions.shape[0] == 0:
+        return np.zeros((0, 3))
+    masks, inflated, unit = oracle_exposure_mask(positions, radii, probe, n_points)
+    clouds = []
+    for i in range(positions.shape[0]):
+        if masks[i].any():
+            clouds.append(positions[i] + inflated[i] * unit[masks[i]])
+    if not clouds:
+        return np.zeros((0, 3))
+    return np.vstack(clouds)
+
+
+def oracle_surface_deviation(reference_points, e, probe=1.4, n_points=960):
+    reference_points = np.asarray(reference_points, dtype=float)
+    accepted = e.accepted()
+    radii = np.array([atom.vdw_radius for atom in e.source.atoms])
+    total = np.zeros(reference_points.shape[0])
+    for c in accepted:
+        cloud = oracle_point_cloud(c.positions, radii, probe, n_points)
+        dist, _ = cKDTree(cloud).query(reference_points)
+        total += dist
+    return total / len(accepted)
+
+
+def oracle_delta_area(positions_a, radii_a, positions_b, radii_b, probe, n_points):
+    both = np.vstack([positions_a, positions_b])
+    radii = np.concatenate([radii_a, radii_b])
+    return (oracle_sasa(both, radii, probe, n_points)[0]
+            - oracle_sasa(positions_a, radii_a, probe, n_points)[0]
+            - oracle_sasa(positions_b, radii_b, probe, n_points)[0])
+
+
 CASES = [(60, 1), (140, 2), (233, 3)]
 
 
@@ -229,6 +309,94 @@ def test_chernoff_table_matches_former_count():
     d = EmpiricalDistribution.from_values([1.0, 2.0, 3.0])
     assert chernoff_table(d, (0.25, 0.5)).epsilons == (2 / 3, 0.0)
     assert tuple(oracle_epsilons(d, (0.25, 0.5))) == (2 / 3, 0.0)
+
+
+# ---------------------------------------------------------------- Shrake-Rupley kernel
+
+def atom_set(positions, radii, first_serial=1):
+    n = len(positions)
+    return AtomSet(positions=np.asarray(positions, dtype=float), radii=np.asarray(radii),
+                   charges=np.zeros(n), lj_a=np.zeros(n), lj_b=np.zeros(n),
+                   serials=tuple(range(first_serial, first_serial + n)),
+                   exclusions=frozenset())
+
+
+def assert_sasa_matches(pos, radii, probe, n_points):
+    masks, _own, inflated, unit = _exposure_mask(pos, radii, probe, n_points)
+    want_masks, want_inflated, want_unit = oracle_exposure_mask(pos, radii, probe, n_points)
+    assert np.array_equal(masks, want_masks)
+    assert np.array_equal(inflated, want_inflated) and np.array_equal(unit, want_unit)
+    total, per_atom = sasa(pos, radii, probe, n_points)
+    want_total, want_per_atom = oracle_sasa(pos, radii, probe, n_points)
+    assert total == want_total and np.array_equal(per_atom, want_per_atom)
+    assert np.array_equal(sasa_point_cloud(pos, radii, probe, n_points),
+                          oracle_point_cloud(pos, radii, probe, n_points))
+
+
+def assert_delta_area_matches(pos, radii, n_a, probe, n_points):
+    a, b = atom_set(pos[:n_a], radii[:n_a]), atom_set(pos[n_a:], radii[n_a:], n_a + 1)
+    want = oracle_delta_area(pos[:n_a], radii[:n_a], pos[n_a:], radii[n_a:], probe, n_points)
+    config = QOIConfig(probe=probe, n_points=n_points)
+    assert delta_qoi(QOIKind.AREA, a, b, config) == want
+    assert evaluate_qoi(QOIKind.DELTA_AREA, a, b, config) == want
+
+
+@pytest.mark.parametrize("n_atoms, seed, sigma", [(150, 1, 0.3), (300, 2, 0.6), (1000, 3, 0.2)])
+def test_sasa_matches_former_loop(n_atoms, seed, sigma):
+    s = lattice_structure(n_atoms, seed)
+    radii = np.array([a.vdw_radius for a in s.atoms])
+    pos = jittered(s, seed, sigma)
+    for probe, n_points in ((1.4, 960), (0.0, 32), (1.4, 32)):
+        if n_atoms == 1000 and n_points == 960:
+            continue  # the 1,000-atom oracle is slow; 960 points are covered below
+        assert_sasa_matches(pos, radii, probe, n_points)
+    # chains of unequal size: the split falls off the 20-atom chain boundaries
+    for n_a in (n_atoms // 3, n_atoms - 7):
+        assert_delta_area_matches(pos, radii, n_a, 1.4, 32)
+
+
+def test_sasa_matches_former_loop_at_960_points():
+    s = lattice_structure(300, 4)
+    radii = np.array([a.vdw_radius for a in s.atoms])
+    pos = jittered(s, 4, 0.4)
+    assert_sasa_matches(pos, radii, 1.4, 960)
+    assert_sasa_matches(pos, radii, 0.0, 960)
+    assert_delta_area_matches(pos, radii, 120, 1.4, 960)
+    assert_delta_area_matches(pos, radii, 33, 0.0, 960)
+
+
+def test_sasa_matches_former_loop_on_edge_cases():
+    rng = np.random.default_rng(8)
+    one = np.array([[0.5, -1.0, 2.0]])
+    isolated = np.arange(15, dtype=float)[:, None] * [20.0, 0.0, 0.0]
+    clump = rng.normal(scale=1.0, size=(12, 3))
+    coincident = np.vstack([clump, clump[[0, 3, 3]], isolated[:2]])
+    for pos in (np.zeros((0, 3)), one, isolated, clump, coincident):
+        radii = rng.choice([1.2, 1.5, 1.7, 1.8], size=len(pos))
+        for probe, n_points in ((1.4, 960), (0.0, 32), (0.0, 960), (2.2, 32)):
+            assert_sasa_matches(pos, radii, probe, n_points)
+            if len(pos) > 1:
+                assert_delta_area_matches(pos, radii, 1, probe, n_points)
+                assert_delta_area_matches(pos, radii, len(pos) // 2, probe, n_points)
+    # equal radii on one centre: neither sphere buries the other's points
+    assert_sasa_matches(np.zeros((2, 3)), np.array([1.5, 1.5]), 1.4, 32)
+    # an all-buried atom leaves no points in the cloud
+    inner = np.zeros((2, 3))
+    assert_sasa_matches(inner, np.array([0.5, 1.5]), 0.0, 32)
+
+
+def test_surface_deviation_matches_former_loop():
+    s = lattice_structure(60, 6)
+    reference = oracle_point_cloud(s.positions(), [a.vdw_radius for a in s.atoms], 1.4, 64)
+    confs = tuple(
+        Conformer(jittered(s, 60 + k, 0.3), k, accepted=k != 1,
+                  rejection_reason=None if k != 1 else "clash")
+        for k in range(4)
+    )
+    e = Ensemble(source=s, conformers=confs, seed=6)
+    for probe, n_points in ((1.4, 64), (0.0, 32), (1.4, 960)):
+        assert np.array_equal(surface_deviation(reference, e, probe, n_points),
+                              oracle_surface_deviation(reference, e, probe, n_points))
 
 
 # ---------------------------------------------------------------- ATOM record
