@@ -22,8 +22,6 @@ from moluq.molio import (
 from moluq.sampling import (
     LowDiscrepancySequence,
     MarginalSpec,
-    box_muller,
-    map_marginal,
     sample_budget,
     sigma_from_b,
     star_discrepancy_estimate,

@@ -26,8 +26,10 @@ _EXACT_BOX_DISTANCE = {
         - 7.0 * math.pi) / 105.0,
 }
 # Published tabulated value for d = 6, used to normalize certificate-vector
-# distances in the saturation protocol.
-_TABULATED_BOX_DISTANCE = {6: 0.9689}
+# distances in the saturation protocol, and for d = 7 (the length of
+# DEFAULT_T_GRID) the value expected_hypercube_distance_mc(7) returns, stored
+# so that saturation does not redraw its 10^6 seeded pairs on every run.
+_TABULATED_BOX_DISTANCE = {6: 0.9689, 7: 1.0521025612313182}
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,9 @@ def expected_hypercube_distance_mc(d: int, n_pairs: int = 10**6,
 def expected_hypercube_distance(d: int) -> float:
     """Mean distance between two uniform random points in [0,1]^d.
 
-    Exact constants for d <= 3, the published table value for d = 6, and a
-    seeded 10^6-pair Monte-Carlo estimate otherwise (use
+    Exact constants for d <= 3, the published table value for d = 6, the
+    seeded 10^6-pair Monte-Carlo value of :func:`expected_hypercube_distance_mc`
+    stored for d = 7, and that estimate computed otherwise (call
     :func:`expected_hypercube_distance_mc` to get the standard error too).
     """
     if d < 1:

@@ -335,7 +335,8 @@ def sample_cartesian_ensemble(
     if sigmas is None:
         sigmas = cartesian_sigmas(s)
     n_normals = 3 * s.n_atoms
-    seq = LowDiscrepancySequence(max(gaussian_dimension(n_normals), 1), scramble_seed=seed)
+    seq = LowDiscrepancySequence(max(gaussian_dimension(n_normals), 1), scramble_seed=seed,
+                                 n_samples=n_samples)
     screen = None if clash_factor is None else _clash_filter_for(s, clash_factor)
     conformers = []
     for idx in range(n_samples):
@@ -361,7 +362,7 @@ def sample_torsion_ensemble(
     if g.n_dihedrals == 0:
         raise ValueError("torsion graph has no rotatable dihedrals")
     ranges = g.ranges()
-    seq = LowDiscrepancySequence(g.n_dihedrals, scramble_seed=seed)
+    seq = LowDiscrepancySequence(g.n_dihedrals, scramble_seed=seed, n_samples=n_samples)
     screen = None if clash_factor is None else _clash_filter_for(g.structure, clash_factor)
     conformers = []
     for idx in range(n_samples):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from moluq.molio import Structure, bonded_exclusions
 from moluq.conformers import Ensemble
@@ -157,27 +156,18 @@ def _lj_atom_terms(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lj_pair_terms(eps_i, rmin_i, eps_j, rmin_j) -> tuple[np.ndarray, np.ndarray]:
+    """Pair 12-6 coefficients (a_ij, b_ij): geometric-mean well depth and
+    arithmetic-mean minimum distance."""
     eps = np.sqrt(eps_i * eps_j)
     rmin = 0.5 * (rmin_i + rmin_j)
     return eps * rmin**12, 2.0 * eps * rmin**6
-
-
-def combine_lj(a_i, b_i, a_j, b_j) -> tuple[np.ndarray, np.ndarray]:
-    """Pair 12-6 coefficients from per-atom ones.
-
-    Per-atom coefficients encode a well depth eps = b^2/(4a) at distance
-    rmin = (2a/b)^(1/6); pairs combine with geometric-mean depth and
-    arithmetic-mean minimum distance.
-    """
-    return _lj_pair_terms(*_lj_atom_terms(a_i, b_i), *_lj_atom_terms(a_j, b_j))
 
 
 def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
     """12-6 energy sum a_ij/r^12 - b_ij/r^6 over unordered pairs (kcal/mol).
 
     All pairs except the bonded ``exclusions`` contribute.  Per-atom depth
-    and minimum distance are computed once and gathered per pair, with the
-    same per-pair arithmetic as :func:`combine_lj`.
+    and minimum distance are computed once and gathered per pair.
     """
     positions = np.asarray(positions, dtype=float)
     ii, jj = _pair_arrays(positions.shape[0], exclusions)
@@ -450,6 +440,10 @@ def surface_deviation(reference_points, e: Ensemble, probe: float = 1.4,
     cloud; the statistic per reference point is the average nearest-point
     distance across members.  A member with an empty surface raises.
     """
+    # imported here: no pipeline stage calls this, and scipy.spatial would
+    # double the start-up time of every stage that imports moluq.qoi
+    from scipy.spatial import cKDTree
+
     reference_points = np.asarray(reference_points, dtype=float)
     accepted = e.accepted()
     if not accepted:

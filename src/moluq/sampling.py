@@ -1,51 +1,174 @@
 """Low-discrepancy sampling of product spaces and marginal mappings.
 
-Points are drawn in [0,1)^d from a scrambled digital net and pushed through
-per-coordinate marginals: Gaussians via the Box-Muller transform (two unit
-coordinates per pair of normals) and bounded uniforms via affine scaling.
-Also provides the B-factor -> sigma conversion, an anchored-box star
-discrepancy estimator, and naive-vs-low-discrepancy sample budgets.
+Points are drawn in [0,1)^d from a scrambled Sobol stream (a Latin
+supercube of Sobol blocks in very high dimension) and turned into standard
+normals by the Box-Muller transform (two unit coordinates per pair of
+normals).  Also provides marginal specs, the B-factor -> sigma conversion,
+an anchored-box star discrepancy estimator, and naive-vs-low-discrepancy
+sample budgets.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
-import warnings
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from moluq.molio import EIGHT_PI_SQ
 
-# Largest dimension the digital-net direction-number table supports; beyond
-# this the stream falls back to a scrambled Halton sequence.
+# Largest dimension of the Joe-Kuo direction-number table; wider streams are
+# Latin supercubes of Sobol blocks of at most this many coordinates.
 SOBOL_MAX_DIM = 21201
+
+# Bits per coordinate, as in scipy.stats.qmc.Sobol's default; a stream holds
+# at most 2**_SOBOL_BITS points.
+_SOBOL_BITS = 30
+_MSB_FIRST = np.uint32(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+_LSB_FIRST = _MSB_FIRST[::-1]
+
+# Dimensions whose LMS matrices are drawn and applied at once (3.5 MiB each).
+_LMS_CHUNK = 1024
+
+
+def _direction_table(dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Primitive polynomials and initial direction numbers of Joe & Kuo
+    (SIAM J. Sci. Comput. 30:2635, 2008) for the first ``dimension``
+    coordinates, read from the table file scipy installs, without importing
+    scipy."""
+    spec = importlib.util.find_spec("scipy")
+    roots = (spec.submodule_search_locations or []) if spec is not None else []
+    for root in roots:
+        path = os.path.join(root, "stats", "_sobol_direction_numbers.npz")
+        if os.path.isfile(path):
+            with np.load(path) as table:
+                return table["poly"][:dimension], table["vinit"][:dimension]
+    raise FileNotFoundError(
+        "Sobol direction numbers not found: moluq reads "
+        "scipy/stats/_sobol_direction_numbers.npz from the installed scipy")
+
+
+def _direction_numbers(dimension: int) -> np.ndarray:
+    """Unscrambled (dimension, 30) uint32 direction numbers, column b holding
+    v_b scaled to the top bits, as scipy's ``_initialize_v`` builds them.
+
+    The Bratley-Fox recurrence v_j = v_{j-m} ^ (v_{j-m} << m) ^ ... runs on
+    every coordinate at once; coordinate 0 is the van der Corput sequence.
+    """
+    poly, vinit = _direction_table(dimension)
+    deg = np.frexp(poly.astype(float))[1] - 1
+    max_deg = int(deg.max(initial=0))
+    terms = np.arange(max_deg)
+    # coef[:, k]: coefficient of x^(m-1-k) in each coordinate's polynomial
+    coef = (poly[:, None] >> np.maximum(deg[:, None] - 1 - terms, 0)) & 1
+    coef[terms >= deg[:, None]] = 0
+    v = np.zeros((dimension, _SOBOL_BITS), dtype=np.int64)
+    v[:, :vinit.shape[1]] = vinit
+    rows = np.arange(dimension)
+    # column j of a coordinate of degree m is vinit for j < m, the recurrence
+    # over columns j - m .. j - 1 (already final) for j >= m
+    for j in range(_SOBOL_BITS):
+        recur = deg <= j
+        newv = v[rows, j - deg]
+        for k in range(min(j, max_deg)):
+            newv ^= coef[:, k] * (v[:, j - k - 1] << (k + 1))
+        v[recur, j] = newv[recur]
+    v[0] = 1
+    return (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+
+
+def _parity(words: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each 32-bit word."""
+    for shift in (16, 8, 4, 2, 1):
+        words = words ^ (words >> shift)
+    return words & 1
+
+
+def _scrambled_net(dimension: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digital shift and LMS-scrambled direction numbers of the net that
+    ``scipy.stats.qmc.Sobol(dimension, scramble=True, seed=seed)`` draws.
+
+    Randomness comes from ``np.random.default_rng(seed)`` in scipy's order:
+    the (d, 30) shift bits first, then the (d, 30, 30) lower-triangular
+    matrices, drawn here in chunks of dimensions (the generator's stream does
+    not depend on how a draw is split).
+    """
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dimension, _SOBOL_BITS), dtype=np.uint32) @ _LSB_FIRST
+    sv = _direction_numbers(dimension)
+    diag = np.arange(_SOBOL_BITS)
+    for lo in range(0, dimension, _LMS_CHUNK):
+        hi = min(lo + _LMS_CHUNK, dimension)
+        ltm = np.tril(rng.integers(2, size=(hi - lo, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+        ltm[:, diag, diag] = 1
+        # row p of each matrix as one word, its column 0 the top bit; bit
+        # 29 - p of a scrambled number is the parity of row p AND the number
+        words = (ltm * _MSB_FIRST).sum(axis=2, dtype=np.uint32)
+        bits = _parity(words[:, None, :] & sv[lo:hi, :, None])
+        sv[lo:hi] = (bits * _MSB_FIRST).sum(axis=2, dtype=np.uint32)
+    return shift, sv
+
+
+def _net_points(shift: np.ndarray, sv: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Points number ``indices`` of a scrambled net, as floats in [0, 1).
+
+    Point k is the shift XOR the direction numbers of the bits of k's Gray
+    code, which is where k Gray-code steps from the shift land: point 0 is
+    the shift itself, as in scipy's first draw.
+    """
+    gray = indices ^ (indices >> 1)
+    words = np.repeat(shift[None, :], len(indices), axis=0)
+    for b in range(int(gray.max(initial=0)).bit_length()):
+        words[(gray >> b) & 1 == 1] ^= sv[:, b]
+    return words * (1.0 / 2**_SOBOL_BITS)
 
 
 class LowDiscrepancySequence:
-    """Deterministic scrambled low-discrepancy point stream in [0,1)^d.
+    """Deterministic scrambled Sobol point stream in [0,1)^d.
 
-    The same (dimension, scramble_seed) always reproduces the same stream.
-    Instances are single-owner iterators: advancing one from two threads is
-    not safe, but independent instances may run concurrently.
+    Up to ``SOBOL_MAX_DIM`` coordinates it is the stream of
+    ``scipy.stats.qmc.Sobol(d, scramble=True, seed=scramble_seed)``, bit for
+    bit (``kind`` "sobol-scrambled").  Wider streams are Latin supercubes
+    (Owen, ACM TOMACS 8:71, 1998; ``kind`` "sobol-supercube"): the
+    coordinates split into near-equal blocks of at most ``SOBOL_MAX_DIM``,
+    each block is its own scrambled Sobol stream with a seed drawn from
+    ``scramble_seed``, and each block's run order is a seeded permutation of
+    the ``n_samples`` draws, so a supercube needs ``n_samples`` up front.
+    ``blocks`` lists each block's (start, stop, seed).  ``n_samples``, when
+    given, also caps how many points the stream may draw.
+
+    The same (dimension, scramble_seed, n_samples) always reproduces the same
+    stream.  Instances are single-owner iterators: advancing one from two
+    threads is not safe, but independent instances may run concurrently.
     """
 
-    def __init__(self, dimension: int, scramble_seed: int = 0):
+    def __init__(self, dimension: int, scramble_seed: int = 0, n_samples: int | None = None):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
+        if n_samples is not None and n_samples < 0:
+            raise ValueError("n_samples must be >= 0")
         self.dimension = dimension
         self.scramble_seed = scramble_seed
         self.index = 0
-        # imported here: scipy.stats dominates the package's import time, and
-        # only sampling commands build a sequence
-        from scipy.stats import qmc
-
+        self._limit = 2**_SOBOL_BITS if n_samples is None else min(n_samples, 2**_SOBOL_BITS)
         if dimension <= SOBOL_MAX_DIM:
-            self._engine = qmc.Sobol(dimension, scramble=True, seed=scramble_seed)
             self.kind = "sobol-scrambled"
-        else:
-            self._engine = qmc.Halton(dimension, scramble=True, seed=scramble_seed)
-            self.kind = "halton-scrambled"
+            self.blocks = ((0, dimension, scramble_seed),)
+            self._nets = [(*_scrambled_net(dimension, scramble_seed), None)]
+            return
+        if n_samples is None:
+            raise ValueError(f"a stream of more than {SOBOL_MAX_DIM} dimensions is a "
+                             "Latin supercube and needs n_samples")
+        self.kind = "sobol-supercube"
+        rng = np.random.default_rng(scramble_seed)
+        n_blocks = -(-dimension // SOBOL_MAX_DIM)
+        edges = [dimension * b // n_blocks for b in range(n_blocks + 1)]
+        seeds = [int(s) for s in rng.integers(2**63, size=n_blocks)]
+        self.blocks = tuple(zip(edges[:-1], edges[1:], seeds))
+        self._nets = [(*_scrambled_net(hi - lo, seed), rng.permutation(n_samples))
+                      for lo, hi, seed in self.blocks]
 
     def next_point(self) -> np.ndarray:
         """The next point of the stream; advances the index by one."""
@@ -55,14 +178,14 @@ class LowDiscrepancySequence:
         """The next ``count`` points as a (count, d) array."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        if count == 0:
-            return np.zeros((0, self.dimension))
-        with warnings.catch_warnings():
-            # the digital net warns about non power-of-two draws; balance is
-            # not required for our estimates
-            warnings.simplefilter("ignore", UserWarning)
-            pts = self._engine.random(count)
-        self.index += count
+        end = self.index + count
+        if end > self._limit:
+            raise ValueError(f"at most {self._limit} points can be drawn from this stream; "
+                             f"{self.index} were drawn, then {count} more were asked for")
+        runs = np.arange(self.index, end)
+        pts = np.hstack([_net_points(shift, sv, runs if order is None else order[runs])
+                         for shift, sv, order in self._nets])
+        self.index = end
         return pts
 
 
@@ -93,33 +216,6 @@ class MarginalSpec:
     @classmethod
     def uniform(cls, lower: float, upper: float) -> "MarginalSpec":
         return cls(kind="uniform", lower=lower, upper=upper)
-
-
-def box_muller(u1: float, u2: float) -> tuple[float, float]:
-    """Map two unit variates to a pair of independent standard normals.
-
-    z1 = sqrt(-2 ln u1) cos(2 pi u2), z2 = sqrt(-2 ln u1) sin(2 pi u2).
-    ``u1`` must lie in (0, 1]; u1 = 0 hits the log singularity.
-    """
-    if u1 <= 0.0 or u1 > 1.0:
-        raise ValueError("u1 must be in (0, 1]")
-    r = math.sqrt(-2.0 * math.log(u1))
-    return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
-
-
-def map_marginal(u: float, m: MarginalSpec, u2: float = 0.0) -> float:
-    """Push a unit-cube coordinate through a marginal distribution.
-
-    Uniform marginals scale affinely to [lower, upper].  Gaussian marginals
-    consume a second coordinate ``u2`` (Box-Muller needs a pair) and return
-    mu + sigma * z1; a degenerate sigma = 0 short-circuits to mu.
-    """
-    if m.kind == "uniform":
-        return m.lower + u * (m.upper - m.lower)
-    if m.sigma == 0.0:
-        return m.mu
-    z1, _ = box_muller(u, u2)
-    return m.mu + m.sigma * z1
 
 
 def normals_from_unit(point: np.ndarray, count: int) -> np.ndarray:

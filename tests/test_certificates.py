@@ -111,6 +111,11 @@ class TestHypercubeDistance:
     def test_d6_tabulated(self):
         assert expected_hypercube_distance(6) == 0.9689
 
+    def test_d7_stored_value_is_the_seeded_mc_estimate(self):
+        # the default t grid has 7 points, so saturation normalizes by d = 7
+        assert len(DEFAULT_T_GRID) == 7
+        assert expected_hypercube_distance(7) == expected_hypercube_distance_mc(7)[0]
+
     def test_d2_mc_matches_published_constant(self):
         published = 0.5214054331647207
         est, se = expected_hypercube_distance_mc(2, n_pairs=10**6)

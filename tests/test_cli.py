@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,12 +60,12 @@ class TestSample:
 
     def test_manifest_names_the_fallback_sequence(self, workspace, monkeypatch):
         from moluq import sampling
-        # 5 atoms need 16 unit coordinates, beyond a digital-net limit of 8
+        # 5 atoms need 16 unit coordinates, beyond a Sobol block limit of 8
         monkeypatch.setattr(sampling, "SOBOL_MAX_DIM", 8)
         cfg = write_config(workspace, samples=2, seed=3)
         assert main(["sample", "--config", str(cfg)]) == 0
         manifest = json.loads((workspace / "run" / "manifest.json").read_text())
-        assert manifest["sequence"] == "halton-scrambled"
+        assert manifest["sequence"] == "sobol-supercube"
 
     def test_zero_variance_single_sample_identity(self, workspace, tmp_path):
         s = make_structure([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]], b_iso=0.0)
@@ -409,3 +414,42 @@ class TestReplayAndExitCodes:
               "--out", str(workspace / "run")])
         many = (workspace / "run" / "qoi_values.csv").read_bytes()
         assert one == many
+
+
+class TestImportHygiene:
+    def test_pipeline_stages_never_import_scipy(self, workspace):
+        """A fresh interpreter runs sample (Cartesian with the clash filter,
+        then torsion), qoi and saturate through ``main`` and checks after
+        each that no scipy module was loaded: start-up stays numpy-only."""
+        import moluq
+        from conftest import zigzag_chain
+        chain = make_structure(zigzag_chain(6), bonds=tuple((i, i + 1) for i in range(5)))
+        (workspace / "chain.pdb").write_text(write_pdb(chain))
+        cart = write_config(workspace, samples=16, seed=3, clash_factor=0.6,
+                            qoi=["area", "lj", "delta_area"], n_points=32)
+        tors = workspace / "torsion.json"
+        tors.write_text(json.dumps({"structure": str(workspace / "chain.pdb"),
+                                    "out": str(workspace / "torsion"), "mode": "torsion",
+                                    "samples": 4, "seed": 2, "clash_factor": 0.6}))
+        steps = [["sample", "--config", str(cart)], ["qoi", "--config", str(cart)],
+                 ["saturate", "--config", str(cart)], ["sample", "--config", str(tors)]]
+        script = textwrap.dedent("""
+            import json, sys
+            import moluq.cli
+
+            def loaded_scipy():
+                return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")[:3]
+
+            assert not loaded_scipy(), ("import moluq.cli", loaded_scipy())
+            for argv in json.loads(sys.argv[1]):
+                assert moluq.cli.main(argv) == 0, argv
+                assert not loaded_scipy(), (argv[0], loaded_scipy())
+        """)
+        src = str(Path(moluq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        result = subprocess.run([sys.executable, "-c", script, json.dumps(steps)],
+                                env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert (workspace / "run" / "saturation.json").exists()
+        assert (workspace / "torsion" / "ensemble.pdb").exists()

@@ -107,6 +107,22 @@ def oracle_coulomb(positions, charges, model, exclusions):
                         / (model.epsilon(r) * r)))
 
 
+def oracle_cutoff_pairs(positions, max_cutoff):
+    """The former cKDTree neighbour search, verbatim."""
+    from scipy.spatial import cKDTree
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    radius = max_cutoff * (1.0 + 1e-9)
+    if n < 2 or not radius >= 0.0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0)
+    found = cKDTree(positions).query_pairs(radius, output_type="ndarray")
+    found = found[np.argsort(found[:, 0].astype(np.int64) * n + found[:, 1])]
+    ii, jj = found[:, 0], found[:, 1]
+    dist = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
+    return ii, jj, dist
+
+
 # ---------------------------------------------------------------- inputs
 
 def lattice_structure(n_atoms, seed, jitter=0.05):
@@ -137,6 +153,65 @@ def test_cutoff_pairs_are_the_dense_pairs_in_triu_order():
     near = dense <= 3.0
     assert np.array_equal(ii, di[near]) and np.array_equal(jj, dj[near])
     assert np.array_equal(dist, dense[near])
+
+
+def neighbour_search_inputs():
+    rng = np.random.default_rng(12)
+    coincident = lattice(300) + rng.uniform(-0.05, 0.05, size=(300, 3))
+    coincident[[5, 8, 40]] = coincident[7]
+    wide = rng.uniform(0.0, 1e6, size=(400, 3))
+    wide[1] = wide[0] + [4e-4, 0.0, 0.0]
+    wide[3] = wide[2] + [0.0, 5e-4, 5e-4]
+    wide[[4, 5]] = [0.0, 0.0, 0.0], [1e6, 1e6, 1e6]
+    return {
+        **{f"lattice{n}": lattice(n) + rng.uniform(-0.3, 0.3, size=(n, 3))
+           for n in (120, 1000, 10_000)},
+        "random1000": rng.uniform(0.0, 25.0, size=(1000, 3)),
+        "coincident": coincident,
+        "wide": wide,
+        "one": np.ones((1, 3)),
+        "none": np.zeros((0, 3)),
+        "same_point": np.full((6, 3), 2.5),
+    }
+
+
+NEIGHBOUR_INPUTS = neighbour_search_inputs()
+
+
+@pytest.mark.parametrize("name", sorted(NEIGHBOUR_INPUTS))
+def test_cutoff_pairs_match_the_tree_search(name):
+    pos = NEIGHBOUR_INPUTS[name]
+    for cutoff in (0.0, 1e-3, 1.99, 2.04, 6.2, -1.0, float("nan")):
+        got, want = cutoff_pairs(pos, cutoff), oracle_cutoff_pairs(pos, cutoff)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), cutoff
+        assert got[0].dtype == want[0].dtype == np.intp
+
+
+def test_pair_at_the_radius_across_a_cell_edge():
+    # atom 1 sits 1e-14 A below a cell edge and atom 2 one search radius
+    # (6 * (1 + 1e-9)) further on; rounding (x - lo) / side with side equal to
+    # the radius would put them two cells apart and lose the pair
+    pos = np.array([[-9.224456045100798, 0.0, 0.0], [44.7755440088992, 0.0, 0.0],
+                    [50.775544014899204, 0.0, 0.0]])
+    want = oracle_cutoff_pairs(pos, 6.0)
+    assert want[0].tolist() == [1] and want[1].tolist() == [2]
+    assert all(np.array_equal(g, w) for g, w in zip(cutoff_pairs(pos, 6.0), want))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_positions_raise(bad):
+    s = lattice_structure(40, 6)
+    pos = s.positions()
+    pos[17, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cutoff_pairs(pos, 2.0)
+    with pytest.raises(ValueError):
+        detect_bonds(s.with_positions(pos))
+    with pytest.raises(ValueError):
+        clash_filter(Conformer(positions=pos, sample_index=0), s, 0.6)
+    radii = np.array([a.vdw_radius for a in s.atoms])
+    with pytest.raises(ValueError):
+        sasa(pos, radii)
 
 
 def test_exclusion_codes_drop_malformed_entries():
