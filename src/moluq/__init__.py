@@ -9,7 +9,6 @@ probabilistic binding-site maps, and visualization data files.
 __version__ = "0.1.0"
 
 from moluq.molio import (
-    Atom,
     ParamTable,
     PdbFormatError,
     PdbParseError,
@@ -21,7 +20,6 @@ from moluq.molio import (
 )
 from moluq.sampling import (
     LowDiscrepancySequence,
-    MarginalSpec,
     sample_budget,
     sigma_from_b,
     star_discrepancy_estimate,

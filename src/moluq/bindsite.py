@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moluq.molio import Atom, Structure
+from moluq.molio import Structure
 from moluq.conformers import Conformer, Ensemble
 
 
@@ -76,10 +76,10 @@ class BindingSiteMap:
         object.__setattr__(self, "probabilities", p)
 
 
-def contact(a: Atom, ligand: Conformer, pose: Pose, m: ContactModel = ContactModel()) -> int:
-    """1 when any posed ligand atom lies within the cutoff of atom ``a``."""
+def contact(position, ligand: Conformer, pose: Pose, m: ContactModel = ContactModel()) -> int:
+    """1 when any posed ligand atom lies within the cutoff of a receptor atom at ``position``."""
     placed = pose.apply(ligand.positions)
-    d = np.sqrt(((placed - a.position) ** 2).sum(axis=1))
+    d = np.sqrt(((placed - np.asarray(position, dtype=float)) ** 2).sum(axis=1))
     return int(d.min() <= m.cutoff) if d.size else 0
 
 
@@ -98,7 +98,7 @@ def _contact_map(A: Structure, configs, m: ContactModel) -> BindingSiteMap:
             hits += _contact_rows(rec, positions, pose, m.cutoff)
     k = len(configs[0][1])
     return BindingSiteMap(probabilities=hits / (k * len(configs)),
-                          serials=tuple(a.serial for a in A.atoms),
+                          serials=tuple(A.serials.tolist()),
                           cutoff=m.cutoff, k=k, n_configs=len(configs))
 
 
@@ -163,13 +163,8 @@ def residue_site_probabilities(A: Structure, site_map: BindingSiteMap):
     """
     if len(site_map.serials) != A.n_atoms:
         raise ValueError("site map does not cover the receptor's atoms")
-    order: list[tuple[str, int, str]] = []
-    best: dict[tuple[str, int, str], float] = {}
-    for atom, p in zip(A.atoms, site_map.probabilities):
-        key = (atom.chain_id, atom.residue_seq, atom.residue_name)
-        if key not in best:
-            order.append(key)
-            best[key] = float(p)
-        else:
-            best[key] = max(best[key], float(p))
-    return [(key, best[key]) for key in order]
+    best: dict[tuple[str, int, str], float] = {}  # in first-seen order
+    keys = zip(A.chain_ids.tolist(), A.residue_seqs.tolist(), A.residue_names.tolist())
+    for key, p in zip(keys, site_map.probabilities.tolist()):
+        best[key] = max(best.get(key, p), p)
+    return list(best.items())

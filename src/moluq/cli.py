@@ -223,7 +223,7 @@ def run_qoi(cfg) -> list[str]:
     s = _load_structure(cfg)
     ensemble_path = _resolve_input(cfg, "ensemble",
                                    default=str(Path(cfg["out"]) / "ensemble.pdb"))
-    models = molio.parse_pdb_models(_read_text(ensemble_path))
+    _, coords = molio.parse_pdb_models(_read_text(ensemble_path))
     kinds = [qoi.QOIKind(k) for k in cfg["qoi"]]
     qcfg = _qoi_config(cfg)
     idx_a, idx_b = _split_chains(s, cfg)
@@ -251,15 +251,13 @@ def run_qoi(cfg) -> list[str]:
         return row
 
     # keep original sample indices when the ensemble's manifest is available
-    indices = list(range(len(models)))
+    indices = list(range(len(coords)))
     manifest_path = Path(ensemble_path).parent / "manifest.json"
     if manifest_path.exists():
         recorded = json.loads(manifest_path.read_text()).get("accepted", [])
-        if len(recorded) == len(models):
+        if len(recorded) == len(coords):
             indices = recorded
-    samples = [(-1, s.positions())] + [
-        (idx, m.positions()) for idx, m in zip(indices, models)
-    ]
+    samples = [(-1, s.positions())] + list(zip(indices, coords))
     rows = _map_workers(lambda item: (item[0], evaluate(item[1])), samples,
                         int(cfg.get("workers", 1)))
     _write_csv(out / "qoi_values.csv", ["qoi", "sample_index", "value"],
@@ -430,17 +428,17 @@ def _load_poses(raw) -> list[bindsite.Pose]:
     return poses
 
 
-def _ensemble_of(source: molio.Structure, models, cfg) -> conformers.Ensemble:
-    """The models of a multi-MODEL file as conformers of ``source``, in file order."""
-    confs = tuple(conformers.Conformer(positions=m.positions(), sample_index=i)
-                  for i, m in enumerate(models))
+def _ensemble_of(source: molio.Structure, coords, cfg) -> conformers.Ensemble:
+    """Rows of an (m, n, 3) model array as conformers of ``source``, in file order."""
+    confs = tuple(conformers.Conformer(positions=positions, sample_index=i)
+                  for i, positions in enumerate(coords))
     return conformers.Ensemble(source=source, conformers=confs, seed=int(cfg["seed"]))
 
 
 def run_bindsite(cfg) -> list[str]:
     out = _out_dir(cfg)
     receptor = _load_structure(cfg)
-    ligand_models = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))
+    ligand, ligand_coords = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))
     raw = _load_json(_resolve_input(cfg, "poses"))
     model = bindsite.ContactModel(cutoff=float(cfg["contact_cutoff"]))
 
@@ -450,20 +448,21 @@ def run_bindsite(cfg) -> list[str]:
         pose_lists = [_load_poses(group["poses"]) for group in raw]
     else:
         pose_lists = [_load_poses(raw)]
-        ligand_models = ligand_models[:1]
-    ens = _ensemble_of(ligand_models[0], ligand_models, cfg)
+        ligand_coords = ligand_coords[:1]
+    ens = _ensemble_of(ligand, ligand_coords, cfg)
     site_map = bindsite.binding_site_prob_multi(receptor, ens, pose_lists, model)
 
+    atoms = zip(receptor.serials.tolist(), receptor.chain_ids.tolist(),
+                receptor.residue_seqs.tolist(), receptor.residue_names.tolist())
     _write_csv(out / "bindsite_atoms.csv",
                ["serial", "chain", "residue_seq", "residue_name", "p_bs"],
-               ([atom.serial, atom.chain_id, atom.residue_seq, atom.residue_name, _fmt(p)]
-                for atom, p in zip(receptor.atoms, site_map.probabilities)))
+               ([*atom, _fmt(p)] for atom, p in zip(atoms, site_map.probabilities)))
     _write_csv(out / "bindsite_residues.csv", ["chain", "residue_seq", "residue_name", "p_bs"],
                ([chain, seq, name, _fmt(p)] for (chain, seq, name), p
                 in bindsite.residue_site_probabilities(receptor, site_map)))
 
     colors_csv, script = vizgrid.colormap_export(
-        [a.serial for a in receptor.atoms], site_map.probabilities, palette="rainbow")
+        receptor.serials.tolist(), site_map.probabilities, palette="rainbow")
     (out / "bindsite_colors.csv").write_text(colors_csv)
     (out / "bindsite_colors.pml").write_text(script)
     return ["bindsite_atoms.csv", "bindsite_residues.csv",
@@ -476,7 +475,8 @@ def _load_ensemble(cfg) -> conformers.Ensemble:
     s = _load_structure(cfg)
     ensemble_path = _resolve_input(cfg, "ensemble",
                                    default=str(Path(cfg["out"]) / "ensemble.pdb"))
-    return _ensemble_of(s, molio.parse_pdb_models(_read_text(ensemble_path)), cfg)
+    _, coords = molio.parse_pdb_models(_read_text(ensemble_path))
+    return _ensemble_of(s, coords, cfg)
 
 
 def run_volmap(cfg) -> list[str]:
@@ -495,8 +495,8 @@ def run_modes(cfg) -> list[str]:
     _write_csv(out / "modes.csv",
                ["serial", "var1", "var2", "var3",
                 "v1x", "v1y", "v1z", "v2x", "v2y", "v2z", "v3x", "v3y", "v3z"],
-               ([atom.serial] + [_fmt(v) for v in var] + [_fmt(x) for x in ax.reshape(-1)]
-                for atom, var, ax in zip(ens.source.atoms, variances, axes)))
+               ([serial] + [_fmt(v) for v in var] + [_fmt(x) for x in ax.reshape(-1)]
+                for serial, var, ax in zip(ens.source.serials.tolist(), variances, axes)))
     return ["modes.csv"]
 
 

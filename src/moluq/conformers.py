@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moluq.molio import Structure, bond_adjacency, bonded_exclusions
+from moluq.molio import EIGHT_PI_SQ, Structure, bond_adjacency, bonded_exclusions
 from moluq.pairs import cutoff_pairs, exclusion_codes, not_in_codes
 from moluq.sampling import (
     LowDiscrepancySequence,
     gaussian_dimension,
     normals_from_unit,
-    sigma_from_b,
 )
 
 
@@ -213,13 +212,10 @@ def torsion_graph_from_dihedrals(s: Structure, dihedrals) -> TorsionGraph:
 
 def cartesian_sigmas(s: Structure) -> np.ndarray:
     """(n, 3) per-atom per-axis positional standard deviations from B-values."""
-    out = np.zeros((s.n_atoms, 3))
-    for i, a in enumerate(s.atoms):
-        if a.b_aniso is not None:
-            out[i] = [sigma_from_b(b) for b in a.b_aniso]
-        else:
-            out[i] = sigma_from_b(a.b_iso)
-    return out
+    b = np.where(s.has_aniso[:, None], s.b_aniso, s.b_iso[:, None])
+    if np.any(b < 0):
+        raise ValueError("B-value must be >= 0")
+    return np.sqrt(b / EIGHT_PI_SQ)
 
 
 def perturb_cartesian(s: Structure, z: np.ndarray, sigmas: np.ndarray | None = None,
@@ -292,7 +288,7 @@ def _clash_filter_for(s: Structure, factor: float):
     n = s.n_atoms
     if n < 2:
         return lambda c: c
-    radii = np.array([a.vdw_radius for a in s.atoms])
+    radii = s.radii
     codes = exclusion_codes(bonded_exclusions(s), n)
     max_cutoff = factor * (2.0 * radii.max())
 
@@ -307,7 +303,7 @@ def _clash_filter_for(s: Structure, factor: float):
         worst = int(np.argmin(ratios))
         i, j = int(ii[worst]), int(jj[worst])
         reason = (
-            f"atoms {s.atoms[i].serial}-{s.atoms[j].serial} at "
+            f"atoms {s.serials[i]}-{s.serials[j]} at "
             f"{dist[worst]:.3f} A < {cutoff[worst]:.3f} A"
         )
         return Conformer(positions=c.positions, sample_index=c.sample_index,

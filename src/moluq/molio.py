@@ -1,9 +1,12 @@
 """Molecular structure I/O: fixed-column PDB parsing/writing and parameter assignment.
 
-Atoms carry both crystallographic uncertainty (isotropic ``b_iso``, optional
-per-axis ``b_aniso``) and the nonbonded parameters (charge, van der Waals
-radius, 12-6 coefficients) used by the energy evaluators.  All functions here
-are pure: they return new objects and never mutate their inputs.
+A :class:`Structure` holds its atoms as columns: identity (serial, name,
+element, residue, chain), (n, 3) coordinates, crystallographic uncertainty
+(isotropic ``b_iso``, optional per-axis ``b_aniso``) and the nonbonded
+parameters (charge, van der Waals radius, 12-6 coefficients) used by the
+energy evaluators.  Ensembles are read as one (m, n, 3) coordinate array.
+All functions here are pure: they return new objects and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -46,109 +49,100 @@ class ParamLookupError(ValueError):
     """Parameter table has no row (specific or fallback) for some atoms."""
 
 
-@dataclass(frozen=True)
-class Atom:
-    """One atom: identity, position, uncertainty, and nonbonded parameters.
+# dtype of each non-float column; coords and b_aniso hold (n, 3) rows
+_COLUMN_DTYPES = {"serials": int, "names": str, "elements": str, "residue_names": str,
+                  "residue_seqs": int, "chain_ids": str, "has_aniso": bool}
 
-    ``b_iso``/``b_aniso`` are crystallographic B-values (Angstrom^2); the
-    positional standard deviation follows B = 8*pi^2*sigma^2.  ``b_aniso``
-    holds the per-axis diagonal (Bx, By, Bz) when ANISOU data is present.
+
+def _require_unique(serials: list[int]) -> None:
+    if len(set(serials)) != len(serials):
+        raise ValueError("atom serials must be unique")
+
+
+@dataclass(frozen=True, eq=False)
+class Structure:
+    """Atoms as columns in file order, plus a bond list (each pair stored once).
+
+    Row i of every column describes atom i.  ``b_iso`` holds isotropic
+    B-values (Angstrom^2); the positional standard deviation follows
+    B = 8*pi^2*sigma^2.  ``b_aniso`` holds the per-axis diagonal (Bx, By, Bz)
+    of the atoms whose ``has_aniso`` is set (ANISOU data) and zeros
+    elsewhere.  ``charges``, ``radii``, ``lj_a`` and ``lj_b`` are the
+    nonbonded parameters that :func:`assign_params` fills in.
     """
 
-    serial: int
-    name: str
-    element: str
-    residue_name: str
-    residue_seq: int
-    chain_id: str
-    position: np.ndarray
-    b_iso: float = 0.0
-    b_aniso: np.ndarray | None = None
-    charge: float = 0.0
-    vdw_radius: float = 1.7
-    lj_a: float = 0.0
-    lj_b: float = 0.0
-    born_radius: float | None = None
-
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise ValueError(f"atom {self.serial}: position must be a finite 3-vector")
-        object.__setattr__(self, "position", pos)
-        if self.b_iso < 0:
-            raise ValueError(f"atom {self.serial}: b_iso must be >= 0")
-        if self.b_aniso is not None:
-            ani = np.asarray(self.b_aniso, dtype=float)
-            if ani.shape != (3,) or np.any(ani < 0):
-                raise ValueError(f"atom {self.serial}: b_aniso must be 3 non-negative values")
-            object.__setattr__(self, "b_aniso", ani)
-        if self.vdw_radius <= 0:
-            raise ValueError(f"atom {self.serial}: vdw_radius must be positive")
-
-
-@dataclass(frozen=True)
-class Structure:
-    """An ordered atom list plus an optional bond list (each pair stored once)."""
-
-    atoms: tuple[Atom, ...]
+    serials: np.ndarray
+    names: np.ndarray
+    elements: np.ndarray
+    residue_names: np.ndarray
+    residue_seqs: np.ndarray
+    chain_ids: np.ndarray
+    coords: np.ndarray
+    b_iso: np.ndarray
+    b_aniso: np.ndarray
+    has_aniso: np.ndarray
+    charges: np.ndarray
+    radii: np.ndarray
+    lj_a: np.ndarray
+    lj_b: np.ndarray
     bonds: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "atoms", tuple(self.atoms))
-        serials = [a.serial for a in self.atoms]
-        if len(set(serials)) != len(serials):
-            raise ValueError("atom serials must be unique")
-        n = len(self.atoms)
-        norm = []
-        seen = set()
+        n = len(self.serials)
+        for name in _COLUMNS:
+            shape = (n, 3) if name in ("coords", "b_aniso") else (n,)
+            col = np.array(getattr(self, name), dtype=_COLUMN_DTYPES.get(name, float))
+            if col.size == 0:
+                col = col.reshape(shape)
+            if col.shape != shape:
+                raise ValueError(f"column {name}: expected shape {shape}, got {col.shape}")
+            object.__setattr__(self, name, col)
+        _require_unique(self.serials.tolist())
+        norm: dict[tuple[int, int], None] = {}  # insertion-ordered set
         for i, j in self.bonds:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bond ({i},{j}) references invalid atom indices")
             key = (min(i, j), max(i, j))
-            if key in seen:
+            if key in norm:
                 raise ValueError(f"bond {key} listed more than once")
-            seen.add(key)
-            norm.append(key)
+            norm[key] = None
         object.__setattr__(self, "bonds", tuple(norm))
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return len(self.serials)
 
     def positions(self) -> np.ndarray:
-        """(n, 3) coordinate array, in atom order."""
-        if not self.atoms:
-            return np.zeros((0, 3))
-        return np.array([a.position for a in self.atoms])
+        """(n, 3) coordinate array, in atom order (a copy)."""
+        return self.coords.copy()
 
     @property
     def chains(self) -> dict[str, list[int]]:
         """Atom indices grouped by chain id, in first-seen order."""
         out: dict[str, list[int]] = {}
-        for i, a in enumerate(self.atoms):
-            out.setdefault(a.chain_id, []).append(i)
+        for i, chain in enumerate(self.chain_ids.tolist()):
+            out.setdefault(chain, []).append(i)
         return out
 
     def with_positions(self, positions: np.ndarray) -> "Structure":
         """Copy of the structure with every atom moved to the given coordinates."""
-        positions = np.asarray(positions, dtype=float)
-        if positions.shape != (self.n_atoms, 3):
-            raise ValueError(f"expected ({self.n_atoms}, 3) positions, got {positions.shape}")
-        atoms = tuple(replace(a, position=positions[i]) for i, a in enumerate(self.atoms))
-        return Structure(atoms=atoms, bonds=self.bonds)
+        return replace(self, coords=positions)
 
     def with_bonds(self, bonds) -> "Structure":
-        return Structure(atoms=self.atoms, bonds=tuple(bonds))
+        return replace(self, bonds=tuple(bonds))
 
     def subset(self, indices) -> "Structure":
         """Sub-structure over the given atom indices; keeps bonds internal to the set."""
-        indices = list(indices)
-        remap = {old: new for new, old in enumerate(indices)}
-        atoms = tuple(self.atoms[i] for i in indices)
+        indices = np.array(list(indices), dtype=int)
+        remap = {old: new for new, old in enumerate(indices.tolist())}
         bonds = tuple(
             (remap[i], remap[j]) for i, j in self.bonds if i in remap and j in remap
         )
-        return Structure(atoms=atoms, bonds=bonds)
+        return Structure(**{name: getattr(self, name)[indices] for name in _COLUMNS},
+                         bonds=bonds)
+
+
+_COLUMNS = [f.name for f in fields(Structure) if f.name != "bonds"]
 
 
 @dataclass(frozen=True)
@@ -272,55 +266,47 @@ def _int_field(line: str, lo: int, hi: int, what: str, lineno: int) -> int:
         raise PdbParseError(f"line {lineno}: non-numeric {what} field {text!r}") from None
 
 
-def parse_pdb(text: str) -> Structure:
-    """Parse ATOM/HETATM (+ trailing ANISOU) records into a Structure.
+def _read_model(numbered_lines):
+    """Read and check the ATOM/HETATM (+ trailing ANISOU) records of one model.
 
-    Follows the fixed-column PDB convention.  Alternate locations other than
-    blank or 'A' are skipped; HETATM records are treated like ATOM so ligands
-    come through.  ANISOU diagonals (file units of 1e-4 A^2) are converted to
-    per-axis B-values via B = 8*pi^2*U.  If MODEL records are present only
-    the first model is read (see :func:`parse_pdb_models` for ensembles).
+    Reading stops at the ENDMDL that closes a MODEL, so a multi-model text
+    yields its first model.  Returns the kept ATOM lines with their serials,
+    residue numbers, (x, y, z) and B-values, and {row: per-axis B from
+    ANISOU}.  Alternate locations other than blank or 'A' are skipped.  A
+    non-finite coordinate, a negative B-value or ANISOU diagonal and a
+    repeated serial raise ValueError; malformed fields raise
+    :class:`PdbParseError`.
     """
-    atoms: list[Atom] = []
+    lines, serials, residue_seqs, xyz, b_iso, b_aniso = [], [], [], [], [], {}
     last_serial: int | None = None  # serial of the most recent ATOM line, kept or skipped
-    last_kept = False
-    in_model = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    last_kept = in_model = False
+    for lineno, line in numbered_lines:
         record = line[:6].strip()
-        if record == "MODEL":
-            in_model = True
-            continue
         if record == "ENDMDL" and in_model:
             break
+        in_model |= record == "MODEL"
         if record in ("ATOM", "HETATM"):
             if len(line) < 54:
                 raise PdbParseError(f"line {lineno}: record too short for coordinates")
             serial = _int_field(line, 6, 11, "serial", lineno)
-            altloc = line[16]
             last_serial = serial
-            if altloc not in (" ", "A"):
-                last_kept = False
+            last_kept = line[16] in (" ", "A")
+            if not last_kept:
                 continue
-            last_kept = True
-            name = line[12:16].strip()
-            residue_name = line[17:20].strip()
-            chain_id = line[21]
-            residue_seq = _int_field(line, 22, 26, "residue number", lineno)
-            x = _float_field(line, 30, 38, "x", lineno)
-            y = _float_field(line, 38, 46, "y", lineno)
-            z = _float_field(line, 46, 54, "z", lineno)
+            residue_seqs.append(_int_field(line, 22, 26, "residue number", lineno))
+            pos = (_float_field(line, 30, 38, "x", lineno),
+                   _float_field(line, 38, 46, "y", lineno),
+                   _float_field(line, 46, 54, "z", lineno))
             b_text = line[60:66].strip() if len(line) >= 60 else ""
-            b_iso = _float_field(line, 60, 66, "B-factor", lineno) if b_text else 0.0
-            element = line[76:78].strip() if len(line) >= 77 else ""
-            if not element:
-                element = _infer_element(line[12:16])
-            atoms.append(
-                Atom(
-                    serial=serial, name=name, element=element.upper(),
-                    residue_name=residue_name, residue_seq=residue_seq,
-                    chain_id=chain_id, position=np.array([x, y, z]), b_iso=b_iso,
-                )
-            )
+            b = _float_field(line, 60, 66, "B-factor", lineno) if b_text else 0.0
+            if not all(map(math.isfinite, pos)):
+                raise ValueError(f"atom {serial}: position must be a finite 3-vector")
+            if b < 0:
+                raise ValueError(f"atom {serial}: b_iso must be >= 0")
+            lines.append(line)
+            serials.append(serial)
+            xyz.append(pos)
+            b_iso.append(b)
         elif record == "ANISOU":
             serial = _int_field(line, 6, 11, "serial", lineno)
             if last_serial != serial:
@@ -332,33 +318,85 @@ def parse_pdb(text: str) -> Structure:
             u11 = _float_field(line, 28, 35, "U11", lineno)
             u22 = _float_field(line, 35, 42, "U22", lineno)
             u33 = _float_field(line, 42, 49, "U33", lineno)
-            b_aniso = EIGHT_PI_SQ * 1e-4 * np.array([u11, u22, u33])
-            atoms[-1] = replace(atoms[-1], b_aniso=b_aniso)
-    return Structure(atoms=tuple(atoms))
+            b_axes = EIGHT_PI_SQ * 1e-4 * np.array([u11, u22, u33])
+            if np.any(b_axes < 0):
+                raise ValueError(f"atom {serial}: b_aniso must be 3 non-negative values")
+            b_aniso[len(serials) - 1] = b_axes
+    _require_unique(serials)
+    return lines, serials, residue_seqs, xyz, b_iso, b_aniso
 
 
-def parse_pdb_models(text: str) -> list[Structure]:
-    """Parse a multi-MODEL PDB into one Structure per model.
+def _structure(numbered_lines) -> Structure:
+    """The atoms of one model, with placeholder parameters (radius 1.7 A)."""
+    lines, serials, residue_seqs, xyz, b_iso, aniso = _read_model(numbered_lines)
+    n = len(serials)
+    elements = [(line[76:78].strip() if len(line) >= 77 else "") or _infer_element(line[12:16])
+                for line in lines]
+    b_aniso, has_aniso = np.zeros((n, 3)), np.zeros(n, dtype=bool)
+    for row, b in aniso.items():
+        b_aniso[row], has_aniso[row] = b, True
+    return Structure(
+        serials=serials, names=[line[12:16].strip() for line in lines],
+        elements=[e.upper() for e in elements],
+        residue_names=[line[17:20].strip() for line in lines],
+        residue_seqs=residue_seqs, chain_ids=[line[21] for line in lines],
+        coords=xyz, b_iso=b_iso, b_aniso=b_aniso, has_aniso=has_aniso,
+        charges=np.zeros(n), radii=np.full(n, 1.7), lj_a=np.zeros(n), lj_b=np.zeros(n),
+    )
 
-    Files without MODEL records yield a single-element list.
+
+def parse_pdb(text: str) -> Structure:
+    """Parse ATOM/HETATM (+ trailing ANISOU) records into a Structure.
+
+    Follows the fixed-column PDB convention.  Alternate locations other than
+    blank or 'A' are skipped; HETATM records are treated like ATOM so ligands
+    come through.  ANISOU diagonals (file units of 1e-4 A^2) are converted to
+    per-axis B-values via B = 8*pi^2*U.  If MODEL records are present only
+    the first model is read (see :func:`parse_pdb_models` for ensembles).
     """
-    blocks: list[list[str]] = []
-    current: list[str] | None = None
-    saw_model = False
-    for line in text.splitlines():
+    return _structure(enumerate(text.splitlines(), start=1))
+
+
+def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
+    """Parse a multi-MODEL PDB into its first model and every model's coordinates.
+
+    Returns ``(first, coords)``: the first model as a Structure and an
+    (m, n, 3) array with the coordinates of all m models in file order
+    (``coords[0]`` is the first model's).  A file without MODEL records is
+    one model.  Every model gets the checks of :func:`parse_pdb`; later
+    models keep only their coordinates.  Raises :class:`PdbParseError`,
+    naming the MODEL record's line, when a MODEL has no ENDMDL or a later
+    model does not list the first model's serials in the same order.
+    """
+    numbered = list(enumerate(text.splitlines(), start=1))
+    blocks: list[tuple[int, list[tuple[int, str]]]] = []  # (MODEL line, numbered lines)
+    current = None
+    for lineno, line in numbered:
         record = line[:6].strip()
         if record == "MODEL":
-            saw_model = True
-            current = []
-        elif record == "ENDMDL":
             if current is not None:
-                blocks.append(current)
+                raise PdbParseError(f"line {current[0]}: MODEL without ENDMDL")
+            current = (lineno, [])
+            blocks.append(current)
+        elif record == "ENDMDL":
             current = None
         elif current is not None:
-            current.append(line)
-    if not saw_model:
-        return [parse_pdb(text)]
-    return [parse_pdb("\n".join(b)) for b in blocks]
+            current[1].append((lineno, line))
+    if current is not None:
+        raise PdbParseError(f"line {current[0]}: MODEL without ENDMDL")
+    first = _structure(blocks[0][1] if blocks else numbered)
+    coords = np.empty((max(len(blocks), 1), first.n_atoms, 3))
+    coords[0] = first.coords
+    want = first.serials.tolist()
+    for k, (lineno, block) in enumerate(blocks[1:], start=2):
+        _, serials, _, xyz, _, _ = _read_model(block)
+        if serials != want:
+            pair = next(((got, ok) for got, ok in zip(serials, want) if got != ok), None)
+            what = (f"serial {pair[0]} where model 1 lists serial {pair[1]}" if pair
+                    else f"{len(serials)} atoms where model 1 lists {len(want)}")
+            raise PdbParseError(f"line {lineno}: model {k} lists {what}")
+        coords[k - 1] = xyz
+    return first, coords
 
 
 def _format_atom_name(name: str, element: str) -> str:
@@ -383,41 +421,40 @@ def _int_col(value: int, width: int, what: str) -> str:
     return text
 
 
-def _atom_id(a: Atom) -> str:
-    """Columns 7-26 shared by ATOM and ANISOU: serial, name, residue, chain, number."""
-    return (
-        f"{_int_col(a.serial, 5, 'serial')} {_format_atom_name(a.name, a.element)} "
-        f"{a.residue_name:>3s} {a.chain_id}{_int_col(a.residue_seq, 4, 'residue number')}"
-    )
+def _atom_lines(s: Structure):
+    """Columns 7-26 of each atom's records (serial, name, residue, chain,
+    number; shared by ATOM and ANISOU) and a function rendering the ATOM
+    records at given positions.  Only the coordinates are formatted per model."""
+    ids = [
+        f"{_int_col(serial, 5, 'serial')} {_format_atom_name(name, element)} "
+        f"{residue:>3s} {chain}{_int_col(seq, 4, 'residue number')}"
+        for serial, name, element, residue, chain, seq in zip(
+            s.serials.tolist(), s.names.tolist(), s.elements.tolist(),
+            s.residue_names.tolist(), s.chain_ids.tolist(), s.residue_seqs.tolist())
+    ]
+    tails = [f"{1.0:6.2f}{b:6.2f}          {element:>2s}"
+             for b, element in zip(s.b_iso.tolist(), s.elements.tolist())]
 
+    def at(positions) -> list[str]:
+        return [f"ATOM  {atom_id}    {_coord(x)}{_coord(y)}{_coord(z)}{tail}"
+                for atom_id, (x, y, z), tail in zip(ids, positions.tolist(), tails)]
 
-def _atom_line(a: Atom, position) -> str:
-    """ATOM record of ``a`` placed at ``position``."""
-    return (
-        f"ATOM  {_atom_id(a)}    "
-        f"{_coord(position[0])}{_coord(position[1])}{_coord(position[2])}"
-        f"{1.0:6.2f}{a.b_iso:6.2f}          {a.element:>2s}"
-    )
-
-
-def _anisou_line(a: Atom) -> str:
-    u = np.rint(np.asarray(a.b_aniso) / EIGHT_PI_SQ * 1e4).astype(int)
-    return (
-        f"ANISOU{_atom_id(a)}  "
-        f"{u[0]:7d}{u[1]:7d}{u[2]:7d}{0:7d}{0:7d}{0:7d}      {a.element:>2s}"
-    )
+    return ids, at
 
 
 def write_pdb(s: Structure) -> str:
     """Render a Structure as fixed-column PDB text (ANISOU where present),
     with TER records at chain boundaries."""
+    ids, atom_lines = _atom_lines(s)
+    u = np.rint(s.b_aniso / EIGHT_PI_SQ * 1e4).astype(int).tolist()
+    elements, chains = s.elements.tolist(), s.chain_ids.tolist()
     lines = []
-    for i, a in enumerate(s.atoms):
-        lines.append(_atom_line(a, a.position))
-        if a.b_aniso is not None:
-            lines.append(_anisou_line(a))
-        nxt = s.atoms[i + 1] if i + 1 < len(s.atoms) else None
-        if nxt is None or nxt.chain_id != a.chain_id:
+    for i, line in enumerate(atom_lines(s.coords)):
+        lines.append(line)
+        if s.has_aniso[i]:
+            lines.append(f"ANISOU{ids[i]}  {u[i][0]:7d}{u[i][1]:7d}{u[i][2]:7d}"
+                         f"{0:7d}{0:7d}{0:7d}      {elements[i]:>2s}")
+        if i + 1 == len(chains) or chains[i + 1] != chains[i]:
             lines.append("TER")
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -427,6 +464,7 @@ def write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
     """Render an ensemble as a multi-MODEL PDB sharing ``s``'s atom metadata."""
     if model_numbers is None:
         model_numbers = range(1, len(positions_list) + 1)
+    _, atom_lines = _atom_lines(s)
     lines = []
     for num, positions in zip(model_numbers, positions_list):
         positions = np.asarray(positions, dtype=float)
@@ -434,7 +472,7 @@ def write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
             raise ValueError(f"model {num}: expected ({s.n_atoms}, 3) finite positions, "
                              f"got shape {positions.shape}")
         lines.append(f"MODEL     {num:4d}")
-        lines.extend(_atom_line(a, p) for a, p in zip(s.atoms, positions))
+        lines.extend(atom_lines(positions))
         lines.append("ENDMDL")
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -446,18 +484,19 @@ def assign_params(s: Structure, table: ParamTable) -> Structure:
     Lookup is (residue, atom name) override first, then the element fallback.
     Raises :class:`ParamLookupError` naming all atoms whose element has no row.
     """
-    out = []
+    rows = []
     missing = []
-    for a in s.atoms:
-        row = table.lookup(a.residue_name, a.name, a.element)
+    for serial, residue, name, element in zip(s.serials.tolist(), s.residue_names.tolist(),
+                                              s.names.tolist(), s.elements.tolist()):
+        row = table.lookup(residue, name, element)
         if row is None:
-            missing.append(f"serial {a.serial} ({a.element})")
+            missing.append(f"serial {serial} ({element})")
             continue
-        out.append(replace(a, charge=row.charge, vdw_radius=row.vdw_radius,
-                           lj_a=row.lj_a, lj_b=row.lj_b))
+        rows.append((row.charge, row.vdw_radius, row.lj_a, row.lj_b))
     if missing:
         raise ParamLookupError("no parameters for atoms: " + ", ".join(missing))
-    return Structure(atoms=tuple(out), bonds=s.bonds)
+    charges, radii, lj_a, lj_b = np.array(rows, dtype=float).reshape(-1, 4).T
+    return replace(s, charges=charges, radii=radii, lj_a=lj_a, lj_b=lj_b)
 
 
 def detect_bonds(s: Structure, tolerance: float = 0.45) -> Structure:
@@ -470,11 +509,12 @@ def detect_bonds(s: Structure, tolerance: float = 0.45) -> Structure:
     close pairs rather than n^2; bonds are listed in (i, j) order.
     """
     radii = np.array([
-        _COVALENT_RADII.get(a.element.upper(), _COVALENT_RADII["C"]) for a in s.atoms
+        _COVALENT_RADII.get(element.upper(), _COVALENT_RADII["C"])
+        for element in s.elements.tolist()
     ])
     bonds = []
     if s.n_atoms >= 2:
-        ii, jj, dist = cutoff_pairs(s.positions(), 2.0 * radii.max() + tolerance)
+        ii, jj, dist = cutoff_pairs(s.coords, 2.0 * radii.max() + tolerance)
         bonded = (dist < radii[ii] + radii[jj] + tolerance) & (dist > 1e-6)
         bonds = list(zip(ii[bonded].tolist(), jj[bonded].tolist()))
     return s.with_bonds(bonds)

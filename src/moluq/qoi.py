@@ -102,11 +102,11 @@ class AtomSet:
     def from_structure(cls, s: Structure) -> "AtomSet":
         return cls(
             positions=s.positions(),
-            radii=np.array([a.vdw_radius for a in s.atoms]),
-            charges=np.array([a.charge for a in s.atoms]),
-            lj_a=np.array([a.lj_a for a in s.atoms]),
-            lj_b=np.array([a.lj_b for a in s.atoms]),
-            serials=tuple(a.serial for a in s.atoms),
+            radii=s.radii,
+            charges=s.charges,
+            lj_a=s.lj_a,
+            lj_b=s.lj_b,
+            serials=tuple(s.serials.tolist()),
             exclusions=bonded_exclusions(s),
         )
 
@@ -448,10 +448,9 @@ def surface_deviation(reference_points, e: Ensemble, probe: float = 1.4,
     accepted = e.accepted()
     if not accepted:
         raise ValueError("ensemble has no accepted conformers")
-    radii = np.array([atom.vdw_radius for atom in e.source.atoms])
     total = np.zeros(reference_points.shape[0])
     for c in accepted:
-        cloud = sasa_point_cloud(c.positions, radii, probe, n_points)
+        cloud = sasa_point_cloud(c.positions, e.source.radii, probe, n_points)
         if cloud.shape[0] == 0:
             raise ValueError(f"conformer {c.sample_index} has an empty surface")
         dist, _ = cKDTree(cloud).query(reference_points)

@@ -1,9 +1,9 @@
-"""Low-discrepancy sampling of product spaces and marginal mappings.
+"""Low-discrepancy sampling of product spaces.
 
 Points are drawn in [0,1)^d from a scrambled Sobol stream (a Latin
 supercube of Sobol blocks in very high dimension) and turned into standard
 normals by the Box-Muller transform (two unit coordinates per pair of
-normals).  Also provides marginal specs, the B-factor -> sigma conversion,
+normals).  Also provides the B-factor -> sigma conversion,
 an anchored-box star discrepancy estimator, and naive-vs-low-discrepancy
 sample budgets.
 """
@@ -13,7 +13,6 @@ from __future__ import annotations
 import importlib.util
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -187,35 +186,6 @@ class LowDiscrepancySequence:
                          for shift, sv, order in self._nets])
         self.index = end
         return pts
-
-
-@dataclass(frozen=True)
-class MarginalSpec:
-    """One coordinate's marginal: gaussian(mu, sigma) or uniform(lower, upper)."""
-
-    kind: str
-    mu: float = 0.0
-    sigma: float = 0.0
-    lower: float = 0.0
-    upper: float = 0.0
-
-    def __post_init__(self):
-        if self.kind == "gaussian":
-            if self.sigma < 0:
-                raise ValueError("sigma must be >= 0")
-        elif self.kind == "uniform":
-            if self.lower > self.upper:
-                raise ValueError("uniform marginal requires lower <= upper")
-        else:
-            raise ValueError(f"unknown marginal kind {self.kind!r}")
-
-    @classmethod
-    def gaussian(cls, mu: float, sigma: float) -> "MarginalSpec":
-        return cls(kind="gaussian", mu=mu, sigma=sigma)
-
-    @classmethod
-    def uniform(cls, lower: float, upper: float) -> "MarginalSpec":
-        return cls(kind="uniform", lower=lower, upper=upper)
 
 
 def normals_from_unit(point: np.ndarray, count: int) -> np.ndarray:

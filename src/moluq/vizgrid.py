@@ -91,7 +91,7 @@ def occupancy_map(e: Ensemble, spacing: float, radius_mode="vdw") -> ScalarGrid:
     if e.source.n_atoms == 0:
         raise ValueError("ensemble structure has no atoms")
     if radius_mode == "vdw":
-        radii = np.array([a.vdw_radius for a in e.source.atoms])
+        radii = e.source.radii
     else:
         radii = np.full(e.source.n_atoms, float(radius_mode))
         if radii[0] <= 0:

@@ -3,25 +3,33 @@ import math
 import numpy as np
 import pytest
 
-from moluq.molio import Atom, Structure
+from moluq.molio import Structure
 
 
-def make_atom(serial, position, element="C", b_iso=0.0, b_aniso=None, chain="A",
-              residue_seq=1, residue_name="LIG", name=None, charge=0.0,
-              vdw_radius=1.7, lj_a=0.0, lj_b=0.0):
-    return Atom(
-        serial=serial, name=name or element, element=element,
-        residue_name=residue_name, residue_seq=residue_seq, chain_id=chain,
-        position=np.asarray(position, dtype=float), b_iso=b_iso, b_aniso=b_aniso,
-        charge=charge, vdw_radius=vdw_radius, lj_a=lj_a, lj_b=lj_b,
+def make_structure(positions, bonds=(), element="C", b_iso=0.0, b_aniso=None, chain="A",
+                   residue_seq=1, residue_name="LIG", name=None, charge=0.0,
+                   vdw_radius=1.7, lj_a=0.0, lj_b=0.0, serials=None):
+    """Structure over ``positions``, serials 1..n unless given.
+
+    Every other keyword is one value for all atoms or a per-atom sequence;
+    ``b_aniso`` is one (Bx, By, Bz) diagonal or one per atom, None for none.
+    """
+    pos = np.asarray(positions, dtype=float).reshape(-1, 3)
+    n = len(pos)
+
+    def col(value):
+        return np.broadcast_to(np.asarray(value), (n,))
+
+    aniso = np.zeros((n, 3)) if b_aniso is None else np.broadcast_to(
+        np.asarray(b_aniso, dtype=float), (n, 3))
+    return Structure(
+        serials=np.arange(1, n + 1) if serials is None else serials,
+        names=col(element if name is None else name), elements=col(element),
+        residue_names=col(residue_name), residue_seqs=col(residue_seq), chain_ids=col(chain),
+        coords=pos, b_iso=col(b_iso), b_aniso=aniso, has_aniso=col(b_aniso is not None),
+        charges=col(charge), radii=col(vdw_radius), lj_a=col(lj_a), lj_b=col(lj_b),
+        bonds=tuple(bonds),
     )
-
-
-def make_structure(positions, bonds=(), **atom_kwargs):
-    atoms = tuple(
-        make_atom(i + 1, p, **atom_kwargs) for i, p in enumerate(positions)
-    )
-    return Structure(atoms=atoms, bonds=tuple(bonds))
 
 
 @pytest.fixture

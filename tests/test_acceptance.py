@@ -389,8 +389,8 @@ def test_criterion_11_binding_site_suite():
     pose = poses[2]
     placed = lig_a @ pose.rotation.T + pose.translation
     want6 = sum(
-        p for atom, p in zip(receptor.atoms, multi.probabilities)
-        if min(math.dist(atom.position, q) for q in placed) <= 5.0)
+        p for position, p in zip(receptor.coords, multi.probabilities)
+        if min(math.dist(position, q) for q in placed) <= 5.0)
     got6 = binding_score(Conformer(lig_a, 0), pose, multi, receptor, model)
     assert abs(got6 - want6) <= 1e-12 * max(want6, 1.0)
 
@@ -411,13 +411,9 @@ def test_criterion_11_binding_site_suite():
 def test_criterion_12_determinism_and_replay(tmp_path):
     positions = [[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [2.25, 1.3, 0.0],
                  [6.0, 0.0, 0.0], [7.5, 0.0, 0.0]]
-    from conftest import make_atom
-    from moluq.molio import Structure
-    atoms = tuple(make_atom(i + 1, p, element=e, chain=c, b_iso=12.0,
-                            residue_seq=i + 1, residue_name="GLY")
-                  for i, (p, e, c) in enumerate(zip(
-                      positions, ["C", "N", "O", "C", "N"], "AAABB")))
-    (tmp_path / "input.pdb").write_text(write_pdb(Structure(atoms=atoms)))
+    s = make_structure(positions, element=["C", "N", "O", "C", "N"], chain=list("AAABB"),
+                       b_iso=12.0, residue_seq=range(1, 6), residue_name="GLY")
+    (tmp_path / "input.pdb").write_text(write_pdb(s))
     cfg = {
         "structure": str(tmp_path / "input.pdb"),
         "out": str(tmp_path / "run"),

@@ -35,9 +35,9 @@ def naive_map(receptor, ligand_positions_list, pose_lists, cutoff):
         for pose in poses:
             total += 1
             placed = [pose.rotation @ p + pose.translation for p in positions]
-            for ai, atom in enumerate(receptor.atoms):
+            for ai, position in enumerate(receptor.coords):
                 touched = any(
-                    math.dist(atom.position, q) <= cutoff for q in placed
+                    math.dist(position, q) <= cutoff for q in placed
                 )
                 hits[ai] += int(touched)
     return np.array(hits) / total
@@ -68,11 +68,11 @@ class TestContact:
     def test_exactly_at_cutoff_is_contact(self, receptor, ligand):
         # ligand atom at distance exactly 5.0 from receptor atom 1
         lig = Conformer(np.array([[6.0, 5.0, 0.0]]), 0)
-        assert contact(receptor.atoms[1], lig, Pose.identity(), ContactModel(5.0)) == 1
+        assert contact(receptor.coords[1], lig, Pose.identity(), ContactModel(5.0)) == 1
 
     def test_far_ligand_no_contact(self, receptor):
         lig = Conformer(np.array([[100.0, 100.0, 100.0]]), 0)
-        assert contact(receptor.atoms[0], lig, Pose.identity(), ContactModel(5.0)) == 0
+        assert contact(receptor.coords[0], lig, Pose.identity(), ContactModel(5.0)) == 0
 
     def test_translated_to_49_angstrom(self, receptor, ligand):
         pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 1.9 - 3.0, 0.0]))
@@ -80,7 +80,7 @@ class TestContact:
         # from receptor atom 0 at origin it is 1.9 A; use atom 1 at x=6:
         d = math.dist([6, 0, 0], [0, 1.9, 0])
         assert d > 5.0
-        assert contact(receptor.atoms[0], ligand, pose, ContactModel(5.0)) == 1
+        assert contact(receptor.coords[0], ligand, pose, ContactModel(5.0)) == 1
 
 
 class TestBindingSiteProb:
@@ -220,8 +220,8 @@ class TestBindingScore:
         pose = poses[2]
         placed = lig_pos @ pose.rotation.T + pose.translation
         want = sum(
-            p for atom, p in zip(receptor.atoms, site.probabilities)
-            if min(math.dist(atom.position, q) for q in placed) <= 5.0
+            p for position, p in zip(receptor.coords, site.probabilities)
+            if min(math.dist(position, q) for q in placed) <= 5.0
         )
         assert binding_score(lig, pose, site, receptor) == pytest.approx(want, rel=1e-15)
 
@@ -250,8 +250,7 @@ class TestRigidMotionInvariance:
 class TestResidueAggregation:
     def test_max_over_atoms(self):
         s = make_structure([[0, 0, 0], [1, 0, 0], [9, 0, 0]])
-        atoms = list(s.atoms)
         site = BindingSiteMap(probabilities=np.array([0.2, 0.8, 0.5]),
-                              serials=tuple(a.serial for a in atoms), cutoff=5.0, k=4)
+                              serials=tuple(s.serials.tolist()), cutoff=5.0, k=4)
         rows = residue_site_probabilities(s, site)
         assert rows == [(("A", 1, "LIG"), 0.8)]

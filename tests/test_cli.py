@@ -22,14 +22,8 @@ def small_protein_pdb():
     ]
     elements = ["C", "N", "O", "C", "N"]
     chains = ["A", "A", "A", "B", "B"]
-    from conftest import make_atom
-    from moluq.molio import Structure
-    atoms = tuple(
-        make_atom(i + 1, p, element=e, chain=c, b_iso=10.0, residue_seq=i + 1,
-                  residue_name="GLY")
-        for i, (p, e, c) in enumerate(zip(positions, elements, chains))
-    )
-    return write_pdb(Structure(atoms=atoms))
+    return write_pdb(make_structure(positions, element=elements, chain=chains, b_iso=10.0,
+                                    residue_seq=range(1, 6), residue_name="GLY"))
 
 
 def write_config(tmp_path, **extra):
@@ -55,7 +49,7 @@ class TestSample:
         assert manifest["seed"] == 3
         assert manifest["samples"] == 4
         assert manifest["sequence"] == "sobol-scrambled"
-        models = parse_pdb_models((out / "ensemble.pdb").read_text())
+        _, models = parse_pdb_models((out / "ensemble.pdb").read_text())
         assert len(models) == len(manifest["accepted"])
 
     def test_manifest_names_the_fallback_sequence(self, workspace, monkeypatch):
@@ -73,8 +67,8 @@ class TestSample:
         cfg = write_config(workspace, structure=str(workspace / "flat.pdb"),
                            samples=1, seed=0)
         assert main(["sample", "--config", str(cfg)]) == 0
-        models = parse_pdb_models((workspace / "run" / "ensemble.pdb").read_text())
-        np.testing.assert_allclose(models[0].positions(), s.positions(), atol=5e-4)
+        _, models = parse_pdb_models((workspace / "run" / "ensemble.pdb").read_text())
+        np.testing.assert_allclose(models[0], s.positions(), atol=5e-4)
 
     def test_fixed_seed_identical_manifests(self, workspace):
         cfg = write_config(workspace, samples=5, seed=11)
@@ -106,12 +100,12 @@ class TestSample:
         source = parse_pdb((workspace / "input.pdb").read_text())
         idx_a = source.chains["A"]
         idx_b = source.chains["B"]
-        models = parse_pdb_models((workspace / "run" / "ensemble.pdb").read_text())
+        _, models = parse_pdb_models((workspace / "run" / "ensemble.pdb").read_text())
         moved_b = False
         for m in models:
-            np.testing.assert_allclose(m.positions()[idx_a],
+            np.testing.assert_allclose(m[idx_a],
                                        source.positions()[idx_a], atol=5e-4)
-            moved_b |= not np.allclose(m.positions()[idx_b],
+            moved_b |= not np.allclose(m[idx_b],
                                        source.positions()[idx_b], atol=1e-3)
         assert moved_b
 
@@ -137,7 +131,7 @@ class TestQoiCertifySaturate:
     def test_qoi_rejects_model_of_other_size(self, workspace):
         cfg = self._sampled(workspace, n=2)
         ensemble = workspace / "run" / "ensemble.pdb"
-        first = parse_pdb_models(ensemble.read_text())[0]
+        first, _ = parse_pdb_models(ensemble.read_text())
         ensemble.write_text(write_pdb(first.subset(range(first.n_atoms - 1))))
         assert main(["qoi", "--config", str(cfg)]) == 3
 
@@ -216,13 +210,13 @@ class TestTorsionMode:
                            mode="torsion", samples=5, seed=1, clash_factor=None,
                            torsion_dihedrals=str(workspace / "dihedrals.json"))
         assert main(["sample", "--config", str(cfg)]) == 0
-        models = parse_pdb_models((workspace / "run" / "ensemble.pdb").read_text())
+        _, models = parse_pdb_models((workspace / "run" / "ensemble.pdb").read_text())
         assert 1 <= len(models) <= 5
         # bond lengths preserved by the kinematic chain
         for m in models:
             for i, j in s.bonds:
                 d0 = np.linalg.norm(chain[i] - chain[j])
-                d1 = np.linalg.norm(m.positions()[i] - m.positions()[j])
+                d1 = np.linalg.norm(m[i] - m[j])
                 assert abs(d0 - d1) < 2e-3  # PDB coordinates carry 3 decimals
 
     def test_torsion_mode_autodetects_rotatable_bonds(self, workspace):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from moluq.conformers import (
     torsion_variability,
 )
 from moluq.molio import EIGHT_PI_SQ
+from moluq.sampling import sigma_from_b
 from conftest import make_structure, zigzag_chain
 
 
@@ -73,6 +75,16 @@ class TestPerturbCartesian:
         b = np.array([0.0, 0.0, 0.0])
         s = make_structure([[0, 0, 0]], b_iso=100.0, b_aniso=b)
         assert np.all(cartesian_sigmas(s) == 0.0)
+
+    def test_sigmas_match_former_per_atom_loop(self):
+        rng = np.random.default_rng(4)
+        s = replace(make_structure(rng.normal(size=(9, 3)), b_iso=rng.uniform(0.0, 90.0, 9),
+                                   b_aniso=rng.uniform(0.0, 90.0, (9, 3))),
+                    has_aniso=rng.random(9) < 0.5)
+        want = np.array([[sigma_from_b(b) for b in s.b_aniso[i]] if s.has_aniso[i]
+                         else [sigma_from_b(s.b_iso[i])] * 3 for i in range(s.n_atoms)])
+        assert 0 < s.has_aniso.sum() < s.n_atoms
+        assert np.array_equal(cartesian_sigmas(s), want)
 
 
 class TestApplyTorsions:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from moluq.molio import (
     ParamTable,
     PdbFormatError,
     PdbParseError,
-    Structure,
     assign_params,
     bonded_exclusions,
     detect_bonds,
@@ -19,7 +17,7 @@ from moluq.molio import (
     write_pdb,
     write_pdb_models,
 )
-from conftest import make_atom, make_structure
+from conftest import make_structure
 
 ATOM_LINE = "ATOM      1  N   ALA A   1      11.104   6.134  -6.504  1.00 20.00           N"
 ANISOU_LINE = "ANISOU    1  N   ALA A   1     2500   2500   2500      0      0      0       N"
@@ -28,19 +26,18 @@ ANISOU_LINE = "ANISOU    1  N   ALA A   1     2500   2500   2500      0      0  
 class TestParsePdb:
     def test_single_atom_fields(self):
         s = parse_pdb(ATOM_LINE)
-        a = s.atoms[0]
-        assert a.serial == 1
-        assert a.element == "N"
-        assert a.residue_name == "ALA"
-        assert a.chain_id == "A"
-        np.testing.assert_allclose(a.position, [11.104, 6.134, -6.504])
-        assert a.b_iso == 20.0
+        assert s.serials[0] == 1
+        assert s.elements[0] == "N"
+        assert s.residue_names[0] == "ALA"
+        assert s.chain_ids[0] == "A"
+        np.testing.assert_allclose(s.coords[0], [11.104, 6.134, -6.504])
+        assert s.b_iso[0] == 20.0
 
     def test_anisou_conversion(self):
         s = parse_pdb(ATOM_LINE + "\n" + ANISOU_LINE)
         # U11 = 2500 file units = 0.25 A^2, B = 8 pi^2 * 0.25
         expected = 8.0 * math.pi**2 * 0.25
-        np.testing.assert_allclose(s.atoms[0].b_aniso, [expected] * 3)
+        np.testing.assert_allclose(s.b_aniso[0], [expected] * 3)
         assert abs(expected - 19.739) < 1e-3
 
     def test_empty_input(self):
@@ -84,7 +81,7 @@ class TestParsePdb:
                 f"{float(i):8.3f}{0.0:8.3f}{0.0:8.3f}  1.00  0.00           C"
             )
         s = parse_pdb("\n".join(lines))
-        assert [a.serial for a in s.atoms] == [5, 2, 9]
+        assert s.serials.tolist() == [5, 2, 9]
 
     def test_chain_partition(self):
         text = "\n".join([
@@ -103,31 +100,31 @@ class TestParsePdb:
     def test_element_inferred_from_name_columns(self, name_field, element):
         # no element column: the symbol is right-justified in columns 13-14
         line = ATOM_LINE[:12] + name_field + ATOM_LINE[16:66]
-        assert parse_pdb(line).atoms[0].element == element
+        assert parse_pdb(line).elements[0] == element
 
     def test_alpha_carbon_without_element_column_gets_parameters(self):
         lines = [ATOM_LINE[:12] + name + ATOM_LINE[16:66]
                  for name in (" N  ", " CA ", " C  ", " O  ")]
         lines = [ln[:6] + f"{i + 1:5d}" + ln[11:] for i, ln in enumerate(lines)]
         s = assign_params(parse_pdb("\n".join(lines)), ParamTable.default())
-        assert [a.element for a in s.atoms] == ["N", "C", "C", "O"]
-        assert s.atoms[1].vdw_radius == ParamTable.default().elements["C"].vdw_radius
+        assert s.elements.tolist() == ["N", "C", "C", "O"]
+        assert s.radii[1] == ParamTable.default().elements["C"].vdw_radius
 
 
 class TestWritePdb:
     def test_roundtrip_single_atom(self):
         s = parse_pdb(ATOM_LINE)
         rt = parse_pdb(write_pdb(s))
-        a, b = s.atoms[0], rt.atoms[0]
-        np.testing.assert_allclose(a.position, b.position, atol=5e-4)
-        assert a.b_iso == pytest.approx(b.b_iso, abs=5e-3)
-        assert (a.serial, a.name, a.element, a.chain_id) == (b.serial, b.name, b.element, b.chain_id)
+        np.testing.assert_allclose(s.coords[0], rt.coords[0], atol=5e-4)
+        assert s.b_iso[0] == pytest.approx(rt.b_iso[0], abs=5e-3)
+        assert ((s.serials[0], s.names[0], s.elements[0], s.chain_ids[0])
+                == (rt.serials[0], rt.names[0], rt.elements[0], rt.chain_ids[0]))
 
     def test_roundtrip_anisou_within_one_file_unit(self):
         s = parse_pdb(ATOM_LINE + "\n" + ANISOU_LINE)
         rt = parse_pdb(write_pdb(s))
-        u_in = np.asarray(s.atoms[0].b_aniso) / EIGHT_PI_SQ * 1e4
-        u_out = np.asarray(rt.atoms[0].b_aniso) / EIGHT_PI_SQ * 1e4
+        u_in = s.b_aniso[0] / EIGHT_PI_SQ * 1e4
+        u_out = rt.b_aniso[0] / EIGHT_PI_SQ * 1e4
         assert np.abs(u_in - u_out).max() <= 1.0
 
     def test_coordinate_overflow(self):
@@ -140,30 +137,31 @@ class TestWritePdb:
     ])
     def test_integer_field_overflow(self, field, value, fits):
         # a value wider than its column would shift every later column
-        atom = make_atom(1, [0.0, 0.0, 0.0], b_aniso=[20.0, 20.0, 20.0])
-        ok = Structure(atoms=(replace(atom, **{field: fits}),))
-        assert parse_pdb(write_pdb(ok)).atoms[0].position[0] == 0.0
-        wide = Structure(atoms=(replace(atom, **{field: value}),))
+        def atom(v, b_aniso=(20.0, 20.0, 20.0)):
+            column = {"serials": [v]} if field == "serial" else {"residue_seq": v}
+            return make_structure([[0.0, 0.0, 0.0]], b_aniso=b_aniso, **column)
+
+        assert parse_pdb(write_pdb(atom(fits))).coords[0][0] == 0.0
         with pytest.raises(PdbFormatError, match="does not fit"):
-            write_pdb(wide)
+            write_pdb(atom(value))
         with pytest.raises(PdbFormatError, match="does not fit"):
-            write_pdb(Structure(atoms=(replace(atom, b_aniso=None, **{field: value}),)))
+            write_pdb(atom(value, b_aniso=None))
 
     def test_parse_write_parse_idempotent(self):
         s0 = parse_pdb(ATOM_LINE + "\n" + ANISOU_LINE)
         once = parse_pdb(write_pdb(s0))
         twice = parse_pdb(write_pdb(once))
-        for a, b in zip(once.atoms, twice.atoms):
-            np.testing.assert_array_equal(a.position, b.position)
-            assert a.b_iso == b.b_iso
+        for i in range(once.n_atoms):
+            np.testing.assert_array_equal(once.coords[i], twice.coords[i])
+            assert once.b_iso[i] == twice.b_iso[i]
 
     def test_multi_model_roundtrip(self):
         s = make_structure([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         frames = [s.positions(), s.positions() + 1.0]
         text = write_pdb_models(s, frames)
-        models = parse_pdb_models(text)
+        _, models = parse_pdb_models(text)
         assert len(models) == 2
-        np.testing.assert_allclose(models[1].positions(), frames[1], atol=5e-4)
+        np.testing.assert_allclose(models[1], frames[1], atol=5e-4)
 
     def test_parse_pdb_reads_first_model_only(self):
         s = make_structure([[0.0, 0.0, 0.0]])
@@ -177,14 +175,14 @@ class TestParams:
     def test_carbon_fallback_radius(self):
         table = ParamTable.default()
         s = assign_params(make_structure([[0.0, 0.0, 0.0]]), table)
-        assert s.atoms[0].vdw_radius == pytest.approx(1.7)
+        assert s.radii[0] == pytest.approx(1.7)
 
     def test_override_beats_fallback(self):
         table = ParamTable.default()
         override = {("LIG", "C"): table.elements["O"]}
         table2 = ParamTable(elements=table.elements, overrides=override)
         s = assign_params(make_structure([[0.0, 0.0, 0.0]]), table2)
-        assert s.atoms[0].vdw_radius == pytest.approx(table.elements["O"].vdw_radius)
+        assert s.radii[0] == pytest.approx(table.elements["O"].vdw_radius)
 
     def test_unknown_element_error_names_serial(self):
         s = make_structure([[0.0, 0.0, 0.0]], element="Xx")
@@ -203,9 +201,8 @@ class TestParams:
 
 class TestStructure:
     def test_duplicate_serials_rejected(self):
-        a = make_atom(1, [0, 0, 0])
         with pytest.raises(ValueError, match="unique"):
-            Structure(atoms=(a, a))
+            make_structure([[0, 0, 0], [0, 0, 0]], serials=[1, 1])
 
     def test_bond_validation(self):
         s = make_structure([[0, 0, 0], [1, 0, 0]])

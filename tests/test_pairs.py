@@ -21,7 +21,6 @@ from moluq.conformers import (
 from moluq.molio import (
     _COVALENT_RADII,
     ParamTable,
-    Structure,
     assign_params,
     bonded_exclusions,
     detect_bonds,
@@ -35,7 +34,7 @@ from moluq.qoi import (
     lj_energy,
     sasa,
 )
-from conftest import lattice, make_atom, make_structure
+from conftest import lattice, make_structure
 
 ELEMENTS = ("C", "C", "N", "C", "O")
 
@@ -52,8 +51,8 @@ def oracle_pair_arrays(n, exclusions):
 
 def oracle_detect_bonds(s, tolerance=0.45):
     pos = s.positions()
-    radii = np.array([_COVALENT_RADII.get(a.element.upper(), _COVALENT_RADII["C"])
-                      for a in s.atoms])
+    radii = np.array([_COVALENT_RADII.get(e.upper(), _COVALENT_RADII["C"])
+                      for e in s.elements.tolist()])
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     cut = radii[:, None] + radii[None, :] + tolerance
@@ -64,7 +63,7 @@ def oracle_detect_bonds(s, tolerance=0.45):
 def oracle_clash(positions, s, factor):
     """(accepted, reason) of the dense clash filter."""
     n = s.n_atoms
-    radii = np.array([a.vdw_radius for a in s.atoms])
+    radii = s.radii
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     cutoff = factor * (radii[:, None] + radii[None, :])
@@ -76,7 +75,7 @@ def oracle_clash(positions, s, factor):
     if ratios.size == 0 or ratios.min() >= 1.0:
         return True, None
     i, j = (int(x) for x in np.array(list(zip(*iu)))[mask][np.argmin(ratios)])
-    return False, (f"atoms {s.atoms[i].serial}-{s.atoms[j].serial} at "
+    return False, (f"atoms {s.serials[i]}-{s.serials[j]} at "
                    f"{dist[i, j]:.3f} A < {cutoff[i, j]:.3f} A")
 
 
@@ -125,13 +124,17 @@ def oracle_cutoff_pairs(positions, max_cutoff):
 
 # ---------------------------------------------------------------- inputs
 
+def cycled_elements(n):
+    return [ELEMENTS[i % 5] for i in range(n)]
+
+
 def lattice_structure(n_atoms, seed, jitter=0.05):
     """Parameterized, bonded lattice; bonds come from the dense oracle so the
     structure does not depend on the code under test."""
     rng = np.random.default_rng(seed)
     pos = lattice(n_atoms) + rng.uniform(-jitter, jitter, size=(n_atoms, 3))
-    atoms = tuple(make_atom(i + 1, p, element=ELEMENTS[i % 5]) for i, p in enumerate(pos))
-    s = assign_params(Structure(atoms=atoms), ParamTable.default())
+    s = assign_params(make_structure(pos, element=cycled_elements(n_atoms)),
+                      ParamTable.default())
     return s.with_bonds(oracle_detect_bonds(s))
 
 
@@ -209,9 +212,8 @@ def test_non_finite_positions_raise(bad):
         detect_bonds(s.with_positions(pos))
     with pytest.raises(ValueError):
         clash_filter(Conformer(positions=pos, sample_index=0), s, 0.6)
-    radii = np.array([a.vdw_radius for a in s.atoms])
     with pytest.raises(ValueError):
-        sasa(pos, radii)
+        sasa(pos, s.radii)
 
 
 def test_exclusion_codes_drop_malformed_entries():
@@ -265,17 +267,13 @@ def test_clash_filter_tie_names_first_pair_in_triu_order():
 def test_clash_filter_coincident_pair_and_zero_radius():
     pos = np.array([[0.0, 0.0, 0.0], [5.0, 0.0, 0.0], [5.0, 0.0, 0.0], [9.0, 0.0, 0.0],
                     [9.0, 0.0, 0.0], [9.5, 0.0, 0.0]])
-    s = make_structure(pos)
     # serials 4 and 5 get zero radius: their coincident pair has cutoff 0 and
     # never clashes, while 4-6 and 5-6 still do; the coincident 2-3 is worst
-    for idx in (3, 4):
-        object.__setattr__(s.atoms[idx], "vdw_radius", 0.0)
+    s = make_structure(pos, vdw_radius=[1.7, 1.7, 1.7, 0.0, 0.0, 1.7])
     got = clash_filter(Conformer(positions=pos, sample_index=0), s)
     assert (got.accepted, got.rejection_reason) == oracle_clash(pos, s, 0.6)
     assert got.rejection_reason == "atoms 2-3 at 0.000 A < 2.040 A"
-    s_zero = make_structure(pos[3:5])
-    for atom in s_zero.atoms:
-        object.__setattr__(atom, "vdw_radius", 0.0)
+    s_zero = make_structure(pos[3:5], vdw_radius=0.0)
     got = clash_filter(Conformer(positions=pos[3:5], sample_index=0), s_zero)
     assert got.accepted and oracle_clash(pos[3:5], s_zero, 0.6) == (True, None)
 
@@ -323,11 +321,11 @@ def test_pair_arrays_match_oracle_with_malformed_exclusions(n_atoms, seed):
 @pytest.mark.parametrize("n_atoms, seed", CASES)
 def test_lj_and_coulomb_match_oracle(n_atoms, seed):
     s = lattice_structure(n_atoms, seed)
-    lj_a = np.array([a.lj_a for a in s.atoms])
-    lj_b = np.array([a.lj_b for a in s.atoms])
+    lj_a = s.lj_a.copy()
+    lj_b = s.lj_b.copy()
     lj_a[::7] = 0.0  # atoms without a well: eps 0, rmin 0
     lj_b[3::11] = 0.0
-    charges = np.array([a.charge for a in s.atoms])
+    charges = s.charges
     excl = bonded_exclusions(s) | {(5, 1), (-1, 2), (0, n_atoms)}
     for k in range(2):
         pos = perturbed(s, seed * 7 + k, 0.2)
@@ -354,9 +352,7 @@ def test_cutoff_kernels_stay_below_n_squared_memory_at_3000_atoms():
     # a dense 3,000 x 3,000 float block alone is 69 MiB; these kernels used
     # 480-550 MiB before the neighbour search
     n = 3000
-    atoms = tuple(make_atom(i + 1, p, element=ELEMENTS[i % 5])
-                  for i, p in enumerate(lattice(n)))
-    s = Structure(atoms=atoms)
+    s = make_structure(lattice(n), element=cycled_elements(n))
     assert _traced_peak_mib(detect_bonds, s) < 16.0
     bonded = detect_bonds(s)
     assert len(bonded.bonds) == n - n // 20
@@ -367,8 +363,6 @@ def test_cutoff_kernels_stay_below_n_squared_memory_at_3000_atoms():
 def test_sasa_stays_below_n_squared_memory_at_3000_atoms():
     # the dense Shrake-Rupley loop peaked at about 483 MiB here
     n = 3000
-    atoms = tuple(make_atom(i + 1, p, element=ELEMENTS[i % 5])
-                  for i, p in enumerate(lattice(n)))
-    s = assign_params(Structure(atoms=atoms), ParamTable.default())
-    radii = np.array([a.vdw_radius for a in s.atoms])
-    assert _traced_peak_mib(sasa, perturbed(s, 1, 0.2), radii, 1.4, 960) < 32.0
+    s = assign_params(make_structure(lattice(n), element=cycled_elements(n)),
+                      ParamTable.default())
+    assert _traced_peak_mib(sasa, perturbed(s, 1, 0.2), s.radii, 1.4, 960) < 32.0

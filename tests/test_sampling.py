@@ -9,7 +9,6 @@ from moluq import sampling
 from moluq.sampling import (
     SOBOL_MAX_DIM,
     LowDiscrepancySequence,
-    MarginalSpec,
     gaussian_dimension,
     normals_from_unit,
     sample_budget,
@@ -199,14 +198,6 @@ class TestBoxMuller:
         z = np.concatenate([normals_from_unit(p, 2) for p in pts])
         assert abs(z.mean()) < 0.02
         assert abs(z.var() - 1.0) < 0.02
-
-
-class TestMapMarginal:
-    def test_invalid_specs(self):
-        with pytest.raises(ValueError):
-            MarginalSpec.gaussian(0.0, -1.0)
-        with pytest.raises(ValueError):
-            MarginalSpec.uniform(2.0, 1.0)
 
 
 class TestSigmaFromB:

@@ -3,13 +3,15 @@
 Each oracle below is the former second implementation of a job: the voxel
 loops of ``qoi.volume`` and ``vizgrid.occupancy_map``, the single-config
 ``binding_site_prob`` loop, the counting in ``chernoff_table``, the
-per-model ``Structure`` rebuild of ``write_pdb_models``, and the dense
-per-atom Shrake-Rupley loop run once per group of ``delta_area``.  The
+per-model ``Structure`` rebuild of ``write_pdb_models``, the per-atom
+record loop of ``write_pdb``, and the dense per-atom Shrake-Rupley loop
+run once per group of ``delta_area``.  The
 merged code must reproduce them exactly (``==``, not approx) on seeded,
 perturbed zigzag lattices.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +21,13 @@ from moluq.certificates import DEFAULT_T_GRID, EmpiricalDistribution, chernoff_t
 from moluq.conformers import Conformer, Ensemble
 from scipy.spatial import cKDTree
 from moluq.molio import (
+    EIGHT_PI_SQ,
     ParamTable,
-    Structure,
-    _atom_id,
     _coord,
+    _format_atom_name,
+    _int_col,
     assign_params,
+    write_pdb,
     write_pdb_models,
 )
 from moluq.qoi import (
@@ -40,7 +44,7 @@ from moluq.qoi import (
     volume,
 )
 from moluq.vizgrid import occupancy_map
-from conftest import lattice, make_atom
+from conftest import lattice, make_structure
 
 ELEMENTS = ("C", "C", "N", "C", "O", "S", "H")
 
@@ -48,9 +52,8 @@ ELEMENTS = ("C", "C", "N", "C", "O", "S", "H")
 def lattice_structure(n_atoms, seed, jitter=0.05):
     rng = np.random.default_rng(seed)
     pos = lattice(n_atoms) + rng.uniform(-jitter, jitter, size=(n_atoms, 3))
-    atoms = tuple(make_atom(i + 1, p, element=ELEMENTS[i % len(ELEMENTS)])
-                  for i, p in enumerate(pos))
-    return assign_params(Structure(atoms=atoms), ParamTable.default())
+    elements = [ELEMENTS[i % len(ELEMENTS)] for i in range(n_atoms)]
+    return assign_params(make_structure(pos, element=elements), ParamTable.default())
 
 
 def jittered(s, seed, sigma):
@@ -99,7 +102,7 @@ def oracle_occupancy(e, spacing, radius_mode="vdw"):
     """(origin, dims, x-fastest values) of the former occupancy_map."""
     accepted = e.accepted()
     if radius_mode == "vdw":
-        radii = np.array([a.vdw_radius for a in e.source.atoms])
+        radii = e.source.radii
     else:
         radii = np.full(e.source.n_atoms, float(radius_mode))
     stack = np.stack([c.positions for c in accepted])
@@ -135,7 +138,7 @@ def oracle_binding_site_prob(A, B, poses, m=ContactModel()):
     for pose in poses:
         hits += _contact_rows(rec, B.positions, pose, m.cutoff)
     return BindingSiteMap(probabilities=hits / len(poses),
-                          serials=tuple(a.serial for a in A.atoms),
+                          serials=tuple(A.serials.tolist()),
                           cutoff=m.cutoff, k=len(poses), n_configs=1)
 
 
@@ -145,12 +148,35 @@ def oracle_epsilons(d, t_values):
     return (rel[:, None] > t[None, :]).mean(axis=0)
 
 
-def oracle_atom_line(a):
-    return (
-        f"ATOM  {_atom_id(a)}    "
-        f"{_coord(a.position[0])}{_coord(a.position[1])}{_coord(a.position[2])}"
-        f"{1.0:6.2f}{a.b_iso:6.2f}          {a.element:>2s}"
+def oracle_atom_line(s, i):
+    atom_id = (
+        f"{_int_col(int(s.serials[i]), 5, 'serial')} "
+        f"{_format_atom_name(s.names[i], s.elements[i])} "
+        f"{s.residue_names[i]:>3s} {s.chain_ids[i]}"
+        f"{_int_col(int(s.residue_seqs[i]), 4, 'residue number')}"
     )
+    position = s.coords[i]
+    return (
+        f"ATOM  {atom_id}    "
+        f"{_coord(position[0])}{_coord(position[1])}{_coord(position[2])}"
+        f"{1.0:6.2f}{s.b_iso[i]:6.2f}          {s.elements[i]:>2s}"
+    )
+
+
+def oracle_write_pdb(s):
+    """The former per-atom write_pdb loop over one structure."""
+    lines = []
+    for i in range(s.n_atoms):
+        lines.append(oracle_atom_line(s, i))
+        if s.has_aniso[i]:
+            atom_id = oracle_atom_line(s, i)[6:26]
+            u = np.rint(np.asarray(s.b_aniso[i]) / EIGHT_PI_SQ * 1e4).astype(int)
+            lines.append(f"ANISOU{atom_id}  "
+                         f"{u[0]:7d}{u[1]:7d}{u[2]:7d}{0:7d}{0:7d}{0:7d}      {s.elements[i]:>2s}")
+        if i + 1 == s.n_atoms or s.chain_ids[i + 1] != s.chain_ids[i]:
+            lines.append("TER")
+    lines.append("END")
+    return "\n".join(lines) + "\n"
 
 
 def oracle_write_pdb_models(s, positions_list, model_numbers=None):
@@ -160,8 +186,8 @@ def oracle_write_pdb_models(s, positions_list, model_numbers=None):
     for num, positions in zip(model_numbers, positions_list):
         lines.append(f"MODEL     {num:4d}")
         moved = s.with_positions(positions)
-        for a in moved.atoms:
-            lines.append(oracle_atom_line(a))
+        for i in range(moved.n_atoms):
+            lines.append(oracle_atom_line(moved, i))
         lines.append("ENDMDL")
     lines.append("END")
     return "\n".join(lines) + "\n"
@@ -214,7 +240,7 @@ def oracle_point_cloud(positions, radii, probe=1.4, n_points=960):
 def oracle_surface_deviation(reference_points, e, probe=1.4, n_points=960):
     reference_points = np.asarray(reference_points, dtype=float)
     accepted = e.accepted()
-    radii = np.array([atom.vdw_radius for atom in e.source.atoms])
+    radii = e.source.radii
     total = np.zeros(reference_points.shape[0])
     for c in accepted:
         cloud = oracle_point_cloud(c.positions, radii, probe, n_points)
@@ -239,7 +265,7 @@ CASES = [(60, 1), (140, 2), (233, 3)]
 @pytest.mark.parametrize("n_atoms, seed", CASES)
 def test_volume_matches_former_loop(n_atoms, seed):
     s = lattice_structure(n_atoms, seed)
-    radii = np.array([a.vdw_radius for a in s.atoms])
+    radii = s.radii
     for k, sigma in enumerate((0.0, 0.2, 0.7)):
         pos = jittered(s, 10 * seed + k, sigma)
         for spacing in (0.3, 0.5, 0.77, 1.0):
@@ -344,7 +370,7 @@ def assert_delta_area_matches(pos, radii, n_a, probe, n_points):
 @pytest.mark.parametrize("n_atoms, seed, sigma", [(150, 1, 0.3), (300, 2, 0.6), (1000, 3, 0.2)])
 def test_sasa_matches_former_loop(n_atoms, seed, sigma):
     s = lattice_structure(n_atoms, seed)
-    radii = np.array([a.vdw_radius for a in s.atoms])
+    radii = s.radii
     pos = jittered(s, seed, sigma)
     for probe, n_points in ((1.4, 960), (0.0, 32), (1.4, 32)):
         if n_atoms == 1000 and n_points == 960:
@@ -357,7 +383,7 @@ def test_sasa_matches_former_loop(n_atoms, seed, sigma):
 
 def test_sasa_matches_former_loop_at_960_points():
     s = lattice_structure(300, 4)
-    radii = np.array([a.vdw_radius for a in s.atoms])
+    radii = s.radii
     pos = jittered(s, 4, 0.4)
     assert_sasa_matches(pos, radii, 1.4, 960)
     assert_sasa_matches(pos, radii, 0.0, 960)
@@ -387,7 +413,7 @@ def test_sasa_matches_former_loop_on_edge_cases():
 
 def test_surface_deviation_matches_former_loop():
     s = lattice_structure(60, 6)
-    reference = oracle_point_cloud(s.positions(), [a.vdw_radius for a in s.atoms], 1.4, 64)
+    reference = oracle_point_cloud(s.positions(), s.radii, 1.4, 64)
     confs = tuple(
         Conformer(jittered(s, 60 + k, 0.3), k, accepted=k != 1,
                   rejection_reason=None if k != 1 else "clash")
@@ -407,6 +433,17 @@ def test_write_pdb_models_matches_former_rebuild():
     assert write_pdb_models(s, frames) == oracle_write_pdb_models(s, frames)
     assert (write_pdb_models(s, frames, [3, 9, 27, 81])
             == oracle_write_pdb_models(s, frames, [3, 9, 27, 81]))
+
+
+def test_write_pdb_matches_former_loop():
+    s = lattice_structure(140, 5)
+    rng = np.random.default_rng(5)
+    s = replace(s, b_iso=rng.uniform(0.0, 99.0, s.n_atoms),
+                b_aniso=rng.uniform(0.0, 99.0, (s.n_atoms, 3)),
+                has_aniso=rng.random(s.n_atoms) < 0.3,
+                chain_ids=["A" if i < 50 else "B" if i < 90 else "C" for i in range(s.n_atoms)])
+    assert 0 < s.has_aniso.sum() < s.n_atoms
+    assert write_pdb(s) == oracle_write_pdb(s)
 
 
 @pytest.mark.parametrize("bad", [
