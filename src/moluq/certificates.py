@@ -66,9 +66,6 @@ class CertificateTable:
             if later > earlier + 1e-12:
                 raise ValueError("epsilons must be non-increasing in t")
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.epsilons, dtype=float)
-
 
 @dataclass(frozen=True)
 class SaturationReport:

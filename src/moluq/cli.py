@@ -218,12 +218,25 @@ def _split_chains(s: molio.Structure, cfg):
     return idx_a, idx_b
 
 
+def _ensemble_models(cfg, s: molio.Structure) -> tuple[str, np.ndarray]:
+    """Path and (m, n, 3) models of the run's ensemble file, whose models must
+    list the serials of the structure ``s`` in its order."""
+    ensemble_path = _resolve_input(cfg, "ensemble",
+                                   default=str(Path(cfg["out"]) / "ensemble.pdb"))
+    first, coords = molio.parse_pdb_models(_read_text(ensemble_path))
+    got, want = first.serials.tolist(), s.serials.tolist()
+    if got != want:
+        pair = next(((g, w) for g, w in zip(got, want) if g != w), None)
+        what = (f"serial {pair[0]} where the structure lists serial {pair[1]}" if pair
+                else f"{len(got)} atoms where the structure lists {len(want)}")
+        raise ValueError(f"{ensemble_path}: ensemble lists {what}")
+    return ensemble_path, coords
+
+
 def run_qoi(cfg) -> list[str]:
     out = _out_dir(cfg)
     s = _load_structure(cfg)
-    ensemble_path = _resolve_input(cfg, "ensemble",
-                                   default=str(Path(cfg["out"]) / "ensemble.pdb"))
-    _, coords = molio.parse_pdb_models(_read_text(ensemble_path))
+    ensemble_path, coords = _ensemble_models(cfg, s)
     kinds = [qoi.QOIKind(k) for k in cfg["qoi"]]
     qcfg = _qoi_config(cfg)
     idx_a, idx_b = _split_chains(s, cfg)
@@ -237,8 +250,6 @@ def run_qoi(cfg) -> list[str]:
         group_b = qoi.AtomSet.from_structure(s.subset(idx_b))
 
     def evaluate(positions) -> dict[str, float]:
-        if positions.shape != (s.n_atoms, 3):
-            raise ValueError("positions shape does not match structure")
         row = {}
         for kind in kinds:
             if kind.is_delta:
@@ -473,10 +484,7 @@ def run_bindsite(cfg) -> list[str]:
 
 def _load_ensemble(cfg) -> conformers.Ensemble:
     s = _load_structure(cfg)
-    ensemble_path = _resolve_input(cfg, "ensemble",
-                                   default=str(Path(cfg["out"]) / "ensemble.pdb"))
-    _, coords = molio.parse_pdb_models(_read_text(ensemble_path))
-    return _ensemble_of(s, coords, cfg)
+    return _ensemble_of(s, _ensemble_models(cfg, s)[1], cfg)
 
 
 def run_volmap(cfg) -> list[str]:

@@ -1,10 +1,12 @@
-"""Pair layer: neighbour search under a cutoff and bonded-exclusion masks.
+"""Pair layer: neighbour search under a cutoff, bonded-exclusion masks and
+all-pairs sums in bounded memory.
 
 An unordered atom pair (i, j) with i < j < n is encoded as the int64 code
 i*n + j, so sorting by code lists pairs in row-major upper-triangle order,
 the order ``np.triu_indices(n, k=1)`` produces.  Callers keep that order, so
 every sum and every first-argmin over pairs runs exactly as over the dense
-upper triangle.
+upper triangle.  :func:`tree_sum` adds a sequence of terms with the bits of
+one ``np.sum`` while building only a bounded range of it at a time.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ _RADIUS_SLACK = 1e-9
 # rounding of (p - lo) / side, which is below 1e-11 cell widths when a box
 # spans at most 2**16 cells.
 _CELL_MARGIN = 1.0 + 1e-6
+
+# numpy sums a contiguous float64 array pairwise (Higham 1993): a range of
+# m > 128 values splits at m//2 - (m//2) % 8 and the sums of the two halves
+# are added.  tree_sum splits the same way down to ranges of at most this
+# many values (256 KiB of float64) and sums each with np.sum.
+_TREE_LEAF = 2**15
 
 # The self cell and the 13 neighbour cells that come after it in (x, y, z)
 # order: each unordered pair of adjacent cells is searched once.
@@ -41,11 +49,6 @@ def exclusion_codes(exclusions, n: int) -> np.ndarray:
     i, j = ij[:, 0], ij[:, 1]
     keep = (0 <= i) & (i < j) & (j < n) & (i == np.floor(i)) & (j == np.floor(j))
     return np.unique(i[keep].astype(np.int64) * n + j[keep].astype(np.int64))
-
-
-def not_excluded(ii, jj, n: int, exclusions) -> np.ndarray:
-    """Boolean mask over the pairs (ii[k], jj[k]): True where not excluded."""
-    return not_in_codes(ii, jj, n, exclusion_codes(exclusions, n))
 
 
 def not_in_codes(ii, jj, n: int, codes: np.ndarray) -> np.ndarray:
@@ -109,3 +112,54 @@ def cutoff_pairs(positions, max_cutoff: float):
     ii, jj = ii[by_code], jj[by_code]
     dist = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
     return ii, jj, dist
+
+
+def tree_sum(count: int, terms) -> float:
+    """``float(np.sum(x))`` for a float64 array x of ``count`` terms, built in ranges.
+
+    ``terms(lo, hi)`` returns x[lo:hi] as a contiguous float64 array.  The
+    range [0, count) splits where numpy's pairwise sum splits it, down to
+    leaves of at most 2**15 terms, and each leaf is summed by np.sum; the
+    result has the bits of one np.sum over all of x, while only one leaf is
+    held at a time.  Leaves are built left to right, so the first error
+    ``terms`` raises is the one a pass over all of x would raise first.
+    """
+    def part(lo: int, m: int):
+        if m <= _TREE_LEAF:
+            return np.sum(terms(lo, lo + m))
+        h = m // 2 - (m // 2) % 8
+        return part(lo, h) + part(lo + h, m - h)
+
+    return float(part(0, count))
+
+
+def triu_pairs(n: int, codes: np.ndarray):
+    """The pairs i < j < n whose code is not in ``codes``, by ranges of the list.
+
+    Returns (count, pairs): ``pairs(lo, hi)`` gives the (ii, jj) index arrays
+    of kept pairs lo..hi-1 in upper-triangle order, building nothing outside
+    the range.  Kept pair t is pair t + c of the full triangle, where c counts
+    the excluded pairs before it: those whose triangle index less their rank
+    among the codes is at most t.  ``codes`` is as built by
+    :func:`exclusion_codes`.
+    """
+    rows = np.arange(n + 1, dtype=np.int64)
+    row_start = rows * n - rows * (rows + 1) // 2  # triangle index of pair (i, i + 1)
+    ci, cj = np.divmod(codes, n)
+    excluded = row_start[ci] + (cj - ci - 1)
+    kept_before = excluded - np.arange(excluded.size)
+
+    def pairs(lo: int, hi: int):
+        k_lo, k_hi = np.searchsorted(kept_before, [lo, hi - 1], side="right")
+        u_lo, u_hi = lo + k_lo, hi + k_hi
+        first, last = np.searchsorted(row_start, [u_lo, u_hi - 1], side="right") - 1
+        spanned = np.arange(first, last + 1)
+        per_row = (np.minimum(row_start[spanned + 1], u_hi)
+                   - np.maximum(row_start[spanned], u_lo))
+        ii = np.repeat(spanned, per_row)
+        jj = np.arange(u_lo, u_hi) - row_start[ii] + ii + 1
+        keep = np.ones(ii.size, dtype=bool)
+        keep[excluded[k_lo:k_hi] - u_lo] = False
+        return ii[keep], jj[keep]
+
+    return n * (n - 1) // 2 - codes.size, pairs

@@ -8,7 +8,10 @@ f(A+B) - f(A) - f(B), and per-surface-point deviation statistics over an
 ensemble.
 
 All evaluators are pure and deterministic; pairwise sums use a fixed order
-so results do not depend on how work is scheduled.
+so results do not depend on how work is scheduled.  The all-pairs energies
+build their pair terms in bounded ranges and add them with
+:func:`moluq.pairs.tree_sum`, with the bits of one ``np.sum`` over all
+pairs and no n x n temporary.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ import numpy as np
 
 from moluq.molio import Structure, bonded_exclusions
 from moluq.conformers import Ensemble
-from moluq.pairs import cutoff_pairs, not_excluded
+from moluq.pairs import cutoff_pairs, exclusion_codes, tree_sum, triu_pairs
 from moluq.vizgrid import cover_spheres, padded_box
 
 COULOMB_CONSTANT = 332.0636  # kcal mol^-1 A e^-2
 
-# Caps the values held by each temporary of the SASA point tests (256 KiB of
-# float64); on a 4 MiB L2 cache 2**15 ran about 15% faster than 2**16 or more.
+# Caps the values held by each temporary of the SASA point tests and of the
+# Born-radius row blocks (256 KiB of float64); on a 4 MiB L2 cache 2**15 ran
+# about 15% faster than 2**16 or more in the SASA tests.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -127,23 +131,35 @@ class AtomSet:
         )
 
 
-def _pair_arrays(n: int, exclusions):
-    """Index arrays of the unordered (i < j) pairs a sum runs over, minus exclusions."""
-    ii, jj = np.triu_indices(n, k=1)
-    if exclusions:
-        keep = not_excluded(ii, jj, n, exclusions)
-        ii, jj = ii[keep], jj[keep]
-    return ii, jj
+def _squared_distances(xyz, ii, jj) -> np.ndarray:
+    """(dx**2 + dy**2) + dz**2 between points ii and jj of the (3, n) array
+    ``xyz``: the order in which ``((p_i - p_j)**2).sum(axis=-1)`` adds x, y, z,
+    without its slow reduction over a length-3 axis."""
+    x, y, z = xyz
+    return ((x[ii] - x[jj]) ** 2 + (y[ii] - y[jj]) ** 2) + (z[ii] - z[jj]) ** 2
 
 
-def _pair_distances(positions, ii, jj, context: str) -> np.ndarray:
-    d = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
-    if np.any(d == 0.0):
-        bad = int(np.argmax(d == 0.0))
-        raise ValueError(
-            f"{context}: coincident atoms at pair ({int(ii[bad])}, {int(jj[bad])})"
-        )
-    return d
+def _pair_sum(positions, exclusions, context: str, pair_terms) -> float:
+    """Sum of ``pair_terms(ii, jj, r)`` over the pairs i < j not in
+    ``exclusions``, in upper-triangle order, by :func:`tree_sum`.
+
+    A pair at distance 0 raises ``ValueError`` naming the first such pair.
+    """
+    xyz = np.asarray(positions, dtype=float).T.copy()
+    n = xyz.shape[1]
+    count, pairs = triu_pairs(n, exclusion_codes(exclusions, n))
+
+    def terms(lo, hi):
+        ii, jj = pairs(lo, hi)
+        r = np.sqrt(_squared_distances(xyz, ii, jj))
+        if np.any(r == 0.0):
+            bad = int(np.argmax(r == 0.0))
+            raise ValueError(
+                f"{context}: coincident atoms at pair ({int(ii[bad])}, {int(jj[bad])})"
+            )
+        return pair_terms(ii, jj, r)
+
+    return tree_sum(count, terms) if count else 0.0
 
 
 def _lj_atom_terms(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -169,28 +185,25 @@ def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
     All pairs except the bonded ``exclusions`` contribute.  Per-atom depth
     and minimum distance are computed once and gathered per pair.
     """
-    positions = np.asarray(positions, dtype=float)
-    ii, jj = _pair_arrays(positions.shape[0], exclusions)
-    if len(ii) == 0:
-        return 0.0
-    r = _pair_distances(positions, ii, jj, "lj_energy")
     eps, rmin = _lj_atom_terms(lj_a, lj_b)
-    a_ij, b_ij = _lj_pair_terms(eps[ii], rmin[ii], eps[jj], rmin[jj])
-    r6 = r**6
-    return float(np.sum(a_ij / r6**2 - b_ij / r6))
+
+    def terms(ii, jj, r):
+        a_ij, b_ij = _lj_pair_terms(eps[ii], rmin[ii], eps[jj], rmin[jj])
+        r6 = r**6
+        return a_ij / r6**2 - b_ij / r6
+
+    return _pair_sum(positions, exclusions, "lj_energy", terms)
 
 
 def coulomb_energy(positions, charges, model: CoulombModel = CoulombModel(),
                    exclusions=frozenset()) -> float:
     """Pairwise electrostatic sum C q_i q_j / (eps(r) r) (kcal/mol)."""
-    positions = np.asarray(positions, dtype=float)
     charges = np.asarray(charges, dtype=float)
-    ii, jj = _pair_arrays(positions.shape[0], exclusions)
-    if len(ii) == 0:
-        return 0.0
-    r = _pair_distances(positions, ii, jj, "coulomb_energy")
-    return float(np.sum(COULOMB_CONSTANT * charges[ii] * charges[jj]
-                        / (model.epsilon(r) * r)))
+
+    def terms(ii, jj, r):
+        return COULOMB_CONSTANT * charges[ii] * charges[jj] / (model.epsilon(r) * r)
+
+    return _pair_sum(positions, exclusions, "coulomb_energy", terms)
 
 
 def born_radii(positions, vdw_radii) -> np.ndarray:
@@ -198,7 +211,8 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
 
     1/R_i = 1/rho_i - sum_j V_j / (4 pi r_ij^4) with V_j the sphere volume of
     atom j, clamped so R_i >= rho_i / 2 (deep burial would otherwise drive
-    the inverse radius negative).
+    the inverse radius negative).  Rows i run in blocks of at most
+    ``_BLOCK_ELEMENTS`` pairs (one row when n is larger).
     """
     positions = np.asarray(positions, dtype=float)
     rho = np.asarray(vdw_radii, dtype=float)
@@ -209,14 +223,20 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
         raise ValueError("van der Waals radii must be positive")
     inv = 1.0 / rho
     if n > 1:
-        diff = positions[:, None, :] - positions[None, :, :]
-        r2 = (diff**2).sum(axis=2)
-        off = ~np.eye(n, dtype=bool)
-        if np.any(r2[off] == 0.0):
-            i, j = divmod(int(np.argmax((r2 == 0.0) & off)), n)
-            raise ValueError(f"born_radii: coincident atoms at pair ({i}, {j})")
-        descreen = np.where(off, (rho[None, :] ** 3) / (3.0 * np.where(off, r2**2, 1.0)), 0.0)
-        inv = inv - descreen.sum(axis=1)
+        xyz = positions.T.copy()
+        rho3 = rho**3
+        descreened = np.empty(n)
+        step = max(1, _BLOCK_ELEMENTS // n)
+        for lo in range(0, n, step):
+            rows = np.arange(lo, min(lo + step, n))
+            r2 = _squared_distances(xyz, rows[:, None], slice(None))
+            off = np.arange(n) != rows[:, None]
+            if np.any(r2[off] == 0.0):
+                i, j = divmod(int(np.argmax((r2 == 0.0) & off)), n)
+                raise ValueError(f"born_radii: coincident atoms at pair ({lo + i}, {j})")
+            descreen = np.where(off, rho3 / (3.0 * np.where(off, r2**2, 1.0)), 0.0)
+            descreened[rows] = descreen.sum(axis=1)
+        inv = inv - descreened
     raw = np.where(inv != 0.0, 1.0 / np.where(inv != 0.0, inv, 1.0), np.inf)
     return np.maximum(raw, rho / 2.0)
 
@@ -225,7 +245,7 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
     """Polarization energy of the analytic implicit-solvent form (kcal/mol).
 
     -(tau/2) C sum_{i,j} q_i q_j / sqrt(r^2 + R_i R_j exp(-r^2/(4 R_i R_j)))
-    over all ordered pairs including i = j; tau = 1 - 1/eps.
+    over all ordered pairs including i = j, in row-major order; tau = 1 - 1/eps.
     """
     positions = np.asarray(positions, dtype=float)
     charges = np.asarray(charges, dtype=float)
@@ -235,12 +255,17 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
     if np.any(rb <= 0):
         raise ValueError("Born radii must be positive")
     tau = 1.0 - 1.0 / solvent_dielectric
-    diff = positions[:, None, :] - positions[None, :, :]
-    r2 = (diff**2).sum(axis=2)
-    rr = rb[:, None] * rb[None, :]
-    denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
-    qq = charges[:, None] * charges[None, :]
-    return float(-(tau / 2.0) * COULOMB_CONSTANT * np.sum(qq / denom))
+    n = positions.shape[0]
+    xyz = positions.T.copy()
+
+    def terms(lo, hi):
+        ii, jj = np.divmod(np.arange(lo, hi), n)
+        r2 = _squared_distances(xyz, ii, jj)
+        rr = rb[ii] * rb[jj]
+        denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
+        return charges[ii] * charges[jj] / denom
+
+    return float(-(tau / 2.0) * COULOMB_CONSTANT * tree_sum(n * n, terms))
 
 
 def sphere_points(n: int) -> np.ndarray:

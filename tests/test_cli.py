@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from moluq.cli import main
-from moluq.molio import parse_pdb_models, write_pdb
+from moluq.molio import parse_pdb_models, write_pdb, write_pdb_models
 from conftest import make_structure
 
 
@@ -360,6 +361,20 @@ class TestVolmapModes:
         assert len(modes) == 1 + 5  # header + one row per atom
         var1 = [float(r.split(",")[1]) for r in modes[1:]]
         assert all(v >= 0 for v in var1)
+
+
+    @pytest.mark.parametrize("command", ["qoi", "volmap", "modes"])
+    def test_rejects_ensemble_of_other_serials(self, workspace, capsys, command):
+        # same atom count, serials 7..11 against the structure's 1..5
+        cfg = write_config(workspace, samples=4, seed=2, spacing=0.8, qoi=["lj"])
+        assert main(["sample", "--config", str(cfg)]) == 0
+        ensemble = workspace / "run" / "ensemble.pdb"
+        first, coords = parse_pdb_models(ensemble.read_text())
+        shifted = replace(first, serials=first.serials + 6)
+        ensemble.write_text(write_pdb_models(shifted, coords))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 3
+        assert "ensemble lists serial 7 where the structure lists serial 1" in capsys.readouterr().err
 
 
 class TestReplayAndExitCodes:

@@ -25,12 +25,13 @@ from moluq.molio import (
     bonded_exclusions,
     detect_bonds,
 )
-from moluq.pairs import cutoff_pairs, exclusion_codes, not_excluded
+from moluq.pairs import cutoff_pairs, exclusion_codes, not_in_codes, triu_pairs
 from moluq.qoi import (
     COULOMB_CONSTANT,
     CoulombModel,
-    _pair_arrays,
+    born_radii,
     coulomb_energy,
+    gb_polarization,
     lj_energy,
     sasa,
 )
@@ -222,7 +223,7 @@ def test_exclusion_codes_drop_malformed_entries():
     assert exclusion_codes(entries, n).tolist() == [0 * n + 1, 1 * n + 5]
     assert exclusion_codes(frozenset(), n).dtype == np.int64
     ii, jj = np.triu_indices(n, k=1)
-    mask = not_excluded(ii, jj, n, entries)
+    mask = not_in_codes(ii, jj, n, exclusion_codes(entries, n))
     assert mask.tolist() == [(int(i), int(j)) not in entries for i, j in zip(ii, jj)]
 
 
@@ -308,14 +309,22 @@ def test_ensemble_builds_exclusions_once(monkeypatch, mode, n_atoms):
 
 
 @pytest.mark.parametrize("n_atoms, seed", CASES)
-def test_pair_arrays_match_oracle_with_malformed_exclusions(n_atoms, seed):
+def test_triu_pairs_match_oracle_with_malformed_exclusions(n_atoms, seed):
     s = lattice_structure(n_atoms, seed)
     n = s.n_atoms
     base = bonded_exclusions(s)
     odd = {(7, 3), (-1, 4), (5, n), (n + 2, n + 9), (2, 2), (-3, -1)}
     for exclusions in (frozenset(), base, base | odd, frozenset(odd)):
-        got, want = _pair_arrays(n, exclusions), oracle_pair_arrays(n, exclusions)
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        want = oracle_pair_arrays(n, exclusions)
+        count, pairs = triu_pairs(n, exclusion_codes(exclusions, n))
+        assert count == len(want[0])
+        # the whole list, and the list cut into ranges that start and end
+        # inside rows, on excluded pairs and at the last pair
+        for step in (count, 1000, 97, 13):
+            cuts = list(range(0, count, step)) + [count]
+            got = [pairs(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            assert np.array_equal(np.concatenate([g[0] for g in got]), want[0])
+            assert np.array_equal(np.concatenate([g[1] for g in got]), want[1])
 
 
 @pytest.mark.parametrize("n_atoms, seed", CASES)
@@ -366,3 +375,18 @@ def test_sasa_stays_below_n_squared_memory_at_3000_atoms():
     s = assign_params(make_structure(lattice(n), element=cycled_elements(n)),
                       ParamTable.default())
     assert _traced_peak_mib(sasa, perturbed(s, 1, 0.2), s.radii, 1.4, 960) < 32.0
+
+
+def test_all_pairs_energies_stay_below_n_squared_memory_at_3000_atoms():
+    # the dense kernels built n x n blocks: at 1,000 atoms born_radii peaked
+    # at 53 MiB and gb_polarization at 61 MiB, and the blocks grow as n**2
+    n = 3000
+    s = assign_params(make_structure(lattice(n), element=cycled_elements(n)),
+                      ParamTable.default())
+    s = detect_bonds(s)
+    pos, excl = perturbed(s, 2, 0.2), bonded_exclusions(s)
+    assert _traced_peak_mib(lj_energy, pos, s.lj_a, s.lj_b, excl) < 16.0
+    assert _traced_peak_mib(coulomb_energy, pos, s.charges, CoulombModel(), excl) < 16.0
+    assert _traced_peak_mib(born_radii, pos, s.radii) < 16.0
+    rb = born_radii(pos, s.radii)
+    assert _traced_peak_mib(gb_polarization, pos, s.charges, rb, 80.0) < 16.0
