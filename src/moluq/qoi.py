@@ -403,8 +403,8 @@ def volume(positions, radii, spacing: float) -> float:
     The grid covers the bounding box padded by max radius + spacing; a voxel
     counts when its center lies inside any atom sphere.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError("spacing must be finite and positive")
     positions = np.asarray(positions, dtype=float)
     if positions.shape[0] == 0:
         return 0.0

@@ -7,6 +7,7 @@ viewer command script.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,12 @@ class ScalarGrid:
         return self.values.reshape(nz, ny, nx).transpose(2, 1, 0)
 
 
+# stencil voxels tested per block of atoms in cover_spheres
+_STENCIL_BLOCK = 2**15
+# values formatted per chunk in write_grid; a multiple of 3, so chunks end on a line
+_WRITE_CHUNK = 3 * 2**12
+
+
 def padded_box(points, radii, spacing: float) -> tuple[np.ndarray, np.ndarray]:
     """Lower corner and voxel counts of the box around ``points`` padded by max radius + spacing."""
     pad = float(radii.max()) + spacing
@@ -63,16 +70,40 @@ def padded_box(points, radii, spacing: float) -> tuple[np.ndarray, np.ndarray]:
 
 def cover_spheres(positions, radii, lo, spacing: float, dims) -> np.ndarray:
     """Boolean (nx, ny, nz) grid: True where the voxel centre lo + (k + 1/2) * spacing
-    lies inside or on any atom sphere."""
+    lies inside or on any atom sphere.
+
+    Each atom tests the voxels of its own box, clipped to the grid.  Atoms run
+    in blocks against one stencil as wide as the widest box; stencil voxels
+    outside an atom's box get an infinite offset, so they never pass the test.
+    """
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    radii = np.asarray(radii, dtype=float).reshape(-1, 1)
     origin = lo + 0.5 * spacing
     covered = np.zeros(tuple(dims), dtype=bool)
-    for p, r in zip(positions, radii):
-        i_lo = np.maximum(np.floor((p - r - lo) / spacing - 0.5).astype(int), 0)
-        i_hi = np.minimum(np.ceil((p + r - lo) / spacing + 0.5).astype(int), dims - 1)
-        cts = [origin[ax] + np.arange(i_lo[ax], i_hi[ax] + 1) * spacing - p[ax]
-               for ax in range(3)]
-        d2 = cts[0][:, None, None] ** 2 + cts[1][None, :, None] ** 2 + cts[2][None, None, :] ** 2
-        covered[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1] |= d2 <= r * r
+    i_lo = np.maximum(np.floor((positions - radii - lo) / spacing - 0.5).astype(int), 0)
+    i_hi = np.minimum(np.ceil((positions + radii - lo) / spacing + 0.5).astype(int), dims - 1)
+    widths = i_hi - i_lo + 1
+    stencil_shape = widths.max(axis=0, initial=0)
+    if np.any(stencil_shape <= 0):
+        return covered
+    strides = np.array([dims[1] * dims[2], dims[2], 1])
+    steps = [np.arange(w) for w in stencil_shape]
+    stencil_flat = (steps[0][:, None, None] * strides[0] + steps[1][None, :, None] * strides[1]
+                    + steps[2][None, None, :])
+    base_flat = i_lo @ strides
+    r2 = (radii * radii)[:, :, None, None]
+    block = max(1, _STENCIL_BLOCK // stencil_flat.size)
+    flat_covered = covered.reshape(-1)
+    for start in range(0, positions.shape[0], block):
+        sl = slice(start, start + block)
+        sq = []
+        for ax in range(3):
+            ct = origin[ax] + (i_lo[sl, ax, None] + steps[ax]) * spacing - positions[sl, ax, None]
+            ct[steps[ax] >= widths[sl, ax, None]] = np.inf
+            sq.append(ct ** 2)
+        d2 = sq[0][:, :, None, None] + sq[1][:, None, :, None] + sq[2][:, None, None, :]
+        flat = base_flat[sl, None, None, None] + stencil_flat
+        flat_covered[flat[d2 <= r2[sl]]] = True
     return covered
 
 
@@ -83,8 +114,8 @@ def occupancy_map(e: Ensemble, spacing: float, radius_mode="vdw") -> ScalarGrid:
     voxel center.  ``radius_mode`` is "vdw" (per-atom radii from the source
     structure) or a fixed radius in Angstrom.
     """
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
+    if not (math.isfinite(spacing) and spacing > 0):
+        raise ValueError("spacing must be finite and positive")
     accepted = e.accepted()
     if not accepted:
         raise ValueError("ensemble has no accepted conformers")
@@ -93,9 +124,10 @@ def occupancy_map(e: Ensemble, spacing: float, radius_mode="vdw") -> ScalarGrid:
     if radius_mode == "vdw":
         radii = e.source.radii
     else:
-        radii = np.full(e.source.n_atoms, float(radius_mode))
-        if radii[0] <= 0:
-            raise ValueError("fixed radius must be positive")
+        radius = float(radius_mode)
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError("fixed radius must be finite and positive")
+        radii = np.full(e.source.n_atoms, radius)
     lo, dims = padded_box(np.concatenate([c.positions for c in accepted]), radii, spacing)
     counts = np.zeros(tuple(dims), dtype=np.int64)
     for c in accepted:
@@ -143,10 +175,21 @@ def write_grid(g: ScalarGrid) -> str:
     ]
     # file order: x slowest, z fastest
     data = g.as_3d().reshape(-1)
-    for start in range(0, data.size, 3):
-        lines.append(" ".join(f"{v:.6g}" for v in data[start:start + 3]))
-    lines.append('attribute "dep" string "positions"')
-    return "\n".join(lines) + "\n"
+    # three values to a line; the grid's last value always ends its line
+    seps = np.array([" ", " ", "\n"] * (_WRITE_CHUNK // 3), dtype=object)
+    chunks = ["\n".join(lines) + "\n"]
+    for start in range(0, data.size, _WRITE_CHUNK):
+        # format each distinct bit pattern once: keying on bits keeps -0.0 apart from 0.0
+        keys, inverse = np.unique(data[start:start + _WRITE_CHUNK].view(np.int64),
+                                  return_inverse=True)
+        table = np.array([f"{v:.6g}" for v in keys.view(np.float64).tolist()], dtype=object)
+        tokens = np.empty(2 * inverse.size, dtype=object)
+        tokens[0::2] = table[inverse]
+        tokens[1::2] = seps[:inverse.size]
+        tokens[-1] = "\n"
+        chunks.append("".join(tokens.tolist()))
+    chunks.append('attribute "dep" string "positions"\n')
+    return "".join(chunks)
 
 
 def read_grid(text: str) -> ScalarGrid:

@@ -362,6 +362,20 @@ class TestVolmapModes:
         var1 = [float(r.split(",")[1]) for r in modes[1:]]
         assert all(v >= 0 for v in var1)
 
+    @pytest.mark.parametrize("key, message", [
+        ("spacing", "spacing must be finite and positive"),
+        ("radius_mode", "fixed radius must be finite and positive"),
+    ])
+    def test_volmap_rejects_nan_config(self, workspace, capsys, key, message):
+        # json reads the bare NaN token; before, volmap wrote an all-zero 1x1x1 grid
+        cfg = write_config(workspace, samples=4, seed=2, spacing=0.8)
+        assert main(["sample", "--config", str(cfg)]) == 0
+        cfg = write_config(workspace, samples=4, seed=2, **{"spacing": 0.8, key: math.nan})
+        assert f'"{key}": NaN' in cfg.read_text()
+        capsys.readouterr()
+        assert main(["volmap", "--config", str(cfg)]) == 3
+        assert message in capsys.readouterr().err
+        assert not (workspace / "run" / "occupancy.dx").exists()
 
     @pytest.mark.parametrize("command", ["qoi", "volmap", "modes"])
     def test_rejects_ensemble_of_other_serials(self, workspace, capsys, command):

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,12 +10,14 @@ from moluq.vizgrid import (
     GridFormatError,
     ScalarGrid,
     colormap_export,
+    cover_spheres,
     grid_statistics,
     occupancy_map,
+    padded_box,
     read_grid,
     write_grid,
 )
-from conftest import make_structure
+from conftest import lattice, make_structure
 
 GOLDEN_1x1x1 = """object 1 class gridpositions counts 1 1 1
 origin 0.25 0.25 0.25
@@ -196,3 +201,210 @@ class TestColormap:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             colormap_export([1], [np.nan])
+
+
+# ---------------------------------------------------------------- former loops
+
+def loop_cover_spheres(positions, radii, lo, spacing, dims):
+    """The per-atom rasterizer that the blocked stencil pass replaced, verbatim."""
+    origin = lo + 0.5 * spacing
+    covered = np.zeros(tuple(dims), dtype=bool)
+    for p, r in zip(positions, radii):
+        i_lo = np.maximum(np.floor((p - r - lo) / spacing - 0.5).astype(int), 0)
+        i_hi = np.minimum(np.ceil((p + r - lo) / spacing + 0.5).astype(int), dims - 1)
+        cts = [origin[ax] + np.arange(i_lo[ax], i_hi[ax] + 1) * spacing - p[ax]
+               for ax in range(3)]
+        d2 = cts[0][:, None, None] ** 2 + cts[1][None, :, None] ** 2 + cts[2][None, None, :] ** 2
+        covered[i_lo[0]:i_hi[0] + 1, i_lo[1]:i_hi[1] + 1, i_lo[2]:i_hi[2] + 1] |= d2 <= r * r
+    return covered
+
+
+def loop_write_grid(g):
+    """The per-value OpenDX writer that the chunked table lookup replaced, verbatim."""
+    nx, ny, nz = g.dims
+    lines = [
+        f"object 1 class gridpositions counts {nx} {ny} {nz}",
+        f"origin {g.origin[0]:.6g} {g.origin[1]:.6g} {g.origin[2]:.6g}",
+        f"delta {g.spacing:.6g} 0 0",
+        f"delta 0 {g.spacing:.6g} 0",
+        f"delta 0 0 {g.spacing:.6g}",
+        f"object 2 class gridconnections counts {nx} {ny} {nz}",
+        f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
+    ]
+    data = g.as_3d().reshape(-1)
+    for start in range(0, data.size, 3):
+        lines.append(" ".join(f"{v:.6g}" for v in data[start:start + 3]))
+    lines.append('attribute "dep" string "positions"')
+    return "\n".join(lines) + "\n"
+
+
+def traced_peak(fn, *args):
+    """(result, tracemalloc peak in bytes above the memory held before the call)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def jittered_lattice(n_atoms, seed, sigma=0.3):
+    rng = np.random.default_rng(seed)
+    return lattice(n_atoms) + rng.normal(scale=sigma, size=(n_atoms, 3))
+
+
+def assert_covers_like_loop(positions, radii, lo, spacing, dims):
+    positions = np.asarray(positions, dtype=float).reshape(-1, 3)
+    radii = np.asarray(radii, dtype=float)
+    got = cover_spheres(positions, radii, lo, spacing, dims)
+    want = loop_cover_spheres(positions, radii, lo, spacing, dims)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    return got
+
+
+class TestCoverSpheresAgainstLoop:
+    @pytest.mark.parametrize("spacing", [0.3, 1.0])
+    def test_padded_box_with_mixed_vdw_radii(self, spacing):
+        pos = jittered_lattice(200, 1)
+        radii = np.array([1.2, 1.5, 1.7, 1.8, 1.85])[np.arange(200) % 5]
+        lo, dims = padded_box(pos, radii, spacing)
+        assert assert_covers_like_loop(pos, radii, lo, spacing, dims).any()
+
+    @pytest.mark.parametrize("spacing", [0.3, 1.0])
+    def test_box_tighter_than_padded_clips_both_ends(self, spacing):
+        pos = jittered_lattice(120, 2)
+        radii = np.full(120, 1.7)
+        lo, dims = padded_box(pos, radii, spacing)
+        # shave 3 A off every face: atoms near each face lose part of their box
+        cut = int(math.ceil(3.0 / spacing))
+        tight_lo, tight_dims = lo + cut * spacing, dims - 2 * cut
+        covered = assert_covers_like_loop(pos, radii, tight_lo, spacing, tight_dims)
+        for ax in range(3):
+            first = np.take(covered, 0, axis=ax)
+            last = np.take(covered, -1, axis=ax)
+            assert first.any() and last.any()
+
+    def test_atoms_outside_the_grid_cover_nothing(self):
+        pos = np.array([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0], [-30.0, 5.0, 0.0]])
+        lo, dims = np.array([-3.0, -3.0, -3.0]), np.array([12, 12, 12])
+        covered = assert_covers_like_loop(pos, [1.5, 1.5, 1.5], lo, 0.5, dims)
+        alone = loop_cover_spheres(pos[:1], np.array([1.5]), lo, 0.5, dims)
+        assert np.array_equal(covered, alone)
+
+    @pytest.mark.parametrize("spacing", [0.3, 1.0])
+    def test_one_atom_much_larger_than_the_rest(self, spacing):
+        pos = jittered_lattice(60, 3)
+        radii = np.full(60, 1.5)
+        radii[17] = 9.0
+        lo, dims = padded_box(pos, radii, spacing)
+        assert_covers_like_loop(pos, radii, lo, spacing, dims)
+        # the large atom last, and a grid that clips it
+        radii[17], radii[-1] = 1.5, 9.0
+        assert_covers_like_loop(pos, radii, lo + 4.0, spacing, dims - int(8.0 / spacing))
+
+    @pytest.mark.parametrize("spacing", [0.3, 1.0])
+    def test_zero_radius_single_and_no_atoms(self, spacing):
+        lo, dims = np.array([-2.0, -2.0, -2.0]), np.array([9, 9, 9])
+        # a zero radius covers only a voxel centred exactly on the atom
+        centre = lo + 0.5 * spacing + np.array([3, 4, 5]) * spacing
+        hit = assert_covers_like_loop([centre], [0.0], lo, spacing, dims)
+        assert hit.sum() == 1 and hit[3, 4, 5]
+        assert not assert_covers_like_loop([centre + 0.01], [0.0], lo, spacing, dims).any()
+        pos = jittered_lattice(30, 4)[:, :] * 0.1
+        radii = np.where(np.arange(30) % 3 == 0, 0.0, 0.8)
+        assert_covers_like_loop(pos, radii, lo, spacing, dims)
+        assert_covers_like_loop([[0.1, 0.2, -0.3]], [1.1], lo, spacing, dims)
+        empty = assert_covers_like_loop(np.zeros((0, 3)), np.zeros(0), lo, spacing, dims)
+        assert empty.shape == (9, 9, 9) and not empty.any()
+
+    @pytest.mark.parametrize("spacing", [0.3, 1.0])
+    def test_voxel_centre_exactly_on_the_sphere(self, spacing):
+        # the atom sits on voxel (5, 5, 5) and r is the computed x offset of
+        # voxel (7, 5, 5), so that voxel has d2 == r * r exactly; `<=` counts it
+        lo = np.zeros(3)
+        dims = np.array([11, 11, 11])
+        origin = lo + 0.5 * spacing
+        centre = origin + 5 * spacing
+        r = origin[0] + 7 * spacing - centre[0]
+        covered = assert_covers_like_loop([centre], [r], lo, spacing, dims)
+        assert covered[7, 5, 5] and covered[5, 5, 7]
+        assert not covered[8, 5, 5]
+
+    def test_ensemble_conformers(self):
+        pos = jittered_lattice(300, 5)
+        radii = np.array([1.7, 1.55, 1.52, 1.8, 1.2])[np.arange(300) % 5]
+        rng = np.random.default_rng(6)
+        confs = [pos + rng.normal(scale=0.4, size=pos.shape) for _ in range(4)]
+        lo, dims = padded_box(np.concatenate(confs), radii, 0.5)
+        for c in confs:
+            assert_covers_like_loop(c, radii, lo, 0.5, dims)
+
+    def test_block_temporaries_stay_bounded_at_3000_atoms(self):
+        # the stencil pass works on blocks of about 2**15 voxels, so the peak
+        # above the output grid must not grow with the atom count
+        pos = jittered_lattice(3000, 7)
+        radii = np.array([1.7, 1.55, 1.52, 1.8, 1.2])[np.arange(3000) % 5]
+        lo, dims = padded_box(pos, radii, 0.5)
+        covered, peak = traced_peak(cover_spheres, pos, radii, lo, 0.5, dims)
+        assert (peak - covered.nbytes) / 2**20 < 4.0
+        assert covered.any()
+
+
+class TestWriteGridAgainstLoop:
+    def test_signed_zeros_and_nan(self):
+        values = np.array([0.0, -0.0, np.nan, 1.0, -np.nan, -0.0, 1e-300, -1e300,
+                           np.inf, -np.inf, 0.1234567, 5e-5])
+        g = unit_grid(values, (2, 3, 2))
+        text = write_grid(g)
+        assert text == loop_write_grid(g)
+        data = text.splitlines()[7:11]
+        assert " -0 " in " ".join(data) + " " and "nan" in text
+
+    @pytest.mark.parametrize("dims", [(7, 11, 167), (5, 13, 191), (2, 3, 4), (1, 1, 2)])
+    def test_sizes_across_chunks_and_partial_last_line(self, dims):
+        # 12,859 and 12,415 values: more than one chunk of 3 * 2**12, and one
+        # or two values left over for the last line
+        rng = np.random.default_rng(sum(dims))
+        values = rng.integers(0, 33, size=math.prod(dims)) / 32.0
+        values[::7] = -0.0
+        g = unit_grid(values, dims, spacing=0.5)
+        assert write_grid(g) == loop_write_grid(g)
+
+    def test_all_distinct_values_of_a_std_grid(self):
+        rng = np.random.default_rng(8)
+        dims = (9, 17, 101)
+        grids = [unit_grid(rng.random(math.prod(dims)), dims) for _ in range(4)]
+        _mean, std = grid_statistics(grids)
+        assert np.unique(std.values).size == std.values.size
+        assert write_grid(std) == loop_write_grid(std)
+
+    def test_peak_memory_at_most_the_loop_on_a_maps_sized_grid(self):
+        # 356,532 voxels, about the maps workload's occupancy grid
+        dims = (66, 73, 74)
+        rng = np.random.default_rng(9)
+        g = unit_grid(rng.integers(0, 33, size=math.prod(dims)) / 32.0, dims, spacing=0.5)
+        text, peak = traced_peak(write_grid, g)
+        want, loop_peak = traced_peak(loop_write_grid, g)
+        assert text == want
+        assert peak <= loop_peak
+
+
+class TestNonFiniteSizes:
+    def _ensemble(self):
+        s = make_structure([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]], vdw_radius=1.5)
+        return Ensemble(source=s, conformers=(Conformer(s.positions(), 0),), seed=0)
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_spacing(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            occupancy_map(self._ensemble(), spacing)
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            volume(np.zeros((2, 3)), [1.5, 1.5], spacing)
+
+    @pytest.mark.parametrize("radius", ["nan", "inf", math.nan, math.inf, 0.0, -1.0])
+    def test_fixed_radius(self, radius):
+        with pytest.raises(ValueError, match="fixed radius must be finite and positive"):
+            occupancy_map(self._ensemble(), 0.5, radius_mode=radius)
