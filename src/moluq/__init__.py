@@ -20,7 +20,6 @@ from moluq.molio import (
 )
 from moluq.sampling import (
     LowDiscrepancySequence,
-    sample_budget,
     sigma_from_b,
     star_discrepancy_estimate,
 )
@@ -33,8 +32,6 @@ from moluq.conformers import (
     clash_filter,
     perturb_cartesian,
     rmsd,
-    rmsd_matrix,
-    torsion_variability,
 )
 from moluq.qoi import (
     AtomSet,
@@ -48,7 +45,6 @@ from moluq.qoi import (
     gb_polarization,
     lj_energy,
     sasa,
-    surface_deviation,
     volume,
 )
 from moluq.certificates import (
@@ -85,7 +81,6 @@ from moluq.bindsite import (
 from moluq.vizgrid import (
     ScalarGrid,
     colormap_export,
-    grid_statistics,
     occupancy_map,
     read_grid,
     write_grid,

@@ -115,19 +115,18 @@ def binding_site_prob_multi(A: Structure, ensemble_b: Ensemble, poses_per_confor
                             m: ContactModel = ContactModel()) -> BindingSiteMap:
     """Contact probability averaged over N ligand configurations x k poses each.
 
-    ``poses_per_conformer`` pairs positionally with ``ensemble_b.conformers``
-    and every conformer must carry the same number of poses.
+    ``poses_per_conformer`` pairs positionally with the draws of
+    ``ensemble_b.coords`` and every draw must carry the same number of poses.
     """
-    confs = ensemble_b.conformers
     pose_lists = [list(p) for p in poses_per_conformer]
-    if len(pose_lists) != len(confs):
+    if len(pose_lists) != len(ensemble_b.coords):
         raise ValueError("need one pose list per conformer")
     if not pose_lists:
         raise ValueError("need at least one conformer")
     k = len(pose_lists[0])
     if k == 0 or any(len(p) != k for p in pose_lists):
         raise ValueError("every conformer must have the same positive pose count")
-    return _contact_map(A, [(c.positions, p) for c, p in zip(confs, pose_lists)], m)
+    return _contact_map(A, list(zip(ensemble_b.coords, pose_lists)), m)
 
 
 def inhibit_score(known_site, candidate: BindingSiteMap) -> float:

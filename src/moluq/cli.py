@@ -173,12 +173,12 @@ def run_sample(cfg) -> list[str]:
     else:
         raise UsageError(f"unknown sampling mode {cfg['mode']!r}")
 
-    accepted = ens.accepted()
-    if not accepted:
+    kept = np.flatnonzero(ens.accepted)
+    if not kept.size:
         raise ValueError("no conformer passed the clash filter; nothing to write")
-    pdb_text = molio.write_pdb_models(
-        s, [c.positions for c in accepted], [c.sample_index + 1 for c in accepted]
-    )
+    # row views, not coords[kept]: a copy of the ensemble would be live at the
+    # stage's memory peak while the text is built
+    pdb_text = molio.write_pdb_models(s, [ens.coords[i] for i in kept], (kept + 1).tolist())
     (out / "ensemble.pdb").write_text(pdb_text)
     manifest = {
         "seed": seed,
@@ -186,11 +186,9 @@ def run_sample(cfg) -> list[str]:
         "mode": cfg["mode"],
         "sequence": ens.sequence_kind,
         "clash_factor": clash,
-        "accepted": [c.sample_index for c in accepted],
-        "rejected": [
-            {"sample_index": c.sample_index, "reason": c.rejection_reason}
-            for c in ens.conformers if not c.accepted
-        ],
+        "accepted": kept.tolist(),
+        "rejected": [{"sample_index": i, "reason": reason}
+                     for i, reason in enumerate(ens.reasons) if reason is not None],
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return ["ensemble.pdb", "manifest.json"]
@@ -439,13 +437,6 @@ def _load_poses(raw) -> list[bindsite.Pose]:
     return poses
 
 
-def _ensemble_of(source: molio.Structure, coords, cfg) -> conformers.Ensemble:
-    """Rows of an (m, n, 3) model array as conformers of ``source``, in file order."""
-    confs = tuple(conformers.Conformer(positions=positions, sample_index=i)
-                  for i, positions in enumerate(coords))
-    return conformers.Ensemble(source=source, conformers=confs, seed=int(cfg["seed"]))
-
-
 def run_bindsite(cfg) -> list[str]:
     out = _out_dir(cfg)
     receptor = _load_structure(cfg)
@@ -460,8 +451,8 @@ def run_bindsite(cfg) -> list[str]:
     else:
         pose_lists = [_load_poses(raw)]
         ligand_coords = ligand_coords[:1]
-    ens = _ensemble_of(ligand, ligand_coords, cfg)
-    site_map = bindsite.binding_site_prob_multi(receptor, ens, pose_lists, model)
+    site_map = bindsite.binding_site_prob_multi(
+        receptor, conformers.Ensemble(ligand, ligand_coords), pose_lists, model)
 
     atoms = zip(receptor.serials.tolist(), receptor.chain_ids.tolist(),
                 receptor.residue_seqs.tolist(), receptor.residue_names.tolist())
@@ -484,7 +475,7 @@ def run_bindsite(cfg) -> list[str]:
 
 def _load_ensemble(cfg) -> conformers.Ensemble:
     s = _load_structure(cfg)
-    return _ensemble_of(s, _ensemble_models(cfg, s)[1], cfg)
+    return conformers.Ensemble(s, _ensemble_models(cfg, s)[1])
 
 
 def run_volmap(cfg) -> list[str]:

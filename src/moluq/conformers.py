@@ -15,7 +15,7 @@ Two sampling modes mirror the two uncertainty parameterizations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,23 +46,32 @@ class Conformer:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Conformers drawn from ``source``; ``sequence_kind`` names the
-    low-discrepancy stream that drew them (see LowDiscrepancySequence.kind)."""
+    """``m`` draws of the positions of ``source``'s atoms, in its atom order.
+
+    ``coords`` is (m, n, 3).  ``reasons`` holds one clash-filter rejection
+    reason per draw, None for a draw that was accepted; left out, every draw
+    is accepted.  ``accepted`` is the (m,) mask of draws whose reason is
+    None.  ``sequence_kind`` names the low-discrepancy stream that drew them
+    (see LowDiscrepancySequence.kind), None for an ensemble read from a file.
+    """
 
     source: Structure
-    conformers: tuple[Conformer, ...]
-    seed: int
+    coords: np.ndarray
+    reasons: tuple[str | None, ...] | None = None
     sequence_kind: str | None = None
+    accepted: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "conformers", tuple(self.conformers))
-        n = self.source.n_atoms
-        for c in self.conformers:
-            if c.positions.shape[0] != n:
-                raise ValueError("conformer atom count differs from source structure")
-
-    def accepted(self) -> list[Conformer]:
-        return [c for c in self.conformers if c.accepted]
+        coords = np.asarray(self.coords, dtype=float)
+        if coords.ndim != 3 or coords.shape[1:] != (self.source.n_atoms, 3):
+            raise ValueError(f"expected coords of shape (m, {self.source.n_atoms}, 3), "
+                             f"got {coords.shape}")
+        reasons = (None,) * len(coords) if self.reasons is None else tuple(self.reasons)
+        if len(reasons) != len(coords):
+            raise ValueError("need one rejection reason (or None) per draw")
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "reasons", reasons)
+        object.__setattr__(self, "accepted", np.array([r is None for r in reasons], dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -102,26 +111,37 @@ class TorsionGraph:
         return np.array([[d.lower, d.upper] for d in self.rotatable]).reshape(-1, 2)
 
 
-def dihedral_angle(p0, p1, p2, p3) -> float:
-    """Signed dihedral (radians, in (-pi, pi]) of four points."""
-    p0, p1, p2, p3 = (np.asarray(p) for p in (p0, p1, p2, p3))
+def _dot(a, b):
+    """Row-wise dot products of two (..., 3) stacks.
+
+    Batched matmul runs BLAS ddot on each row, which gives the bits of 1-D
+    ``np.dot`` and ``np.linalg.norm``; ``einsum`` and ``(a * b).sum(-1)``
+    round differently.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def dihedral_angle(p0, p1, p2, p3):
+    """Signed dihedral (radians, in (-pi, pi]) of four points, or row by row
+    of four (m, 3) stacks of points."""
+    p0, p1, p2, p3 = (np.asarray(p, dtype=float) for p in (p0, p1, p2, p3))
     b1 = p1 - p0
     b2 = p2 - p1
     b3 = p3 - p2
     n1 = np.cross(b1, b2)
     n2 = np.cross(b2, b3)
-    m1 = np.cross(n1, b2 / np.linalg.norm(b2))
-    return float(np.arctan2(np.dot(m1, n2), np.dot(n1, n2)))
+    m1 = np.cross(n1, b2 / np.sqrt(_dot(b2, b2))[..., None])
+    return np.arctan2(_dot(m1, n2), _dot(n1, n2))
 
 
-def _rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    u = axis / np.linalg.norm(axis)
-    k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
-    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
-
-
-def _wrap_angle(a: float) -> float:
-    return (a + math.pi) % (2.0 * math.pi) - math.pi
+def _rotations_about(axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+    """(m, 3, 3) Rodrigues rotations by ``angles`` about the rows of ``axes``."""
+    u = axes / np.sqrt(_dot(axes, axes))[:, None]
+    zero = np.zeros(len(u))
+    k = np.stack([zero, -u[:, 2], u[:, 1], u[:, 2], zero, -u[:, 0], -u[:, 1], u[:, 0], zero],
+                 axis=1).reshape(-1, 3, 3)
+    return (np.eye(3) + np.sin(angles)[:, None, None] * k
+            + (1.0 - np.cos(angles))[:, None, None] * (k @ k))
 
 
 def _downstream_of(adj, j: int, k: int) -> tuple[int, ...]:
@@ -233,34 +253,44 @@ def perturb_cartesian(s: Structure, z: np.ndarray, sigmas: np.ndarray | None = N
     return Conformer(positions=s.positions() + sigmas * z, sample_index=sample_index)
 
 
-def apply_torsions(g: TorsionGraph, angles, sample_index: int = 0) -> Conformer:
-    """Rigid-chain conformer with each free dihedral set to the given angle.
+def _set_torsions(g: TorsionGraph, angles: np.ndarray) -> np.ndarray:
+    """(m, n, 3) positions: ``g``'s structure with its free dihedrals set to
+    each row of the (m, d) ``angles``.
 
-    Dihedrals are applied in list (tree) order; every rotation moves only the
-    downstream set, so bond lengths and bond angles are preserved exactly up
-    to floating point.
+    Dihedrals are applied in list (tree) order, each to all m draws in one
+    pass; every rotation moves only the downstream set, so bond lengths and
+    bond angles are preserved exactly up to floating point.
     """
+    lower = np.array([spec.lower for spec in g.rotatable])
+    upper = np.array([spec.upper for spec in g.rotatable])
+    outside = np.argwhere(~((lower <= angles) & (angles <= upper)))
+    if outside.size:
+        draw, d = outside[0]
+        spec = g.rotatable[d]
+        raise ValueError(f"angle {angles[draw, d]} outside range [{spec.lower}, {spec.upper}] "
+                         f"for dihedral {spec.atoms}")
+    pos = np.repeat(g.structure.positions()[None], len(angles), axis=0)
+    for spec, target in zip(g.rotatable, angles.T):
+        i, j, k, l = spec.atoms
+        current = dihedral_angle(pos[:, i], pos[:, j], pos[:, k], pos[:, l])
+        delta = (target - current + math.pi) % (2.0 * math.pi) - math.pi
+        # draws already at their target stay put: (p - p_j) @ I + p_j is not p
+        rows = np.flatnonzero(delta != 0.0)
+        # +rotation about the j->k axis decreases this dihedral convention
+        rot = _rotations_about(pos[rows, k] - pos[rows, j], -delta[rows])
+        moving = np.ix_(rows, spec.downstream)
+        pivot = pos[rows, j][:, None]
+        pos[moving] = (pos[moving] - pivot) @ rot.transpose(0, 2, 1) + pivot
+    return pos
+
+
+def apply_torsions(g: TorsionGraph, angles, sample_index: int = 0) -> Conformer:
+    """Rigid-chain conformer with each free dihedral set to the given angle
+    (the one-draw case of :func:`sample_torsion_ensemble`'s kernel)."""
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (g.n_dihedrals,):
         raise ValueError(f"expected {g.n_dihedrals} angles, got shape {angles.shape}")
-    for spec, target in zip(g.rotatable, angles):
-        if not (spec.lower <= target <= spec.upper):
-            raise ValueError(
-                f"angle {target} outside range [{spec.lower}, {spec.upper}] "
-                f"for dihedral {spec.atoms}"
-            )
-    pos = g.structure.positions().copy()
-    for spec, target in zip(g.rotatable, angles):
-        i, j, k, l = spec.atoms
-        current = dihedral_angle(pos[i], pos[j], pos[k], pos[l])
-        delta = _wrap_angle(target - current)
-        if delta == 0.0:
-            continue
-        # +rotation about the j->k axis decreases this dihedral convention
-        rot = _rotation_about(pos[k] - pos[j], -delta)
-        moving = list(spec.downstream)
-        pos[moving] = (pos[moving] - pos[j]) @ rot.T + pos[j]
-    return Conformer(positions=pos, sample_index=sample_index)
+    return Conformer(positions=_set_torsions(g, angles[None])[0], sample_index=sample_index)
 
 
 def clash_filter(c: Conformer, s: Structure, factor: float = 0.6) -> Conformer:
@@ -274,40 +304,41 @@ def clash_filter(c: Conformer, s: Structure, factor: float = 0.6) -> Conformer:
     close pairs rather than n^2.  Stands in for the force-field relaxation
     step of the original accept/reject protocol.
     """
-    return _clash_filter_for(s, factor)(c)
+    reason = _clash_check(s, factor)(c.positions)
+    if reason is None:
+        return c
+    return Conformer(positions=c.positions, sample_index=c.sample_index,
+                     accepted=False, rejection_reason=reason)
 
 
-def _clash_filter_for(s: Structure, factor: float):
-    """:func:`clash_filter` bound to one structure, for many conformers of it.
+def _clash_check(s: Structure, factor: float):
+    """The test of :func:`clash_filter` bound to one structure: (n, 3)
+    positions -> rejection reason, or None when they pass.
 
     The radii and the bonded-exclusion codes are built once here rather
-    than once per conformer.
+    than once per draw.
     """
     if not (0.0 < factor <= 1.0):
         raise ValueError("factor must be in (0, 1]")
     n = s.n_atoms
     if n < 2:
-        return lambda c: c
+        return lambda positions: None
     radii = s.radii
     codes = exclusion_codes(bonded_exclusions(s), n)
     max_cutoff = factor * (2.0 * radii.max())
 
-    def check(c: Conformer) -> Conformer:
-        ii, jj, dist = cutoff_pairs(c.positions, max_cutoff)
+    def check(positions: np.ndarray) -> str | None:
+        ii, jj, dist = cutoff_pairs(positions, max_cutoff)
         keep = not_in_codes(ii, jj, n, codes)
         ii, jj, dist = ii[keep], jj[keep], dist[keep]
         cutoff = factor * (radii[ii] + radii[jj])
         ratios = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
         if ratios.size == 0 or ratios.min() >= 1.0:
-            return c
+            return None
         worst = int(np.argmin(ratios))
         i, j = int(ii[worst]), int(jj[worst])
-        reason = (
-            f"atoms {s.serials[i]}-{s.serials[j]} at "
-            f"{dist[worst]:.3f} A < {cutoff[worst]:.3f} A"
-        )
-        return Conformer(positions=c.positions, sample_index=c.sample_index,
-                         accepted=False, rejection_reason=reason)
+        return (f"atoms {s.serials[i]}-{s.serials[j]} at "
+                f"{dist[worst]:.3f} A < {cutoff[worst]:.3f} A")
 
     return check
 
@@ -323,7 +354,8 @@ def sample_cartesian_ensemble(
 
     Pure function of (structure, sigmas, seed, n_samples): the unit stream is
     a scrambled low-discrepancy sequence of dimension 2*ceil(3n/2) and every
-    consecutive coordinate pair produces two normals.  ``clash_factor`` None
+    consecutive coordinate pair produces two normals.  All draws come from
+    one block of points and one displacement.  ``clash_factor`` None
     disables filtering.
     """
     if n_samples < 1:
@@ -333,17 +365,10 @@ def sample_cartesian_ensemble(
     n_normals = 3 * s.n_atoms
     seq = LowDiscrepancySequence(max(gaussian_dimension(n_normals), 1), scramble_seed=seed,
                                  n_samples=n_samples)
-    screen = None if clash_factor is None else _clash_filter_for(s, clash_factor)
-    conformers = []
-    for idx in range(n_samples):
-        point = seq.next_point()
-        z = normals_from_unit(point, n_normals).reshape(s.n_atoms, 3)
-        conf = perturb_cartesian(s, z, sigmas=sigmas, sample_index=idx)
-        if screen is not None:
-            conf = screen(conf)
-        conformers.append(conf)
-    return Ensemble(source=s, conformers=tuple(conformers), seed=seed,
-                    sequence_kind=seq.kind)
+    screen = None if clash_factor is None else _clash_check(s, clash_factor)
+    z = normals_from_unit(seq.next_points(n_samples), n_normals)
+    coords = s.positions() + sigmas * z.reshape(n_samples, s.n_atoms, 3)
+    return _screened(s, coords, screen, seq.kind)
 
 
 def sample_torsion_ensemble(
@@ -359,17 +384,15 @@ def sample_torsion_ensemble(
         raise ValueError("torsion graph has no rotatable dihedrals")
     ranges = g.ranges()
     seq = LowDiscrepancySequence(g.n_dihedrals, scramble_seed=seed, n_samples=n_samples)
-    screen = None if clash_factor is None else _clash_filter_for(g.structure, clash_factor)
-    conformers = []
-    for idx in range(n_samples):
-        u = seq.next_point()
-        angles = ranges[:, 0] + u * (ranges[:, 1] - ranges[:, 0])
-        conf = apply_torsions(g, angles, sample_index=idx)
-        if screen is not None:
-            conf = screen(conf)
-        conformers.append(conf)
-    return Ensemble(source=g.structure, conformers=tuple(conformers), seed=seed,
-                    sequence_kind=seq.kind)
+    screen = None if clash_factor is None else _clash_check(g.structure, clash_factor)
+    angles = ranges[:, 0] + seq.next_points(n_samples) * (ranges[:, 1] - ranges[:, 0])
+    return _screened(g.structure, _set_torsions(g, angles), screen, seq.kind)
+
+
+def _screened(s: Structure, coords: np.ndarray, screen, sequence_kind: str) -> Ensemble:
+    """The ensemble of ``coords`` with each draw's clash check, if any."""
+    reasons = None if screen is None else tuple(screen(positions) for positions in coords)
+    return Ensemble(source=s, coords=coords, reasons=reasons, sequence_kind=sequence_kind)
 
 
 def rmsd(a: Conformer, b: Conformer, superpose: bool = False) -> float:
@@ -396,40 +419,6 @@ def rmsd(a: Conformer, b: Conformer, superpose: bool = False) -> float:
     return float(np.sqrt(((pa - pb) ** 2).sum() / pa.shape[0]))
 
 
-def rmsd_matrix(e: Ensemble, superpose: bool = False) -> np.ndarray:
-    """Symmetric zero-diagonal RMSD matrix over the ensemble's conformers."""
-    confs = e.conformers
-    n = len(confs)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = rmsd(confs[i], confs[j], superpose=superpose)
-    return out
-
-
-def torsion_variability(e: Ensemble, g: TorsionGraph) -> np.ndarray:
-    """Per-dihedral circular standard deviation across accepted conformers.
-
-    circular std = sqrt(-2 ln Rbar) with Rbar the mean resultant length;
-    Rbar = 0 (e.g. antipodal angles) is reported as inf, the maximal
-    variability sentinel.
-    """
-    accepted = e.accepted()
-    if len(accepted) < 2:
-        raise ValueError("torsion variability needs at least 2 accepted conformers")
-    out = np.empty(g.n_dihedrals)
-    for d, spec in enumerate(g.rotatable):
-        i, j, k, l = spec.atoms
-        thetas = np.array([
-            dihedral_angle(c.positions[i], c.positions[j], c.positions[k], c.positions[l])
-            for c in accepted
-        ])
-        rbar = float(np.hypot(np.cos(thetas).mean(), np.sin(thetas).mean()))
-        # rbar at numeric zero (antipodal angle sets) means maximal variability
-        out[d] = math.inf if rbar <= 1e-12 else math.sqrt(max(0.0, -2.0 * math.log(min(rbar, 1.0))))
-    return out
-
-
 def atom_motion_modes(e: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Principal motion directions and variances per atom.
 
@@ -438,18 +427,13 @@ def atom_motion_modes(e: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     from the eigen-decomposition of each atom's 3x3 positional covariance
     (population) across accepted conformers.
     """
-    accepted = e.accepted()
-    if len(accepted) < 4:
+    stack = e.coords[e.accepted]  # (m, n, 3)
+    if len(stack) < 4:
         raise ValueError("motion modes need at least 4 accepted conformers")
-    stack = np.stack([c.positions for c in accepted])  # (m, n, 3)
-    centered = stack - stack.mean(axis=0)
-    n = stack.shape[1]
-    variances = np.empty((n, 3))
-    axes = np.empty((n, 3, 3))
-    for a in range(n):
-        cov = centered[:, a, :].T @ centered[:, a, :] / stack.shape[0]
-        vals, vecs = np.linalg.eigh(cov)
-        order = np.argsort(vals)[::-1]
-        variances[a] = vals[order]
-        axes[a] = vecs[:, order].T
+    per_atom = (stack - stack.mean(axis=0)).transpose(1, 0, 2)  # (n, m, 3)
+    cov = per_atom.transpose(0, 2, 1) @ per_atom / len(stack)
+    vals, vecs = np.linalg.eigh(cov)
+    order = np.argsort(vals, axis=1)[:, ::-1]
+    variances = np.take_along_axis(vals, order, axis=1)
+    axes = np.take_along_axis(vecs, order[:, None, :], axis=2).transpose(0, 2, 1)
     return variances, axes

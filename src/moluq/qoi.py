@@ -3,9 +3,8 @@
 Geometric quantities (solvent-accessible area by sphere-point counting,
 enclosed volume by voxel counting), pairwise energies (12-6 Lennard-Jones,
 Coulomb with constant or distance-dependent dielectric), implicit-solvent
-polarization energy from effective Born radii, binding-induced deltas
-f(A+B) - f(A) - f(B), and per-surface-point deviation statistics over an
-ensemble.
+polarization energy from effective Born radii, and binding-induced deltas
+f(A+B) - f(A) - f(B).
 
 All evaluators are pure and deterministic; pairwise sums use a fixed order
 so results do not depend on how work is scheduled.  The all-pairs energies
@@ -23,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from moluq.molio import Structure, bonded_exclusions
-from moluq.conformers import Ensemble
 from moluq.pairs import cutoff_pairs, exclusion_codes, tree_sum, triu_pairs
 from moluq.vizgrid import cover_spheres, padded_box
 
@@ -312,7 +310,7 @@ def _exposure_mask(positions, radii, probe, n_points, groups=None):
     counts only same-group neighbours as burying: row i of it equals the
     exposure of atom i computed on its own group alone.
 
-    Returns (masks, own_masks or None, inflated, unit).
+    Returns (masks, own_masks or None, inflated).
     """
     if probe < 0:
         raise ValueError("probe radius must be >= 0")
@@ -326,7 +324,7 @@ def _exposure_mask(positions, radii, probe, n_points, groups=None):
     masks = np.ones((n, n_points), dtype=bool)
     own_masks = None if groups is None else np.ones((n, n_points), dtype=bool)
     if n < 2:
-        return masks, own_masks, inflated, unit
+        return masks, own_masks, inflated
     table, count = _neighbour_table(positions, inflated)
     # padding slots get r^2 = -1, which no squared distance falls below
     r2 = np.where(np.arange(table.shape[1]) < count[:, None], inflated[table] ** 2, -1.0)
@@ -357,7 +355,7 @@ def _exposure_mask(positions, radii, probe, n_points, groups=None):
         masks[rows] = ~hit
         if own_hit is not None:
             own_masks[rows] = ~own_hit
-    return masks, own_masks, inflated, unit
+    return masks, own_masks, inflated
 
 
 def _atom_areas(masks, inflated) -> np.ndarray:
@@ -373,7 +371,7 @@ def sasa(positions, radii, probe: float = 1.4, n_points: int = 960) -> tuple[flo
     search, in bounded blocks, so memory grows with n * n_points rather than
     n^2.  Returns (total, per-atom areas) in Angstrom^2.
     """
-    masks, _own, inflated, _unit = _exposure_mask(positions, radii, probe, n_points)
+    masks, _own, inflated = _exposure_mask(positions, radii, probe, n_points)
     per_atom = _atom_areas(masks, inflated)
     return float(per_atom.sum()), per_atom
 
@@ -381,20 +379,10 @@ def sasa(positions, radii, probe: float = 1.4, n_points: int = 960) -> tuple[flo
 def _delta_area(both: AtomSet, n_a: int, config: QOIConfig) -> float:
     """sasa(A+B) - sasa(A) - sasa(B) from one exposure pass over A+B."""
     groups = np.arange(both.n) >= n_a
-    masks, own, inflated, _unit = _exposure_mask(both.positions, both.radii, config.probe,
-                                                 config.n_points, groups)
+    masks, own, inflated = _exposure_mask(both.positions, both.radii, config.probe,
+                                          config.n_points, groups)
     full, alone = _atom_areas(masks, inflated), _atom_areas(own, inflated)
     return float(full.sum()) - float(alone[:n_a].sum()) - float(alone[n_a:].sum())
-
-
-def sasa_point_cloud(positions, radii, probe: float = 1.4, n_points: int = 960) -> np.ndarray:
-    """Coordinates of all exposed surface points, concatenated across atoms."""
-    positions = np.asarray(positions, dtype=float)
-    masks, _own, inflated, unit = _exposure_mask(positions, radii, probe, n_points)
-    atom, point = np.nonzero(masks)
-    if atom.size == 0:
-        return np.zeros((0, 3))
-    return positions[atom] + inflated[atom, None] * unit[point]
 
 
 def volume(positions, radii, spacing: float) -> float:
@@ -455,29 +443,3 @@ def delta_qoi(kind: QOIKind, a: AtomSet, b: AtomSet, config: QOIConfig = QOIConf
     return (evaluate_qoi(kind, both, config=config)
             - evaluate_qoi(kind, a, config=config)
             - evaluate_qoi(kind, b, config=config))
-
-
-def surface_deviation(reference_points, e: Ensemble, probe: float = 1.4,
-                      n_points: int = 960) -> np.ndarray:
-    """Mean distance from each reference surface point to each member's surface.
-
-    For every accepted conformer the member surface is its exposed point
-    cloud; the statistic per reference point is the average nearest-point
-    distance across members.  A member with an empty surface raises.
-    """
-    # imported here: no pipeline stage calls this, and scipy.spatial would
-    # double the start-up time of every stage that imports moluq.qoi
-    from scipy.spatial import cKDTree
-
-    reference_points = np.asarray(reference_points, dtype=float)
-    accepted = e.accepted()
-    if not accepted:
-        raise ValueError("ensemble has no accepted conformers")
-    total = np.zeros(reference_points.shape[0])
-    for c in accepted:
-        cloud = sasa_point_cloud(c.positions, e.source.radii, probe, n_points)
-        if cloud.shape[0] == 0:
-            raise ValueError(f"conformer {c.sample_index} has an empty surface")
-        dist, _ = cKDTree(cloud).query(reference_points)
-        total += dist
-    return total / len(accepted)

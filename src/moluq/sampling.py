@@ -3,9 +3,8 @@
 Points are drawn in [0,1)^d from a scrambled Sobol stream (a Latin
 supercube of Sobol blocks in very high dimension) and turned into standard
 normals by the Box-Muller transform (two unit coordinates per pair of
-normals).  Also provides the B-factor -> sigma conversion,
-an anchored-box star discrepancy estimator, and naive-vs-low-discrepancy
-sample budgets.
+normals).  Also provides the B-factor -> sigma conversion and an
+anchored-box star discrepancy estimator.
 """
 
 from __future__ import annotations
@@ -188,25 +187,26 @@ class LowDiscrepancySequence:
         return pts
 
 
-def normals_from_unit(point: np.ndarray, count: int) -> np.ndarray:
-    """First ``count`` standard normals from a unit-cube point.
+def normals_from_unit(points: np.ndarray, count: int) -> np.ndarray:
+    """First ``count`` standard normals from a unit-cube point, or from each
+    point of a stack along its last axis.
 
-    Consecutive coordinate pairs (u[2t], u[2t+1]) feed Box-Muller, so the
+    Consecutive coordinate pairs (u[2t], u[2t+1]) feed Box-Muller, so a
     point must have at least 2*ceil(count/2) coordinates.  Coordinates equal
     to 0 are nudged to the smallest positive double to dodge the log
     singularity (measure-zero for scrambled streams).
     """
     need = 2 * ((count + 1) // 2)
-    if point.shape[0] < need:
+    if points.shape[-1] < need:
         raise ValueError(f"need {need} unit coordinates for {count} normals")
-    u = np.asarray(point[:need], dtype=float).reshape(-1, 2)
-    u1 = np.maximum(u[:, 0], np.finfo(float).tiny)
+    u = np.asarray(points[..., :need], dtype=float).reshape(*points.shape[:-1], -1, 2)
+    u1 = np.maximum(u[..., 0], np.finfo(float).tiny)
     r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u[:, 1]
-    z = np.empty(need)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
-    return z[:count]
+    theta = 2.0 * np.pi * u[..., 1]
+    z = np.empty(points.shape[:-1] + (need,))
+    z[..., 0::2] = r * np.cos(theta)
+    z[..., 1::2] = r * np.sin(theta)
+    return z[..., :count]
 
 
 def gaussian_dimension(n_normals: int) -> int:
@@ -262,22 +262,3 @@ def star_discrepancy_estimate(points, resolution: int | None = None) -> float:
     for _ in range(d - 1):
         volume = np.multiply.outer(volume, edges)
     return float(np.max(np.abs(counts / n - volume)))
-
-
-def sample_budget(d: int, eps: float) -> dict[str, int]:
-    """Sample counts to hold discrepancy ``eps`` naively vs with a digital net.
-
-    naive = m^d with m = ceil((d/eps)^3): per-coordinate resolution taken to
-    the product space.  lds = ceil((d/eps)^sqrt(log2(1/eps))): the polynomial
-    budget of low-discrepancy product-space samplers.  Constants are pinned
-    to 1 (the asymptotic statements leave them free); the numbers illustrate
-    scaling, they are not load-bearing.
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not (0.0 < eps < 1.0):
-        raise ValueError("eps must be in (0, 1)")
-    m = math.ceil((d / eps) ** 3)
-    naive = m**d
-    lds = math.ceil((d / eps) ** math.sqrt(math.log2(1.0 / eps)))
-    return {"naive": naive, "lds": lds}

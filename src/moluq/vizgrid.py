@@ -1,4 +1,4 @@
-"""Visualization data products: occupancy grids, grid statistics, colormaps.
+"""Visualization data products: occupancy grids and colormaps.
 
 Grids go out as OpenDX general-array text so external molecular viewers can
 load them directly; per-atom/per-point scalars go out as color CSVs plus a
@@ -35,8 +35,8 @@ class ScalarGrid:
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if self.spacing <= 0:
-            raise ValueError("spacing must be positive")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("spacing must be finite and positive")
         nx, ny, nz = self.dims
         if values.shape != (nx * ny * nz,):
             raise ValueError("value count must equal nx*ny*nz")
@@ -116,8 +116,8 @@ def occupancy_map(e: Ensemble, spacing: float, radius_mode="vdw") -> ScalarGrid:
     """
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError("spacing must be finite and positive")
-    accepted = e.accepted()
-    if not accepted:
+    accepted = e.coords[e.accepted]
+    if not len(accepted):
         raise ValueError("ensemble has no accepted conformers")
     if e.source.n_atoms == 0:
         raise ValueError("ensemble structure has no atoms")
@@ -128,33 +128,15 @@ def occupancy_map(e: Ensemble, spacing: float, radius_mode="vdw") -> ScalarGrid:
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError("fixed radius must be finite and positive")
         radii = np.full(e.source.n_atoms, radius)
-    lo, dims = padded_box(np.concatenate([c.positions for c in accepted]), radii, spacing)
+    lo, dims = padded_box(accepted.reshape(-1, 3), radii, spacing)
     counts = np.zeros(tuple(dims), dtype=np.int64)
-    for c in accepted:
-        counts += cover_spheres(c.positions, radii, lo, spacing, dims)
+    for positions in accepted:
+        counts += cover_spheres(positions, radii, lo, spacing, dims)
     frac = counts.astype(float) / len(accepted)
     # store x-fastest: transpose to (z, y, x) then flatten C-order
     flat = frac.transpose(2, 1, 0).reshape(-1)
     return ScalarGrid(origin=lo + 0.5 * spacing, spacing=spacing,
                       dims=tuple(int(d) for d in dims), values=flat)
-
-
-def grid_statistics(grids) -> tuple[ScalarGrid, ScalarGrid]:
-    """Voxelwise mean and population standard deviation of matching grids."""
-    grids = list(grids)
-    if not grids:
-        raise ValueError("need at least one grid")
-    first = grids[0]
-    for g in grids[1:]:
-        if (g.dims != first.dims or g.spacing != first.spacing
-                or np.any(g.origin != first.origin)):
-            raise ValueError("grids must share origin, spacing, and dims")
-    stack = np.stack([g.values for g in grids])
-    mean = stack.mean(axis=0)
-    std = stack.std(axis=0)
-    make = lambda v: ScalarGrid(origin=first.origin, spacing=first.spacing,
-                                dims=first.dims, values=v)
-    return make(mean), make(std)
 
 
 def write_grid(g: ScalarGrid) -> str:
@@ -222,7 +204,10 @@ def read_grid(text: str) -> ScalarGrid:
     # back from file order (z fastest) to x-fastest storage
     cube = np.array(values).reshape(nx, ny, nz)
     flat = cube.transpose(2, 1, 0).reshape(-1)
-    return ScalarGrid(origin=origin, spacing=spacing, dims=(nx, ny, nz), values=flat)
+    try:
+        return ScalarGrid(origin=origin, spacing=spacing, dims=(nx, ny, nz), values=flat)
+    except ValueError as exc:
+        raise GridFormatError(f"malformed grid: {exc}") from None
 
 
 PALETTES = {

@@ -335,7 +335,8 @@ def test_criterion_09_torsion_kinematics_and_recovery():
     start_rmsd = rmsd(Conformer(s.positions(), 0), target)
     assert start_rmsd > 0.5
     ensemble = sample_torsion_ensemble(g, seed=7, n_samples=1000, clash_factor=None)
-    best = min(rmsd(c, target) for c in ensemble.conformers)
+    best = min(rmsd(Conformer(positions, k), target)
+               for k, positions in enumerate(ensemble.coords))
     assert best < 0.5
     assert best < start_rmsd
     _report(9, f"kinematics rigid to 1e-6; recovery {start_rmsd:.2f} A -> {best:.3f} A "
@@ -372,8 +373,7 @@ def test_criterion_11_binding_site_suite():
 
     # multi-configuration site map vs naive loop
     from moluq.conformers import Ensemble
-    ens = Ensemble(source=make_structure(lig_a),
-                   conformers=(Conformer(lig_a, 0), Conformer(lig_b, 1)), seed=0)
+    ens = Ensemble(source=make_structure(lig_a), coords=np.array([lig_a, lig_b]))
     pose_lists = [poses[:3], poses[3:]]
     multi = binding_site_prob_multi(receptor, ens, pose_lists, model)
     np.testing.assert_array_equal(

@@ -130,9 +130,7 @@ class TestBindingSiteProb:
 class TestBindingSiteProbMulti:
     def _ensemble(self, receptor, positions_list):
         source = make_structure(positions_list[0])
-        confs = tuple(Conformer(np.asarray(p, dtype=float), i)
-                      for i, p in enumerate(positions_list))
-        return Ensemble(source=source, conformers=confs, seed=0)
+        return Ensemble(source=source, coords=np.array(positions_list, dtype=float))
 
     def test_single_conformer_reduces(self, receptor, ligand):
         ens = self._ensemble(receptor, [ligand.positions])
@@ -163,7 +161,7 @@ class TestBindingSiteProbMulti:
         ]
         site = binding_site_prob_multi(receptor, ens, poses)
         assert np.all(site.probabilities >= 0) and np.all(site.probabilities <= 1)
-        want = naive_map(receptor, [c.positions for c in ens.conformers], poses, 5.0)
+        want = naive_map(receptor, list(ens.coords), poses, 5.0)
         np.testing.assert_array_equal(site.probabilities, want)
 
     def test_ragged_pose_lists_rejected(self, receptor, ligand):

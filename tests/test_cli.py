@@ -440,6 +440,24 @@ class TestReplayAndExitCodes:
 
 
 class TestImportHygiene:
+    def test_no_source_file_imports_scipy(self):
+        """No module under src/moluq imports scipy, at any depth: its only
+        runtime role is the Sobol direction-number table file it installs."""
+        import ast
+        import moluq
+        found = []
+        for path in sorted(Path(moluq.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] == "scipy"]
+        assert found == []
+
     def test_pipeline_stages_never_import_scipy(self, workspace):
         """A fresh interpreter runs sample (Cartesian with the clash filter,
         then torsion), qoi and saturate through ``main`` and checks after

@@ -15,11 +15,9 @@ from moluq.conformers import (
     dihedral_angle,
     perturb_cartesian,
     rmsd,
-    rmsd_matrix,
     sample_cartesian_ensemble,
     sample_torsion_ensemble,
     torsion_graph_from_dihedrals,
-    torsion_variability,
 )
 from moluq.molio import EIGHT_PI_SQ
 from moluq.sampling import sigma_from_b
@@ -219,15 +217,6 @@ class TestRmsd:
             assert rmsd(a, b) == pytest.approx(rmsd(b, a))
             assert rmsd(a, c) <= rmsd(a, b) + rmsd(b, c) + 1e-12
 
-    def test_matrix_symmetric_zero_diagonal(self):
-        s = make_structure([[0, 0, 0], [5, 0, 0]])
-        rng = np.random.default_rng(1)
-        confs = tuple(Conformer(s.positions() + rng.normal(size=(2, 3)), i) for i in range(4))
-        e = Ensemble(source=s, conformers=confs, seed=0)
-        m = rmsd_matrix(e)
-        np.testing.assert_array_equal(m, m.T)
-        assert np.all(np.diag(m) == 0.0)
-
     def test_superposed_rmsd_kills_global_rotation(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(6, 3))
@@ -243,55 +232,26 @@ class TestEnsembles:
         s = make_structure([[0, 0, 0], [4, 0, 0], [8, 0, 0]], b_iso=20.0)
         e1 = sample_cartesian_ensemble(s, seed=9, n_samples=5, clash_factor=None)
         e2 = sample_cartesian_ensemble(s, seed=9, n_samples=5, clash_factor=None)
-        for c1, c2 in zip(e1.conformers, e2.conformers):
-            np.testing.assert_array_equal(c1.positions, c2.positions)
+        for c1, c2 in zip(e1.coords, e2.coords):
+            np.testing.assert_array_equal(c1, c2)
 
     def test_zero_variance_identity(self):
         s = make_structure([[0, 0, 0], [4, 0, 0]], b_iso=0.0)
         e = sample_cartesian_ensemble(s, seed=0, n_samples=1, clash_factor=None)
-        np.testing.assert_array_equal(e.conformers[0].positions, s.positions())
+        np.testing.assert_array_equal(e.coords[0], s.positions())
 
     def test_torsion_ensemble_respects_ranges(self, chain4):
         g = build_torsion_graph(chain4, default_range=(-0.5, 0.5))
         e = sample_torsion_ensemble(g, seed=2, n_samples=16, clash_factor=None)
-        for c in e.conformers:
-            ang = dihedral_angle(*(c.positions[list(g.rotatable[0].atoms)]))
+        for c in e.coords:
+            ang = dihedral_angle(*(c[list(g.rotatable[0].atoms)]))
             assert -0.5 - 1e-9 <= ang <= 0.5 + 1e-9
-
-
-class TestTorsionVariability:
-    def _ensemble_with_angles(self, chain4, angles):
-        g = build_torsion_graph(chain4)
-        confs = tuple(apply_torsions(g, [a], sample_index=i) for i, a in enumerate(angles))
-        return Ensemble(source=chain4, conformers=confs, seed=0), g
-
-    def test_constant_angles_zero(self, chain4):
-        e, g = self._ensemble_with_angles(chain4, [0.7, 0.7, 0.7])
-        assert torsion_variability(e, g)[0] == pytest.approx(0.0, abs=1e-7)
-
-    def test_antipodal_sentinel(self, chain4):
-        e, g = self._ensemble_with_angles(chain4, [-math.pi / 2, math.pi / 2])
-        assert math.isinf(torsion_variability(e, g)[0])
-
-    def test_small_jitter_matches_linear_std(self, chain4):
-        rng = np.random.default_rng(0)
-        jitter = rng.choice([-0.01, 0.01], size=64)
-        e, g = self._ensemble_with_angles(chain4, 0.5 + jitter)
-        circ = torsion_variability(e, g)[0]
-        lin = jitter.std()
-        assert abs(circ - lin) / lin < 0.05
-
-    def test_needs_two_conformers(self, chain4):
-        e, g = self._ensemble_with_angles(chain4, [0.5])
-        with pytest.raises(ValueError):
-            torsion_variability(e, g)
 
 
 class TestMotionModes:
     def _ensemble(self, offsets):
         s = make_structure([[0, 0, 0]])
-        confs = tuple(Conformer(np.array([o]), i) for i, o in enumerate(offsets))
-        return Ensemble(source=s, conformers=confs, seed=0)
+        return Ensemble(source=s, coords=np.array(offsets, dtype=float)[:, None, :])
 
     def test_identical_conformers_zero_variance(self):
         e = self._ensemble([[0, 0, 0]] * 4)
@@ -313,11 +273,10 @@ class TestMotionModes:
     def test_orthonormal_and_reconstructs(self):
         rng = np.random.default_rng(8)
         s = make_structure([[0, 0, 0], [5, 0, 0]])
-        confs = tuple(Conformer(s.positions() + rng.normal(size=(2, 3)) * [1.0, 0.5, 0.1], i)
-                      for i in range(50))
-        e = Ensemble(source=s, conformers=confs, seed=0)
+        stack = np.stack([s.positions() + rng.normal(size=(2, 3)) * [1.0, 0.5, 0.1]
+                          for _ in range(50)])
+        e = Ensemble(source=s, coords=stack)
         variances, axes = atom_motion_modes(e)
-        stack = np.stack([c.positions for c in confs])
         for a in range(2):
             v = axes[a]
             np.testing.assert_allclose(v @ v.T, np.eye(3), atol=1e-9)

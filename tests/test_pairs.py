@@ -301,11 +301,12 @@ def test_ensemble_builds_exclusions_once(monkeypatch, mode, n_atoms):
     assert len(calls) == 1
     # the accept list and reasons are those of the public per-draw filter
     free = _sample(mode, s, None)
-    want = [clash_filter(c, s, 0.6) for c in free.conformers]
-    got = [(c.accepted, c.rejection_reason) for c in e.conformers]
+    want = [clash_filter(Conformer(positions, k), s, 0.6)
+            for k, positions in enumerate(free.coords)]
+    got = list(zip(e.accepted.tolist(), e.reasons))
     assert got == [(c.accepted, c.rejection_reason) for c in want]
     assert {accepted for accepted, _ in got} == {True, False}
-    assert all(np.array_equal(c.positions, w.positions) for c, w in zip(e.conformers, want))
+    assert np.array_equal(e.coords, free.coords)
 
 
 @pytest.mark.parametrize("n_atoms, seed", CASES)

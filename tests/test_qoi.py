@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from moluq.conformers import Conformer, Ensemble
 from moluq.qoi import (
     AtomSet,
     CoulombModel,
@@ -16,8 +15,6 @@ from moluq.qoi import (
     gb_polarization,
     lj_energy,
     sasa,
-    sasa_point_cloud,
-    surface_deviation,
     volume,
 )
 from conftest import make_structure
@@ -256,10 +253,6 @@ class TestSasa:
         ]
         assert errors[-1] < errors[0]
 
-    def test_point_cloud_on_inflated_sphere(self):
-        cloud = sasa_point_cloud(np.zeros((1, 3)), [1.6], probe=1.4, n_points=64)
-        np.testing.assert_allclose(np.linalg.norm(cloud, axis=1), 3.0, atol=1e-12)
-
     @pytest.mark.parametrize("probe, n_points, message", [
         (-5.0, 960, "probe radius must be >= 0"),
         (1.4, 8, "n_points must be >= 32"),
@@ -271,14 +264,7 @@ class TestSasa:
             sasa(pos, [1.7, 1.7], probe=probe, n_points=n_points)
         with pytest.raises(ValueError, match=message):
             sasa(np.zeros((0, 3)), [], probe=probe, n_points=n_points)
-        with pytest.raises(ValueError, match=message):
-            sasa_point_cloud(pos, [1.7, 1.7], probe=probe, n_points=n_points)
-        with pytest.raises(ValueError, match=message):
-            sasa_point_cloud(np.zeros((0, 3)), [], probe=probe, n_points=n_points)
         s = make_structure(pos, vdw_radius=1.7)
-        e = Ensemble(source=s, conformers=(Conformer(pos, 0),), seed=0)
-        with pytest.raises(ValueError, match=message):
-            surface_deviation(pos, e, probe=probe, n_points=n_points)
         a = AtomSet.from_structure(s.subset([0]))
         b = AtomSet.from_structure(make_structure(pos[1:], vdw_radius=1.7).subset([0]))
         b = AtomSet(**{**b.__dict__, "serials": (2,)})
@@ -428,33 +414,3 @@ class TestPairwiseOracleEquivalence:
             rb = born_radii(a.positions, a.radii)
             assert gb_polarization(a.positions, a.charges, rb) == pytest.approx(
                 brute_gb(a.positions, a.charges, rb), rel=1e-9)
-
-
-class TestSurfaceDeviation:
-    def _ensemble(self, offsets, radius=1.5):
-        s = make_structure([[0.0, 0.0, 0.0]], vdw_radius=radius)
-        confs = tuple(Conformer(np.array([o], dtype=float), i) for i, o in enumerate(offsets))
-        return s, Ensemble(source=s, conformers=confs, seed=0)
-
-    def test_identical_members_zero(self):
-        s, e = self._ensemble([[0, 0, 0]] * 3)
-        ref = sasa_point_cloud(s.positions(), [1.5], probe=1.4, n_points=128)
-        dev = surface_deviation(ref, e, probe=1.4, n_points=128)
-        np.testing.assert_allclose(dev, 0.0, atol=1e-9)
-
-    def test_unit_shift_bounded_by_resolution(self):
-        s, e = self._ensemble([[1.0, 0, 0]] * 4)
-        n_pts = 960
-        ref = sasa_point_cloud(s.positions(), [1.5], probe=1.4, n_points=n_pts)
-        dev = surface_deviation(ref, e, probe=1.4, n_points=n_pts)
-        # nearest-point spacing on the sphere bounds the quantization error
-        resolution = math.sqrt(4 * math.pi * 2.9**2 / n_pts)
-        assert np.all(dev <= 1.0 + resolution)
-        assert np.all(dev >= 0.0)
-        assert dev.max() >= 1.0 - resolution
-
-    def test_deviations_non_negative(self):
-        rng = np.random.default_rng(13)
-        s, e = self._ensemble(rng.normal(scale=0.3, size=(5, 3)))
-        ref = sasa_point_cloud(s.positions(), [1.5], probe=1.4, n_points=64)
-        assert np.all(surface_deviation(ref, e, n_points=64) >= 0.0)

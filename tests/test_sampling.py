@@ -11,7 +11,6 @@ from moluq.sampling import (
     LowDiscrepancySequence,
     gaussian_dimension,
     normals_from_unit,
-    sample_budget,
     sigma_from_b,
     star_discrepancy_estimate,
 )
@@ -252,36 +251,7 @@ class TestStarDiscrepancy:
         assert d_seq < d_random
 
 
-class TestSampleBudget:
-    def test_monotone_in_d(self):
-        budgets = [sample_budget(d, 0.1)["naive"] for d in range(1, 8)]
-        assert all(b2 > b1 for b1, b2 in zip(budgets, budgets[1:]))
-
-    def test_growth_shapes(self):
-        eps = 0.1
-        log_naive = [math.log(sample_budget(d, eps)["naive"]) for d in (4, 8, 16)]
-        log_lds = [math.log(sample_budget(d, eps)["lds"]) for d in (4, 8, 16)]
-        # doubling d roughly doubles log(naive) but adds a constant to log(lds)
-        assert log_naive[1] / log_naive[0] > 1.8
-        assert log_naive[2] / log_naive[1] > 1.8
-        inc1 = log_lds[1] - log_lds[0]
-        inc2 = log_lds[2] - log_lds[1]
-        assert abs(inc2 - inc1) < 0.35 * inc1
-
-    def test_d1_closed_forms(self):
-        eps = 0.5
-        out = sample_budget(1, eps)
-        m = math.ceil((1 / eps) ** 3)
-        assert out["naive"] == m
-        assert out["lds"] == math.ceil((1 / eps) ** math.sqrt(math.log2(1 / eps)))
-        assert out["naive"] >= out["lds"]
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            sample_budget(0, 0.1)
-        with pytest.raises(ValueError):
-            sample_budget(3, 1.5)
-
+class TestGaussianDimension:
     def test_dimension_bookkeeping(self):
         assert gaussian_dimension(3) == 4
         assert gaussian_dimension(6) == 6

@@ -19,7 +19,6 @@ import pytest
 from moluq.bindsite import BindingSiteMap, ContactModel, Pose, _contact_rows, binding_site_prob
 from moluq.certificates import DEFAULT_T_GRID, EmpiricalDistribution, chernoff_table
 from moluq.conformers import Conformer, Ensemble
-from scipy.spatial import cKDTree
 from moluq.molio import (
     EIGHT_PI_SQ,
     ParamTable,
@@ -38,9 +37,7 @@ from moluq.qoi import (
     delta_qoi,
     evaluate_qoi,
     sasa,
-    sasa_point_cloud,
     sphere_points,
-    surface_deviation,
     volume,
 )
 from moluq.vizgrid import occupancy_map
@@ -100,20 +97,19 @@ def _grid_geometry(lo, hi, spacing):
 
 def oracle_occupancy(e, spacing, radius_mode="vdw"):
     """(origin, dims, x-fastest values) of the former occupancy_map."""
-    accepted = e.accepted()
+    accepted = e.coords[e.accepted]
     if radius_mode == "vdw":
         radii = e.source.radii
     else:
         radii = np.full(e.source.n_atoms, float(radius_mode))
-    stack = np.stack([c.positions for c in accepted])
     pad = (float(radii.max()) if radii.size else 0.0) + spacing
-    lo = stack.reshape(-1, 3).min(axis=0) - pad
-    hi = stack.reshape(-1, 3).max(axis=0) + pad
+    lo = accepted.reshape(-1, 3).min(axis=0) - pad
+    hi = accepted.reshape(-1, 3).max(axis=0) + pad
     origin, dims = _grid_geometry(lo, hi, spacing)
     counts = np.zeros(tuple(dims), dtype=np.int64)
     for c in accepted:
         covered = np.zeros(tuple(dims), dtype=bool)
-        for p, r in zip(c.positions, radii):
+        for p, r in zip(c, radii):
             i_lo = np.maximum(np.floor((p - r - lo) / spacing - 0.5).astype(int), 0)
             i_hi = np.minimum(np.ceil((p + r - lo) / spacing + 0.5).astype(int), dims - 1)
             axes = [np.arange(i_lo[ax], i_hi[ax] + 1) for ax in range(3)]
@@ -223,32 +219,6 @@ def oracle_sasa(positions, radii, probe=1.4, n_points=960):
     return float(per_atom.sum()), per_atom
 
 
-def oracle_point_cloud(positions, radii, probe=1.4, n_points=960):
-    positions = np.asarray(positions, dtype=float)
-    if positions.shape[0] == 0:
-        return np.zeros((0, 3))
-    masks, inflated, unit = oracle_exposure_mask(positions, radii, probe, n_points)
-    clouds = []
-    for i in range(positions.shape[0]):
-        if masks[i].any():
-            clouds.append(positions[i] + inflated[i] * unit[masks[i]])
-    if not clouds:
-        return np.zeros((0, 3))
-    return np.vstack(clouds)
-
-
-def oracle_surface_deviation(reference_points, e, probe=1.4, n_points=960):
-    reference_points = np.asarray(reference_points, dtype=float)
-    accepted = e.accepted()
-    radii = e.source.radii
-    total = np.zeros(reference_points.shape[0])
-    for c in accepted:
-        cloud = oracle_point_cloud(c.positions, radii, probe, n_points)
-        dist, _ = cKDTree(cloud).query(reference_points)
-        total += dist
-    return total / len(accepted)
-
-
 def oracle_delta_area(positions_a, radii_a, positions_b, radii_b, probe, n_points):
     both = np.vstack([positions_a, positions_b])
     radii = np.concatenate([radii_a, radii_b])
@@ -277,12 +247,8 @@ def test_volume_matches_former_loop(n_atoms, seed):
 @pytest.mark.parametrize("n_atoms, seed", CASES)
 def test_occupancy_map_matches_former_loop(n_atoms, seed):
     s = lattice_structure(n_atoms, seed)
-    confs = tuple(
-        Conformer(jittered(s, 100 * seed + k, 0.4), k, accepted=k != 2,
-                  rejection_reason=None if k != 2 else "clash")
-        for k in range(6)
-    )
-    e = Ensemble(source=s, conformers=confs, seed=seed)
+    coords = np.array([jittered(s, 100 * seed + k, 0.4) for k in range(6)])
+    e = Ensemble(source=s, coords=coords, reasons=(None, None, "clash", None, None, None))
     for spacing, mode in ((0.5, "vdw"), (0.8, "vdw"), (0.6, 1.6)):
         g = occupancy_map(e, spacing=spacing, radius_mode=mode)
         origin, dims, values = oracle_occupancy(e, spacing, mode)
@@ -348,15 +314,13 @@ def atom_set(positions, radii, first_serial=1):
 
 
 def assert_sasa_matches(pos, radii, probe, n_points):
-    masks, _own, inflated, unit = _exposure_mask(pos, radii, probe, n_points)
-    want_masks, want_inflated, want_unit = oracle_exposure_mask(pos, radii, probe, n_points)
+    masks, _own, inflated = _exposure_mask(pos, radii, probe, n_points)
+    want_masks, want_inflated, _unit = oracle_exposure_mask(pos, radii, probe, n_points)
     assert np.array_equal(masks, want_masks)
-    assert np.array_equal(inflated, want_inflated) and np.array_equal(unit, want_unit)
+    assert np.array_equal(inflated, want_inflated)
     total, per_atom = sasa(pos, radii, probe, n_points)
     want_total, want_per_atom = oracle_sasa(pos, radii, probe, n_points)
     assert total == want_total and np.array_equal(per_atom, want_per_atom)
-    assert np.array_equal(sasa_point_cloud(pos, radii, probe, n_points),
-                          oracle_point_cloud(pos, radii, probe, n_points))
 
 
 def assert_delta_area_matches(pos, radii, n_a, probe, n_points):
@@ -409,20 +373,6 @@ def test_sasa_matches_former_loop_on_edge_cases():
     # an all-buried atom leaves no points in the cloud
     inner = np.zeros((2, 3))
     assert_sasa_matches(inner, np.array([0.5, 1.5]), 0.0, 32)
-
-
-def test_surface_deviation_matches_former_loop():
-    s = lattice_structure(60, 6)
-    reference = oracle_point_cloud(s.positions(), s.radii, 1.4, 64)
-    confs = tuple(
-        Conformer(jittered(s, 60 + k, 0.3), k, accepted=k != 1,
-                  rejection_reason=None if k != 1 else "clash")
-        for k in range(4)
-    )
-    e = Ensemble(source=s, conformers=confs, seed=6)
-    for probe, n_points in ((1.4, 64), (0.0, 32), (1.4, 960)):
-        assert np.array_equal(surface_deviation(reference, e, probe, n_points),
-                              oracle_surface_deviation(reference, e, probe, n_points))
 
 
 # ---------------------------------------------------------------- ATOM record

@@ -4,14 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moluq.conformers import Conformer, Ensemble
+from moluq.conformers import Ensemble
 from moluq.qoi import volume
 from moluq.vizgrid import (
     GridFormatError,
     ScalarGrid,
     colormap_export,
     cover_spheres,
-    grid_statistics,
     occupancy_map,
     padded_box,
     read_grid,
@@ -40,6 +39,11 @@ class TestScalarGrid:
     def test_value_count_enforced(self):
         with pytest.raises(ValueError):
             unit_grid([1.0, 2.0], (1, 1, 1))
+
+    @pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -0.5])
+    def test_spacing_must_be_finite_and_positive(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            unit_grid([1.0], (1, 1, 1), spacing=spacing)
 
     def test_x_fastest_indexing(self):
         g = unit_grid(np.arange(8.0), (2, 2, 2))
@@ -77,13 +81,18 @@ class TestWriteGrid:
         with pytest.raises(GridFormatError):
             read_grid("object 1 class gridpositions counts x y z\n")
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "0", "-0.5"])
+    def test_reader_rejects_non_finite_or_non_positive_spacing(self, delta):
+        text = GOLDEN_1x1x1.replace("delta 0.5 0 0", f"delta {delta} 0 0")
+        assert text != GOLDEN_1x1x1
+        with pytest.raises(GridFormatError, match="spacing must be finite and positive"):
+            read_grid(text)
+
 
 class TestOccupancy:
     def _ensemble(self, offsets, radius=1.5):
         s = make_structure([[0.0, 0.0, 0.0]], vdw_radius=radius)
-        confs = tuple(Conformer(np.array([o], dtype=float), i)
-                      for i, o in enumerate(offsets))
-        return Ensemble(source=s, conformers=confs, seed=0)
+        return Ensemble(source=s, coords=np.array(offsets, dtype=float)[:, None, :])
 
     def test_identical_conformers_binary(self):
         e = self._ensemble([[0, 0, 0]] * 3)
@@ -125,42 +134,9 @@ class TestOccupancy:
 
     def test_requires_accepted_conformer(self):
         s = make_structure([[0.0, 0.0, 0.0]])
-        e = Ensemble(source=s, conformers=(
-            Conformer(s.positions(), 0, accepted=False, rejection_reason="clash"),
-        ), seed=0)
+        e = Ensemble(source=s, coords=s.positions()[None], reasons=("clash",))
         with pytest.raises(ValueError):
             occupancy_map(e, spacing=0.5)
-
-
-class TestGridStatistics:
-    def test_identical_grids_zero_std(self):
-        g = unit_grid([1.0, 2.0], (2, 1, 1))
-        mean, std = grid_statistics([g, g, g])
-        np.testing.assert_array_equal(mean.values, g.values)
-        np.testing.assert_array_equal(std.values, 0.0)
-
-    def test_two_point_stats(self):
-        a = unit_grid([0.0], (1, 1, 1))
-        b = unit_grid([2.0], (1, 1, 1))
-        mean, std = grid_statistics([a, b])
-        assert mean.values[0] == 1.0
-        assert std.values[0] == 1.0
-
-    def test_matches_elementwise_oracle(self):
-        rng = np.random.default_rng(1)
-        grids = [unit_grid(rng.random(12), (3, 2, 2)) for _ in range(5)]
-        mean, std = grid_statistics(grids)
-        stack = np.stack([g.values for g in grids])
-        for v in range(12):
-            col = stack[:, v]
-            assert mean.values[v] == pytest.approx(col.mean())
-            assert std.values[v] == pytest.approx(col.std())
-
-    def test_geometry_mismatch_rejected(self):
-        a = unit_grid([0.0], (1, 1, 1))
-        b = unit_grid([0.0, 1.0], (2, 1, 1))
-        with pytest.raises(ValueError):
-            grid_statistics([a, b])
 
 
 class TestColormap:
@@ -376,8 +352,7 @@ class TestWriteGridAgainstLoop:
     def test_all_distinct_values_of_a_std_grid(self):
         rng = np.random.default_rng(8)
         dims = (9, 17, 101)
-        grids = [unit_grid(rng.random(math.prod(dims)), dims) for _ in range(4)]
-        _mean, std = grid_statistics(grids)
+        std = unit_grid(rng.random((4, math.prod(dims))).std(axis=0), dims)
         assert np.unique(std.values).size == std.values.size
         assert write_grid(std) == loop_write_grid(std)
 
@@ -395,7 +370,7 @@ class TestWriteGridAgainstLoop:
 class TestNonFiniteSizes:
     def _ensemble(self):
         s = make_structure([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]], vdw_radius=1.5)
-        return Ensemble(source=s, conformers=(Conformer(s.positions(), 0),), seed=0)
+        return Ensemble(source=s, coords=s.positions()[None])
 
     @pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -0.5])
     def test_spacing(self, spacing):
