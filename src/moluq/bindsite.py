@@ -113,10 +113,11 @@ def binding_site_prob(A: Structure, B: Conformer, poses,
 
 def binding_site_prob_multi(A: Structure, ensemble_b: Ensemble, poses_per_conformer,
                             m: ContactModel = ContactModel()) -> BindingSiteMap:
-    """Contact probability averaged over N ligand configurations x k poses each.
+    """Contact probability averaged over N accepted ligand draws x k poses each.
 
     ``poses_per_conformer`` pairs positionally with the draws of
-    ``ensemble_b.coords`` and every draw must carry the same number of poses.
+    ``ensemble_b.coords`` and every draw must carry the same number of poses;
+    draws the clash filter rejected are left out of the average.
     """
     pose_lists = [list(p) for p in poses_per_conformer]
     if len(pose_lists) != len(ensemble_b.coords):
@@ -126,7 +127,11 @@ def binding_site_prob_multi(A: Structure, ensemble_b: Ensemble, poses_per_confor
     k = len(pose_lists[0])
     if k == 0 or any(len(p) != k for p in pose_lists):
         raise ValueError("every conformer must have the same positive pose count")
-    return _contact_map(A, list(zip(ensemble_b.coords, pose_lists)), m)
+    configs = [(xyz, poses) for xyz, poses, ok
+               in zip(ensemble_b.coords, pose_lists, ensemble_b.accepted) if ok]
+    if not configs:
+        raise ValueError("no conformer of the ligand ensemble was accepted")
+    return _contact_map(A, configs, m)
 
 
 def inhibit_score(known_site, candidate: BindingSiteMap) -> float:

@@ -18,7 +18,6 @@ import io
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -211,9 +210,11 @@ def _split_chains(s: molio.Structure, cfg):
     names = list(chains)
     chain_a = cfg.get("chain_a") or (names[0] if names else None)
     chain_b = cfg.get("chain_b") or (names[1] if len(names) > 1 else None)
-    idx_a = chains.get(chain_a, []) if chain_a else []
-    idx_b = chains.get(chain_b, []) if chain_b else []
-    return idx_a, idx_b
+    for name in (chain_a, chain_b):
+        if name is not None and name not in chains:
+            raise UsageError(f"chain {name!r} is not in the structure "
+                             f"(its chains: {', '.join(map(repr, names))})")
+    return chains.get(chain_a, []), chains.get(chain_b, [])
 
 
 def _ensemble_models(cfg, s: molio.Structure) -> tuple[str, np.ndarray]:
@@ -240,24 +241,7 @@ def run_qoi(cfg) -> list[str]:
     idx_a, idx_b = _split_chains(s, cfg)
     if any(k.is_delta for k in kinds) and not idx_b:
         raise ValueError("delta QOIs need two chains (set chain_a/chain_b)")
-
-    # parameters and bonded exclusions are built once; each row swaps positions in
-    full = qoi.AtomSet.from_structure(s)
-    if any(k.is_delta for k in kinds):
-        group_a = qoi.AtomSet.from_structure(s.subset(idx_a))
-        group_b = qoi.AtomSet.from_structure(s.subset(idx_b))
-
-    def evaluate(positions) -> dict[str, float]:
-        row = {}
-        for kind in kinds:
-            if kind.is_delta:
-                row[kind.value] = qoi.delta_qoi(
-                    kind.base, replace(group_a, positions=positions[idx_a]),
-                    replace(group_b, positions=positions[idx_b]), qcfg)
-            else:
-                row[kind.value] = qoi.evaluate_qoi(kind, replace(full, positions=positions),
-                                                   config=qcfg)
-        return row
+    evaluate = qoi.row_evaluator(kinds, s, idx_a, idx_b, qcfg)
 
     # keep original sample indices when the ensemble's manifest is available
     indices = list(range(len(coords)))

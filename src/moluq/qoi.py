@@ -4,7 +4,10 @@ Geometric quantities (solvent-accessible area by sphere-point counting,
 enclosed volume by voxel counting), pairwise energies (12-6 Lennard-Jones,
 Coulomb with constant or distance-dependent dielectric), implicit-solvent
 polarization energy from effective Born radii, and binding-induced deltas
-f(A+B) - f(A) - f(B).
+f(A+B) - f(A) - f(B).  In a pipeline row (:func:`row_evaluator`) a non-delta
+QOI covers the whole structure, while a delta covers only chains A and B,
+each group with its own bonded exclusions; when A+B is the whole structure
+the row evaluates that shared term once.
 
 All evaluators are pure and deterministic; pairwise sums use a fixed order
 so results do not depend on how work is scheduled.  The all-pairs energies
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -376,13 +379,15 @@ def sasa(positions, radii, probe: float = 1.4, n_points: int = 960) -> tuple[flo
     return float(per_atom.sum()), per_atom
 
 
-def _delta_area(both: AtomSet, n_a: int, config: QOIConfig) -> float:
-    """sasa(A+B) - sasa(A) - sasa(B) from one exposure pass over A+B."""
+def _delta_area(both: AtomSet, n_a: int, config: QOIConfig) -> tuple[float, float]:
+    """sasa(A+B) and sasa(A+B) - sasa(A) - sasa(B) from one exposure pass over
+    A+B; its ``masks`` are those of :func:`sasa`, so the first is sasa(A+B)."""
     groups = np.arange(both.n) >= n_a
     masks, own, inflated = _exposure_mask(both.positions, both.radii, config.probe,
                                           config.n_points, groups)
     full, alone = _atom_areas(masks, inflated), _atom_areas(own, inflated)
-    return float(full.sum()) - float(alone[:n_a].sum()) - float(alone[n_a:].sum())
+    whole = float(full.sum())
+    return whole, whole - float(alone[:n_a].sum()) - float(alone[n_a:].sum())
 
 
 def volume(positions, radii, spacing: float) -> float:
@@ -439,7 +444,54 @@ def delta_qoi(kind: QOIKind, a: AtomSet, b: AtomSet, config: QOIConfig = QOIConf
         return 0.0
     both = a.union(b)
     if kind is QOIKind.AREA:
-        return _delta_area(both, a.n, config)
+        return _delta_area(both, a.n, config)[1]
     return (evaluate_qoi(kind, both, config=config)
             - evaluate_qoi(kind, a, config=config)
             - evaluate_qoi(kind, b, config=config))
+
+
+def row_evaluator(kinds, s: Structure, idx_a, idx_b, config: QOIConfig = QOIConfig()):
+    """Function mapping (n, 3) positions of ``s`` to {kind value: QOI} for ``kinds``.
+
+    Non-delta kinds cover all of ``s``; ``delta_*`` kinds cover A = atoms
+    ``idx_a`` and B = atoms ``idx_b``.  Parameters and bonded exclusions are
+    built here, once.  When A then B is all of ``s`` and their union has the
+    exclusions of ``s``, f(A+B) is f(whole): each row evaluates it once (area
+    and delta_area share one exposure pass) and subtracts f(A) and f(B) from
+    it as :func:`delta_qoi` does.  Otherwise each delta calls ``delta_qoi``.
+    """
+    kinds = [QOIKind(k) for k in kinds]
+    full = AtomSet.from_structure(s)
+    idx_a, idx_b = list(idx_a), list(idx_b)
+    shared = False
+    if any(k.is_delta for k in kinds):
+        group_a = AtomSet.from_structure(s.subset(idx_a))
+        group_b = AtomSet.from_structure(s.subset(idx_b))
+        shared = (idx_a + idx_b == list(range(full.n))
+                  and group_a.union(group_b).exclusions == full.exclusions)
+
+    def evaluate(positions) -> dict[str, float]:
+        whole_set = replace(full, positions=positions)
+        whole: dict[QOIKind, float] = {}
+        if shared and QOIKind.DELTA_AREA in kinds:
+            whole[QOIKind.AREA], delta_area = _delta_area(whole_set, len(idx_a), config)
+        row = {}
+        for kind in kinds:
+            if kind.is_delta:
+                a = replace(group_a, positions=positions[idx_a])
+                b = replace(group_b, positions=positions[idx_b])
+                if not shared:
+                    row[kind.value] = delta_qoi(kind.base, a, b, config)
+                    continue
+            if kind.base not in whole:
+                whole[kind.base] = evaluate_qoi(kind.base, whole_set, config=config)
+            if kind is QOIKind.DELTA_AREA:
+                row[kind.value] = delta_area
+            elif kind.is_delta:
+                row[kind.value] = (whole[kind.base] - evaluate_qoi(kind.base, a, config=config)
+                                   - evaluate_qoi(kind.base, b, config=config))
+            else:
+                row[kind.value] = whole[kind]
+        return row
+
+    return evaluate

@@ -164,6 +164,22 @@ class TestBindingSiteProbMulti:
         want = naive_map(receptor, list(ens.coords), poses, 5.0)
         np.testing.assert_array_equal(site.probabilities, want)
 
+    def test_rejected_draws_left_out(self):
+        receptor = make_structure([[0.0, 0.0, 0.0]])
+        ens = Ensemble(source=make_structure([[0.0, 0.0, 0.0]]),
+                       coords=np.array([[[0.0, 3.0, 0.0]], [[0.0, 300.0, 0.0]]]),
+                       reasons=(None, "clash"))
+        site = binding_site_prob_multi(receptor, ens, [[Pose.identity()]] * 2)
+        assert site.probabilities[0] == 1.0
+        assert site.n_configs == 1
+
+    def test_no_accepted_draw_rejected(self):
+        receptor = make_structure([[0.0, 0.0, 0.0]])
+        ens = Ensemble(source=make_structure([[0.0, 0.0, 0.0]]),
+                       coords=np.array([[[0.0, 3.0, 0.0]]]), reasons=("clash",))
+        with pytest.raises(ValueError, match="accepted"):
+            binding_site_prob_multi(receptor, ens, [[Pose.identity()]])
+
     def test_ragged_pose_lists_rejected(self, receptor, ligand):
         ens = self._ensemble(receptor, [ligand.positions, ligand.positions])
         with pytest.raises(ValueError, match="same positive pose count"):

@@ -129,6 +129,17 @@ class TestQoiCertifySaturate:
         # the full structure plus chains A and B, however many models there are
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("key", ["chain_a", "chain_b"])
+    def test_qoi_rejects_unknown_chain(self, workspace, capsys, key):
+        cfg = self._sampled(workspace, n=2)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: "Z",
+                                   "qoi": ["delta_area"]}))
+        capsys.readouterr()
+        assert main(["qoi", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "'Z'" in err and "'A', 'B'" in err
+        assert not (workspace / "run" / "qoi_values.csv").exists()
+
     def test_qoi_rejects_model_of_other_size(self, workspace):
         cfg = self._sampled(workspace, n=2)
         ensemble = workspace / "run" / "ensemble.pdb"

@@ -14,10 +14,13 @@ from moluq.qoi import (
     evaluate_qoi,
     gb_polarization,
     lj_energy,
+    row_evaluator,
     sasa,
     volume,
 )
-from conftest import make_structure
+from moluq import qoi
+from moluq.molio import ParamTable, assign_params, detect_bonds
+from conftest import lattice, make_structure
 
 COULOMB_C = 332.0636
 
@@ -414,3 +417,92 @@ class TestPairwiseOracleEquivalence:
             rb = born_radii(a.positions, a.radii)
             assert gb_polarization(a.positions, a.charges, rb) == pytest.approx(
                 brute_gb(a.positions, a.charges, rb), rel=1e-9)
+
+
+# ----------------------------------------------------------------- rows
+
+ELEMENTS = ("C", "C", "N", "C", "O")  # all bond at the 1.5 A zigzag step
+
+
+def chain_lattice(chains, seed=3):
+    """Bonded, parameterised 20-atom zigzag chains, one chain id per atom.
+
+    Every lattice chain has the same elements and bonds, so two equal-sized
+    chain groups have the same bonded exclusions whichever comes first.
+    """
+    n = len(chains)
+    rng = np.random.default_rng(seed)
+    pos = lattice(n) + rng.uniform(-0.05, 0.05, size=(n, 3))
+    s = make_structure(pos, element=[ELEMENTS[i % 20 % len(ELEMENTS)] for i in range(n)],
+                       chain=chains)
+    return detect_bonds(assign_params(s, ParamTable.default()))
+
+
+def separate_values(s, positions, idx_a, idx_b, config):
+    """Every kind by its own evaluate_qoi/delta_qoi call."""
+    full = AtomSet.from_structure(s.with_positions(positions))
+    a = AtomSet.from_structure(s.subset(idx_a).with_positions(positions[idx_a]))
+    b = AtomSet.from_structure(s.subset(idx_b).with_positions(positions[idx_b]))
+    return {kind.value: (delta_qoi(kind.base, a, b, config) if kind.is_delta
+                         else evaluate_qoi(kind, full, config=config))
+            for kind in QOIKind}
+
+
+class TestRowEvaluator:
+    CASES = {
+        "chains_cover_whole": ["A"] * 40 + ["B"] * 40,
+        # atoms 29 and 30 are bonded: an exclusion of the whole, not of A+B
+        "cross_chain_bond": ["A"] * 30 + ["B"] * 50,
+        "chain_b_first": ["B"] * 40 + ["A"] * 40,
+        "third_chain": ["A"] * 40 + ["B"] * 20 + ["C"] * 20,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_row_equals_separate_calls(self, case):
+        s = chain_lattice(self.CASES[case])
+        idx_a, idx_b = s.chains["A"], s.chains["B"]
+        config = QOIConfig()
+        evaluate = row_evaluator(list(QOIKind), s, idx_a, idx_b, config)
+        rng = np.random.default_rng(4)
+        for positions in (s.positions(), s.positions() + rng.normal(0, 0.1, (s.n_atoms, 3))):
+            assert evaluate(positions) == separate_values(s, positions, idx_a, idx_b, config)
+
+    def test_cross_chain_bond_changes_lj(self):
+        # the excluded bonded pair is why lj and the delta's f(A+B) must differ here
+        s = chain_lattice(self.CASES["cross_chain_bond"])
+        assert (29, 30) in s.bonds
+        full = AtomSet.from_structure(s)
+        both = AtomSet.from_structure(s.subset(s.chains["A"])).union(
+            AtomSet.from_structure(s.subset(s.chains["B"])))
+        assert evaluate_qoi(QOIKind.LJ, full) != evaluate_qoi(QOIKind.LJ, both)
+
+    @pytest.mark.parametrize("case, lj_sizes, sasa_calls, passes", [
+        ("chains_cover_whole", [80, 40, 40], 0, 1),
+        ("third_chain", [80, 60, 40, 20], 1, 2),
+    ])
+    def test_whole_complex_kernels_run_once_per_row(self, monkeypatch, case, lj_sizes,
+                                                    sasa_calls, passes):
+        s = chain_lattice(self.CASES[case])
+        calls = {"lj": [], "sasa": 0, "pass": 0}
+        real_lj, real_sasa, real_mask = qoi.lj_energy, qoi.sasa, qoi._exposure_mask
+
+        def lj(positions, *args, **kwargs):
+            calls["lj"].append(len(positions))
+            return real_lj(positions, *args, **kwargs)
+
+        def count(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(qoi, "lj_energy", lj)
+        monkeypatch.setattr(qoi, "sasa", count("sasa", real_sasa))
+        monkeypatch.setattr(qoi, "_exposure_mask", count("pass", real_mask))
+        evaluate = row_evaluator(["area", "delta_area", "lj", "delta_lj"], s,
+                                 s.chains["A"], s.chains["B"])
+        for _ in range(2):
+            evaluate(s.positions())
+        assert sorted(calls["lj"]) == sorted(lj_sizes * 2)
+        assert calls["sasa"] == 2 * sasa_calls
+        assert calls["pass"] == 2 * passes
