@@ -9,6 +9,7 @@ probable site they touch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,8 @@ class Pose:
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=float)
         tr = np.asarray(self.translation, dtype=float)
+        if not (np.all(np.isfinite(rot)) and np.all(np.isfinite(tr))):
+            raise ValueError("pose rotation and translation must be finite")
         if rot.shape != (3, 3) or tr.shape != (3,):
             raise ValueError("pose needs a 3x3 rotation and a 3-vector translation")
         if np.abs(rot.T @ rot - np.eye(3)).max() > 1e-9:
@@ -53,8 +56,8 @@ class ContactModel:
     cutoff: float = 5.0
 
     def __post_init__(self):
-        if self.cutoff <= 0:
-            raise ValueError("contact cutoff must be positive")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ValueError("contact cutoff must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -83,19 +86,31 @@ def contact(position, ligand: Conformer, pose: Pose, m: ContactModel = ContactMo
     return int(d.min() <= m.cutoff) if d.size else 0
 
 
-def _contact_rows(receptor_positions, ligand_positions, pose, cutoff) -> np.ndarray:
-    placed = pose.apply(ligand_positions)
+def _contact_rows(receptor_positions, placed, cutoff) -> np.ndarray:
     d2 = ((receptor_positions[:, None, :] - placed[None, :, :]) ** 2).sum(axis=2)
     return (d2.min(axis=1) <= cutoff * cutoff).astype(float)
 
 
 def _contact_map(A: Structure, configs, m: ContactModel) -> BindingSiteMap:
-    """Contact fraction over (ligand positions, poses) pairs, each with k poses."""
+    """Contact fraction over (ligand positions, poses) pairs, each with k poses.
+
+    Each pose is tested only against the receptor atoms inside the placed
+    ligand's bounding box, widened by the cutoff plus a relative slack far
+    above rounding error: an atom left out lies beyond the cutoff along some
+    axis, so its computed ``d2`` exceeds cutoff**2 and it would have added 0.
+    ``hits`` keeps the exact counts of testing every atom.
+    """
     rec = A.positions()
     hits = np.zeros(A.n_atoms)
     for positions, poses in configs:
         for pose in poses:
-            hits += _contact_rows(rec, positions, pose, m.cutoff)
+            placed = pose.apply(positions)
+            near = slice(None)  # an empty ligand fails in _contact_rows, as it did
+            if len(placed):
+                reach = m.cutoff + 1e-9 * (m.cutoff + np.abs(placed).max())
+                near = np.flatnonzero(((rec >= placed.min(axis=0) - reach)
+                                       & (rec <= placed.max(axis=0) + reach)).all(axis=1))
+            hits[near] += _contact_rows(rec[near], placed, m.cutoff)
     k = len(configs[0][1])
     return BindingSiteMap(probabilities=hits / (k * len(configs)),
                           serials=tuple(A.serials.tolist()),
@@ -154,7 +169,7 @@ def binding_score(s_b: Conformer, pose: Pose, site_map: BindingSiteMap, A: Struc
     """
     if len(site_map.serials) != A.n_atoms:
         raise ValueError("site map does not cover the receptor's atoms")
-    rows = _contact_rows(A.positions(), s_b.positions, pose, m.cutoff)
+    rows = _contact_rows(A.positions(), pose.apply(s_b.positions), m.cutoff)
     return float(np.dot(site_map.probabilities, rows))
 
 

@@ -153,8 +153,18 @@ class ParamRow:
     lj_b: float
 
     def __post_init__(self):
-        if self.vdw_radius <= 0:
-            raise ValueError("vdw_radius must be positive")
+        if not (_is_finite(self.vdw_radius) and self.vdw_radius > 0):
+            raise ValueError("vdw_radius must be finite and positive")
+        if not all(map(_is_finite, (self.charge, self.lj_a, self.lj_b))):
+            raise ValueError("charge, lj_a and lj_b must be finite")
+
+
+def _is_finite(value) -> bool:
+    """True for a finite real number; False for NaN, inf and non-numbers."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
 
 
 _FALLBACK_ELEMENTS = ("C", "N", "O", "S", "H", "P")
@@ -270,14 +280,14 @@ def _read_model(numbered_lines):
     """Read and check the ATOM/HETATM (+ trailing ANISOU) records of one model.
 
     Reading stops at the ENDMDL that closes a MODEL, so a multi-model text
-    yields its first model.  Returns the kept ATOM lines with their serials,
-    residue numbers, (x, y, z) and B-values, and {row: per-axis B from
-    ANISOU}.  Alternate locations other than blank or 'A' are skipped.  A
-    non-finite coordinate, a negative B-value or ANISOU diagonal and a
-    repeated serial raise ValueError; malformed fields raise
+    yields its first model.  Returns the kept ATOM lines with their line
+    numbers, serials, residue numbers, (x, y, z) and B-values, and {row:
+    per-axis B from ANISOU}.  Alternate locations other than blank or 'A' are
+    skipped.  A non-finite coordinate, a negative B-value or ANISOU diagonal
+    and a repeated serial raise ValueError; malformed fields raise
     :class:`PdbParseError`.
     """
-    lines, serials, residue_seqs, xyz, b_iso, b_aniso = [], [], [], [], [], {}
+    linenos, lines, serials, residue_seqs, xyz, b_iso, b_aniso = [], [], [], [], [], [], {}
     last_serial: int | None = None  # serial of the most recent ATOM line, kept or skipped
     last_kept = in_model = False
     for lineno, line in numbered_lines:
@@ -303,6 +313,7 @@ def _read_model(numbered_lines):
                 raise ValueError(f"atom {serial}: position must be a finite 3-vector")
             if b < 0:
                 raise ValueError(f"atom {serial}: b_iso must be >= 0")
+            linenos.append(lineno)
             lines.append(line)
             serials.append(serial)
             xyz.append(pos)
@@ -323,12 +334,13 @@ def _read_model(numbered_lines):
                 raise ValueError(f"atom {serial}: b_aniso must be 3 non-negative values")
             b_aniso[len(serials) - 1] = b_axes
     _require_unique(serials)
-    return lines, serials, residue_seqs, xyz, b_iso, b_aniso
+    return linenos, lines, serials, residue_seqs, xyz, b_iso, b_aniso
 
 
-def _structure(numbered_lines) -> Structure:
-    """The atoms of one model, with placeholder parameters (radius 1.7 A)."""
-    lines, serials, residue_seqs, xyz, b_iso, aniso = _read_model(numbered_lines)
+def _structure(model) -> Structure:
+    """The atoms of one model read by :func:`_read_model`, with placeholder
+    parameters (radius 1.7 A)."""
+    _, lines, serials, residue_seqs, xyz, b_iso, aniso = model
     n = len(serials)
     elements = [(line[76:78].strip() if len(line) >= 77 else "") or _infer_element(line[12:16])
                 for line in lines]
@@ -354,7 +366,93 @@ def parse_pdb(text: str) -> Structure:
     per-axis B-values via B = 8*pi^2*U.  If MODEL records are present only
     the first model is read (see :func:`parse_pdb_models` for ensembles).
     """
-    return _structure(enumerate(text.splitlines(), start=1))
+    return _structure(_read_model(enumerate(text.splitlines(), start=1)))
+
+
+_TENS_F = np.array([10.0**k for k in range(9)])   # 1 .. 1e8, exact doubles
+_NUMBER_BYTES = np.zeros(256, dtype=bool)
+_NUMBER_BYTES[list(b"0123456789 .+-")] = True
+_FIELD_ROWS = 2**15                                # fields converted per array pass
+
+
+def _decimal_fields(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of each row of ``fields``, a (k, w) uint8 array of ASCII
+    text with w <= 8, and the mask of the rows that ``float()`` reads.
+
+    A row reads when it holds only '0-9 .+-' and, blanks stripped, is an
+    optional sign, then digits with at most one '.', at least one digit and no
+    inner blank.  Its value is the digits as an integer M < 10**8 divided by
+    10**d, d the digits after the point: both are exact doubles, so the one
+    correctly rounded division is bit-equal to ``float()``'s correctly
+    rounded result (``-0.000`` gives -0.0).  Such values are always finite.
+    """
+    k = len(fields)
+    mantissa, decimals = np.zeros(k), np.zeros(k, dtype=np.int64)
+    started, ended, point, minus, digits, bad = (np.zeros(k, dtype=bool) for _ in range(6))
+    for ch in np.ascontiguousarray(fields.T):  # one character column at a time
+        value = ch - np.uint8(48)
+        digit = value < 10
+        filled = ch != 32
+        is_point = ch == 46
+        bad |= ((ended & filled) | (started & ((ch == 43) | (ch == 45)))
+                | (point & is_point) | ~_NUMBER_BYTES[ch])
+        ended |= started & ~filled
+        started |= filled
+        point |= is_point
+        minus |= ch == 45
+        digits |= digit
+        np.copyto(mantissa, mantissa * 10 + value, where=digit)
+        decimals += digit & point
+    values = mantissa / _TENS_F[decimals]
+    np.negative(values, out=values, where=minus)
+    return values, digits & ~bad
+
+
+def _offsets(text: str, word: str):
+    at = text.find(word)
+    while at >= 0:
+        yield at
+        at = text.find(word, at + 1)
+
+
+def _later_coords(text: str, starts: np.ndarray, blocks, kept: list[int]):
+    """Coordinates of the models after the first that repeat its text byte for
+    byte outside columns 31-54 of its kept ATOM/HETATM rows, whose x, y, z
+    fields ``float()`` reads.  Returns {model index: (n, 3) array}; other
+    models are left to the per-line reader.
+
+    ``starts`` holds the offset of each line, ``blocks`` the (MODEL line,
+    first, end) line ranges of the models and ``kept`` the line numbers of
+    the first model's kept rows.  Such a model reads exactly as the first
+    does but for these coordinates, which are all valid and finite, so the
+    per-line reader would return the same and raise nothing.
+    """
+    if not text.isascii():
+        return {}
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    _, lo, hi = blocks[0]
+    body = raw[starts[lo]:starts[hi]]
+    cols = ((starts[np.asarray(kept, dtype=np.int64) - 1] - starts[lo])[:, None]
+            + np.arange(30, 54)).ravel()
+    keep = np.full(len(body), 0xFF, dtype=np.uint8)
+    keep[cols] = 0
+    body_kept = body & keep
+    same = []  # models whose text outside the coordinates is the first's
+    for k, (_, lo_k, hi_k) in enumerate(blocks[1:], start=1):
+        text_k = raw[starts[lo_k]:starts[hi_k]]
+        if len(text_k) == len(body) and np.array_equal(text_k & keep, body_kept):
+            same.append((k, text_k[cols]))
+    if not same:
+        return {}
+    fields = np.array([f for _, f in same]).reshape(-1, 8)
+    values, valid = np.empty(len(fields)), np.empty(len(fields), dtype=bool)
+    for at in range(0, len(fields), _FIELD_ROWS):
+        part = slice(at, at + _FIELD_ROWS)
+        values[part], valid[part] = _decimal_fields(fields[part])
+    n = len(kept)
+    values = values.reshape(len(same), n, 3)
+    valid = valid.reshape(len(same), 3 * n).all(axis=1)
+    return {k: values[i] for i, (k, _) in enumerate(same) if valid[i]}
 
 
 def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
@@ -367,35 +465,62 @@ def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
     models keep only their coordinates.  Raises :class:`PdbParseError`,
     naming the MODEL record's line, when a MODEL has no ENDMDL or a later
     model does not list the first model's serials in the same order.
+
+    The first model is read line by line.  A later model whose text is ASCII
+    and equals the first model's everywhere except the x, y, z columns
+    (31-54) of the first model's kept ATOM/HETATM rows, which hold numbers
+    made of '0-9 .+-', is read as arrays: its coordinates are converted in
+    one fixed-width pass, bit-equal to ``float()`` of each field.  Every
+    other model goes through the per-line reader, so results and errors
+    (class, message and order) are those of reading each model line by line.
     """
-    numbered = list(enumerate(text.splitlines(), start=1))
-    blocks: list[tuple[int, list[tuple[int, str]]]] = []  # (MODEL line, numbered lines)
+    # offset of each line start, by str.splitlines' breaks; a line-aligned
+    # slice of the text splits into the same lines as the whole text does
+    starts = np.concatenate(([0], np.cumsum(np.fromiter(
+        map(len, text.splitlines(keepends=True)), dtype=np.int64))))
+
+    def lines(lo, hi) -> list[str]:
+        return text[starts[lo]:starts[hi]].splitlines()
+
+    # a MODEL or ENDMDL record holds its word, so only lines holding one are tested
+    marked = np.searchsorted(starts, [*_offsets(text, "MODEL"), *_offsets(text, "ENDMDL")],
+                             side="right") - 1
+    blocks: list[list[int]] = []  # [MODEL line index, first body line, end] of each model
     current = None
-    for lineno, line in numbered:
-        record = line[:6].strip()
+    for i in sorted(set(marked.tolist())):
+        record = lines(i, i + 1)[0][:6].strip()
         if record == "MODEL":
             if current is not None:
-                raise PdbParseError(f"line {current[0]}: MODEL without ENDMDL")
-            current = (lineno, [])
+                raise PdbParseError(f"line {current[0] + 1}: MODEL without ENDMDL")
+            current = [i, i + 1, i + 1]
             blocks.append(current)
-        elif record == "ENDMDL":
+        elif record == "ENDMDL" and current is not None:
+            current[2] = i
             current = None
-        elif current is not None:
-            current[1].append((lineno, line))
     if current is not None:
-        raise PdbParseError(f"line {current[0]}: MODEL without ENDMDL")
-    first = _structure(blocks[0][1] if blocks else numbered)
+        raise PdbParseError(f"line {current[0] + 1}: MODEL without ENDMDL")
+
+    def numbered(block):
+        return enumerate(lines(block[1], block[2]), start=block[1] + 1)
+
+    model = _read_model(numbered(blocks[0]) if blocks
+                        else enumerate(text.splitlines(), start=1))
+    first = _structure(model)
     coords = np.empty((max(len(blocks), 1), first.n_atoms, 3))
     coords[0] = first.coords
+    fast = _later_coords(text, starts, blocks, model[0]) if len(blocks) > 1 else {}
     want = first.serials.tolist()
-    for k, (lineno, block) in enumerate(blocks[1:], start=2):
-        _, serials, _, xyz, _, _ = _read_model(block)
+    for k, block in enumerate(blocks[1:], start=1):
+        if k in fast:
+            coords[k] = fast[k]
+            continue
+        _, _, serials, _, xyz, _, _ = _read_model(numbered(block))
         if serials != want:
             pair = next(((got, ok) for got, ok in zip(serials, want) if got != ok), None)
             what = (f"serial {pair[0]} where model 1 lists serial {pair[1]}" if pair
                     else f"{len(serials)} atoms where model 1 lists {len(want)}")
-            raise PdbParseError(f"line {lineno}: model {k} lists {what}")
-        coords[k - 1] = xyz
+            raise PdbParseError(f"line {block[0] + 1}: model {k + 1} lists {what}")
+        coords[k] = xyz
     return first, coords
 
 
@@ -423,8 +548,8 @@ def _int_col(value: int, width: int, what: str) -> str:
 
 def _atom_lines(s: Structure):
     """Columns 7-26 of each atom's records (serial, name, residue, chain,
-    number; shared by ATOM and ANISOU) and a function rendering the ATOM
-    records at given positions.  Only the coordinates are formatted per model."""
+    number; shared by ATOM and ANISOU) and columns 55-78 of its ATOM record
+    (occupancy, B-value, element).  Only the coordinates change per model."""
     ids = [
         f"{_int_col(serial, 5, 'serial')} {_format_atom_name(name, element)} "
         f"{residue:>3s} {chain}{_int_col(seq, 4, 'residue number')}"
@@ -434,22 +559,24 @@ def _atom_lines(s: Structure):
     ]
     tails = [f"{1.0:6.2f}{b:6.2f}          {element:>2s}"
              for b, element in zip(s.b_iso.tolist(), s.elements.tolist())]
+    return ids, tails
 
-    def at(positions) -> list[str]:
-        return [f"ATOM  {atom_id}    {_coord(x)}{_coord(y)}{_coord(z)}{tail}"
-                for atom_id, (x, y, z), tail in zip(ids, positions.tolist(), tails)]
 
-    return ids, at
+def _atom_records(ids, tails, positions) -> list[str]:
+    """The ATOM records at the given (n, 3) positions, one coordinate at a
+    time; raises :class:`PdbFormatError` at the first that overflows."""
+    return [f"ATOM  {atom_id}    {_coord(x)}{_coord(y)}{_coord(z)}{tail}"
+            for atom_id, (x, y, z), tail in zip(ids, positions.tolist(), tails)]
 
 
 def write_pdb(s: Structure) -> str:
     """Render a Structure as fixed-column PDB text (ANISOU where present),
     with TER records at chain boundaries."""
-    ids, atom_lines = _atom_lines(s)
+    ids, tails = _atom_lines(s)
     u = np.rint(s.b_aniso / EIGHT_PI_SQ * 1e4).astype(int).tolist()
     elements, chains = s.elements.tolist(), s.chain_ids.tolist()
     lines = []
-    for i, line in enumerate(atom_lines(s.coords)):
+    for i, line in enumerate(_atom_records(ids, tails, s.coords)):
         lines.append(line)
         if s.has_aniso[i]:
             lines.append(f"ANISOU{ids[i]}  {u[i][0]:7d}{u[i][1]:7d}{u[i][2]:7d}"
@@ -461,21 +588,35 @@ def write_pdb(s: Structure) -> str:
 
 
 def write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
-    """Render an ensemble as a multi-MODEL PDB sharing ``s``'s atom metadata."""
+    """Render an ensemble as a multi-MODEL PDB sharing ``s``'s atom metadata.
+
+    Each model's ATOM records come from one ``%``-template of the structure,
+    filled with all its coordinates at once (``%8.3f`` renders as
+    ``f"{v:8.3f}"``).  A model whose text is longer than the template
+    predicts holds a coordinate that overflows its 8 columns; it is rendered
+    again atom by atom, which raises :class:`PdbFormatError` naming the first
+    such coordinate, so text and errors are those of the per-atom path.
+    """
     if model_numbers is None:
         model_numbers = range(1, len(positions_list) + 1)
-    _, atom_lines = _atom_lines(s)
-    lines = []
+    ids, tails = _atom_lines(s)
+    template = "".join(f"ATOM  {atom_id.replace('%', '%%')}    %8.3f%8.3f%8.3f"
+                       f"{tail.replace('%', '%%')}\n" for atom_id, tail in zip(ids, tails))
+    width = len(template % ((0.0,) * (3 * s.n_atoms)))  # every field 8 columns wide
+    parts = []
     for num, positions in zip(model_numbers, positions_list):
         positions = np.asarray(positions, dtype=float)
         if positions.shape != (s.n_atoms, 3) or not np.all(np.isfinite(positions)):
             raise ValueError(f"model {num}: expected ({s.n_atoms}, 3) finite positions, "
                              f"got shape {positions.shape}")
-        lines.append(f"MODEL     {num:4d}")
-        lines.extend(atom_lines(positions))
-        lines.append("ENDMDL")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
+        parts.append(f"MODEL     {num:4d}\n")
+        atoms = template % tuple(positions.ravel().tolist())
+        if len(atoms) != width:  # raises at the first overflowing coordinate
+            atoms = "".join(f"{line}\n" for line in _atom_records(ids, tails, positions))
+        parts.append(atoms)
+        parts.append("ENDMDL\n")
+    parts.append("END\n")
+    return "".join(parts)
 
 
 def assign_params(s: Structure, table: ParamTable) -> Structure:

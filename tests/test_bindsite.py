@@ -63,6 +63,24 @@ class TestPose:
         with pytest.raises(ValueError, match="proper"):
             Pose(rotation=reflect, translation=np.zeros(3))
 
+    @pytest.mark.parametrize("rotation, translation", [
+        (np.full((3, 3), math.nan), np.zeros(3)),
+        (np.where(np.eye(3) == 1, math.inf, 0.0), np.zeros(3)),
+        (np.eye(3), np.array([0.0, math.nan, 0.0])),
+        (np.eye(3), np.array([-math.inf, 0.0, 0.0])),
+    ])
+    def test_non_finite_entries_rejected(self, rotation, translation):
+        # NaN passed both the orthonormality and the determinant test before
+        with pytest.raises(ValueError, match="pose rotation and translation must be finite"):
+            Pose(rotation=rotation, translation=translation)
+
+
+class TestContactModel:
+    @pytest.mark.parametrize("cutoff", [math.nan, math.inf, 0.0, -1.0])
+    def test_cutoff_must_be_finite_and_positive(self, cutoff):
+        with pytest.raises(ValueError, match="contact cutoff must be finite and positive"):
+            ContactModel(cutoff)
+
 
 class TestContact:
     def test_exactly_at_cutoff_is_contact(self, receptor, ligand):

@@ -341,6 +341,21 @@ class TestBindsite:
                               if not f.name.endswith("_meta.json")}
         assert len(outputs["flat"]) == 4 and outputs["flat"] == outputs["grouped"]
 
+    def test_nan_contact_cutoff_exits_3(self, workspace, capsys):
+        # NaN passed `cutoff <= 0`, so every p_bs came out 0 and bindsite exited 0
+        lig = make_structure([[0.0, 3.0, 0.0]])
+        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        poses = [{"rank": 1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                  "translation": [0.0, 0.0, 0.0]}]
+        (workspace / "poses.json").write_text(json.dumps(poses))
+        cfg = write_config(workspace, ligand=str(workspace / "ligand.pdb"),
+                           poses=str(workspace / "poses.json"), contact_cutoff=math.nan)
+        assert '"contact_cutoff": NaN' in cfg.read_text()
+        capsys.readouterr()
+        assert main(["bindsite", "--config", str(cfg)]) == 3
+        assert "contact cutoff must be finite and positive" in capsys.readouterr().err
+        assert not (workspace / "run" / "bindsite_atoms.csv").exists()
+
     def test_single_pose_binary_map(self, workspace):
         lig = make_structure([[0.0, 3.0, 0.0]])
         (workspace / "ligand.pdb").write_text(write_pdb(lig))
@@ -435,6 +450,16 @@ class TestReplayAndExitCodes:
         (out / "qoi_values.csv").write_text("\n".join(rows) + "\n")
         cfg = write_config(workspace)
         assert main(["certify", "--config", str(cfg)]) == 3
+
+    def test_nan_parameter_file_exits_3(self, workspace, capsys):
+        from moluq.molio import ParamTable
+        raw = json.loads(ParamTable.default().to_json())
+        raw["elements"]["C"]["radius"] = math.nan
+        (workspace / "params.json").write_text(json.dumps(raw))
+        cfg = write_config(workspace, samples=2, params=str(workspace / "params.json"))
+        capsys.readouterr()
+        assert main(["sample", "--config", str(cfg)]) == 3
+        assert "vdw_radius must be finite and positive" in capsys.readouterr().err
 
     def test_unknown_command_exit_1(self):
         assert main(["frobnicate"]) == 1

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from moluq.molio import (
     EIGHT_PI_SQ,
     ParamLookupError,
+    ParamRow,
     ParamTable,
     PdbFormatError,
     PdbParseError,
@@ -197,6 +199,27 @@ class TestParams:
     def test_fallback_rows_required(self):
         with pytest.raises(ValueError, match="fallback"):
             ParamTable(elements={})
+
+    @pytest.mark.parametrize("row, message", [
+        ((math.nan, 0.0, 0.0, 0.0), "vdw_radius must be finite and positive"),
+        ((math.inf, 0.0, 0.0, 0.0), "vdw_radius must be finite and positive"),
+        ((0.0, 0.0, 0.0, 0.0), "vdw_radius must be finite and positive"),
+        ((None, 0.0, 0.0, 0.0), "vdw_radius must be finite and positive"),
+        ((1.7, math.nan, 0.0, 0.0), "charge, lj_a and lj_b must be finite"),
+        ((1.7, 0.0, -math.inf, 0.0), "charge, lj_a and lj_b must be finite"),
+        ((1.7, 0.0, 0.0, None), "charge, lj_a and lj_b must be finite"),
+    ])
+    def test_non_finite_rows_rejected(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            ParamRow(*row)
+
+    def test_json_with_nan_radius_rejected(self):
+        raw = json.loads(ParamTable.default().to_json())
+        raw["elements"]["C"]["radius"] = math.nan
+        text = json.dumps(raw)
+        assert '"radius": NaN' in text
+        with pytest.raises(ValueError, match="vdw_radius must be finite and positive"):
+            ParamTable.from_json(text)
 
 
 class TestStructure:

@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from moluq import molio
 from moluq.cli import main
 from moluq.molio import PdbParseError, parse_pdb, parse_pdb_models
 
@@ -98,6 +99,25 @@ def test_second_model_fault_rejected(fault, tmp_path, capsys):
         parse_pdb_models(text)
     assert err.type is ValueError
     assert str(err.value) == FAULTS[fault]
+    good = "\n".join(model_lines()) + "\n"
+    code, stderr = run_qoi(tmp_path, good, text, capsys)
+    assert (code, stderr) == (3, f"moluq: domain error: {FAULTS[fault]}\n")
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_last_model_fault_rejected(fault, tmp_path, capsys, monkeypatch):
+    # models 2-4 repeat model 1's text but for the coordinates, so they are read
+    # as arrays; the spoilt last model falls back to the per-line reader
+    models = [model_lines(float(k)) for k in range(4)] + [model_lines(4.0, fault=fault)]
+    text = ensemble_text(models)
+    reads = []
+    reader = molio._read_model
+    monkeypatch.setattr(molio, "_read_model", lambda lines: reads.append(1) or reader(lines))
+    with pytest.raises(ValueError) as err:
+        parse_pdb_models(text)
+    assert err.type is ValueError
+    assert str(err.value) == FAULTS[fault]
+    assert len(reads) == 2
     good = "\n".join(model_lines()) + "\n"
     code, stderr = run_qoi(tmp_path, good, text, capsys)
     assert (code, stderr) == (3, f"moluq: domain error: {FAULTS[fault]}\n")

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moluq.bindsite import BindingSiteMap, ContactModel, Pose, _contact_rows, binding_site_prob
+from moluq.bindsite import BindingSiteMap, ContactModel, Pose, binding_site_prob
 from moluq.certificates import DEFAULT_T_GRID, EmpiricalDistribution, chernoff_table
 from moluq.conformers import Conformer, Ensemble
 from moluq.molio import (
@@ -132,7 +132,9 @@ def oracle_binding_site_prob(A, B, poses, m=ContactModel()):
     rec = A.positions()
     hits = np.zeros(A.n_atoms)
     for pose in poses:
-        hits += _contact_rows(rec, B.positions, pose, m.cutoff)
+        placed = pose.apply(B.positions)
+        d2 = ((rec[:, None, :] - placed[None, :, :]) ** 2).sum(axis=2)
+        hits += (d2.min(axis=1) <= m.cutoff * m.cutoff).astype(float)
     return BindingSiteMap(probabilities=hits / len(poses),
                           serials=tuple(A.serials.tolist()),
                           cutoff=m.cutoff, k=len(poses), n_configs=1)
