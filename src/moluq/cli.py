@@ -132,8 +132,7 @@ def _load_structure(cfg, key: str = "structure") -> molio.Structure:
         table = molio.ParamTable.from_json(_read_text(_resolve_input(cfg, "params")))
     else:
         table = molio.ParamTable.default()
-    s = molio.assign_params(s, table)
-    return molio.detect_bonds(s)
+    return molio.assign_params(s, table)
 
 
 def _map_workers(fn, items, workers: int):
@@ -150,7 +149,7 @@ def run_sample(cfg) -> list[str]:
     if cfg.get("samples") is None:
         raise UsageError("--samples is required for 'sample' (no built-in default: "
                          "use 'saturate' to pick a count)")
-    s = _load_structure(cfg)
+    s = molio.detect_bonds(_load_structure(cfg))
     seed, n = int(cfg["seed"]), int(cfg["samples"])
     clash = cfg.get("clash_factor")
     if cfg["mode"] == "cartesian":
@@ -225,16 +224,14 @@ def _ensemble_models(cfg, s: molio.Structure) -> tuple[str, np.ndarray]:
     first, coords = molio.parse_pdb_models(_read_text(ensemble_path))
     got, want = first.serials.tolist(), s.serials.tolist()
     if got != want:
-        pair = next(((g, w) for g, w in zip(got, want) if g != w), None)
-        what = (f"serial {pair[0]} where the structure lists serial {pair[1]}" if pair
-                else f"{len(got)} atoms where the structure lists {len(want)}")
-        raise ValueError(f"{ensemble_path}: ensemble lists {what}")
+        raise ValueError(f"{ensemble_path}: ensemble lists "
+                         + molio.serial_mismatch(got, want, "the structure"))
     return ensemble_path, coords
 
 
 def run_qoi(cfg) -> list[str]:
     out = _out_dir(cfg)
-    s = _load_structure(cfg)
+    s = molio.detect_bonds(_load_structure(cfg))
     ensemble_path, coords = _ensemble_models(cfg, s)
     kinds = [qoi.QOIKind(k) for k in cfg["qoi"]]
     qcfg = _qoi_config(cfg)

@@ -369,43 +369,13 @@ def parse_pdb(text: str) -> Structure:
     return _structure(_read_model(enumerate(text.splitlines(), start=1)))
 
 
-_TENS_F = np.array([10.0**k for k in range(9)])   # 1 .. 1e8, exact doubles
-_NUMBER_BYTES = np.zeros(256, dtype=bool)
-_NUMBER_BYTES[list(b"0123456789 .+-")] = True
-_FIELD_ROWS = 2**15                                # fields converted per array pass
-
-
-def _decimal_fields(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``float()`` of each row of ``fields``, a (k, w) uint8 array of ASCII
-    text with w <= 8, and the mask of the rows that ``float()`` reads.
-
-    A row reads when it holds only '0-9 .+-' and, blanks stripped, is an
-    optional sign, then digits with at most one '.', at least one digit and no
-    inner blank.  Its value is the digits as an integer M < 10**8 divided by
-    10**d, d the digits after the point: both are exact doubles, so the one
-    correctly rounded division is bit-equal to ``float()``'s correctly
-    rounded result (``-0.000`` gives -0.0).  Such values are always finite.
-    """
-    k = len(fields)
-    mantissa, decimals = np.zeros(k), np.zeros(k, dtype=np.int64)
-    started, ended, point, minus, digits, bad = (np.zeros(k, dtype=bool) for _ in range(6))
-    for ch in np.ascontiguousarray(fields.T):  # one character column at a time
-        value = ch - np.uint8(48)
-        digit = value < 10
-        filled = ch != 32
-        is_point = ch == 46
-        bad |= ((ended & filled) | (started & ((ch == 43) | (ch == 45)))
-                | (point & is_point) | ~_NUMBER_BYTES[ch])
-        ended |= started & ~filled
-        started |= filled
-        point |= is_point
-        minus |= ch == 45
-        digits |= digit
-        np.copyto(mantissa, mantissa * 10 + value, where=digit)
-        decimals += digit & point
-    values = mantissa / _TENS_F[decimals]
-    np.negative(values, out=values, where=minus)
-    return values, digits & ~bad
+def serial_mismatch(got: list[int], want: list[int], where: str) -> str:
+    """How the serials ``got`` differ from ``want``, the serials ``where``
+    lists: their first differing pair, or else their two counts."""
+    pair = next(((g, w) for g, w in zip(got, want) if g != w), None)
+    if pair:
+        return f"serial {pair[0]} where {where} lists serial {pair[1]}"
+    return f"{len(got)} atoms where {where} lists {len(want)}"
 
 
 def _offsets(text: str, word: str):
@@ -415,17 +385,32 @@ def _offsets(text: str, word: str):
         at = text.find(word, at + 1)
 
 
+def _cast_fields(fields: np.ndarray) -> np.ndarray | None:
+    """float64 of each 8-byte field on the last axis of the uint8 ``fields``,
+    by numpy's bytes-to-float cast; None when it cannot read one of them."""
+    try:
+        return fields.view("S8")[..., 0].astype(np.float64)
+    except ValueError:
+        return None
+
+
 def _later_coords(text: str, starts: np.ndarray, blocks, kept: list[int]):
     """Coordinates of the models after the first that repeat its text byte for
-    byte outside columns 31-54 of its kept ATOM/HETATM rows, whose x, y, z
-    fields ``float()`` reads.  Returns {model index: (n, 3) array}; other
-    models are left to the per-line reader.
+    byte outside columns 31-54 of its kept ATOM/HETATM rows and whose x, y, z
+    fields read as finite numbers.  Returns {model index: (n, 3) array};
+    other models are left to the per-line reader.
 
     ``starts`` holds the offset of each line, ``blocks`` the (MODEL line,
     first, end) line ranges of the models and ``kept`` the line numbers of
-    the first model's kept rows.  Such a model reads exactly as the first
-    does but for these coordinates, which are all valid and finite, so the
-    per-line reader would return the same and raise nothing.
+    the first model's kept rows.  The fields of all such models are cast in
+    one pass, and model by model only when that pass raises.  numpy parses a
+    field as ``float()`` parses its stripped text, correctly rounded to the
+    same bits, except that it drops trailing NULs (``S`` padding), which
+    ``float()`` rejects, and skips the line breaks of ``str.splitlines`` as
+    blanks, where the per-line reader sees two lines.  A model whose fields
+    hold a control byte (below 0x20) or a non-finite value therefore goes to
+    the per-line reader, so what this returns is what that reader would, and
+    it would raise nothing.
     """
     if not text.isascii():
         return {}
@@ -444,15 +429,13 @@ def _later_coords(text: str, starts: np.ndarray, blocks, kept: list[int]):
             same.append((k, text_k[cols]))
     if not same:
         return {}
-    fields = np.array([f for _, f in same]).reshape(-1, 8)
-    values, valid = np.empty(len(fields)), np.empty(len(fields), dtype=bool)
-    for at in range(0, len(fields), _FIELD_ROWS):
-        part = slice(at, at + _FIELD_ROWS)
-        values[part], valid[part] = _decimal_fields(fields[part])
-    n = len(kept)
-    values = values.reshape(len(same), n, 3)
-    valid = valid.reshape(len(same), 3 * n).all(axis=1)
-    return {k: values[i] for i, (k, _) in enumerate(same) if valid[i]}
+    fields = np.array([f for _, f in same]).reshape(len(same), len(kept), 3, 8)
+    values = _cast_fields(fields)
+    if values is None:  # some field is no number: find the models that hold one
+        values = [_cast_fields(f) for f in fields]
+    control = (fields < 0x20).any(axis=(1, 2, 3))
+    return {k: v for (k, _), v, bad in zip(same, values, control)
+            if not bad and v is not None and np.isfinite(v).all()}
 
 
 def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
@@ -468,11 +451,14 @@ def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
 
     The first model is read line by line.  A later model whose text is ASCII
     and equals the first model's everywhere except the x, y, z columns
-    (31-54) of the first model's kept ATOM/HETATM rows, which hold numbers
-    made of '0-9 .+-', is read as arrays: its coordinates are converted in
-    one fixed-width pass, bit-equal to ``float()`` of each field.  Every
-    other model goes through the per-line reader, so results and errors
-    (class, message and order) are those of reading each model line by line.
+    (31-54) of the first model's kept ATOM/HETATM rows is read as arrays:
+    its coordinate fields go through numpy's bytes-to-float cast, which
+    rounds as ``float()`` does, so the values are bit-equal.  The model goes
+    through the per-line reader instead when the cast cannot read one of its
+    fields, when a value is not finite, or when a field holds a control byte
+    (a NUL, which numpy drops as padding and ``float()`` rejects, or a line
+    break).  Results and errors (class, message and order) are therefore
+    those of reading each model line by line.
     """
     # offset of each line start, by str.splitlines' breaks; a line-aligned
     # slice of the text splits into the same lines as the whole text does
@@ -516,10 +502,8 @@ def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
             continue
         _, _, serials, _, xyz, _, _ = _read_model(numbered(block))
         if serials != want:
-            pair = next(((got, ok) for got, ok in zip(serials, want) if got != ok), None)
-            what = (f"serial {pair[0]} where model 1 lists serial {pair[1]}" if pair
-                    else f"{len(serials)} atoms where model 1 lists {len(want)}")
-            raise PdbParseError(f"line {block[0] + 1}: model {k + 1} lists {what}")
+            raise PdbParseError(f"line {block[0] + 1}: model {k + 1} lists "
+                                + serial_mismatch(serials, want, "model 1"))
         coords[k] = xyz
     return first, coords
 
@@ -595,7 +579,9 @@ def write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
     ``f"{v:8.3f}"``).  A model whose text is longer than the template
     predicts holds a coordinate that overflows its 8 columns; it is rendered
     again atom by atom, which raises :class:`PdbFormatError` naming the first
-    such coordinate, so text and errors are those of the per-atom path.
+    such coordinate, so text and errors are those of the per-atom path.  A
+    model of the wrong shape, or with a non-finite coordinate (named by atom
+    serial, axis and value), raises ValueError.
     """
     if model_numbers is None:
         model_numbers = range(1, len(positions_list) + 1)
@@ -606,9 +592,13 @@ def write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
     parts = []
     for num, positions in zip(model_numbers, positions_list):
         positions = np.asarray(positions, dtype=float)
-        if positions.shape != (s.n_atoms, 3) or not np.all(np.isfinite(positions)):
-            raise ValueError(f"model {num}: expected ({s.n_atoms}, 3) finite positions, "
-                             f"got shape {positions.shape}")
+        expected = f"model {num}: expected ({s.n_atoms}, 3) finite positions"
+        if positions.shape != (s.n_atoms, 3):
+            raise ValueError(f"{expected}, got shape {positions.shape}")
+        if not np.isfinite(positions).all():
+            i, axis = np.argwhere(~np.isfinite(positions))[0]
+            raise ValueError(f"{expected}, atom {s.serials[i]} has {'xyz'[axis]} = "
+                             f"{positions[i, axis]}")
         parts.append(f"MODEL     {num:4d}\n")
         atoms = template % tuple(positions.ravel().tolist())
         if len(atoms) != width:  # raises at the first overflowing coordinate

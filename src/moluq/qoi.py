@@ -455,43 +455,51 @@ def row_evaluator(kinds, s: Structure, idx_a, idx_b, config: QOIConfig = QOIConf
 
     Non-delta kinds cover all of ``s``; ``delta_*`` kinds cover A = atoms
     ``idx_a`` and B = atoms ``idx_b``.  Parameters and bonded exclusions are
-    built here, once.  When A then B is all of ``s`` and their union has the
-    exclusions of ``s``, f(A+B) is f(whole): each row evaluates it once (area
-    and delta_area share one exposure pass) and subtracts f(A) and f(B) from
-    it as :func:`delta_qoi` does.  Otherwise each delta calls ``delta_qoi``.
+    built here, once.  Each row evaluates every f(group) it needs once and
+    computes each delta as f(A+B) - f(A) - f(B) in :func:`delta_qoi`'s order,
+    with delta_area and f(A+B) for area from one exposure pass.  When A then
+    B is all of ``s`` and their union has the exclusions of ``s``, A+B is
+    the whole, so f(A+B) is the non-delta value.  A delta over an empty
+    group is 0.0.
     """
     kinds = [QOIKind(k) for k in kinds]
     full = AtomSet.from_structure(s)
     idx_a, idx_b = list(idx_a), list(idx_b)
-    shared = False
-    if any(k.is_delta for k in kinds):
+    split = any(k.is_delta for k in kinds) and bool(idx_a) and bool(idx_b)
+    ab = "whole"
+    if split:
         group_a = AtomSet.from_structure(s.subset(idx_a))
         group_b = AtomSet.from_structure(s.subset(idx_b))
-        shared = (idx_a + idx_b == list(range(full.n))
-                  and group_a.union(group_b).exclusions == full.exclusions)
+        if not (idx_a + idx_b == list(range(full.n))
+                and group_a.union(group_b).exclusions == full.exclusions):
+            ab = "a+b"
 
     def evaluate(positions) -> dict[str, float]:
-        whole_set = replace(full, positions=positions)
-        whole: dict[QOIKind, float] = {}
-        if shared and QOIKind.DELTA_AREA in kinds:
-            whole[QOIKind.AREA], delta_area = _delta_area(whole_set, len(idx_a), config)
+        sets = {"whole": replace(full, positions=positions)}
+        memo: dict[tuple[QOIKind, str], float] = {}  # (base kind, group): f(group)
+        if split:
+            a = sets["a"] = replace(group_a, positions=positions[idx_a])
+            b = sets["b"] = replace(group_b, positions=positions[idx_b])
+            if ab != "whole":
+                sets[ab] = a.union(b)
+            if QOIKind.DELTA_AREA in kinds:
+                memo[QOIKind.AREA, ab], delta_area = _delta_area(sets[ab], a.n, config)
+
+        def f(kind: QOIKind, group: str) -> float:
+            if (kind, group) not in memo:
+                memo[kind, group] = evaluate_qoi(kind, sets[group], config=config)
+            return memo[kind, group]
+
         row = {}
         for kind in kinds:
-            if kind.is_delta:
-                a = replace(group_a, positions=positions[idx_a])
-                b = replace(group_b, positions=positions[idx_b])
-                if not shared:
-                    row[kind.value] = delta_qoi(kind.base, a, b, config)
-                    continue
-            if kind.base not in whole:
-                whole[kind.base] = evaluate_qoi(kind.base, whole_set, config=config)
-            if kind is QOIKind.DELTA_AREA:
+            if not kind.is_delta:
+                row[kind.value] = f(kind, "whole")
+            elif not split:
+                row[kind.value] = 0.0
+            elif kind is QOIKind.DELTA_AREA:
                 row[kind.value] = delta_area
-            elif kind.is_delta:
-                row[kind.value] = (whole[kind.base] - evaluate_qoi(kind.base, a, config=config)
-                                   - evaluate_qoi(kind.base, b, config=config))
             else:
-                row[kind.value] = whole[kind]
+                row[kind.value] = f(kind.base, ab) - f(kind.base, "a") - f(kind.base, "b")
         return row
 
     return evaluate

@@ -417,6 +417,24 @@ class TestVolmapModes:
         assert "ensemble lists serial 7 where the structure lists serial 1" in capsys.readouterr().err
 
 
+def test_bonds_are_detected_only_by_stages_that_read_them(workspace, monkeypatch):
+    from moluq import molio
+    lig = make_structure([[0.0, 3.0, 0.0]])
+    (workspace / "ligand.pdb").write_text(write_pdb(lig))
+    identity = {"rank": 1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]}
+    (workspace / "poses.json").write_text(json.dumps([identity]))
+    cfg = write_config(workspace, samples=4, seed=2, spacing=0.8, qoi=["lj", "delta_lj"],
+                       ligand=str(workspace / "ligand.pdb"), poses=str(workspace / "poses.json"))
+    calls = []
+    real = molio.detect_bonds
+    monkeypatch.setattr(molio, "detect_bonds", lambda s: calls.append(1) or real(s))
+    for command, want in [("sample", 1), ("qoi", 1), ("volmap", 0), ("modes", 0),
+                          ("bindsite", 0)]:
+        calls.clear()
+        assert main([command, "--config", str(cfg)]) == 0
+        assert len(calls) == want, command
+
+
 class TestReplayAndExitCodes:
     def test_replay_byte_identical(self, workspace):
         cfg = write_config(workspace, samples=8, seed=13, qoi=["lj", "coulomb"])

@@ -394,6 +394,36 @@ def test_unreadable_later_field_goes_line_by_line(field, reads):
     assert_same_parse(ensemble(bodies))
 
 
+@pytest.mark.parametrize("template", ["  -1.250", "12345678", "   5.   "])
+def test_any_ascii_byte_in_a_later_field_reads_as_line_by_line(template):
+    # numpy's cast reads NULs (as padding) and line breaks (as blanks) where
+    # the per-line reader does not
+    bodies = [[record(s, xyz) for s, xyz in enumerate(shifted(3, k), start=1)] for k in range(4)]
+    for byte in range(128):
+        for col in range(8):
+            field = template[:col] + chr(byte) + template[col + 1:]
+            bodies[2][1] = record(2, (1.0, field, 2.0))
+            assert_same_parse(ensemble(bodies))
+
+
+@pytest.mark.parametrize("field", [
+    "1.000\x00\x00\x00", "   1.00\x00", "\x00\x00\x00\x001.00", "\x00  1.000", "\t  1.000",
+    "  1.000\t",
+    "     nan", "    -inf", "     inf", "   1e400", " 1_000.0", "  1.5E3 ",
+])
+def test_later_model_falls_back_on_control_bytes_and_non_finite_values(field, reads):
+    # a model with a control byte (NUL, tab) or a non-finite value in its
+    # fields goes line by line; other numbers float() reads are cast
+    bodies = [[record(s, xyz) for s, xyz in enumerate(shifted(3, k), start=1)] for k in range(4)]
+    bodies[3][1] = record(2, (1.0, field, 2.0))
+    text = ensemble(bodies)
+    assert_same_parse(text)
+    reads.clear()
+    outcome(parse_pdb_models, text)
+    numeric = field in (" 1_000.0", "  1.5E3 ")  # finite numbers both read
+    assert len(reads) == (1 if numeric else 2)
+
+
 def test_model_structure_variants():
     bodies = [[record(s, xyz) for s, xyz in enumerate(shifted(3, k), start=1)] for k in range(4)]
     assert_same_parse(ensemble(bodies, numbers=[1, 20, 300, 4000]))

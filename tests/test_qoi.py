@@ -467,6 +467,17 @@ class TestRowEvaluator:
         for positions in (s.positions(), s.positions() + rng.normal(0, 0.1, (s.n_atoms, 3))):
             assert evaluate(positions) == separate_values(s, positions, idx_a, idx_b, config)
 
+    def test_empty_group_and_overlapping_groups(self):
+        s = chain_lattice(self.CASES["third_chain"])
+        idx_a, config = s.chains["A"], QOIConfig()
+        evaluate = row_evaluator(list(QOIKind), s, idx_a, [], config)
+        row = evaluate(s.positions())
+        assert row == separate_values(s, s.positions(), idx_a, [], config)
+        assert all(row[k.value] == 0.0 for k in QOIKind if k.is_delta)
+        evaluate = row_evaluator(["delta_lj"], s, idx_a, idx_a[:5], config)
+        with pytest.raises(ValueError, match="serials overlap"):
+            evaluate(s.positions())
+
     def test_cross_chain_bond_changes_lj(self):
         # the excluded bonded pair is why lj and the delta's f(A+B) must differ here
         s = chain_lattice(self.CASES["cross_chain_bond"])

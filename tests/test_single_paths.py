@@ -410,3 +410,15 @@ def test_write_pdb_models_rejects_malformed_model(bad):
     good = s.positions()
     with pytest.raises(ValueError, match=r"model 2: expected \(12, 3\) finite positions"):
         write_pdb_models(s, [good, bad(good)])
+
+
+@pytest.mark.parametrize("value, text", [(np.nan, "y = nan"), (-np.inf, "y = -inf")])
+def test_write_pdb_models_names_the_non_finite_coordinate(value, text):
+    s = lattice_structure(12, 5)
+    s = replace(s, serials=s.serials * 10)  # serials 10..120, so no row index matches
+    bad = s.positions()
+    bad[4, 1] = value
+    bad[7, 0] = value  # only the first non-finite value is named
+    with pytest.raises(ValueError) as err:
+        write_pdb_models(s, [s.positions(), bad])
+    assert str(err.value) == f"model 2: expected (12, 3) finite positions, atom 50 has {text}"
