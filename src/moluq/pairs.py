@@ -124,13 +124,21 @@ def tree_sum(count: int, terms) -> float:
     held at a time.  Leaves are built left to right, so the first error
     ``terms`` raises is the one a pass over all of x would raise first.
     """
-    def part(lo: int, m: int):
-        if m <= _TREE_LEAF:
-            return np.sum(terms(lo, lo + m))
-        h = m // 2 - (m // 2) % 8
-        return part(lo, h) + part(lo + h, m - h)
+    return float(_tree_part(terms, 0, count))
 
-    return float(part(0, count))
+
+def _tree_part(terms, lo: int, m: int):
+    # a module-level function: a recursive closure would be a reference
+    # cycle holding ``terms`` (and the buffers it uses) until the cyclic GC
+    if m <= _TREE_LEAF:
+        return np.sum(terms(lo, lo + m))
+    h = m // 2 - (m // 2) % 8
+    return _tree_part(terms, lo, h) + _tree_part(terms, lo + h, m - h)
+
+
+def leaf_size(count: int) -> int:
+    """The most terms that one leaf of ``tree_sum(count, terms)`` holds."""
+    return min(count, _TREE_LEAF)
 
 
 def triu_pairs(n: int, codes: np.ndarray):

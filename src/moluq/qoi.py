@@ -11,9 +11,9 @@ the row evaluates that shared term once.
 
 All evaluators are pure and deterministic; pairwise sums use a fixed order
 so results do not depend on how work is scheduled.  The all-pairs energies
-build their pair terms in bounded ranges and add them with
-:func:`moluq.pairs.tree_sum`, with the bits of one ``np.sum`` over all
-pairs and no n x n temporary.
+build their pair terms in bounded ranges, in a few range-sized buffers
+reused from range to range, and add them with :func:`moluq.pairs.tree_sum`,
+with the bits of one ``np.sum`` over all pairs and no n x n temporary.
 """
 
 from __future__ import annotations
@@ -25,14 +25,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from moluq.molio import Structure, bonded_exclusions
-from moluq.pairs import cutoff_pairs, exclusion_codes, tree_sum, triu_pairs
+from moluq.pairs import cutoff_pairs, exclusion_codes, leaf_size, tree_sum, triu_pairs
 from moluq.vizgrid import cover_spheres, padded_box
 
 COULOMB_CONSTANT = 332.0636  # kcal mol^-1 A e^-2
 
-# Caps the values held by each temporary of the SASA point tests and of the
-# Born-radius row blocks (256 KiB of float64); on a 4 MiB L2 cache 2**15 ran
-# about 15% faster than 2**16 or more in the SASA tests.
+# Caps the values held by each temporary of the SASA point tests, of the
+# Born-radius row blocks and of the LJ coefficient table (256 KiB of
+# float64); on a 4 MiB L2 cache 2**15 ran about 15% faster than 2**16 or
+# more in the SASA tests.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -67,8 +68,8 @@ class CoulombModel:
     def __post_init__(self):
         if self.mode not in ("constant", "distance_dependent"):
             raise ValueError(f"unknown dielectric mode {self.mode!r}")
-        if self.value <= 0:
-            raise ValueError("dielectric parameter must be positive")
+        if not (math.isfinite(self.value) and self.value > 0):
+            raise ValueError("dielectric parameter must be finite and positive")
 
     def epsilon(self, r: np.ndarray) -> np.ndarray:
         if self.mode == "constant":
@@ -132,33 +133,52 @@ class AtomSet:
         )
 
 
-def _squared_distances(xyz, ii, jj) -> np.ndarray:
+def _squared_distances(xyz, ii, jj, out: np.ndarray, work: np.ndarray) -> np.ndarray:
     """(dx**2 + dy**2) + dz**2 between points ii and jj of the (3, n) array
-    ``xyz``: the order in which ``((p_i - p_j)**2).sum(axis=-1)`` adds x, y, z,
-    without its slow reduction over a length-3 axis."""
+    ``xyz``, written into ``out``; ``work`` is scratch of the same shape.
+    This is the order in which ``((p_i - p_j)**2).sum(axis=-1)`` adds x, y,
+    z, without its slow reduction over a length-3 axis.
+
+    The all-pairs kernels pass the same buffers for every leaf or row block:
+    with fresh leaf-sized temporaries the allocator gave the heap top back to
+    the system and faulted it in again on every leaf (about 15,000 minor
+    page faults per 1,000-atom ``gb_polarization`` call on a 2-core VM,
+    most of its time).
+    """
     x, y, z = xyz
-    return ((x[ii] - x[jj]) ** 2 + (y[ii] - y[jj]) ** 2) + (z[ii] - z[jj]) ** 2
+    np.subtract(x[ii], x[jj], out=out)
+    np.square(out, out=out)
+    for c in (y, z):
+        np.subtract(c[ii], c[jj], out=work)
+        np.square(work, out=work)
+        out += work
+    return out
 
 
 def _pair_sum(positions, exclusions, context: str, pair_terms) -> float:
-    """Sum of ``pair_terms(ii, jj, r)`` over the pairs i < j not in
+    """Sum of ``pair_terms(ii, jj, r, work)`` over the pairs i < j not in
     ``exclusions``, in upper-triangle order, by :func:`tree_sum`.
 
-    A pair at distance 0 raises ``ValueError`` naming the first such pair.
+    ``r`` holds the pair distances and ``work`` is scratch of its size, both
+    buffers reused from leaf to leaf; ``pair_terms`` returns the leaf's terms
+    in one of them.  A pair at distance 0 raises ``ValueError`` naming the
+    first such pair.
     """
     xyz = np.asarray(positions, dtype=float).T.copy()
     n = xyz.shape[1]
-    count, pairs = triu_pairs(n, exclusion_codes(exclusions, n))
+    count, pair_range = triu_pairs(n, exclusion_codes(exclusions, n))
+    buffers = np.empty((2, leaf_size(count)))
 
     def terms(lo, hi):
-        ii, jj = pairs(lo, hi)
-        r = np.sqrt(_squared_distances(xyz, ii, jj))
+        ii, jj = pair_range(lo, hi)
+        r, work = buffers[:, :hi - lo]
+        np.sqrt(_squared_distances(xyz, ii, jj, r, work), out=r)
         if np.any(r == 0.0):
             bad = int(np.argmax(r == 0.0))
             raise ValueError(
                 f"{context}: coincident atoms at pair ({int(ii[bad])}, {int(jj[bad])})"
             )
-        return pair_terms(ii, jj, r)
+        return pair_terms(ii, jj, r, work)
 
     return tree_sum(count, terms) if count else 0.0
 
@@ -184,14 +204,36 @@ def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
     """12-6 energy sum a_ij/r^12 - b_ij/r^6 over unordered pairs (kcal/mol).
 
     All pairs except the bonded ``exclusions`` contribute.  Per-atom depth
-    and minimum distance are computed once and gathered per pair.
+    and minimum distance are computed once.  When the atoms have P distinct
+    (eps, rmin) rows with P^2 <= ``_BLOCK_ELEMENTS``, a_ij and b_ij are
+    computed once per ordered pair of rows and gathered per atom pair at
+    ``kind[i] * P + kind[j]``; for more rows they are computed per atom
+    pair.  Both give the same bits.
     """
     eps, rmin = _lj_atom_terms(lj_a, lj_b)
+    # each atom's (eps, rmin) as the complex eps + rmin*1j, bit for bit: np.unique
+    # sorts and compares these as the rows, several times faster than axis=0
+    key = np.column_stack([eps, rmin]).view(np.complex128)[:, 0]
+    params, kind = np.unique(key, return_inverse=True)
+    p = params.size
+    if p * p <= _BLOCK_ELEMENTS:
+        ki, kj = np.divmod(np.arange(p * p), p)
+        a_tab, b_tab = _lj_pair_terms(params.real[ki], params.imag[ki],
+                                      params.real[kj], params.imag[kj])
 
-    def terms(ii, jj, r):
-        a_ij, b_ij = _lj_pair_terms(eps[ii], rmin[ii], eps[jj], rmin[jj])
-        r6 = r**6
-        return a_ij / r6**2 - b_ij / r6
+        def coefficients(ii, jj):
+            cell = kind[ii] * p + kind[jj]
+            return a_tab[cell], b_tab[cell]
+    else:
+        def coefficients(ii, jj):
+            return _lj_pair_terms(eps[ii], rmin[ii], eps[jj], rmin[jj])
+
+    def terms(ii, jj, r, work):
+        a_ij, b_ij = coefficients(ii, jj)
+        r6 = np.power(r, 6, out=r)
+        np.divide(a_ij, np.square(r6, out=work), out=work)
+        work -= np.divide(b_ij, r6, out=r6)
+        return work
 
     return _pair_sum(positions, exclusions, "lj_energy", terms)
 
@@ -201,8 +243,12 @@ def coulomb_energy(positions, charges, model: CoulombModel = CoulombModel(),
     """Pairwise electrostatic sum C q_i q_j / (eps(r) r) (kcal/mol)."""
     charges = np.asarray(charges, dtype=float)
 
-    def terms(ii, jj, r):
-        return COULOMB_CONSTANT * charges[ii] * charges[jj] / (model.epsilon(r) * r)
+    def terms(ii, jj, r, work):
+        denom = np.multiply(model.epsilon(r), r, out=work)
+        out = np.multiply(COULOMB_CONSTANT, charges[ii], out=r)
+        out *= charges[jj]
+        out /= denom
+        return out
 
     return _pair_sum(positions, exclusions, "coulomb_energy", terms)
 
@@ -213,7 +259,10 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
     1/R_i = 1/rho_i - sum_j V_j / (4 pi r_ij^4) with V_j the sphere volume of
     atom j, clamped so R_i >= rho_i / 2 (deep burial would otherwise drive
     the inverse radius negative).  Rows i run in blocks of at most
-    ``_BLOCK_ELEMENTS`` pairs (one row when n is larger).
+    ``_BLOCK_ELEMENTS`` pairs (one row when n is larger), built in two
+    buffers reused from block to block.  Each block's r_ii^2 is set to inf,
+    so the coincident-atom test skips it and its term rho_i^3 / (3 inf^2) is
+    the +0.0 that stands for j = i.
     """
     positions = np.asarray(positions, dtype=float)
     rho = np.asarray(vdw_radii, dtype=float)
@@ -228,14 +277,20 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
         rho3 = rho**3
         descreened = np.empty(n)
         step = max(1, _BLOCK_ELEMENTS // n)
+        buffers = np.empty((2, min(step, n), n))
         for lo in range(0, n, step):
-            rows = np.arange(lo, min(lo + step, n))
-            r2 = _squared_distances(xyz, rows[:, None], slice(None))
-            off = np.arange(n) != rows[:, None]
-            if np.any(r2[off] == 0.0):
-                i, j = divmod(int(np.argmax((r2 == 0.0) & off)), n)
+            rows = slice(lo, min(lo + step, n))
+            r2, descreen = buffers[:, :rows.stop - lo]
+            _squared_distances(xyz, (rows, None), slice(None), r2, descreen)
+            r2.reshape(-1)[lo::n + 1] = np.inf  # the entries (i, i)
+            if np.any(r2 == 0.0):
+                i, j = divmod(int(np.argmax(r2 == 0.0)), n)
                 raise ValueError(f"born_radii: coincident atoms at pair ({lo + i}, {j})")
-            descreen = np.where(off, rho3 / (3.0 * np.where(off, r2**2, 1.0)), 0.0)
+            np.square(r2, out=descreen)
+            descreen *= 3.0
+            np.divide(rho3, descreen, out=descreen)
+            # +0.0 already, unless rho_i^3 overflowed to inf (inf / inf)
+            descreen.reshape(-1)[lo::n + 1] = 0.0
             descreened[rows] = descreen.sum(axis=1)
         inv = inv - descreened
     raw = np.where(inv != 0.0, 1.0 / np.where(inv != 0.0, inv, 1.0), np.inf)
@@ -246,8 +301,14 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
     """Polarization energy of the analytic implicit-solvent form (kcal/mol).
 
     -(tau/2) C sum_{i,j} q_i q_j / sqrt(r^2 + R_i R_j exp(-r^2/(4 R_i R_j)))
-    over all ordered pairs including i = j, in row-major order; tau = 1 - 1/eps.
+    over all ordered pairs including i = j, in row-major order; tau = 1 - 1/eps
+    for a solvent relative permittivity eps, which must be finite and >= 1.
+    Each :func:`tree_sum` leaf [lo, hi) of the n*n terms is built for the
+    rows it spans against all columns, in three buffers reused from leaf to
+    leaf, then sliced; leaves may start and end mid-row.
     """
+    if not (math.isfinite(solvent_dielectric) and solvent_dielectric >= 1.0):
+        raise ValueError("solvent dielectric must be finite and >= 1")
     positions = np.asarray(positions, dtype=float)
     charges = np.asarray(charges, dtype=float)
     rb = np.asarray(radii_born, dtype=float)
@@ -258,13 +319,26 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
     tau = 1.0 - 1.0 / solvent_dielectric
     n = positions.shape[0]
     xyz = positions.T.copy()
+    # a leaf starting mid-row spans at most leaf_size // n + 2 rows
+    buffers = np.empty((3, min(n, leaf_size(n * n) // n + 2), n))
 
     def terms(lo, hi):
-        ii, jj = np.divmod(np.arange(lo, hi), n)
-        r2 = _squared_distances(xyz, ii, jj)
-        rr = rb[ii] * rb[jj]
-        denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
-        return charges[ii] * charges[jj] / denom
+        first, last = lo // n, (hi - 1) // n + 1
+        rows = slice(first, last)
+        r2, work, out = buffers[:, :last - first]
+        _squared_distances(xyz, (rows, None), slice(None), r2, work)
+        rr = np.multiply(rb[rows, None], rb, out=out)
+        np.multiply(4.0, rr, out=work)
+        # -(r2 / x) has the bits of -r2 / x: IEEE division is sign-symmetric
+        np.divide(r2, work, out=work)
+        np.negative(work, out=work)
+        np.exp(work, out=work)
+        work *= rr
+        np.add(r2, work, out=work)
+        denom = np.sqrt(work, out=work)
+        block = np.multiply(charges[rows, None], charges, out=out)
+        block /= denom
+        return block.reshape(-1)[lo - first * n:hi - first * n]
 
     return float(-(tau / 2.0) * COULOMB_CONSTANT * tree_sum(n * n, terms))
 
@@ -315,8 +389,8 @@ def _exposure_mask(positions, radii, probe, n_points, groups=None):
 
     Returns (masks, own_masks or None, inflated).
     """
-    if probe < 0:
-        raise ValueError("probe radius must be >= 0")
+    if not (math.isfinite(probe) and probe >= 0):
+        raise ValueError("probe radius must be finite and >= 0")
     if n_points < 32:
         raise ValueError("n_points must be >= 32")
     positions = np.asarray(positions, dtype=float)

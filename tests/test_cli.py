@@ -140,6 +140,28 @@ class TestQoiCertifySaturate:
         assert "'Z'" in err and "'A', 'B'" in err
         assert not (workspace / "run" / "qoi_values.csv").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("dielectric", {"mode": "constant", "value": math.nan},
+         "dielectric parameter must be finite and positive"),
+        ("dielectric", {"mode": "distance_dependent", "value": math.inf},
+         "dielectric parameter must be finite and positive"),
+        ("solvent_dielectric", 0.0, "solvent dielectric must be finite and >= 1"),
+        ("solvent_dielectric", math.nan, "solvent dielectric must be finite and >= 1"),
+        ("solvent_dielectric", 0.5, "solvent dielectric must be finite and >= 1"),
+        ("probe", math.nan, "probe radius must be finite and >= 0"),
+        ("probe", math.inf, "probe radius must be finite and >= 0"),
+    ])
+    def test_qoi_rejects_unphysical_solvent_parameters(self, workspace, capsys, key, value,
+                                                       message):
+        # each once exited 0 with NaN, inf or sign-flipped rows, or as a bare
+        # division by zero
+        cfg = self._sampled(workspace, n=2)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), key: value}))
+        capsys.readouterr()
+        assert main(["qoi", "--config", str(cfg)]) == 3
+        assert f"domain error: {message}" in capsys.readouterr().err
+        assert not (workspace / "run" / "qoi_values.csv").exists()
+
     def test_qoi_rejects_model_of_other_size(self, workspace):
         cfg = self._sampled(workspace, n=2)
         ensemble = workspace / "run" / "ensemble.pdb"

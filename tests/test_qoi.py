@@ -163,6 +163,13 @@ class TestCoulomb:
         with pytest.raises(ValueError):
             coulomb_energy(np.zeros((2, 3)), [1.0, 1.0])
 
+    @pytest.mark.parametrize("mode", ["constant", "distance_dependent"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_dielectric_must_be_finite_and_positive(self, mode, value):
+        # NaN passed `value <= 0` and gave NaN energies; inf gave 0.0
+        with pytest.raises(ValueError, match="dielectric parameter must be finite and positive"):
+            CoulombModel(mode, value)
+
 
 class TestBornRadii:
     def test_isolated_atom(self):
@@ -221,6 +228,17 @@ class TestGB:
         want = brute_gb(a.positions, a.charges, rb)
         assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("eps", [0.0, 0.5, 0.999, -80.0, math.nan, math.inf])
+    def test_solvent_dielectric_must_be_finite_and_at_least_one(self, eps):
+        # 0 divided by zero, NaN gave a NaN energy and 0.5 flipped its sign
+        for n in (0, 1, 2):
+            with pytest.raises(ValueError, match="solvent dielectric must be finite and >= 1"):
+                gb_polarization(np.arange(3.0 * n).reshape(n, 3), [1.0] * n, [1.5] * n, eps)
+
+    def test_vacuum_solvent_dielectric_gives_zero(self):
+        pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])
+        assert gb_polarization(pos, [1.0, -0.5], [1.5, 2.0], 1.0) == 0.0
+
 
 class TestSasa:
     def test_single_sphere_analytic(self):
@@ -257,9 +275,11 @@ class TestSasa:
         assert errors[-1] < errors[0]
 
     @pytest.mark.parametrize("probe, n_points, message", [
-        (-5.0, 960, "probe radius must be >= 0"),
+        (-5.0, 960, "probe radius must be finite and >= 0"),
         (1.4, 8, "n_points must be >= 32"),
-        (-5.0, 8, "probe radius must be >= 0"),
+        (-5.0, 8, "probe radius must be finite and >= 0"),
+        (math.nan, 960, "probe radius must be finite and >= 0"),
+        (math.inf, 960, "probe radius must be finite and >= 0"),
     ])
     def test_every_entry_point_checks_probe_and_points(self, probe, n_points, message):
         pos = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -517,3 +537,31 @@ class TestRowEvaluator:
         assert sorted(calls["lj"]) == sorted(lj_sizes * 2)
         assert calls["sasa"] == 2 * sasa_calls
         assert calls["pass"] == 2 * passes
+
+    def test_energy_rows_call_the_public_kernels(self, monkeypatch):
+        # a traced run books energy time under these four module attributes
+        s = chain_lattice(self.CASES["chains_cover_whole"])
+        idx_a, idx_b, config = s.chains["A"], s.chains["B"], QOIConfig()
+        kinds = ["lj", "coulomb", "gb", "delta_lj", "delta_coulomb", "delta_gb"]
+        rng = np.random.default_rng(6)
+        rows = [s.positions(), s.positions() + rng.normal(0, 0.1, (s.n_atoms, 3))]
+        expected = [{k: v for k, v in separate_values(s, p, idx_a, idx_b, config).items()
+                     if k in kinds} for p in rows]
+        names = ["lj_energy", "coulomb_energy", "born_radii", "gb_polarization"]
+        sizes = {name: [] for name in names}
+
+        def counted(name, fn):
+            def wrapped(positions, *args, **kwargs):
+                sizes[name].append(len(positions))
+                return fn(positions, *args, **kwargs)
+            return wrapped
+
+        for name in names:
+            monkeypatch.setattr(qoi, name, counted(name, getattr(qoi, name)))
+        evaluate = row_evaluator(kinds, s, idx_a, idx_b, config)
+        for positions, want in zip(rows, expected):
+            for name in names:
+                sizes[name].clear()
+            assert evaluate(positions) == want
+            assert {name: sorted(n) for name, n in sizes.items()} == {
+                name: [40, 40, 80] for name in names}
