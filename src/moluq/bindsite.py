@@ -79,13 +79,6 @@ class BindingSiteMap:
         object.__setattr__(self, "probabilities", p)
 
 
-def contact(position, ligand: Conformer, pose: Pose, m: ContactModel = ContactModel()) -> int:
-    """1 when any posed ligand atom lies within the cutoff of a receptor atom at ``position``."""
-    placed = pose.apply(ligand.positions)
-    d = np.sqrt(((placed - np.asarray(position, dtype=float)) ** 2).sum(axis=1))
-    return int(d.min() <= m.cutoff) if d.size else 0
-
-
 def _contact_rows(receptor_positions, placed, cutoff) -> np.ndarray:
     d2 = ((receptor_positions[:, None, :] - placed[None, :, :]) ** 2).sum(axis=2)
     return (d2.min(axis=1) <= cutoff * cutoff).astype(float)
@@ -165,7 +158,8 @@ def binding_score(s_b: Conformer, pose: Pose, site_map: BindingSiteMap, A: Struc
                   m: ContactModel = ContactModel()) -> float:
     """Reward a pose by the site probability mass it touches.
 
-    sum over receptor atoms of p_BS(a) * contact(a, pose(s_b)).
+    Sum of p_BS(a) over the receptor atoms a that some atom of the posed
+    ligand contacts, with contact the inclusive test d^2 <= cutoff^2.
     """
     if len(site_map.serials) != A.n_atoms:
         raise ValueError("site map does not cover the receptor's atoms")

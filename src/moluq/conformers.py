@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from moluq.molio import EIGHT_PI_SQ, Structure, bond_adjacency, bonded_exclusions
+from moluq.molio import Structure, bond_adjacency, bonded_exclusions
 from moluq.pairs import cutoff_pairs, exclusion_codes, not_in_codes
 from moluq.sampling import (
     LowDiscrepancySequence,
     gaussian_dimension,
     normals_from_unit,
+    sigma_from_b,
 )
 
 
@@ -232,10 +233,7 @@ def torsion_graph_from_dihedrals(s: Structure, dihedrals) -> TorsionGraph:
 
 def cartesian_sigmas(s: Structure) -> np.ndarray:
     """(n, 3) per-atom per-axis positional standard deviations from B-values."""
-    b = np.where(s.has_aniso[:, None], s.b_aniso, s.b_iso[:, None])
-    if np.any(b < 0):
-        raise ValueError("B-value must be >= 0")
-    return np.sqrt(b / EIGHT_PI_SQ)
+    return sigma_from_b(np.where(s.has_aniso[:, None], s.b_aniso, s.b_iso[:, None]))
 
 
 def perturb_cartesian(s: Structure, z: np.ndarray, sigmas: np.ndarray | None = None,

@@ -283,9 +283,9 @@ def _read_model(numbered_lines):
     yields its first model.  Returns the kept ATOM lines with their line
     numbers, serials, residue numbers, (x, y, z) and B-values, and {row:
     per-axis B from ANISOU}.  Alternate locations other than blank or 'A' are
-    skipped.  A non-finite coordinate, a negative B-value or ANISOU diagonal
-    and a repeated serial raise ValueError; malformed fields raise
-    :class:`PdbParseError`.
+    skipped.  A non-finite coordinate, a negative or non-finite B-value or
+    ANISOU diagonal and a repeated serial raise ValueError; malformed fields
+    raise :class:`PdbParseError`.
     """
     linenos, lines, serials, residue_seqs, xyz, b_iso, b_aniso = [], [], [], [], [], [], {}
     last_serial: int | None = None  # serial of the most recent ATOM line, kept or skipped
@@ -313,6 +313,8 @@ def _read_model(numbered_lines):
                 raise ValueError(f"atom {serial}: position must be a finite 3-vector")
             if b < 0:
                 raise ValueError(f"atom {serial}: b_iso must be >= 0")
+            if not math.isfinite(b):
+                raise ValueError(f"atom {serial}: b_iso must be finite")
             linenos.append(lineno)
             lines.append(line)
             serials.append(serial)
@@ -332,6 +334,8 @@ def _read_model(numbered_lines):
             b_axes = EIGHT_PI_SQ * 1e-4 * np.array([u11, u22, u33])
             if np.any(b_axes < 0):
                 raise ValueError(f"atom {serial}: b_aniso must be 3 non-negative values")
+            if not np.all(np.isfinite(b_axes)):
+                raise ValueError(f"atom {serial}: b_aniso must be finite")
             b_aniso[len(serials) - 1] = b_axes
     _require_unique(serials)
     return linenos, lines, serials, residue_seqs, xyz, b_iso, b_aniso

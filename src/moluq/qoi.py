@@ -269,7 +269,7 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
     n = positions.shape[0]
     if n == 0:
         return np.zeros(0)
-    if np.any(rho <= 0):
+    if not np.all(rho > 0):  # NaN fails too
         raise ValueError("van der Waals radii must be positive")
     inv = 1.0 / rho
     if n > 1:
@@ -314,7 +314,7 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
     rb = np.asarray(radii_born, dtype=float)
     if positions.shape[0] == 0:
         return 0.0
-    if np.any(rb <= 0):
+    if not np.all(rb > 0):  # NaN fails too; +inf passes
         raise ValueError("Born radii must be positive")
     tau = 1.0 - 1.0 / solvent_dielectric
     n = positions.shape[0]

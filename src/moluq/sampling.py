@@ -10,7 +10,6 @@ anchored-box star discrepancy estimator.
 from __future__ import annotations
 
 import importlib.util
-import math
 import os
 
 import numpy as np
@@ -216,14 +215,15 @@ def gaussian_dimension(n_normals: int) -> int:
     return 2 * ((n_normals + 1) // 2)
 
 
-def sigma_from_b(b: float) -> float:
-    """Positional standard deviation (Angstrom) from a B-value (Angstrom^2).
+def sigma_from_b(b):
+    """Positional standard deviation (Angstrom) from a B-value (Angstrom^2),
+    elementwise for an array.
 
     Uses B = 8 pi^2 sigma^2, so B of 20/80/180 maps to roughly 0.5/1.0/1.5 A.
     """
-    if b < 0:
+    if np.any(np.less(b, 0)):
         raise ValueError("B-value must be >= 0")
-    return math.sqrt(b / EIGHT_PI_SQ)
+    return np.sqrt(b / EIGHT_PI_SQ)
 
 
 def default_resolution(d: int) -> int:

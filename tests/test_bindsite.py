@@ -10,7 +10,6 @@ from moluq.bindsite import (
     binding_score,
     binding_site_prob,
     binding_site_prob_multi,
-    contact,
     inhibit_score,
     residue_site_probabilities,
 )
@@ -80,25 +79,6 @@ class TestContactModel:
     def test_cutoff_must_be_finite_and_positive(self, cutoff):
         with pytest.raises(ValueError, match="contact cutoff must be finite and positive"):
             ContactModel(cutoff)
-
-
-class TestContact:
-    def test_exactly_at_cutoff_is_contact(self, receptor, ligand):
-        # ligand atom at distance exactly 5.0 from receptor atom 1
-        lig = Conformer(np.array([[6.0, 5.0, 0.0]]), 0)
-        assert contact(receptor.coords[1], lig, Pose.identity(), ContactModel(5.0)) == 1
-
-    def test_far_ligand_no_contact(self, receptor):
-        lig = Conformer(np.array([[100.0, 100.0, 100.0]]), 0)
-        assert contact(receptor.coords[0], lig, Pose.identity(), ContactModel(5.0)) == 0
-
-    def test_translated_to_49_angstrom(self, receptor, ligand):
-        pose = Pose(rotation=np.eye(3), translation=np.array([0.0, 1.9 - 3.0, 0.0]))
-        # first ligand atom lands at (0, 1.9, 0): 4.9 A from receptor atom 1? no --
-        # from receptor atom 0 at origin it is 1.9 A; use atom 1 at x=6:
-        d = math.dist([6, 0, 0], [0, 1.9, 0])
-        assert d > 5.0
-        assert contact(receptor.coords[0], ligand, pose, ContactModel(5.0)) == 1
 
 
 class TestBindingSiteProb:

@@ -1,0 +1,42 @@
+"""``tools/output_hashes.py`` hashes the same outputs on every run."""
+
+import copy
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load():
+    spec = importlib.util.spec_from_file_location("output_hashes",
+                                                  ROOT / "tools" / "output_hashes.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def small_surface(module):
+    spec = copy.deepcopy(module.WORKLOADS["surface"])
+    spec["atoms"] = 60
+    return spec
+
+
+def test_workload_hashes_repeat(tmp_path):
+    module = _load()
+    spec = small_surface(module)
+    first = module.workload_hashes("surface", spec, 1, tmp_path / "a")
+    second = module.workload_hashes("surface", spec, 1, tmp_path / "b")
+    assert first == second
+    assert first
+    assert not [line for line in first if line.endswith("_meta.json")]
+    assert all(line.split("  ")[1].startswith("surface-1/") for line in first)
+
+
+def test_failed_stage_is_named(tmp_path):
+    module = _load()
+    spec = small_surface(module)
+    spec["config"]["qoi"] = ["no_such_qoi"]
+    with pytest.raises(module.StageFailed, match=r"^surface-1 qoi: exit code 3: moluq: "):
+        module.workload_hashes("surface", spec, 1, tmp_path)

@@ -2,9 +2,10 @@
 
 A fault in a single-model file or in a later MODEL of an ensemble must stop
 the run with the same error class, message and exit code: a non-finite
-coordinate, a negative B column, a negative ANISOU diagonal and a duplicate
-serial are domain errors (exit 3); a MODEL with no ENDMDL and a model that
-lists other atoms than the first are parse errors (exit 2).
+coordinate, a negative or non-finite B column, a negative or non-finite
+ANISOU diagonal and a duplicate serial are domain errors (exit 3); a MODEL
+with no ENDMDL and a model that lists other atoms than the first are parse
+errors (exit 2).
 """
 
 import json
@@ -27,7 +28,7 @@ def atom_line(serial, xyz, b=10.0, element="C"):
 
 def anisou_line(serial, u=(2500, 2500, 2500), element="C"):
     return (f"ANISOU{serial:5d}  {element:<3s} GLY A{serial:4d}  "
-            f"{u[0]:7d}{u[1]:7d}{u[2]:7d}{0:7d}{0:7d}{0:7d}      {element:>2s}")
+            f"{u[0]:>7}{u[1]:>7}{u[2]:>7}{0:7d}{0:7d}{0:7d}      {element:>2s}")
 
 
 def model_lines(shift=0.0, serials=(1, 2, 3), fault=None):
@@ -38,11 +39,13 @@ def model_lines(shift=0.0, serials=(1, 2, 3), fault=None):
         b = 10.0
         if serial == 2 and fault in ("nan", "inf"):
             xyz[1] = fault
-        if serial == 2 and fault == "negative_b":
-            b = -5.0
+        if serial == 2 and fault in ("negative_b", "nan_b", "inf_b"):
+            b = {"negative_b": -5.0, "nan_b": float("nan"), "inf_b": float("inf")}[fault]
         lines.append(atom_line(3 if serial == 2 and fault == "duplicate" else serial, xyz, b))
         if serial == 2 and fault == "negative_anisou":
             lines.append(anisou_line(serial, (2500, -100, 2500)))
+        if serial == 2 and fault == "nan_anisou":
+            lines.append(anisou_line(serial, (2500, "nan", 2500)))
     return lines
 
 
@@ -62,6 +65,9 @@ FAULTS = {
     "inf": "atom 2: position must be a finite 3-vector",
     "negative_b": "atom 2: b_iso must be >= 0",
     "negative_anisou": "atom 2: b_aniso must be 3 non-negative values",
+    "nan_b": "atom 2: b_iso must be finite",
+    "inf_b": "atom 2: b_iso must be finite",
+    "nan_anisou": "atom 2: b_aniso must be finite",
     "duplicate": "atom serials must be unique",
 }
 

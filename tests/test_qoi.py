@@ -195,6 +195,13 @@ class TestBornRadii:
         with pytest.raises(ValueError):
             born_radii(np.zeros((2, 3)), [1.0, 1.0])
 
+    @pytest.mark.parametrize("radii", [[math.nan], [math.nan, 1.5], [1.5, math.nan]])
+    def test_nan_radius_rejected(self, radii):
+        # NaN passed the `<= 0` check and gave NaN radii for every atom
+        pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])[:len(radii)]
+        with pytest.raises(ValueError, match="van der Waals radii must be positive"):
+            born_radii(pos, radii)
+
 
 class TestGB:
     def test_self_term_closed_form(self):
@@ -234,6 +241,20 @@ class TestGB:
         for n in (0, 1, 2):
             with pytest.raises(ValueError, match="solvent dielectric must be finite and >= 1"):
                 gb_polarization(np.arange(3.0 * n).reshape(n, 3), [1.0] * n, [1.5] * n, eps)
+
+    @pytest.mark.parametrize("radii", [[math.nan], [math.nan, 1.5], [1.5, math.nan]])
+    def test_nan_born_radius_rejected(self, radii):
+        # NaN passed the `<= 0` check and gave a NaN energy
+        pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])[:len(radii)]
+        with pytest.raises(ValueError, match="Born radii must be positive"):
+            gb_polarization(pos, [1.0, -0.5][:len(radii)], radii)
+
+    def test_infinite_born_radius_accepted(self):
+        # born_radii returns +inf where 1/rho_i equals the descreening sum
+        pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])
+        e = gb_polarization(pos, [1.0, -0.5], [math.inf, 1.5])
+        assert e == gb_polarization(pos, [0.0, -0.5], [math.inf, 1.5])
+        assert math.isfinite(e)
 
     def test_vacuum_solvent_dielectric_gives_zero(self):
         pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])
