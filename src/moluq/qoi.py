@@ -30,11 +30,21 @@ from moluq.vizgrid import cover_spheres, padded_box
 
 COULOMB_CONSTANT = 332.0636  # kcal mol^-1 A e^-2
 
-# Caps the values held by each temporary of the SASA point tests, of the
-# Born-radius row blocks and of the LJ coefficient table (256 KiB of
-# float64); on a 4 MiB L2 cache 2**15 ran about 15% faster than 2**16 or
-# more in the SASA tests.
+# Caps the values held by each temporary of the Born-radius row blocks and of
+# the LJ coefficient table (256 KiB of float64).
 _BLOCK_ELEMENTS = 2**15
+
+# The SASA exposure pass tests a block of _BATCH_POINTS // n_points atoms
+# densely against its first _DENSE_SLOTS neighbour slots, then packs the
+# points still exposed into batches of up to _BATCH_POINTS points.  On the
+# benchmark's 300-atom lattice 25% of the points are still exposed after 4
+# slots and 9% after all of them.  Over 3-6 dense slots and 2**13 or 2**14
+# points per batch the pass's CPU time varied by under 15%, least at 4 and
+# 2**14 (2 cores, numpy 2.4).  A batch spans several blocks so that each
+# numpy call covers thousands of points: on small arrays the calls' own
+# overhead, spent holding the GIL, keeps two worker threads from overlapping.
+_DENSE_SLOTS = 4
+_BATCH_POINTS = 2**14
 
 
 class QOIKind(str, enum.Enum):
@@ -355,37 +365,66 @@ def sphere_points(n: int) -> np.ndarray:
     return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
 
 
-def _neighbour_table(positions, inflated):
-    """Padded (n, k_max) table of each atom's overlapping neighbours, with counts.
+def _neighbour_table(positions, inflated, groups=None):
+    """Padded (n, k_max) table of each atom's overlapping neighbours.
 
     Atom j != i is a neighbour of i when d_ij < inflated_i + inflated_j, the
     strict test of the dense distance block, re-applied to the pairs of the
-    neighbour search.  Row i lists its neighbours in slots < count[i]; the
-    remaining slots hold index 0 and must be masked by the caller.
+    neighbour search.  Row i lists its neighbours in slots < count[i]: first
+    the n_same[i] of them in i's own group (all of them without ``groups``),
+    then the others, each part nearest first.  The remaining slots hold
+    index 0 and must be masked by the caller.
+
+    Returns (table, count, n_same).
     """
     n = positions.shape[0]
     ii, jj, dist = cutoff_pairs(positions, 2.0 * inflated.max())
     keep = dist < inflated[ii] + inflated[jj]
     rows = np.concatenate([ii[keep], jj[keep]])
     cols = np.concatenate([jj[keep], ii[keep]])
-    order = np.argsort(rows, kind="stable")
-    rows, cols = rows[order], cols[order]
+    dist = np.concatenate([dist[keep], dist[keep]])
+    other = np.zeros(rows.size, dtype=bool) if groups is None else groups[rows] != groups[cols]
+    order = np.lexsort((dist, other, rows))
+    rows, cols, other = rows[order], cols[order], other[order]
     count = np.bincount(rows, minlength=n)
     table = np.zeros((n, int(count.max(initial=0))), dtype=np.intp)
     table[rows, np.arange(rows.size) - (np.cumsum(count) - count)[rows]] = cols
-    return table, count
+    return table, count, np.bincount(rows[~other], minlength=n)
+
+
+def _checked_spheres(positions, radii, context: str):
+    """Positions and radii as float arrays; ValueError unless the positions
+    are finite and the radii finite and >= 0."""
+    positions = np.asarray(positions, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(positions)):
+        raise ValueError(f"{context}: atom positions must be finite")
+    if not np.all((radii >= 0) & (radii < np.inf)):  # NaN fails too
+        raise ValueError(f"{context}: radii must be finite and >= 0")
+    return positions, radii
 
 
 def _exposure_mask(positions, radii, probe, n_points, groups=None):
     """Boolean (n, n_points) exposure of each atom's inflated-sphere points.
 
     A point of atom i is buried when it lies strictly inside the inflated
-    sphere of one of i's neighbours (see :func:`_neighbour_table`).  Points
-    are tested in blocks of atoms against one neighbour slot at a time, so
-    every temporary holds at most about ``_BLOCK_ELEMENTS`` values and no
-    n x n array is built.  With ``groups`` (one label per atom) a second mask
-    counts only same-group neighbours as burying: row i of it equals the
-    exposure of atom i computed on its own group alone.
+    sphere of one of i's neighbours (see :func:`_neighbour_table`).  With
+    ``groups`` (one label per atom) a second mask counts only same-group
+    neighbours as burying: row i of it equals the exposure of atom i computed
+    on its own group alone.  No n x n array is built.
+
+    Each point is tested only until it is decided.  Atoms run in blocks of
+    ``_BATCH_POINTS // n_points``, in order of neighbour count, so blocks
+    pad few slots.  A block's first ``_DENSE_SLOTS`` slots are tested
+    against all of its points.  The points still exposed are packed,
+    several blocks to a batch of at most ``_BATCH_POINTS``, and tested slot
+    by slot against the remaining slots; buried points leave the batch once
+    they are half of it.  Same-group slots come first, so a point first
+    buried at slot s is own-buried exactly when s < n_same[i], and a buried
+    point is decided for both masks.  Every test computes
+    ``(dx**2 + dy**2) + dz**2 < r**2`` from the same values as a test of
+    every point against every neighbour, and which slot buries a point does
+    not change the masks, so they are the masks of that test.
 
     Returns (masks, own_masks or None, inflated).
     """
@@ -393,8 +432,7 @@ def _exposure_mask(positions, radii, probe, n_points, groups=None):
         raise ValueError("probe radius must be finite and >= 0")
     if n_points < 32:
         raise ValueError("n_points must be >= 32")
-    positions = np.asarray(positions, dtype=float)
-    radii = np.asarray(radii, dtype=float)
+    positions, radii = _checked_spheres(positions, radii, "sasa")
     n = positions.shape[0]
     unit = sphere_points(n_points)
     inflated = radii + probe
@@ -402,36 +440,92 @@ def _exposure_mask(positions, radii, probe, n_points, groups=None):
     own_masks = None if groups is None else np.ones((n, n_points), dtype=bool)
     if n < 2:
         return masks, own_masks, inflated
-    table, count = _neighbour_table(positions, inflated)
-    # padding slots get r^2 = -1, which no squared distance falls below
-    r2 = np.where(np.arange(table.shape[1]) < count[:, None], inflated[table] ** 2, -1.0)
-    nbr = positions[table].transpose(2, 0, 1)
-    if groups is not None:
-        groups = np.asarray(groups)
-        same = groups[table] == groups[:, None]
-    step = max(1, _BLOCK_ELEMENTS // n_points)
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        k = int(count[rows].max())
-        if k == 0:
-            continue
-        # the points positions[i] + inflated[i] * unit, one array per axis
-        px, py, pz = (positions[rows, c, None] + inflated[rows, None] * unit[:, c]
-                      for c in range(3))
-        hit = np.zeros(px.shape, dtype=bool)
-        own_hit = None if groups is None else np.zeros(px.shape, dtype=bool)
-        for slot in range(k):
+    table, count, n_same = _neighbour_table(positions, inflated,
+                                            None if groups is None else np.asarray(groups))
+    k = table.shape[1]
+    # (x, y, z, r) of the neighbour in each (slot, atom).  A packed point is
+    # (x, y, z, 0), so squaring point - neighbour gives dx**2, dy**2, dz**2
+    # and r**2.  Padding slots get r = 0: no squared distance is below 0.
+    nbr = np.empty((k, n, 4))
+    for c in range(3):
+        nbr[:, :, c] = positions[table.T, c]
+    nbr[:, :, 3] = np.where(np.arange(k)[:, None] < count, inflated[table.T], 0.0)
+    step = max(1, _BATCH_POINTS // n_points)
+    size = step * n_points
+    # the packed batch: points, their atoms, their entries of masks.reshape(-1)
+    points, work = np.zeros((2, size, 4))
+    atom, flat = np.empty((2, size), dtype=np.intp)
+    flat_masks = masks.reshape(-1)
+    flat_own = None if own_masks is None else own_masks.reshape(-1)
+
+    def bury_packed(live):
+        stale = 0
+        last_same = int(n_same[atom[:live]].max())
+        for slot in range(_DENSE_SLOTS, int(count[atom[:live]].max())):
+            sq = nbr[slot].take(atom[:live], axis=0, out=work[:live], mode="clip")
+            np.square(np.subtract(points[:live], sq, out=sq), out=sq)
             # (dx**2 + dy**2) + dz**2: the order in which .sum(axis=-1) adds x, y, z
-            d2 = (px - nbr[0, rows, slot, None]) ** 2
-            d2 += (py - nbr[1, rows, slot, None]) ** 2
-            d2 += (pz - nbr[2, rows, slot, None]) ** 2
-            buried = d2 < r2[rows, slot, None]
-            hit |= buried
-            if own_hit is not None:
-                own_hit |= buried & same[rows, slot, None]
-        masks[rows] = ~hit
-        if own_hit is not None:
-            own_masks[rows] = ~own_hit
+            d2 = np.add(sq[:, 0], sq[:, 1], out=sq[:, 0])
+            d2 += sq[:, 2]
+            hits = (d2 < sq[:, 3]).nonzero()[0]
+            if hits.size == 0:
+                continue
+            flat_masks[flat[hits]] = False
+            if flat_own is not None and slot < last_same:
+                flat_own[flat[hits[slot < n_same[atom[hits]]]]] = False
+            stale += hits.size
+            if 2 * stale > live:
+                keep = flat_masks[flat[:live]].nonzero()[0]
+                for buf in (points, atom, flat):
+                    buf[:live].take(keep, axis=0, out=buf[:keep.size], mode="clip")
+                live, stale = keep.size, 0
+                if live == 0:
+                    return
+
+    order = np.argsort(count, kind="stable")
+    order = order[count[order] > 0]
+    # one block's points (one array per axis), squared distances and scratch
+    block = np.empty((5, step, n_points))
+    block_exposed = np.empty((2, step, n_points), dtype=bool)
+    fill = 0
+    for lo in range(0, order.size, step):
+        rows = order[lo:lo + step]
+        dense = min(_DENSE_SLOTS, int(count[rows[-1]]))
+        px, py, pz, d2, w = block[:, :rows.size]
+        block_exposed.fill(True)
+        exposed, own_exposed = block_exposed[:, :rows.size]
+        # the points positions[i] + inflated[i] * unit
+        for c, p in enumerate((px, py, pz)):
+            np.multiply(inflated[rows, None], unit[:, c], out=p)
+            np.add(positions[rows, c, None], p, out=p)
+        for slot in range(dense):
+            # (dx**2 + dy**2) + dz**2: the order in which .sum(axis=-1) adds x, y, z
+            np.square(np.subtract(px, nbr[slot, rows, 0, None], out=d2), out=d2)
+            for c, p in ((1, py), (2, pz)):
+                d2 += np.square(np.subtract(p, nbr[slot, rows, c, None], out=w), out=w)
+            buried = d2 < nbr[slot, rows, 3, None] ** 2
+            exposed &= ~buried
+            if groups is not None:
+                buried &= (slot < n_same[rows])[:, None]
+                own_exposed &= ~buried
+        masks[rows] = exposed
+        if own_masks is not None:
+            own_masks[rows] = own_exposed
+        # pack the exposed points of the atoms with slots left (rows sort by count,
+        # so those atoms come last)
+        left = np.searchsorted(count[rows], dense, side="right")
+        undecided = left * n_points + np.flatnonzero(exposed[left:])
+        if fill + undecided.size > size:
+            bury_packed(fill)
+            fill = 0
+        packed = slice(fill, fill + undecided.size)
+        for c, p in enumerate((px, py, pz)):
+            points[packed, c] = p.reshape(-1)[undecided]
+        atom[packed] = rows[undecided // n_points]
+        flat[packed] = atom[packed] * n_points + undecided % n_points
+        fill += undecided.size
+    if fill:
+        bury_packed(fill)
     return masks, own_masks, inflated
 
 
@@ -439,28 +533,33 @@ def _atom_areas(masks, inflated) -> np.ndarray:
     return masks.mean(axis=1) * 4.0 * math.pi * inflated**2
 
 
-def sasa(positions, radii, probe: float = 1.4, n_points: int = 960) -> tuple[float, np.ndarray]:
+def sasa(positions, radii, probe: float = 1.4, n_points: int = 960, groups=None):
     """Solvent-accessible surface area by sphere-point counting.
 
     Each atom's sphere of radius r + probe carries ``n_points`` quasi-uniform
     points; the exposed fraction times 4 pi (r+probe)^2 is its area.  Points
     are tested only against neighbours from the pair layer's neighbour
     search, in bounded blocks, so memory grows with n * n_points rather than
-    n^2.  Returns (total, per-atom areas) in Angstrom^2.
+    n^2.  Radii must be finite and >= 0 and positions finite.
+
+    Returns (total, per-atom areas) in Angstrom^2.  With ``groups`` (one label
+    per atom) it returns (total, per-atom areas, per-atom areas alone), where
+    atom i's area alone is its area on the atoms of its own group only, from
+    the same pass.
     """
-    masks, _own, inflated = _exposure_mask(positions, radii, probe, n_points)
+    masks, own, inflated = _exposure_mask(positions, radii, probe, n_points, groups)
     per_atom = _atom_areas(masks, inflated)
-    return float(per_atom.sum()), per_atom
+    if own is None:
+        return float(per_atom.sum()), per_atom
+    return float(per_atom.sum()), per_atom, _atom_areas(own, inflated)
 
 
 def _delta_area(both: AtomSet, n_a: int, config: QOIConfig) -> tuple[float, float]:
-    """sasa(A+B) and sasa(A+B) - sasa(A) - sasa(B) from one exposure pass over
-    A+B; its ``masks`` are those of :func:`sasa`, so the first is sasa(A+B)."""
+    """sasa(A+B) and sasa(A+B) - sasa(A) - sasa(B) from one grouped
+    :func:`sasa` pass over A+B."""
     groups = np.arange(both.n) >= n_a
-    masks, own, inflated = _exposure_mask(both.positions, both.radii, config.probe,
-                                          config.n_points, groups)
-    full, alone = _atom_areas(masks, inflated), _atom_areas(own, inflated)
-    whole = float(full.sum())
+    whole, _full, alone = sasa(both.positions, both.radii, config.probe, config.n_points,
+                               groups)
     return whole, whole - float(alone[:n_a].sum()) - float(alone[n_a:].sum())
 
 
@@ -468,14 +567,14 @@ def volume(positions, radii, spacing: float) -> float:
     """Occupied volume by voxel-center counting (Angstrom^3).
 
     The grid covers the bounding box padded by max radius + spacing; a voxel
-    counts when its center lies inside any atom sphere.
+    counts when its center lies inside any atom sphere.  Radii must be finite
+    and >= 0 and positions finite.
     """
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError("spacing must be finite and positive")
-    positions = np.asarray(positions, dtype=float)
+    positions, radii = _checked_spheres(positions, radii, "volume")
     if positions.shape[0] == 0:
         return 0.0
-    radii = np.asarray(radii, dtype=float)
     lo, dims = padded_box(positions, radii, spacing)
     return float(cover_spheres(positions, radii, lo, spacing, dims).sum()) * spacing**3
 
@@ -531,10 +630,10 @@ def row_evaluator(kinds, s: Structure, idx_a, idx_b, config: QOIConfig = QOIConf
     ``idx_a`` and B = atoms ``idx_b``.  Parameters and bonded exclusions are
     built here, once.  Each row evaluates every f(group) it needs once and
     computes each delta as f(A+B) - f(A) - f(B) in :func:`delta_qoi`'s order,
-    with delta_area and f(A+B) for area from one exposure pass.  When A then
-    B is all of ``s`` and their union has the exclusions of ``s``, A+B is
-    the whole, so f(A+B) is the non-delta value.  A delta over an empty
-    group is 0.0.
+    with delta_area and f(A+B) for area from one grouped :func:`sasa` call.
+    When A then B is all of ``s`` and their union has the exclusions of
+    ``s``, A+B is the whole, so f(A+B) is the non-delta value.  A delta over
+    an empty group is 0.0.
     """
     kinds = [QOIKind(k) for k in kinds]
     full = AtomSet.from_structure(s)

@@ -319,6 +319,30 @@ class TestSasa:
             evaluate_qoi(QOIKind.DELTA_AREA, a, b, config)
 
 
+# a 3-atom chain with one bad radius or position: sasa and volume both refuse it
+BAD_SPHERES = {
+    "nan_radius": ([[0.0, 0, 0], [1.5, 0, 0], [3.0, 0, 0]], [math.nan, 1.7, 1.7],
+                   "radii must be finite and >= 0"),
+    "inf_radius": ([[0.0, 0, 0], [1.5, 0, 0], [3.0, 0, 0]], [math.inf, 1.7, 1.7],
+                   "radii must be finite and >= 0"),
+    "negative_radius": ([[0.0, 0, 0], [1.5, 0, 0], [3.0, 0, 0]], [-5.0, 1.7, 1.7],
+                        "radii must be finite and >= 0"),
+    "nan_position_alone": ([[math.nan, 0.0, 0.0]], [1.7], "atom positions must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SPHERES))
+def test_sasa_and_volume_reject_bad_spheres(case):
+    pos, radii, message = BAD_SPHERES[case]
+    pos = np.array(pos)
+    with pytest.raises(ValueError, match=f"sasa: {message}"):
+        sasa(pos, radii)
+    with pytest.raises(ValueError, match=f"sasa: {message}"):
+        sasa(pos, radii, groups=np.arange(len(pos)) > 0)
+    with pytest.raises(ValueError, match=f"volume: {message}"):
+        volume(pos, radii, spacing=0.5)
+
+
 class TestVolume:
     def test_sphere_analytic(self):
         v = volume(np.zeros((1, 3)), [2.0], spacing=0.25)
@@ -528,6 +552,8 @@ class TestRowEvaluator:
             AtomSet.from_structure(s.subset(s.chains["B"])))
         assert evaluate_qoi(QOIKind.LJ, full) != evaluate_qoi(QOIKind.LJ, both)
 
+    # sasa_calls counts the ungrouped sasa calls; every exposure pass, grouped
+    # or not, runs inside a call of the public sasa, where a trace books it
     @pytest.mark.parametrize("case, lj_sizes, sasa_calls, passes", [
         ("chains_cover_whole", [80, 40, 40], 0, 1),
         ("third_chain", [80, 60, 40, 20], 1, 2),
@@ -535,29 +561,31 @@ class TestRowEvaluator:
     def test_whole_complex_kernels_run_once_per_row(self, monkeypatch, case, lj_sizes,
                                                     sasa_calls, passes):
         s = chain_lattice(self.CASES[case])
-        calls = {"lj": [], "sasa": 0, "pass": 0}
+        calls = {"lj": [], "grouped": [], "pass": 0}
         real_lj, real_sasa, real_mask = qoi.lj_energy, qoi.sasa, qoi._exposure_mask
 
         def lj(positions, *args, **kwargs):
             calls["lj"].append(len(positions))
             return real_lj(positions, *args, **kwargs)
 
-        def count(key, fn):
-            def wrapped(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-            return wrapped
+        def sasa(positions, radii, probe, n_points, groups=None):
+            calls["grouped"].append(groups is not None)
+            return real_sasa(positions, radii, probe, n_points, groups)
+
+        def exposure_mask(*args, **kwargs):
+            calls["pass"] += 1
+            return real_mask(*args, **kwargs)
 
         monkeypatch.setattr(qoi, "lj_energy", lj)
-        monkeypatch.setattr(qoi, "sasa", count("sasa", real_sasa))
-        monkeypatch.setattr(qoi, "_exposure_mask", count("pass", real_mask))
+        monkeypatch.setattr(qoi, "sasa", sasa)
+        monkeypatch.setattr(qoi, "_exposure_mask", exposure_mask)
         evaluate = row_evaluator(["area", "delta_area", "lj", "delta_lj"], s,
                                  s.chains["A"], s.chains["B"])
         for _ in range(2):
             evaluate(s.positions())
         assert sorted(calls["lj"]) == sorted(lj_sizes * 2)
-        assert calls["sasa"] == 2 * sasa_calls
-        assert calls["pass"] == 2 * passes
+        assert calls["grouped"].count(False) == 2 * sasa_calls
+        assert len(calls["grouped"]) == calls["pass"] == 2 * passes
 
     def test_energy_rows_call_the_public_kernels(self, monkeypatch):
         # a traced run books energy time under these four module attributes
