@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from moluq.molio import Structure
-from moluq.conformers import Conformer, Ensemble
+from moluq.conformers import Ensemble
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,6 @@ class Pose:
 
     rotation: np.ndarray
     translation: np.ndarray
-    rank: int = 0
-    source_conformer: int | None = None
 
     def __post_init__(self):
         rot = np.asarray(self.rotation, dtype=float)
@@ -40,10 +38,6 @@ class Pose:
             raise ValueError("rotation must be proper (det +1)")
         object.__setattr__(self, "rotation", rot)
         object.__setattr__(self, "translation", tr)
-
-    @classmethod
-    def identity(cls, rank: int = 0) -> "Pose":
-        return cls(rotation=np.eye(3), translation=np.zeros(3), rank=rank)
 
     def apply(self, positions: np.ndarray) -> np.ndarray:
         return np.asarray(positions, dtype=float) @ self.rotation.T + self.translation
@@ -62,13 +56,10 @@ class ContactModel:
 
 @dataclass(frozen=True)
 class BindingSiteMap:
-    """Per-receptor-atom contact probabilities with provenance metadata."""
+    """Per-receptor-atom contact probabilities, one per serial."""
 
     probabilities: np.ndarray
     serials: tuple[int, ...]
-    cutoff: float
-    k: int
-    n_configs: int = 1
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
@@ -106,17 +97,17 @@ def _contact_map(A: Structure, configs, m: ContactModel) -> BindingSiteMap:
             hits[near] += _contact_rows(rec[near], placed, m.cutoff)
     k = len(configs[0][1])
     return BindingSiteMap(probabilities=hits / (k * len(configs)),
-                          serials=tuple(A.serials.tolist()),
-                          cutoff=m.cutoff, k=k, n_configs=len(configs))
+                          serials=tuple(A.serials.tolist()))
 
 
-def binding_site_prob(A: Structure, B: Conformer, poses,
+def binding_site_prob(A: Structure, ligand_positions, poses,
                       m: ContactModel = ContactModel()) -> BindingSiteMap:
-    """Fraction of poses contacting each receptor atom (single ligand config)."""
+    """Fraction of poses contacting each receptor atom, for one (n, 3) array
+    of ligand positions."""
     poses = list(poses)
     if not poses:
         raise ValueError("need at least one pose")
-    return _contact_map(A, [(B.positions, poses)], m)
+    return _contact_map(A, [(ligand_positions, poses)], m)
 
 
 def binding_site_prob_multi(A: Structure, ensemble_b: Ensemble, poses_per_conformer,
@@ -154,16 +145,17 @@ def inhibit_score(known_site, candidate: BindingSiteMap) -> float:
     return float(np.dot(known, candidate.probabilities))
 
 
-def binding_score(s_b: Conformer, pose: Pose, site_map: BindingSiteMap, A: Structure,
+def binding_score(ligand_positions, pose: Pose, site_map: BindingSiteMap, A: Structure,
                   m: ContactModel = ContactModel()) -> float:
-    """Reward a pose by the site probability mass it touches.
+    """Reward a pose of the (n, 3) ligand positions by the site probability
+    mass it touches.
 
     Sum of p_BS(a) over the receptor atoms a that some atom of the posed
     ligand contacts, with contact the inclusive test d^2 <= cutoff^2.
     """
     if len(site_map.serials) != A.n_atoms:
         raise ValueError("site map does not cover the receptor's atoms")
-    rows = _contact_rows(A.positions(), pose.apply(s_b.positions), m.cutoff)
+    rows = _contact_rows(A.positions(), pose.apply(ligand_positions), m.cutoff)
     return float(np.dot(site_map.probabilities, rows))
 
 

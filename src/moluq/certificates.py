@@ -39,7 +39,6 @@ class EmpiricalDistribution:
     values: tuple[float, ...]
     mean: float
     std: float
-    count: int
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalDistribution":
@@ -47,7 +46,7 @@ class EmpiricalDistribution:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("need a non-empty 1-d value list")
         return cls(values=tuple(float(v) for v in arr),
-                   mean=float(arr.mean()), std=float(arr.std()), count=int(arr.size))
+                   mean=float(arr.mean()), std=float(arr.std()))
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,6 @@ class CertificateTable:
 class SaturationReport:
     """Outcome of the saturation search for one QOI stream."""
 
-    qoi: str
     mode: str
     tau: float
     r_star: int
@@ -159,7 +157,7 @@ def _table_of(arr: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def saturation(values, tau: float = 0.05, t_values=DEFAULT_T_GRID,
-               mode: str = "incremental", qoi: str = "") -> SaturationReport:
+               mode: str = "incremental") -> SaturationReport:
     """Find the sample count where the certificate stops changing.
 
     For each r the certificate on the first r values is compared against a
@@ -204,5 +202,5 @@ def saturation(values, tau: float = 0.05, t_values=DEFAULT_T_GRID,
         r_star, ok = curve[above[-1] + 1][0], True
     else:
         r_star, ok = n, False
-    return SaturationReport(qoi=qoi, mode=mode, tau=tau, r_star=r_star,
+    return SaturationReport(mode=mode, tau=tau, r_star=r_star,
                             error_curve=tuple(curve), saturated=ok)

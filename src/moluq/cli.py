@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -47,6 +48,17 @@ DEFAULTS = {
 }
 
 
+# the JSON type each config key takes: the Python types json.load gives it
+# and the name an error message uses
+_CONFIG_TYPES = {
+    **dict.fromkeys(("seed", "samples", "clash_factor", "probe", "n_points", "spacing",
+                     "solvent_dielectric", "tau", "contact_cutoff", "workers"),
+                    ((int, float), "a number")),
+    **dict.fromkeys(("fixed_chains", "qoi", "t_grid"), ((list,), "an array")),
+    "dielectric": ((dict,), "an object"),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -73,14 +85,24 @@ def _load_json(path: str):
 def load_config(args) -> dict:
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        cfg.update(_load_json(args.config))
+        raw = _load_json(args.config)
+        if not isinstance(raw, dict):
+            raise UsageError(f"{args.config}: a run config must be a JSON object, "
+                             f"not {type(raw).__name__}")
+        cfg.update(raw)
     for key in ("seed", "samples", "workers", "out"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if "out" not in cfg or not cfg["out"]:
         raise UsageError("an output directory is required (--out or config 'out')")
-    if cfg.get("samples") is not None and cfg["samples"] < 1:
+    for key, (types, name) in _CONFIG_TYPES.items():
+        value = cfg[key]
+        if value is None and key in ("samples", "clash_factor"):
+            continue  # no count given; clash filter off
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise UsageError(f"config key {key!r} must be {name}, not {value!r}")
+    if cfg["samples"] is not None and cfg["samples"] < 1:
         raise UsageError("samples must be >= 1")
     return cfg
 
@@ -125,8 +147,8 @@ def _resolve_input(cfg: dict, key: str, default: str | None = None) -> str:
     return cfg[key]
 
 
-def _load_structure(cfg, key: str = "structure") -> molio.Structure:
-    path = _resolve_input(cfg, key)
+def _load_structure(cfg) -> molio.Structure:
+    path = _resolve_input(cfg, "structure")
     s = molio.parse_pdb(_read_text(path))
     if cfg.get("params"):
         table = molio.ParamTable.from_json(_read_text(_resolve_input(cfg, "params")))
@@ -152,11 +174,11 @@ def run_sample(cfg) -> list[str]:
     s = molio.detect_bonds(_load_structure(cfg))
     seed, n = int(cfg["seed"]), int(cfg["samples"])
     clash = cfg.get("clash_factor")
+    _check_chains(s.chains, cfg.get("fixed_chains", []))
     if cfg["mode"] == "cartesian":
         sigmas = conformers.cartesian_sigmas(s)
         for chain in cfg.get("fixed_chains", []):
-            for idx in s.chains.get(chain, []):
-                sigmas[idx] = 0.0
+            sigmas[s.chains[chain]] = 0.0
         ens = conformers.sample_cartesian_ensemble(s, seed, n, clash_factor=clash,
                                                    sigmas=sigmas)
     elif cfg["mode"] == "torsion":
@@ -204,15 +226,19 @@ def _qoi_config(cfg) -> qoi.QOIConfig:
     )
 
 
+def _check_chains(chains: dict[str, list[int]], names) -> None:
+    for name in names:
+        if name not in chains:
+            raise UsageError(f"chain {name!r} is not in the structure "
+                             f"(its chains: {', '.join(map(repr, chains))})")
+
+
 def _split_chains(s: molio.Structure, cfg):
     chains = s.chains
     names = list(chains)
     chain_a = cfg.get("chain_a") or (names[0] if names else None)
     chain_b = cfg.get("chain_b") or (names[1] if len(names) > 1 else None)
-    for name in (chain_a, chain_b):
-        if name is not None and name not in chains:
-            raise UsageError(f"chain {name!r} is not in the structure "
-                             f"(its chains: {', '.join(map(repr, names))})")
+    _check_chains(chains, [name for name in (chain_a, chain_b) if name is not None])
     return chains.get(chain_a, []), chains.get(chain_b, [])
 
 
@@ -270,6 +296,9 @@ def _read_value_streams(path: str):
             val = float(row["value"])
         except ValueError:
             raise DataFormatError(f"{path}: non-numeric row {row}") from None
+        if not math.isfinite(val):
+            raise DataFormatError(f"{path}: {row['qoi']} at sample_index {idx} "
+                                  f"is {row['value']}, not a finite number")
         if idx < 0:
             entry["reference"] = val
         else:
@@ -323,8 +352,7 @@ def run_saturate(cfg) -> list[str]:
     for name, entry in sorted(streams.items()):
         try:
             report = certificates.saturation(entry["values"], tau=float(cfg["tau"]),
-                                             t_values=t_grid, mode=cfg["saturation_mode"],
-                                             qoi=name)
+                                             t_values=t_grid, mode=cfg["saturation_mode"])
         except ValueError as exc:
             # degenerate streams (zero-mean blocks, too short) are reported,
             # not allowed to abort the rest of the batch
@@ -408,26 +436,26 @@ def run_bound(cfg) -> list[str]:
 # ---------------------------------------------------------------- bindsite
 
 def _load_poses(raw) -> list[bindsite.Pose]:
-    poses = []
-    for entry in raw:
-        rot = np.array(entry["rotation"], dtype=float).reshape(3, 3)
-        poses.append(bindsite.Pose(rotation=rot,
-                                   translation=np.array(entry["translation"], dtype=float),
-                                   rank=int(entry.get("rank", 0)),
-                                   source_conformer=entry.get("model")))
-    return poses
+    return [bindsite.Pose(rotation=np.array(entry["rotation"], dtype=float).reshape(3, 3),
+                          translation=np.array(entry["translation"], dtype=float))
+            for entry in raw]
 
 
 def run_bindsite(cfg) -> list[str]:
     out = _out_dir(cfg)
     receptor = _load_structure(cfg)
     ligand, ligand_coords = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))
-    raw = _load_json(_resolve_input(cfg, "poses"))
+    poses_path = _resolve_input(cfg, "poses")
+    raw = _load_json(poses_path)
     model = bindsite.ContactModel(cutoff=float(cfg["contact_cutoff"]))
 
-    # a grouped file pairs each ligand model with its poses; a flat pose list
+    # a grouped file pairs group k with ligand model k; a flat pose list
     # places the first model only
     if raw and isinstance(raw[0], dict) and "poses" in raw[0]:
+        for k, group in enumerate(raw):
+            if group.get("model", k) != k:
+                raise DataFormatError(f"{poses_path}: pose group {k} names model "
+                                      f"{group['model']!r}; group k must hold model k's poses")
         pose_lists = [_load_poses(group["poses"]) for group in raw]
     else:
         pose_lists = [_load_poses(raw)]
@@ -536,8 +564,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"moluq: usage error: {exc}", file=sys.stderr)
         return 1
-    except (molio.PdbParseError, vizgrid.GridFormatError, DataFormatError,
-            json.JSONDecodeError) as exc:
+    except (molio.PdbParseError, DataFormatError, json.JSONDecodeError) as exc:
         print(f"moluq: data error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, KeyError) as exc:

@@ -31,18 +31,23 @@ from moluq.sampling import (
 
 @dataclass(frozen=True)
 class Conformer:
-    """One sampled geometry: positions share the source structure's atom order."""
+    """One sampled geometry: positions share the source structure's atom order.
+
+    It converts to its (n, 3) positions, so :func:`clash_filter` and
+    :func:`rmsd` take it in place of an array.
+    """
 
     positions: np.ndarray
     sample_index: int
-    accepted: bool = True
-    rejection_reason: str | None = None
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=float)
         if pos.ndim != 2 or pos.shape[1] != 3:
             raise ValueError("positions must be an (n, 3) array")
         object.__setattr__(self, "positions", pos)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.positions, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -167,27 +172,21 @@ def _downstream_of(adj, j: int, k: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def build_torsion_graph(
-    s: Structure,
-    ranges: dict[tuple[int, int, int, int], tuple[float, float]] | None = None,
-    default_range: tuple[float, float] = (-math.pi, math.pi),
-    root: int = 0,
-) -> TorsionGraph:
-    """Detect rotatable dihedrals from the bond graph.
+def build_torsion_graph(s: Structure) -> TorsionGraph:
+    """Detect rotatable dihedrals from the bond graph, each free over [-pi, pi].
 
     A bond is rotatable when it is not part of a ring and both endpoints have
-    further neighbors.  Bonds are oriented away from ``root`` and listed in
-    BFS order so torsions can be applied parent-first.  ``ranges`` overrides
-    the [lower, upper] interval per dihedral, keyed by its four atom indices.
+    further neighbors.  Bonds are oriented away from atom 0 and listed in BFS
+    order so torsions can be applied parent-first.
     """
     n = s.n_atoms
     if not s.bonds:
         return TorsionGraph(structure=s, rotatable=())
     adj = bond_adjacency(s.bonds, n)
-    # BFS orientation/order from the root
+    # BFS orientation/order from atom 0
     order: list[tuple[int, int]] = []
-    seen = {root}
-    queue = [root]
+    seen = {0}
+    queue = [0]
     while queue:
         cur = queue.pop(0)
         for nxt in sorted(adj[cur]):
@@ -205,10 +204,7 @@ def build_torsion_graph(
             continue  # ring bond: frozen
         i = min(x for x in adj[j] if x != k)
         l = min(x for x in adj[k] if x != j)
-        lo, hi = default_range
-        if ranges and (i, j, k, l) in ranges:
-            lo, hi = ranges[(i, j, k, l)]
-        specs.append(DihedralSpec(atoms=(i, j, k, l), downstream=downstream, lower=lo, upper=hi))
+        specs.append(DihedralSpec(atoms=(i, j, k, l), downstream=downstream))
     return TorsionGraph(structure=s, rotatable=tuple(specs))
 
 
@@ -236,19 +232,16 @@ def cartesian_sigmas(s: Structure) -> np.ndarray:
     return sigma_from_b(np.where(s.has_aniso[:, None], s.b_aniso, s.b_iso[:, None]))
 
 
-def perturb_cartesian(s: Structure, z: np.ndarray, sigmas: np.ndarray | None = None,
-                      sample_index: int = 0) -> Conformer:
-    """Displace every atom by sigma * z along each axis.
+def perturb_cartesian(s: Structure, z: np.ndarray) -> np.ndarray:
+    """(n, 3) positions: every atom displaced by sigma * z along each axis.
 
-    ``z`` is an (n, 3) array of standard normals; sigmas default to the
-    structure's B-value-derived values (anisotropic where available).
+    ``z`` is an (n, 3) array of standard normals; sigmas are the structure's
+    B-value-derived values (anisotropic where available).
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (s.n_atoms, 3):
         raise ValueError(f"expected z of shape ({s.n_atoms}, 3), got {z.shape}")
-    if sigmas is None:
-        sigmas = cartesian_sigmas(s)
-    return Conformer(positions=s.positions() + sigmas * z, sample_index=sample_index)
+    return s.positions() + cartesian_sigmas(s) * z
 
 
 def _set_torsions(g: TorsionGraph, angles: np.ndarray) -> np.ndarray:
@@ -282,31 +275,28 @@ def _set_torsions(g: TorsionGraph, angles: np.ndarray) -> np.ndarray:
     return pos
 
 
-def apply_torsions(g: TorsionGraph, angles, sample_index: int = 0) -> Conformer:
-    """Rigid-chain conformer with each free dihedral set to the given angle
-    (the one-draw case of :func:`sample_torsion_ensemble`'s kernel)."""
+def apply_torsions(g: TorsionGraph, angles) -> np.ndarray:
+    """(n, 3) rigid-chain positions with each free dihedral set to the given
+    angle (the one-draw case of :func:`sample_torsion_ensemble`'s kernel)."""
     angles = np.asarray(angles, dtype=float)
     if angles.shape != (g.n_dihedrals,):
         raise ValueError(f"expected {g.n_dihedrals} angles, got shape {angles.shape}")
-    return Conformer(positions=_set_torsions(g, angles[None])[0], sample_index=sample_index)
+    return _set_torsions(g, angles[None])[0]
 
 
-def clash_filter(c: Conformer, s: Structure, factor: float = 0.6) -> Conformer:
-    """Accept or reject a conformer by hard-sphere overlap.
+def clash_filter(positions, s: Structure, factor: float = 0.6) -> str | None:
+    """Rejection reason of (n, 3) positions of ``s`` by hard-sphere overlap,
+    None when they pass.
 
     Rejects when any pair that is not a 1-2 or 1-3 bonded neighbor sits
     closer than factor * (r_i + r_j); the worst (deepest relative overlap)
-    pair is named in the rejection reason, the first in (i, j) order on a
-    tie.  Candidate pairs come from the neighbour search of
+    pair is named in the reason, the first in (i, j) order on a tie.
+    Candidate pairs come from the neighbour search of
     :func:`moluq.pairs.cutoff_pairs`, so memory grows with the number of
     close pairs rather than n^2.  Stands in for the force-field relaxation
     step of the original accept/reject protocol.
     """
-    reason = _clash_check(s, factor)(c.positions)
-    if reason is None:
-        return c
-    return Conformer(positions=c.positions, sample_index=c.sample_index,
-                     accepted=False, rejection_reason=reason)
+    return _clash_check(s, factor)(positions)
 
 
 def _clash_check(s: Structure, factor: float):
@@ -393,16 +383,16 @@ def _screened(s: Structure, coords: np.ndarray, screen, sequence_kind: str) -> E
     return Ensemble(source=s, coords=coords, reasons=reasons, sequence_kind=sequence_kind)
 
 
-def rmsd(a: Conformer, b: Conformer, superpose: bool = False) -> float:
-    """Root-mean-square deviation between two conformers (Angstrom).
+def rmsd(a, b, superpose: bool = False) -> float:
+    """Root-mean-square deviation between two (n, 3) position arrays (Angstrom).
 
     Computed in the fixed laboratory frame by default, since B-value
     perturbations live in the crystal frame; ``superpose`` enables an optimal
     rigid alignment (Kabsch) for torsion ensembles where pose is irrelevant.
     """
-    pa, pb = a.positions, b.positions
+    pa, pb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if pa.shape != pb.shape:
-        raise ValueError("conformers have different atom counts")
+        raise ValueError("position arrays have different atom counts")
     if pa.shape[0] == 0:
         return 0.0
     if superpose:

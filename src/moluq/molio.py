@@ -124,10 +124,6 @@ class Structure:
             out.setdefault(chain, []).append(i)
         return out
 
-    def with_positions(self, positions: np.ndarray) -> "Structure":
-        """Copy of the structure with every atom moved to the given coordinates."""
-        return replace(self, coords=positions)
-
     def with_bonds(self, bonds) -> "Structure":
         return replace(self, bonds=tuple(bonds))
 
@@ -228,20 +224,6 @@ class ParamTable:
             for o in raw.get("overrides", [])
         }
         return cls(elements=elements, overrides=overrides)
-
-    def to_json(self) -> str:
-        raw = {
-            "elements": {
-                el: {"radius": r.vdw_radius, "charge": r.charge, "lj_a": r.lj_a, "lj_b": r.lj_b}
-                for el, r in sorted(self.elements.items())
-            },
-            "overrides": [
-                {"residue": res, "atom": at, "radius": r.vdw_radius, "charge": r.charge,
-                 "lj_a": r.lj_a, "lj_b": r.lj_b}
-                for (res, at), r in sorted(self.overrides.items())
-            ],
-        }
-        return json.dumps(raw, indent=2, sort_keys=True)
 
     def lookup(self, residue_name: str, atom_name: str, element: str) -> ParamRow | None:
         row = self.overrides.get((residue_name.upper(), atom_name.upper()))

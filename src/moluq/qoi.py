@@ -579,14 +579,12 @@ def volume(positions, radii, spacing: float) -> float:
     return float(cover_spheres(positions, radii, lo, spacing, dims).sum()) * spacing**3
 
 
-def evaluate_qoi(kind: QOIKind, a: AtomSet, b: AtomSet | None = None,
-                 config: QOIConfig = QOIConfig()) -> float:
-    """Evaluate one scalar QOI on a group (or a pair of groups for deltas)."""
+def evaluate_qoi(kind: QOIKind, a: AtomSet, config: QOIConfig = QOIConfig()) -> float:
+    """Evaluate one non-delta QOI on a group (:func:`delta_qoi` takes two)."""
     kind = QOIKind(kind)
     if kind.is_delta:
-        if b is None:
-            raise ValueError(f"{kind.value} requires two atom groups")
-        return delta_qoi(kind.base, a, b, config)
+        raise ValueError(f"{kind.value} compares two atom groups: call delta_qoi "
+                         f"with {kind.base.value}")
     if kind is QOIKind.AREA:
         return sasa(a.positions, a.radii, config.probe, config.n_points)[0]
     if kind is QOIKind.VOLUME:

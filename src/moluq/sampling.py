@@ -169,10 +169,6 @@ class LowDiscrepancySequence:
         self._nets = [(*_scrambled_net(hi - lo, seed), rng.permutation(n_samples))
                       for lo, hi, seed in self.blocks]
 
-    def next_point(self) -> np.ndarray:
-        """The next point of the stream; advances the index by one."""
-        return self.next_points(1)[0]
-
     def next_points(self, count: int) -> np.ndarray:
         """The next ``count`` points as a (count, d) array."""
         if count < 0:

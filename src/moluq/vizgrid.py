@@ -15,10 +15,6 @@ import numpy as np
 from moluq.conformers import Ensemble
 
 
-class GridFormatError(ValueError):
-    """Malformed OpenDX grid text."""
-
-
 @dataclass(frozen=True)
 class ScalarGrid:
     """A regular scalar field: voxel values stored flat in x-fastest order.
@@ -43,10 +39,6 @@ class ScalarGrid:
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dims", (int(nx), int(ny), int(nz)))
-
-    def value_at(self, ix: int, iy: int, iz: int) -> float:
-        nx, ny, _nz = self.dims
-        return float(self.values[ix + nx * (iy + ny * iz)])
 
     def as_3d(self) -> np.ndarray:
         """(nx, ny, nz) view of the values."""
@@ -172,42 +164,6 @@ def write_grid(g: ScalarGrid) -> str:
         chunks.append("".join(tokens.tolist()))
     chunks.append('attribute "dep" string "positions"\n')
     return "".join(chunks)
-
-
-def read_grid(text: str) -> ScalarGrid:
-    """Parse grid text produced by :func:`write_grid`."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    try:
-        head = next(ln for ln in lines if ln.startswith("object 1 class gridpositions"))
-        nx, ny, nz = (int(x) for x in head.split("counts")[1].split())
-        origin_line = next(ln for ln in lines if ln.startswith("origin"))
-        origin = np.array([float(x) for x in origin_line.split()[1:4]])
-        deltas = [ln for ln in lines if ln.startswith("delta")]
-        spacing = float(deltas[0].split()[1])
-        items_line = next(ln for ln in lines if "data follows" in ln)
-        n_items = int(items_line.split("items")[1].split()[0])
-    except (StopIteration, ValueError, IndexError) as exc:
-        raise GridFormatError(f"malformed grid header: {exc}") from None
-    if n_items != nx * ny * nz:
-        raise GridFormatError(f"dims {nx}x{ny}x{nz} disagree with item count {n_items}")
-    start = lines.index(items_line) + 1
-    values: list[float] = []
-    for ln in lines[start:]:
-        if ln.startswith("attribute") or ln.startswith("object"):
-            break
-        try:
-            values.extend(float(x) for x in ln.split())
-        except ValueError:
-            raise GridFormatError(f"non-numeric grid data line: {ln!r}") from None
-    if len(values) != n_items:
-        raise GridFormatError(f"expected {n_items} values, found {len(values)}")
-    # back from file order (z fastest) to x-fastest storage
-    cube = np.array(values).reshape(nx, ny, nz)
-    flat = cube.transpose(2, 1, 0).reshape(-1)
-    try:
-        return ScalarGrid(origin=origin, spacing=spacing, dims=(nx, ny, nz), values=flat)
-    except ValueError as exc:
-        raise GridFormatError(f"malformed grid: {exc}") from None
 
 
 PALETTES = {

@@ -32,6 +32,16 @@ def make_structure(positions, bonds=(), element="C", b_iso=0.0, b_aniso=None, ch
     )
 
 
+
+def param_table_json(table) -> dict:
+    """``table`` in the JSON schema that ``ParamTable.from_json`` reads."""
+    def row(r):
+        return {"radius": r.vdw_radius, "charge": r.charge, "lj_a": r.lj_a, "lj_b": r.lj_b}
+
+    return {"elements": {el: row(r) for el, r in table.elements.items()},
+            "overrides": [{"residue": res, "atom": atom, **row(r)}
+                          for (res, atom), r in table.overrides.items()]}
+
 @pytest.fixture
 def chain4():
     """Four-atom bonded chain with a single rotatable dihedral."""

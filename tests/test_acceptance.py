@@ -4,6 +4,7 @@ them)."""
 
 import json
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -17,8 +18,8 @@ from moluq.bounds import AzumaSpec, BoxDomain, KernelSpec, azuma_tail, d1_bound,
 from moluq.certificates import EmpiricalDistribution, chernoff_table, \
     expected_hypercube_distance, expected_hypercube_distance_mc, saturation
 from moluq.cli import main as cli_main
-from moluq.conformers import Conformer, apply_torsions, build_torsion_graph, \
-    rmsd, sample_torsion_ensemble, torsion_graph_from_dihedrals, dihedral_angle
+from moluq.conformers import apply_torsions, build_torsion_graph, rmsd, \
+    sample_torsion_ensemble, torsion_graph_from_dihedrals, dihedral_angle
 from moluq.molio import write_pdb
 from moluq.qoi import QOIKind, born_radii, coulomb_energy, delta_qoi, \
     gb_polarization, lj_energy, sasa, volume
@@ -315,15 +316,14 @@ def test_criterion_09_torsion_kinematics_and_recovery():
     start = apply_torsions(g0, base)
     for i, j in bonds:
         d0 = np.linalg.norm(chain[i] - chain[j])
-        d1 = np.linalg.norm(start.positions[i] - start.positions[j])
+        d1 = np.linalg.norm(start[i] - start[j])
         assert abs(d0 - d1) < 1e-6
     originals = np.array([dihedral_angle(*(chain[list(sp.atoms)])) for sp in g0.rotatable])
-    back = apply_torsions(build_torsion_graph(
-        s0.with_positions(start.positions), ), originals)
-    assert rmsd(back, Conformer(chain, 0)) < 1e-6
+    back = apply_torsions(build_torsion_graph(replace(s0, coords=start)), originals)
+    assert rmsd(back, chain) < 1e-6
 
     # recovery of a hidden target by low-discrepancy torsion sampling
-    s = make_structure(start.positions, bonds=bonds)
+    s = make_structure(start, bonds=bonds)
     wide = [0, 3, 6]
     delta = np.full(10, 0.03)
     delta[wide] = 0.3
@@ -332,11 +332,10 @@ def test_criterion_09_torsion_kinematics_and_recovery():
     eta = 0.5 * delta
     eta[wide] = 0.8 * delta[wide] * np.array([1.0, -1.0, 1.0])
     target = apply_torsions(g, base + eta)
-    start_rmsd = rmsd(Conformer(s.positions(), 0), target)
+    start_rmsd = rmsd(s.positions(), target)
     assert start_rmsd > 0.5
     ensemble = sample_torsion_ensemble(g, seed=7, n_samples=1000, clash_factor=None)
-    best = min(rmsd(Conformer(positions, k), target)
-               for k, positions in enumerate(ensemble.coords))
+    best = min(rmsd(positions, target) for positions in ensemble.coords)
     assert best < 0.5
     assert best < start_rmsd
     _report(9, f"kinematics rigid to 1e-6; recovery {start_rmsd:.2f} A -> {best:.3f} A "
@@ -366,7 +365,7 @@ def test_criterion_11_binding_site_suite():
                   translation=rng.uniform(-4, 4, 3)) for _ in range(6)]
 
     # single-configuration site map vs naive loop
-    site = binding_site_prob(receptor, Conformer(lig_a, 0), poses, model)
+    site = binding_site_prob(receptor, lig_a, poses, model)
     np.testing.assert_array_equal(
         site.probabilities, naive_map(receptor, [lig_a], [poses], 5.0))
     assert np.all((site.probabilities >= 0) & (site.probabilities <= 1))
@@ -391,7 +390,7 @@ def test_criterion_11_binding_site_suite():
     want6 = sum(
         p for position, p in zip(receptor.coords, multi.probabilities)
         if min(math.dist(position, q) for q in placed) <= 5.0)
-    got6 = binding_score(Conformer(lig_a, 0), pose, multi, receptor, model)
+    got6 = binding_score(lig_a, pose, multi, receptor, model)
     assert abs(got6 - want6) <= 1e-12 * max(want6, 1.0)
 
     # rigid-motion invariance to 1e-9 under conjugated poses
@@ -401,8 +400,7 @@ def test_criterion_11_binding_site_suite():
                        translation=g_rot @ p.translation + g_tr
                        - g_rot @ p.rotation @ g_rot.T @ g_tr)
                   for p in poses]
-    moved = binding_site_prob(moved_receptor,
-                              Conformer(lig_a @ g_rot.T + g_tr, 0), conjugated, model)
+    moved = binding_site_prob(moved_receptor, lig_a @ g_rot.T + g_tr, conjugated, model)
     np.testing.assert_allclose(moved.probabilities, site.probabilities, atol=1e-9)
     _report(11, "site-map/overlap/multi-config/pose-score ops match naive "
                 "oracles; probabilities in [0,1]; rigid-motion invariant")

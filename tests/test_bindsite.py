@@ -13,7 +13,7 @@ from moluq.bindsite import (
     inhibit_score,
     residue_site_probabilities,
 )
-from moluq.conformers import Conformer, Ensemble
+from moluq.conformers import Ensemble
 from conftest import make_structure
 
 
@@ -23,6 +23,10 @@ def rotation_z(theta):
         [math.sin(theta), math.cos(theta), 0.0],
         [0.0, 0.0, 1.0],
     ])
+
+
+def identity_pose():
+    return Pose(rotation=np.eye(3), translation=np.zeros(3))
 
 
 def naive_map(receptor, ligand_positions_list, pose_lists, cutoff):
@@ -49,7 +53,7 @@ def receptor():
 
 @pytest.fixture
 def ligand():
-    return Conformer(np.array([[0.0, 3.0, 0.0], [0.0, 4.5, 0.0]]), 0)
+    return np.array([[0.0, 3.0, 0.0], [0.0, 4.5, 0.0]])
 
 
 class TestPose:
@@ -83,17 +87,16 @@ class TestContactModel:
 
 class TestBindingSiteProb:
     def test_single_pose_is_indicator(self, receptor, ligand):
-        site = binding_site_prob(receptor, ligand, [Pose.identity()])
+        site = binding_site_prob(receptor, ligand, [identity_pose()])
         assert set(np.unique(site.probabilities)) <= {0.0, 1.0}
-        assert site.k == 1
 
     def test_identical_poses_idempotent(self, receptor, ligand):
-        one = binding_site_prob(receptor, ligand, [Pose.identity()])
-        many = binding_site_prob(receptor, ligand, [Pose.identity()] * 4)
+        one = binding_site_prob(receptor, ligand, [identity_pose()])
+        many = binding_site_prob(receptor, ligand, [identity_pose()] * 4)
         np.testing.assert_array_equal(one.probabilities, many.probabilities)
 
     def test_three_of_four_poses(self, receptor, ligand):
-        near = Pose.identity()
+        near = identity_pose()
         far = Pose(rotation=np.eye(3), translation=np.array([0.0, 500.0, 0.0]))
         site = binding_site_prob(receptor, ligand, [near, near, near, far])
         assert site.probabilities[0] == pytest.approx(0.75)
@@ -104,7 +107,7 @@ class TestBindingSiteProb:
 
     def test_pose_order_irrelevant(self, receptor, ligand):
         poses = [
-            Pose.identity(),
+            identity_pose(),
             Pose(rotation=rotation_z(0.5), translation=np.array([1.0, 0, 0])),
             Pose(rotation=rotation_z(-1.0), translation=np.array([0, 2.0, 0])),
         ]
@@ -120,7 +123,7 @@ class TestBindingSiteProb:
                  translation=rng.uniform(-6, 6, 3))
             for _ in range(9)
         ]
-        got = binding_site_prob(receptor, Conformer(lig_pos, 0), poses).probabilities
+        got = binding_site_prob(receptor, lig_pos, poses).probabilities
         want = naive_map(receptor, [lig_pos], [poses], 5.0)
         np.testing.assert_array_equal(got, want)
 
@@ -131,8 +134,8 @@ class TestBindingSiteProbMulti:
         return Ensemble(source=source, coords=np.array(positions_list, dtype=float))
 
     def test_single_conformer_reduces(self, receptor, ligand):
-        ens = self._ensemble(receptor, [ligand.positions])
-        poses = [Pose.identity(), Pose(rotation=rotation_z(1.0), translation=np.zeros(3))]
+        ens = self._ensemble(receptor, [ligand])
+        poses = [identity_pose(), Pose(rotation=rotation_z(1.0), translation=np.zeros(3))]
         multi = binding_site_prob_multi(receptor, ens, [poses])
         single = binding_site_prob(receptor, ligand, poses)
         np.testing.assert_array_equal(multi.probabilities, single.probabilities)
@@ -141,12 +144,11 @@ class TestBindingSiteProbMulti:
         near = [[0.0, 3.0, 0.0]]
         far = [[0.0, 300.0, 0.0]]
         ens = self._ensemble(receptor, [near, far])
-        identity = Pose.identity()
+        identity = identity_pose()
         poses = [[identity, identity], [identity, identity]]
         site = binding_site_prob_multi(receptor, ens, poses)
         # atom 0 contacts in 2 of 4 (conformer, pose) terms
         assert site.probabilities[0] == pytest.approx(0.5)
-        assert site.n_configs == 2 and site.k == 2
 
     def test_probabilities_in_unit_interval(self, receptor):
         rng = np.random.default_rng(1)
@@ -167,27 +169,26 @@ class TestBindingSiteProbMulti:
         ens = Ensemble(source=make_structure([[0.0, 0.0, 0.0]]),
                        coords=np.array([[[0.0, 3.0, 0.0]], [[0.0, 300.0, 0.0]]]),
                        reasons=(None, "clash"))
-        site = binding_site_prob_multi(receptor, ens, [[Pose.identity()]] * 2)
+        site = binding_site_prob_multi(receptor, ens, [[identity_pose()]] * 2)
         assert site.probabilities[0] == 1.0
-        assert site.n_configs == 1
 
     def test_no_accepted_draw_rejected(self):
         receptor = make_structure([[0.0, 0.0, 0.0]])
         ens = Ensemble(source=make_structure([[0.0, 0.0, 0.0]]),
                        coords=np.array([[[0.0, 3.0, 0.0]]]), reasons=("clash",))
         with pytest.raises(ValueError, match="accepted"):
-            binding_site_prob_multi(receptor, ens, [[Pose.identity()]])
+            binding_site_prob_multi(receptor, ens, [[identity_pose()]])
 
     def test_ragged_pose_lists_rejected(self, receptor, ligand):
-        ens = self._ensemble(receptor, [ligand.positions, ligand.positions])
+        ens = self._ensemble(receptor, [ligand, ligand])
         with pytest.raises(ValueError, match="same positive pose count"):
-            binding_site_prob_multi(receptor, ens, [[Pose.identity()], []])
+            binding_site_prob_multi(receptor, ens, [[identity_pose()], []])
 
 
 class TestInhibitScore:
     def _map(self, probs):
         return BindingSiteMap(probabilities=np.asarray(probs, dtype=float),
-                              serials=tuple(range(1, len(probs) + 1)), cutoff=5.0, k=1)
+                              serials=tuple(range(1, len(probs) + 1)))
 
     def test_perfect_overlap_counts_site(self):
         known = [1.0, 1.0, 0.0]
@@ -213,13 +214,13 @@ class TestInhibitScore:
 
 class TestBindingScore:
     def test_no_contacts_zero(self, receptor, ligand):
-        site = binding_site_prob(receptor, ligand, [Pose.identity()])
+        site = binding_site_prob(receptor, ligand, [identity_pose()])
         far = Pose(rotation=np.eye(3), translation=np.array([0.0, 900.0, 0.0]))
         assert binding_score(ligand, far, site, receptor) == 0.0
 
     def test_full_probability_atoms_counted(self, receptor, ligand):
-        site = binding_site_prob(receptor, ligand, [Pose.identity()])
-        score = binding_score(ligand, Pose.identity(), site, receptor)
+        site = binding_site_prob(receptor, ligand, [identity_pose()])
+        score = binding_score(ligand, identity_pose(), site, receptor)
         assert score == site.probabilities.sum()
 
     def test_matches_naive_oracle(self, receptor):
@@ -227,15 +228,14 @@ class TestBindingScore:
         lig_pos = rng.uniform(-3, 3, (6, 3))
         poses = [Pose(rotation=rotation_z(rng.uniform(0, 6)),
                       translation=rng.uniform(-5, 5, 3)) for _ in range(5)]
-        lig = Conformer(lig_pos, 0)
-        site = binding_site_prob(receptor, lig, poses)
+        site = binding_site_prob(receptor, lig_pos, poses)
         pose = poses[2]
         placed = lig_pos @ pose.rotation.T + pose.translation
         want = sum(
             p for position, p in zip(receptor.coords, site.probabilities)
             if min(math.dist(position, q) for q in placed) <= 5.0
         )
-        assert binding_score(lig, pose, site, receptor) == pytest.approx(want, rel=1e-15)
+        assert binding_score(lig_pos, pose, site, receptor) == pytest.approx(want, rel=1e-15)
 
 
 class TestRigidMotionInvariance:
@@ -244,12 +244,12 @@ class TestRigidMotionInvariance:
         lig_pos = rng.uniform(-3, 3, (6, 3))
         poses = [Pose(rotation=rotation_z(rng.uniform(0, 6)),
                       translation=rng.uniform(-5, 5, 3)) for _ in range(6)]
-        base = binding_site_prob(receptor, Conformer(lig_pos, 0), poses).probabilities
+        base = binding_site_prob(receptor, lig_pos, poses).probabilities
 
         g_rot = rotation_z(0.77)
         g_tr = np.array([5.0, -3.0, 2.0])
         moved_receptor = make_structure(receptor.positions() @ g_rot.T + g_tr)
-        moved_ligand = Conformer(lig_pos @ g_rot.T + g_tr, 0)
+        moved_ligand = lig_pos @ g_rot.T + g_tr
         conjugated = [
             Pose(rotation=g_rot @ p.rotation @ g_rot.T,
                  translation=g_rot @ p.translation + g_tr - g_rot @ p.rotation @ g_rot.T @ g_tr)
@@ -263,6 +263,6 @@ class TestResidueAggregation:
     def test_max_over_atoms(self):
         s = make_structure([[0, 0, 0], [1, 0, 0], [9, 0, 0]])
         site = BindingSiteMap(probabilities=np.array([0.2, 0.8, 0.5]),
-                              serials=tuple(s.serials.tolist()), cutoff=5.0, k=4)
+                              serials=tuple(s.serials.tolist()))
         rows = residue_site_probabilities(s, site)
         assert rows == [(("A", 1, "LIG"), 0.8)]

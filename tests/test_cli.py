@@ -12,7 +12,7 @@ import pytest
 
 from moluq.cli import main
 from moluq.molio import parse_pdb_models, write_pdb, write_pdb_models
-from conftest import make_structure
+from conftest import make_structure, param_table_json
 
 
 def small_protein_pdb():
@@ -110,6 +110,15 @@ class TestSample:
                                        source.positions()[idx_b], atol=1e-3)
         assert moved_b
 
+    def test_unknown_fixed_chain_is_a_usage_error(self, workspace, capsys):
+        # it once exited 0 with every atom perturbed
+        cfg = write_config(workspace, samples=2, fixed_chains=["Z"])
+        capsys.readouterr()
+        assert main(["sample", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "'Z'" in err and "'A', 'B'" in err
+        assert not (workspace / "run" / "ensemble.pdb").exists()
+
 
 class TestQoiCertifySaturate:
     def _sampled(self, workspace, n=24):
@@ -199,6 +208,21 @@ class TestQoiCertifySaturate:
         assert main(["certify", "--config", str(cfg)]) == 0
         cert = (out / "certificates.csv").read_text().strip().splitlines()[1:]
         assert all(float(ln.split(",")[2]) == 0.0 for ln in cert)
+
+    @pytest.mark.parametrize("command", ["certify", "saturate"])
+    def test_non_finite_value_is_a_data_error(self, workspace, capsys, command):
+        # certify once printed epsilon 0.000 at every t for a stream with a nan
+        # and dropped its z-score row, with exit 0
+        out = workspace / "run"
+        out.mkdir()
+        rows = ["qoi,sample_index,value"] + [
+            f"area,{i},{'nan' if i == 6 else 100.0 + i}" for i in range(-1, 20)]
+        (out / "qoi_values.csv").write_text("\n".join(rows) + "\n")
+        cfg = write_config(workspace)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert "area at sample_index 6 is nan" in capsys.readouterr().err
+        assert [f.name for f in out.iterdir()] == ["qoi_values.csv"]
 
     def test_saturate_skips_degenerate_streams(self, workspace):
         out = workspace / "run"
@@ -363,6 +387,23 @@ class TestBindsite:
                               if not f.name.endswith("_meta.json")}
         assert len(outputs["flat"]) == 4 and outputs["flat"] == outputs["grouped"]
 
+    def test_groups_out_of_model_order_are_a_data_error(self, workspace, capsys):
+        # groups pair with ligand models by position, so swapped groups were
+        # silently mispaired
+        lig = make_structure([[0.0, 3.0, 0.0]])
+        frames = [lig.positions(), lig.positions() + [0.0, 200.0, 0.0]]
+        (workspace / "ligand.pdb").write_text(write_pdb_models(lig, frames))
+        identity = {"rank": 1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
+                    "translation": [0.0, 0.0, 0.0]}
+        swapped = [{"model": 1, "poses": [identity]}, {"model": 0, "poses": [identity]}]
+        (workspace / "poses.json").write_text(json.dumps(swapped))
+        cfg = write_config(workspace, ligand=str(workspace / "ligand.pdb"),
+                           poses=str(workspace / "poses.json"))
+        capsys.readouterr()
+        assert main(["bindsite", "--config", str(cfg)]) == 2
+        assert "pose group 0 names model 1" in capsys.readouterr().err
+        assert not (workspace / "run" / "bindsite_atoms.csv").exists()
+
     def test_nan_contact_cutoff_exits_3(self, workspace, capsys):
         # NaN passed `cutoff <= 0`, so every p_bs came out 0 and bindsite exited 0
         lig = make_structure([[0.0, 3.0, 0.0]])
@@ -483,6 +524,26 @@ class TestReplayAndExitCodes:
         cfg = write_config(workspace, structure=str(workspace / "bad.pdb"), samples=2)
         assert main(["sample", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("command, raw, message", [
+        ("sample", [1, 2], "a run config must be a JSON object, not list"),
+        ("sample", {"samples": "4"}, "config key 'samples' must be a number, not '4'"),
+        ("qoi", {"n_points": [960]}, "config key 'n_points' must be a number, not [960]"),
+        ("certify", {"t_grid": 5}, "config key 't_grid' must be an array, not 5"),
+        ("qoi", {"dielectric": 1.0}, "config key 'dielectric' must be an object, not 1.0"),
+    ], ids=["top_level_list", "samples_string", "n_points_list", "t_grid_number",
+            "dielectric_number"])
+    def test_config_value_of_wrong_json_type_exits_1(self, workspace, capsys, command, raw,
+                                                     message):
+        # each once ended in a TypeError traceback
+        if isinstance(raw, dict):
+            cfg = write_config(workspace, **raw)
+        else:
+            cfg = workspace / "config.json"
+            cfg.write_text(json.dumps(raw))
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+
     def test_domain_error_exit_3(self, workspace):
         out = workspace / "run"
         out.mkdir()
@@ -493,7 +554,7 @@ class TestReplayAndExitCodes:
 
     def test_nan_parameter_file_exits_3(self, workspace, capsys):
         from moluq.molio import ParamTable
-        raw = json.loads(ParamTable.default().to_json())
+        raw = param_table_json(ParamTable.default())
         raw["elements"]["C"]["radius"] = math.nan
         (workspace / "params.json").write_text(json.dumps(raw))
         cfg = write_config(workspace, samples=2, params=str(workspace / "params.json"))

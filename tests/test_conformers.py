@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from moluq.conformers import (
-    Conformer,
     Ensemble,
     apply_torsions,
     atom_motion_modes,
@@ -22,6 +21,12 @@ from moluq.conformers import (
 from moluq.molio import EIGHT_PI_SQ
 from moluq.sampling import sigma_from_b
 from conftest import make_structure, zigzag_chain
+
+
+def narrowed(g, lower, upper):
+    """``g`` with every free dihedral's range set to [lower, upper]."""
+    return torsion_graph_from_dihedrals(
+        g.structure, [(spec.atoms, lower, upper) for spec in g.rotatable])
 
 
 def rodrigues(axis, angle):
@@ -56,18 +61,18 @@ class TestPerturbCartesian:
     def test_zero_noise_identity(self):
         s = make_structure([[0, 0, 0], [3, 0, 0]], b_iso=25.0)
         c = perturb_cartesian(s, np.zeros((2, 3)))
-        np.testing.assert_array_equal(c.positions, s.positions())
+        np.testing.assert_array_equal(c, s.positions())
 
     def test_unit_sigma_displacement(self):
         s = make_structure([[1, 2, 3]], b_iso=EIGHT_PI_SQ)  # sigma = 1 A
         c = perturb_cartesian(s, np.array([[1.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(c.positions[0], [2, 2, 3])
+        np.testing.assert_allclose(c[0], [2, 2, 3])
 
     def test_anisotropic_sigma(self):
         b = np.array([EIGHT_PI_SQ, 2 * EIGHT_PI_SQ, 0.0])
         s = make_structure([[0, 0, 0]], b_aniso=b)
         c = perturb_cartesian(s, np.ones((1, 3)))
-        np.testing.assert_allclose(c.positions[0], [1.0, math.sqrt(2), 0.0])
+        np.testing.assert_allclose(c[0], [1.0, math.sqrt(2), 0.0])
 
     def test_aniso_preferred_over_iso(self):
         b = np.array([0.0, 0.0, 0.0])
@@ -91,7 +96,7 @@ class TestApplyTorsions:
         pos = chain4.positions()
         current = dihedral_angle(pos[0], pos[1], pos[2], pos[3])
         c = apply_torsions(g, [current])
-        assert rmsd(c, Conformer(pos, 0)) < 1e-6
+        assert rmsd(c, pos) < 1e-6
 
     def test_rotation_to_pi_matches_axis_rotation_oracle(self):
         # planar chain at dihedral 0; rotating to pi must match a closed-form
@@ -106,8 +111,8 @@ class TestApplyTorsions:
         c = apply_torsions(g, [math.pi])
         axis = positions[2] - positions[1]
         expected = rodrigues(axis, math.pi) @ (positions[3] - positions[1]) + positions[1]
-        np.testing.assert_allclose(c.positions[3], expected, atol=1e-9)
-        assert abs(abs(dihedral_angle(*c.positions)) - math.pi) < 1e-9
+        np.testing.assert_allclose(c[3], expected, atol=1e-9)
+        assert abs(abs(dihedral_angle(*c)) - math.pi) < 1e-9
 
     def test_sets_exact_target_angles(self):
         chain = zigzag_chain(8)
@@ -118,7 +123,7 @@ class TestApplyTorsions:
         c = apply_torsions(g, targets)
         for spec, target in zip(g.rotatable, targets):
             i, j, k, l = spec.atoms
-            got = dihedral_angle(c.positions[i], c.positions[j], c.positions[k], c.positions[l])
+            got = dihedral_angle(c[i], c[j], c[k], c[l])
             assert abs((got - target + math.pi) % (2 * math.pi) - math.pi) < 1e-9
 
     def test_preserves_bonds_and_angles(self):
@@ -128,9 +133,9 @@ class TestApplyTorsions:
         g = build_torsion_graph(s)
         targets = np.linspace(-2.0, 2.0, g.n_dihedrals)
         c = apply_torsions(g, targets)
-        np.testing.assert_allclose(bond_lengths(s, c.positions),
+        np.testing.assert_allclose(bond_lengths(s, c),
                                    bond_lengths(s, chain), atol=1e-6)
-        np.testing.assert_allclose(bond_angles(s, c.positions),
+        np.testing.assert_allclose(bond_angles(s, c),
                                    bond_angles(s, chain), atol=1e-6)
 
     def test_rotate_unrotate_roundtrip(self):
@@ -144,13 +149,13 @@ class TestApplyTorsions:
         wrapped = (originals + deltas + math.pi) % (2 * math.pi) - math.pi
         mid = apply_torsions(g, wrapped)
         # rebuild a graph on the rotated geometry, then return to the originals
-        s_mid = s.with_positions(mid.positions)
+        s_mid = replace(s, coords=mid)
         g_mid = build_torsion_graph(s_mid)
         back = apply_torsions(g_mid, originals)
-        assert rmsd(back, Conformer(chain, 0)) < 1e-6
+        assert rmsd(back, chain) < 1e-6
 
     def test_angle_outside_range_rejected(self, chain4):
-        g = build_torsion_graph(chain4, default_range=(-1.0, 1.0))
+        g = narrowed(build_torsion_graph(chain4), -1.0, 1.0)
         with pytest.raises(ValueError, match="outside range"):
             apply_torsions(g, [2.0])
 
@@ -171,49 +176,47 @@ class TestApplyTorsions:
 class TestClashFilter:
     def test_bonded_pair_exempt(self):
         s = make_structure([[0, 0, 0], [1.0, 0, 0]], bonds=((0, 1),))
-        c = clash_filter(Conformer(s.positions(), 0), s, factor=0.6)
-        assert c.accepted
+        assert clash_filter(s.positions(), s, factor=0.6) is None
 
     def test_nonbonded_overlap_rejected(self):
         s = make_structure([[0, 0, 0], [1.0, 0, 0]])
-        c = clash_filter(Conformer(s.positions(), 0), s, factor=0.6)
-        assert not c.accepted
-        assert "1-2" in c.rejection_reason  # names serials of the worst pair
+        reason = clash_filter(s.positions(), s, factor=0.6)
+        assert reason is not None
+        assert "1-2" in reason  # names serials of the worst pair
 
     def test_all_far_accepted(self):
         s = make_structure([[0, 0, 0], [10, 0, 0], [0, 10, 0]])
-        assert clash_filter(Conformer(s.positions(), 0), s).accepted
+        assert clash_filter(s.positions(), s) is None
 
     def test_13_pair_exempt(self):
         s = make_structure([[0, 0, 0], [1.5, 0, 0], [1.5, 1.0, 0]],
                            bonds=((0, 1), (1, 2)))
-        c = clash_filter(Conformer(s.positions(), 0), s, factor=0.9)
-        assert c.accepted
+        assert clash_filter(s.positions(), s, factor=0.9) is None
 
 
 class TestRmsd:
     def test_identity_zero(self, chain4):
-        c = Conformer(chain4.positions(), 0)
+        c = chain4.positions()
         assert rmsd(c, c) == 0.0
 
     def test_single_atom_two_angstrom(self):
-        a = Conformer(np.array([[0.0, 0.0, 0.0]]), 0)
-        b = Conformer(np.array([[2.0, 0.0, 0.0]]), 1)
+        a = np.array([[0.0, 0.0, 0.0]])
+        b = np.array([[2.0, 0.0, 0.0]])
         assert rmsd(a, b) == pytest.approx(2.0)
 
     def test_two_atoms_sqrt_two(self):
-        a = Conformer(np.zeros((2, 3)), 0)
-        b = Conformer(np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]]), 1)
+        a = np.zeros((2, 3))
+        b = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         assert rmsd(a, b) == pytest.approx(math.sqrt(2.0))
 
     def test_atom_count_mismatch(self):
         with pytest.raises(ValueError):
-            rmsd(Conformer(np.zeros((2, 3)), 0), Conformer(np.zeros((3, 3)), 1))
+            rmsd(np.zeros((2, 3)), np.zeros((3, 3)))
 
     def test_pseudometric_on_random_triples(self):
         rng = np.random.default_rng(7)
         for _ in range(25):
-            a, b, c = (Conformer(rng.normal(size=(5, 3)), i) for i in range(3))
+            a, b, c = (rng.normal(size=(5, 3)) for _ in range(3))
             assert rmsd(a, b) == pytest.approx(rmsd(b, a))
             assert rmsd(a, c) <= rmsd(a, b) + rmsd(b, c) + 1e-12
 
@@ -221,10 +224,9 @@ class TestRmsd:
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(6, 3))
         rot = rodrigues([0, 0, 1.0], 0.8)
-        a = Conformer(pts, 0)
-        b = Conformer(pts @ rot.T + np.array([1.0, -2.0, 0.5]), 1)
-        assert rmsd(a, b) > 0.5
-        assert rmsd(a, b, superpose=True) < 1e-9
+        moved = pts @ rot.T + np.array([1.0, -2.0, 0.5])
+        assert rmsd(pts, moved) > 0.5
+        assert rmsd(pts, moved, superpose=True) < 1e-9
 
 
 class TestEnsembles:
@@ -241,7 +243,7 @@ class TestEnsembles:
         np.testing.assert_array_equal(e.coords[0], s.positions())
 
     def test_torsion_ensemble_respects_ranges(self, chain4):
-        g = build_torsion_graph(chain4, default_range=(-0.5, 0.5))
+        g = narrowed(build_torsion_graph(chain4), -0.5, 0.5)
         e = sample_torsion_ensemble(g, seed=2, n_samples=16, clash_factor=None)
         for c in e.coords:
             ang = dihedral_angle(*(c[list(g.rotatable[0].atoms)]))

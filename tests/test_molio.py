@@ -19,7 +19,7 @@ from moluq.molio import (
     write_pdb,
     write_pdb_models,
 )
-from conftest import make_structure
+from conftest import make_structure, param_table_json
 
 ATOM_LINE = "ATOM      1  N   ALA A   1      11.104   6.134  -6.504  1.00 20.00           N"
 ANISOU_LINE = "ANISOU    1  N   ALA A   1     2500   2500   2500      0      0      0       N"
@@ -193,7 +193,7 @@ class TestParams:
 
     def test_json_roundtrip(self):
         table = ParamTable.default()
-        again = ParamTable.from_json(table.to_json())
+        again = ParamTable.from_json(json.dumps(param_table_json(table)))
         assert again.elements["C"] == table.elements["C"]
 
     def test_fallback_rows_required(self):
@@ -214,7 +214,7 @@ class TestParams:
             ParamRow(*row)
 
     def test_json_with_nan_radius_rejected(self):
-        raw = json.loads(ParamTable.default().to_json())
+        raw = param_table_json(ParamTable.default())
         raw["elements"]["C"]["radius"] = math.nan
         text = json.dumps(raw)
         assert '"radius": NaN' in text

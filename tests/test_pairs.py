@@ -6,13 +6,13 @@ them exactly (``==``, not approx) on seeded, perturbed zigzag lattices.
 """
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from moluq import conformers
 from moluq.conformers import (
-    Conformer,
     build_torsion_graph,
     clash_filter,
     sample_cartesian_ensemble,
@@ -210,9 +210,9 @@ def test_non_finite_positions_raise(bad):
     with pytest.raises(ValueError, match="finite"):
         cutoff_pairs(pos, 2.0)
     with pytest.raises(ValueError):
-        detect_bonds(s.with_positions(pos))
+        detect_bonds(replace(s, coords=pos))
     with pytest.raises(ValueError):
-        clash_filter(Conformer(positions=pos, sample_index=0), s, 0.6)
+        clash_filter(pos, s, 0.6)
     with pytest.raises(ValueError):
         sasa(pos, s.radii)
 
@@ -233,7 +233,7 @@ def test_exclusion_codes_drop_malformed_entries():
 def test_detect_bonds_matches_dense_oracle(n_atoms, seed):
     s = lattice_structure(n_atoms, seed)
     for sigma, tol in ((0.0, 0.45), (0.3, 0.45), (0.6, 0.9), (0.3, -0.5), (0.3, -2.0)):
-        moved = s.with_positions(perturbed(s, seed + 10, sigma))
+        moved = replace(s, coords=perturbed(s, seed + 10, sigma))
         assert list(detect_bonds(moved, tolerance=tol).bonds) == oracle_detect_bonds(moved, tol)
 
 
@@ -249,10 +249,10 @@ def test_clash_filter_matches_dense_oracle(n_atoms, seed):
     for k, sigma in enumerate((0.05, 0.3, 0.5, 0.8)):
         pos = perturbed(s, 100 * seed + k, sigma)
         for factor in (0.5, 0.6, 1.0):
-            got = clash_filter(Conformer(positions=pos, sample_index=k), s, factor=factor)
+            reason = clash_filter(pos, s, factor=factor)
             want = oracle_clash(pos, s, factor)
-            assert (got.accepted, got.rejection_reason) == want
-            outcomes.add(got.accepted)
+            assert (reason is None, reason) == want
+            outcomes.add(reason is None)
     assert outcomes == {True, False}
 
 
@@ -260,9 +260,9 @@ def test_clash_filter_tie_names_first_pair_in_triu_order():
     # pairs (1, 3) and (0, 2) overlap equally; (0, 2) comes first
     pos = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [1.0, 0.0, 0.0], [11.0, 0.0, 0.0]])
     s = make_structure(pos)
-    got = clash_filter(Conformer(positions=pos, sample_index=0), s)
-    assert (got.accepted, got.rejection_reason) == oracle_clash(pos, s, 0.6)
-    assert got.rejection_reason.startswith("atoms 1-3 ")
+    reason = clash_filter(pos, s)
+    assert (reason is None, reason) == oracle_clash(pos, s, 0.6)
+    assert reason.startswith("atoms 1-3 ")
 
 
 def test_clash_filter_coincident_pair_and_zero_radius():
@@ -271,12 +271,12 @@ def test_clash_filter_coincident_pair_and_zero_radius():
     # serials 4 and 5 get zero radius: their coincident pair has cutoff 0 and
     # never clashes, while 4-6 and 5-6 still do; the coincident 2-3 is worst
     s = make_structure(pos, vdw_radius=[1.7, 1.7, 1.7, 0.0, 0.0, 1.7])
-    got = clash_filter(Conformer(positions=pos, sample_index=0), s)
-    assert (got.accepted, got.rejection_reason) == oracle_clash(pos, s, 0.6)
-    assert got.rejection_reason == "atoms 2-3 at 0.000 A < 2.040 A"
+    reason = clash_filter(pos, s)
+    assert (reason is None, reason) == oracle_clash(pos, s, 0.6)
+    assert reason == "atoms 2-3 at 0.000 A < 2.040 A"
     s_zero = make_structure(pos[3:5], vdw_radius=0.0)
-    got = clash_filter(Conformer(positions=pos[3:5], sample_index=0), s_zero)
-    assert got.accepted and oracle_clash(pos[3:5], s_zero, 0.6) == (True, None)
+    reason = clash_filter(pos[3:5], s_zero)
+    assert reason is None and oracle_clash(pos[3:5], s_zero, 0.6) == (True, None)
 
 
 def _sample(mode, s, clash_factor):
@@ -301,10 +301,9 @@ def test_ensemble_builds_exclusions_once(monkeypatch, mode, n_atoms):
     assert len(calls) == 1
     # the accept list and reasons are those of the public per-draw filter
     free = _sample(mode, s, None)
-    want = [clash_filter(Conformer(positions, k), s, 0.6)
-            for k, positions in enumerate(free.coords)]
+    want = [clash_filter(positions, s, 0.6) for positions in free.coords]
     got = list(zip(e.accepted.tolist(), e.reasons))
-    assert got == [(c.accepted, c.rejection_reason) for c in want]
+    assert got == [(reason is None, reason) for reason in want]
     assert {accepted for accepted, _ in got} == {True, False}
     assert np.array_equal(e.coords, free.coords)
 
@@ -366,8 +365,8 @@ def test_cutoff_kernels_stay_below_n_squared_memory_at_3000_atoms():
     assert _traced_peak_mib(detect_bonds, s) < 16.0
     bonded = detect_bonds(s)
     assert len(bonded.bonds) == n - n // 20
-    conf = Conformer(positions=perturbed(bonded, 0, 0.3), sample_index=0)
-    assert _traced_peak_mib(clash_filter, conf, bonded, 0.6) < 16.0
+    pos = perturbed(bonded, 0, 0.3)
+    assert _traced_peak_mib(clash_filter, pos, bonded, 0.6) < 16.0
 
 
 def test_sasa_stays_below_n_squared_memory_at_3000_atoms():

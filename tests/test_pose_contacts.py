@@ -18,6 +18,7 @@ from moluq.bindsite import (
 )
 from moluq.conformers import Ensemble
 from conftest import lattice, make_structure, zigzag_chain
+from test_bindsite import identity_pose
 
 
 # ---------------------------------------------------------------- former code, verbatim
@@ -37,8 +38,7 @@ def former_contact_map(A, configs, m: ContactModel) -> BindingSiteMap:
             hits += former_contact_rows(rec, positions, pose, m.cutoff)
     k = len(configs[0][1])
     return BindingSiteMap(probabilities=hits / (k * len(configs)),
-                          serials=tuple(A.serials.tolist()),
-                          cutoff=m.cutoff, k=k, n_configs=len(configs))
+                          serials=tuple(A.serials.tolist()))
 
 
 # ---------------------------------------------------------------- tests
@@ -53,8 +53,7 @@ def assert_same_map(receptor, configs, cutoff):
     m = ContactModel(cutoff)
     got, want = _contact_map(receptor, configs, m), former_contact_map(receptor, configs, m)
     assert got.probabilities.tobytes() == want.probabilities.tobytes()
-    assert (got.serials, got.cutoff, got.k, got.n_configs) == (
-        want.serials, want.cutoff, want.k, want.n_configs)
+    assert got.serials == want.serials
     return got.probabilities
 
 
@@ -79,14 +78,14 @@ def test_atoms_exactly_at_the_cutoff():
     grid = np.stack(np.meshgrid(*[np.arange(-7.0, 8.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
     receptor = make_structure(grid)
     ligand = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
-    poses = [Pose.identity(), Pose(np.eye(3), np.array([1.0, -2.0, 0.0]))]
+    poses = [identity_pose(), Pose(np.eye(3), np.array([1.0, -2.0, 0.0]))]
     p = assert_same_map(receptor, [(ligand, poses)], 5.0)
     d2 = ((grid[:, None, :] - ligand[None]) ** 2).sum(axis=2).min(axis=1)
     at_cutoff = d2 == 25.0
     assert at_cutoff.sum() > 20 and np.all(p[at_cutoff] > 0.0)
     # the box edge itself: an atom on an axis exactly one cutoff past the ligand
     line = make_structure([[5.0, 0.0, 0.0], [-5.0, 0.0, 0.0], [0.0, 0.0, 5.0 + 1e-12]])
-    p = assert_same_map(line, [(np.zeros((1, 3)), [Pose.identity()])], 5.0)
+    p = assert_same_map(line, [(np.zeros((1, 3)), [identity_pose()])], 5.0)
     assert p.tolist() == [1.0, 1.0, 0.0]
 
 
@@ -127,12 +126,11 @@ def test_rejected_ligand_draws_left_out():
     kept = [(coords[i], pose_lists[i]) for i in (0, 2, 4)]
     want = former_contact_map(receptor, kept, ContactModel(4.5))
     assert got.probabilities.tobytes() == want.probabilities.tobytes()
-    assert got.n_configs == 3
 
 
 def test_empty_ligand_still_fails_as_before():
     receptor = make_structure(lattice(20))
-    configs = [(np.zeros((0, 3)), [Pose.identity()])]
+    configs = [(np.zeros((0, 3)), [identity_pose()])]
     with pytest.raises(ValueError) as got:
         _contact_map(receptor, configs, ContactModel())
     with pytest.raises(ValueError) as want:

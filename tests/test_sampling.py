@@ -37,7 +37,7 @@ class TestSequence:
 
     def test_index_advances(self):
         seq = LowDiscrepancySequence(2, scramble_seed=0)
-        seq.next_point()
+        seq.next_points(1)
         assert seq.index == 1
         seq.next_points(4)
         assert seq.index == 5
@@ -92,8 +92,8 @@ def scipy_draws(d, seed, first_single=False):
 
 def own_draws(d, seed, first_single=False):
     seq = LowDiscrepancySequence(d, scramble_seed=seed)
-    head = [seq.next_point()[None]] if first_single else []
-    return np.vstack(head + [mixed_draws(seq.next_points, seq.next_point)])
+    head = [seq.next_points(1)] if first_single else []
+    return np.vstack(head + [mixed_draws(seq.next_points, lambda: seq.next_points(1)[0])])
 
 
 class TestSobolMatchesScipy:
@@ -132,7 +132,7 @@ class TestSobolMatchesScipy:
         capped = LowDiscrepancySequence(2, scramble_seed=0, n_samples=3)
         capped.next_points(3)
         with pytest.raises(ValueError, match="at most 3"):
-            capped.next_point()
+            capped.next_points(1)
 
 
 def sorted_rows(a):
@@ -144,7 +144,7 @@ class TestSupercube:
         monkeypatch.setattr(sampling, "SOBOL_MAX_DIM", 8)
         seq = LowDiscrepancySequence(20, scramble_seed=3, n_samples=12)
         assert seq.kind == "sobol-supercube"
-        pts = np.vstack([seq.next_points(5), seq.next_point()[None], seq.next_points(6)])
+        pts = np.vstack([seq.next_points(5), seq.next_points(1), seq.next_points(6)])
         starts = [lo for lo, _, _ in seq.blocks]
         stops = [hi for _, hi, _ in seq.blocks]
         assert starts == [0] + stops[:-1] and stops[-1] == 20
@@ -157,7 +157,7 @@ class TestSupercube:
         assert not any(in_order)
         assert len({seed for _, _, seed in seq.blocks}) == len(seq.blocks)
         with pytest.raises(ValueError, match="at most 12"):
-            seq.next_point()
+            seq.next_points(1)
 
     def test_needs_the_draw_count(self, monkeypatch):
         monkeypatch.setattr(sampling, "SOBOL_MAX_DIM", 8)

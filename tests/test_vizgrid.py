@@ -7,13 +7,11 @@ import pytest
 from moluq.conformers import Ensemble
 from moluq.qoi import volume
 from moluq.vizgrid import (
-    GridFormatError,
     ScalarGrid,
     colormap_export,
     cover_spheres,
     occupancy_map,
     padded_box,
-    read_grid,
     write_grid,
 )
 from conftest import lattice, make_structure
@@ -28,6 +26,18 @@ object 3 class array type double rank 0 items 1 data follows
 0.5
 attribute "dep" string "positions"
 """
+
+
+def parse_grid(text):
+    """ScalarGrid of OpenDX text laid out as ``write_grid`` writes it."""
+    lines = text.splitlines()
+    dims = tuple(int(x) for x in lines[0].split()[-3:])
+    origin = np.array([float(x) for x in lines[1].split()[1:]])
+    spacing = float(lines[2].split()[1])
+    data = np.array(" ".join(lines[7:-1]).split(), dtype=float)
+    # file order is z fastest; ScalarGrid stores x fastest
+    return ScalarGrid(origin=origin, spacing=spacing, dims=dims,
+                      values=data.reshape(dims).transpose(2, 1, 0).reshape(-1))
 
 
 def unit_grid(values, dims, spacing=1.0):
@@ -47,11 +57,10 @@ class TestScalarGrid:
 
     def test_x_fastest_indexing(self):
         g = unit_grid(np.arange(8.0), (2, 2, 2))
-        assert g.value_at(1, 0, 0) == 1.0
-        assert g.value_at(0, 1, 0) == 2.0
-        assert g.value_at(0, 0, 1) == 4.0
         cube = g.as_3d()
-        assert cube[1, 0, 0] == 1.0 and cube[0, 0, 1] == 4.0
+        assert cube[1, 0, 0] == 1.0
+        assert cube[0, 1, 0] == 2.0
+        assert cube[0, 0, 1] == 4.0
 
 
 class TestWriteGrid:
@@ -63,7 +72,7 @@ class TestWriteGrid:
     def test_roundtrip_through_reader(self):
         rng = np.random.default_rng(0)
         g = unit_grid(rng.random(24), (2, 3, 4), spacing=0.7)
-        back = read_grid(write_grid(g))
+        back = parse_grid(write_grid(g))
         assert back.dims == g.dims
         assert back.spacing == pytest.approx(g.spacing)
         np.testing.assert_allclose(back.values, g.values, rtol=1e-5)
@@ -71,22 +80,6 @@ class TestWriteGrid:
     def test_byte_deterministic(self):
         g = unit_grid(np.linspace(0, 1, 6), (3, 2, 1))
         assert write_grid(g) == write_grid(g)
-
-    def test_reader_rejects_dim_mismatch(self):
-        text = GOLDEN_1x1x1.replace("items 1 data", "items 2 data")
-        with pytest.raises(GridFormatError, match="disagree"):
-            read_grid(text)
-
-    def test_reader_rejects_garbage(self):
-        with pytest.raises(GridFormatError):
-            read_grid("object 1 class gridpositions counts x y z\n")
-
-    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "0", "-0.5"])
-    def test_reader_rejects_non_finite_or_non_positive_spacing(self, delta):
-        text = GOLDEN_1x1x1.replace("delta 0.5 0 0", f"delta {delta} 0 0")
-        assert text != GOLDEN_1x1x1
-        with pytest.raises(GridFormatError, match="spacing must be finite and positive"):
-            read_grid(text)
 
 
 class TestOccupancy:
