@@ -81,6 +81,13 @@ class TestWriteGrid:
         g = unit_grid(np.linspace(0, 1, 6), (3, 2, 1))
         assert write_grid(g) == write_grid(g)
 
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "0", "-0.5"])
+    def test_reader_rejects_non_finite_or_non_positive_spacing(self, delta):
+        text = GOLDEN_1x1x1.replace("delta 0.5 0 0", f"delta {delta} 0 0")
+        assert text != GOLDEN_1x1x1
+        with pytest.raises(ValueError, match="spacing must be finite and positive"):
+            parse_grid(text)
+
 
 class TestOccupancy:
     def _ensemble(self, offsets, radius=1.5):
