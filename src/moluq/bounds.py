@@ -17,9 +17,10 @@ bounded differences:
 The Azuma exponent carries a factor-of-2 weaker constant than McDiarmid's;
 each is implemented exactly as its classical statement reads.
 
-All deviation constants are computed by evaluating the kernel at the
-maximizing corners rather than from algebraically expanded expressions, so
-the dominance over grid-search oracles holds bitwise.
+All deviation constants evaluate the kernel at the maximizing corners, each
+corner's squared norm summed left to right as ``sum(c * c for c in corner)``
+rather than expanded algebraically, so the dominance over grid-search
+oracles that evaluate those corners the same way holds bitwise.
 """
 
 from __future__ import annotations
@@ -43,10 +44,6 @@ class KernelSpec:
         if any(b < 0 for _a, b in terms):
             raise ValueError("kernel exponents b_k must be >= 0")
         object.__setattr__(self, "terms", terms)
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
 
 
 @dataclass(frozen=True)
@@ -108,37 +105,28 @@ def _single_term(a: float, b: float, radius_sq: float) -> float:
 
 
 def d1_bound(a: float, b: float, box2d: BoxDomain) -> tuple[float, float]:
-    """Per-coordinate deviation constants of a single 2-d kernel term.
-
-    D_x = |a| (1/(l_x^2+l_y^2)^{b/2} - 1/(u_x^2+l_y^2)^{b/2}); the deviation
-    in one coordinate is largest when the other sits at its lower bound.
-    """
+    """Per-coordinate deviation constants (D_x, D_y) of a single 2-d kernel term."""
     if box2d.dim != 2:
         raise ValueError("d1_bound expects a 2-d box")
-    if b < 0:
-        raise ValueError("exponent b must be >= 0")
-    (lx, ux), (ly, uy) = box2d.intervals
-    mag = abs(a)
-    dx = abs(_single_term(mag, b, lx * lx + ly * ly) - _single_term(mag, b, ux * ux + ly * ly))
-    dy = abs(_single_term(mag, b, lx * lx + ly * ly) - _single_term(mag, b, lx * lx + uy * uy))
-    return dx, dy
+    return d2_bound(a, b, box2d, 0), d2_bound(a, b, box2d, 1)
 
 
 def d2_bound(a: float, b: float, box: BoxDomain, i: int) -> float:
     """Deviation constant of one kernel term in coordinate ``i``, any dimension.
 
-    D_i = |a| (1/(sum_k l_k^2)^{b/2} - 1/(u_i^2 + sum_{k != i} l_k^2)^{b/2}),
-    the all-lower corner being the maximizer.
+    D_i = |a| (1/(sum_k l_k^2)^{b/2} - 1/(u_i^2 + sum_{k != i} l_k^2)^{b/2}):
+    the deviation in one coordinate is largest when the others sit at their
+    lower bounds.
     """
     if not (0 <= i < box.dim):
         raise ValueError(f"coordinate {i} outside box of dimension {box.dim}")
     if b < 0:
         raise ValueError("exponent b must be >= 0")
-    lows = box.lowers()
+    lows = [l for l, _u in box.intervals]
+    high = lows[:i] + [box.intervals[i][1]] + lows[i + 1:]
     mag = abs(a)
-    low_sq = float((lows**2).sum())
-    hi_sq = low_sq - lows[i] ** 2 + box.uppers()[i] ** 2
-    return abs(_single_term(mag, b, low_sq) - _single_term(mag, b, hi_sq))
+    return abs(_single_term(mag, b, sum(c * c for c in lows))
+               - _single_term(mag, b, sum(c * c for c in high)))
 
 
 def d3_bound(spec: KernelSpec, box: BoxDomain, i: int) -> float:
@@ -147,7 +135,7 @@ def d3_bound(spec: KernelSpec, box: BoxDomain, i: int) -> float:
     Conservative by construction; the triangle-inequality relaxation trades
     tightness for a closed form.
     """
-    return spec.n_terms * max(d2_bound(a, b, box, i) for a, b in spec.terms)
+    return len(spec.terms) * max(d2_bound(a, b, box, i) for a, b in spec.terms)
 
 
 def mcdiarmid_tail(deviations, t: float) -> float:
@@ -204,8 +192,8 @@ def difference_box(box_a: BoxDomain, box_b: BoxDomain) -> BoxDomain:
 def pairwise_sum_tail(spec: KernelSpec, boxes_a, boxes_b, t: float) -> float:
     """Tail bound for sum over pairs (x1 in A, x2 in B) of the kernel.
 
-    Each pair contributes the squared multi-term deviations of its difference
-    box; the bound is min(1, 2 exp(-2 t^2 / total)).  Passing a single
+    Each pair contributes the multi-term deviations of its difference box,
+    and :func:`mcdiarmid_tail` bounds their sum.  Passing a single
     degenerate box (see :meth:`BoxDomain.point`) as ``boxes_b`` reduces to the
     sum of kernels around one fixed point.
     """
@@ -215,15 +203,12 @@ def pairwise_sum_tail(spec: KernelSpec, boxes_a, boxes_b, t: float) -> float:
     boxes_b = list(boxes_b)
     if not boxes_a or not boxes_b:
         raise ValueError("both point sets must be non-empty")
-    total = 0.0
+    deviations = []
     for ba in boxes_a:
         for bb in boxes_b:
             delta = difference_box(ba, bb)
-            for i in range(delta.dim):
-                total += d3_bound(spec, delta, i) ** 2
-    if total == 0.0:
-        return 0.0
-    return min(1.0, 2.0 * math.exp(-2.0 * t * t / total))
+            deviations += [d3_bound(spec, delta, i) for i in range(delta.dim)]
+    return mcdiarmid_tail(deviations, t)
 
 
 def estimate_conditional_c(f, x_grid, y_grid, density) -> float:

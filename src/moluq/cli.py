@@ -82,12 +82,32 @@ def _load_json(path: str):
     return json.loads(_read_text(path))
 
 
-def load_config(args) -> dict:
+def _expect(value, kind: type, where: str):
+    """``value`` when it is a JSON object (``dict``) or array (``list``), as
+    ``kind`` asks; ``where`` names it in the error."""
+    if not isinstance(value, kind):
+        raise DataFormatError(f"{where} must be a JSON {'object' if kind is dict else 'array'}, "
+                              f"not {type(value).__name__}")
+    return value
+
+
+def _field(obj, key: str, where: str):
+    """``obj[key]`` of the JSON object ``obj``, which ``where`` names in errors."""
+    if key not in _expect(obj, dict, where):
+        raise DataFormatError(f"{where} has no {key!r}")
+    return obj[key]
+
+
+def load_config(args, raw=None, source: str | None = None) -> dict:
+    """DEFAULTS updated by the run config ``raw`` (named ``source`` in errors;
+    the --config file when no source is given), then by the flags in ``args``;
+    every key of DEFAULTS is type-checked."""
     cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        raw = _load_json(args.config)
+    if source is None and getattr(args, "config", None):
+        raw, source = _load_json(args.config), args.config
+    if source is not None:
         if not isinstance(raw, dict):
-            raise UsageError(f"{args.config}: a run config must be a JSON object, "
+            raise UsageError(f"{source}: a run config must be a JSON object, "
                              f"not {type(raw).__name__}")
         cfg.update(raw)
     for key in ("seed", "samples", "workers", "out"):
@@ -168,16 +188,16 @@ def _map_workers(fn, items, workers: int):
 
 def run_sample(cfg) -> list[str]:
     out = _out_dir(cfg)
-    if cfg.get("samples") is None:
+    if cfg["samples"] is None:
         raise UsageError("--samples is required for 'sample' (no built-in default: "
                          "use 'saturate' to pick a count)")
     s = molio.detect_bonds(_load_structure(cfg))
     seed, n = int(cfg["seed"]), int(cfg["samples"])
-    clash = cfg.get("clash_factor")
-    _check_chains(s.chains, cfg.get("fixed_chains", []))
+    clash = cfg["clash_factor"]
+    _check_chains(s.chains, cfg["fixed_chains"])
     if cfg["mode"] == "cartesian":
         sigmas = conformers.cartesian_sigmas(s)
-        for chain in cfg.get("fixed_chains", []):
+        for chain in cfg["fixed_chains"]:
             sigmas[s.chains[chain]] = 0.0
         ens = conformers.sample_cartesian_ensemble(s, seed, n, clash_factor=clash,
                                                    sigmas=sigmas)
@@ -217,7 +237,7 @@ def run_sample(cfg) -> list[str]:
 # ---------------------------------------------------------------- qoi
 
 def _qoi_config(cfg) -> qoi.QOIConfig:
-    diel = cfg.get("dielectric", DEFAULTS["dielectric"])
+    diel = cfg["dielectric"]
     return qoi.QOIConfig(
         probe=float(cfg["probe"]), n_points=int(cfg["n_points"]),
         spacing=float(cfg["spacing"]),
@@ -236,8 +256,8 @@ def _check_chains(chains: dict[str, list[int]], names) -> None:
 def _split_chains(s: molio.Structure, cfg):
     chains = s.chains
     names = list(chains)
-    chain_a = cfg.get("chain_a") or (names[0] if names else None)
-    chain_b = cfg.get("chain_b") or (names[1] if len(names) > 1 else None)
+    chain_a = cfg["chain_a"] or (names[0] if names else None)
+    chain_b = cfg["chain_b"] or (names[1] if len(names) > 1 else None)
     _check_chains(chains, [name for name in (chain_a, chain_b) if name is not None])
     return chains.get(chain_a, []), chains.get(chain_b, [])
 
@@ -275,7 +295,7 @@ def run_qoi(cfg) -> list[str]:
             indices = recorded
     samples = [(-1, s.positions())] + list(zip(indices, coords))
     rows = _map_workers(lambda item: (item[0], evaluate(item[1])), samples,
-                        int(cfg.get("workers", 1)))
+                        int(cfg["workers"]))
     _write_csv(out / "qoi_values.csv", ["qoi", "sample_index", "value"],
                ([kind.value, sample_index, _fmt(row[kind.value])]
                 for kind in kinds for sample_index, row in rows))
@@ -374,71 +394,75 @@ def run_saturate(cfg) -> list[str]:
 
 # ---------------------------------------------------------------- bound
 
+def _box(raw) -> bounds.BoxDomain:
+    return bounds.BoxDomain(tuple(tuple(iv) for iv in raw))
+
+
 def run_bound(cfg) -> list[str]:
     out = _out_dir(cfg)
-    spec_cfg = cfg.get("bound")
+    spec_cfg, where = cfg.get("bound"), "config key 'bound'"
     if spec_cfg is None:
-        spec_cfg = _load_json(_resolve_input(cfg, "bound_config"))
-    t_grid = [float(t) for t in spec_cfg.get("t_grid", cfg["t_grid"])]
+        where = _resolve_input(cfg, "bound_config")
+        spec_cfg = _load_json(where)
+    t_grid = [float(t) for t in _expect(spec_cfg, dict, where).get("t_grid", cfg["t_grid"])]
     mode = spec_cfg.get("mode", "single")
     mc_draws = int(spec_cfg.get("mc_draws", 0))
     rng = np.random.default_rng(int(spec_cfg.get("mc_seed", cfg["seed"])))
 
+    def draw(box):  # mc_draws uniform points of the box
+        return box.lowers() + rng.random((mc_draws, box.dim)) * (box.uppers() - box.lowers())
+
     deviations: list[float] = []
-    mc_values = None
-    if mode == "single":
-        kspec = bounds.KernelSpec(tuple(tuple(t) for t in spec_cfg["kernel"]["terms"]))
-        box = bounds.BoxDomain(tuple(tuple(iv) for iv in spec_cfg["box"]))
-        deviations = [bounds.d3_bound(kspec, box, i) for i in range(box.dim)]
-        bound_at = lambda t: bounds.mcdiarmid_tail(deviations, t)
-        if mc_draws:
-            lo, hi = box.lowers(), box.uppers()
-            pts = lo + rng.random((mc_draws, box.dim)) * (hi - lo)
-            norms = np.linalg.norm(pts, axis=1)
-            mc_values = sum(a / norms**b for a, b in kspec.terms)
-    elif mode == "pairwise":
-        kspec = bounds.KernelSpec(tuple(tuple(t) for t in spec_cfg["kernel"]["terms"]))
-        boxes_a = [bounds.BoxDomain(tuple(tuple(iv) for iv in b)) for b in spec_cfg["boxes_a"]]
-        boxes_b = [bounds.BoxDomain(tuple(tuple(iv) for iv in b)) for b in spec_cfg["boxes_b"]]
-        bound_at = lambda t: bounds.pairwise_sum_tail(kspec, boxes_a, boxes_b, t)
-        if mc_draws:
-            total = np.zeros(mc_draws)
-            for ba in boxes_a:
-                xa = ba.lowers() + rng.random((mc_draws, ba.dim)) * (ba.uppers() - ba.lowers())
-                for bb in boxes_b:
-                    xb = bb.lowers() + rng.random((mc_draws, bb.dim)) * (bb.uppers() - bb.lowers())
-                    norms = np.linalg.norm(xb - xa, axis=1)
-                    total += sum(a / norms**b for a, b in kspec.terms)
-            mc_values = total
-    elif mode == "azuma":
-        aspec = bounds.AzumaSpec(tuple(float(c) for c in spec_cfg["c"]))
+    if mode == "azuma":
+        aspec = bounds.AzumaSpec(tuple(float(c) for c in _field(spec_cfg, "c", where)))
         bound_at = lambda t: bounds.azuma_tail(aspec, t)
+    elif mode in ("single", "pairwise"):
+        terms = _field(_field(spec_cfg, "kernel", where), "terms", f"{where}: kernel")
+        kspec = bounds.KernelSpec(tuple(tuple(t) for t in terms))
+        if mode == "single":
+            box = _box(_field(spec_cfg, "box", where))
+            deviations = [bounds.d3_bound(kspec, box, i) for i in range(box.dim)]
+            bound_at = lambda t: bounds.mcdiarmid_tail(deviations, t)
+            points = [draw(box)]
+        else:
+            boxes_a = [_box(b) for b in _field(spec_cfg, "boxes_a", where)]
+            boxes_b = [_box(b) for b in _field(spec_cfg, "boxes_b", where)]
+            bound_at = lambda t: bounds.pairwise_sum_tail(kspec, boxes_a, boxes_b, t)
+            # one difference per pair of boxes, drawn lazily: a's point, then b's
+            points = (draw(bb) - xa for xa in map(draw, boxes_a) for bb in boxes_b)
     else:
         raise UsageError(f"unknown bound mode {mode!r}")
 
-    header = ["t", "bound"] + (["mc_estimate"] if mc_values is not None else [])
+    header, mc_values = ["t", "bound"], None
+    if mc_draws and mode != "azuma":
+        mc_values = np.zeros(mc_draws)  # each draw sums the kernel over the points
+        for x in points:
+            norms = np.linalg.norm(x, axis=1)
+            mc_values += sum(a / norms**b for a, b in kspec.terms)
+        header.append("mc_estimate")
+    rows = [[_fmt(t), _fmt(bound_at(t))] for t in t_grid]
     if mc_values is not None:
         mean = float(mc_values.mean())
-    rows = []
-    for t in t_grid:
-        row = [_fmt(t), _fmt(bound_at(t))]
-        if mc_values is not None:
+        for t, row in zip(t_grid, rows):
             row.append(_fmt(float((np.abs(mc_values - mean) > t).mean())))
-        rows.append(row)
     _write_csv(out / "bounds.csv", header, rows)
-    if deviations:
-        (out / "deviations.json").write_text(
-            json.dumps({"deviations": deviations}, indent=2) + "\n")
-        return ["bounds.csv", "deviations.json"]
-    return ["bounds.csv"]
+    if not deviations:
+        return ["bounds.csv"]
+    (out / "deviations.json").write_text(json.dumps({"deviations": deviations}, indent=2) + "\n")
+    return ["bounds.csv", "deviations.json"]
 
 
 # ---------------------------------------------------------------- bindsite
 
-def _load_poses(raw) -> list[bindsite.Pose]:
-    return [bindsite.Pose(rotation=np.array(entry["rotation"], dtype=float).reshape(3, 3),
-                          translation=np.array(entry["translation"], dtype=float))
-            for entry in raw]
+def _load_poses(raw, where: str) -> list[bindsite.Pose]:
+    """The poses of the JSON array ``raw``, which ``where`` names in errors."""
+    poses = []
+    for j, entry in enumerate(_expect(raw, list, where)):
+        pose = f"{where}: pose {j}"
+        poses.append(bindsite.Pose(
+            rotation=np.array(_field(entry, "rotation", pose), dtype=float).reshape(3, 3),
+            translation=np.array(_field(entry, "translation", pose), dtype=float)))
+    return poses
 
 
 def run_bindsite(cfg) -> list[str]:
@@ -446,19 +470,22 @@ def run_bindsite(cfg) -> list[str]:
     receptor = _load_structure(cfg)
     ligand, ligand_coords = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))
     poses_path = _resolve_input(cfg, "poses")
-    raw = _load_json(poses_path)
+    raw = _expect(_load_json(poses_path), list, poses_path)
     model = bindsite.ContactModel(cutoff=float(cfg["contact_cutoff"]))
 
     # a grouped file pairs group k with ligand model k; a flat pose list
     # places the first model only
     if raw and isinstance(raw[0], dict) and "poses" in raw[0]:
+        pose_lists = []
         for k, group in enumerate(raw):
+            where = f"{poses_path}: pose group {k}"
+            poses = _field(group, "poses", where)
             if group.get("model", k) != k:
                 raise DataFormatError(f"{poses_path}: pose group {k} names model "
                                       f"{group['model']!r}; group k must hold model k's poses")
-        pose_lists = [_load_poses(group["poses"]) for group in raw]
+            pose_lists.append(_load_poses(poses, where))
     else:
-        pose_lists = [_load_poses(raw)]
+        pose_lists = [_load_poses(raw, poses_path)]
         ligand_coords = ligand_coords[:1]
     site_map = bindsite.binding_site_prob_multi(
         receptor, conformers.Ensemble(ligand, ligand_coords), pose_lists, model)
@@ -544,22 +571,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _execute(command: str, cfg: dict) -> None:
-    outputs = COMMANDS[command](cfg)
-    _write_meta(_out_dir(cfg), command, cfg, outputs)
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command == "replay":
+        command = args.command
+        if command == "replay":
             meta = _load_json(args.sidecar)
-            cfg = dict(meta["config"])
-            cfg["out"] = args.out or str(Path(args.sidecar).parent)
-            _execute(meta["command"], cfg)
+            command = meta.get("command") if isinstance(meta, dict) else None
+            if command not in COMMANDS:
+                raise UsageError(f"{args.sidecar}: not the sidecar of a moluq command "
+                                 f"(its command: {command!r})")
+            args.out = args.out or str(Path(args.sidecar).parent)
+            cfg = load_config(args, meta.get("config"), f"{args.sidecar}: config")
         else:
             cfg = load_config(args)
-            _execute(args.command, cfg)
+        outputs = COMMANDS[command](cfg)
+        _write_meta(_out_dir(cfg), command, cfg, outputs)
         return 0
     except UsageError as exc:
         print(f"moluq: usage error: {exc}", file=sys.stderr)

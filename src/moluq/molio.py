@@ -261,8 +261,8 @@ def _int_field(line: str, lo: int, hi: int, what: str, lineno: int) -> int:
 def _read_model(numbered_lines):
     """Read and check the ATOM/HETATM (+ trailing ANISOU) records of one model.
 
-    Reading stops at the ENDMDL that closes a MODEL, so a multi-model text
-    yields its first model.  Returns the kept ATOM lines with their line
+    ``numbered_lines`` holds (line number, line) of the model's lines only
+    (see :func:`_model_blocks`).  Returns the kept ATOM lines with their line
     numbers, serials, residue numbers, (x, y, z) and B-values, and {row:
     per-axis B from ANISOU}.  Alternate locations other than blank or 'A' are
     skipped.  A non-finite coordinate, a negative or non-finite B-value or
@@ -271,12 +271,9 @@ def _read_model(numbered_lines):
     """
     linenos, lines, serials, residue_seqs, xyz, b_iso, b_aniso = [], [], [], [], [], [], {}
     last_serial: int | None = None  # serial of the most recent ATOM line, kept or skipped
-    last_kept = in_model = False
+    last_kept = False
     for lineno, line in numbered_lines:
         record = line[:6].strip()
-        if record == "ENDMDL" and in_model:
-            break
-        in_model |= record == "MODEL"
         if record in ("ATOM", "HETATM"):
             if len(line) < 54:
                 raise PdbParseError(f"line {lineno}: record too short for coordinates")
@@ -343,6 +340,62 @@ def _structure(model) -> Structure:
     )
 
 
+def _model_blocks(text: str):
+    """``(starts, blocks)``: the offset of each line start, by the breaks of
+    ``str.splitlines``, and the [MODEL line index, first body line, end] of
+    each MODEL ... ENDMDL block; ``(None, [])`` when ``text`` never says MODEL.
+
+    Raises :class:`PdbParseError`, naming the line, for a MODEL without
+    ENDMDL and, when there are blocks, for an ATOM, HETATM or ANISOU record
+    outside them; an ENDMDL outside a block is ignored.
+    """
+    if "MODEL" not in text:
+        return None, []
+    # a line-aligned slice of the text splits into the same lines as the whole
+    # text does, and a MODEL or ENDMDL record holds its word
+    starts = np.concatenate(([0], np.cumsum(np.fromiter(
+        map(len, text.splitlines(keepends=True)), dtype=np.int64))))
+    marked = np.searchsorted(starts, [*_offsets(text, "MODEL"), *_offsets(text, "ENDMDL")],
+                             side="right") - 1
+    blocks: list[list[int]] = []
+    current = None
+    for i in sorted(set(marked.tolist())):
+        record = text[starts[i]:starts[i + 1]].splitlines()[0][:6].strip()
+        if record == "MODEL":
+            if current is not None:
+                raise PdbParseError(f"line {current[0] + 1}: MODEL without ENDMDL")
+            current = [i, i + 1, i + 1]
+            blocks.append(current)
+        elif record == "ENDMDL" and current is not None:
+            current[2] = i
+            current = None
+    if current is not None:
+        raise PdbParseError(f"line {current[0] + 1}: MODEL without ENDMDL")
+    # the line ranges between blocks: before the first, between two, after the last
+    gaps = [0, *itertools.chain.from_iterable((model, end + 1) for model, _, end in blocks),
+            len(starts) - 1] if blocks else []
+    for lo, hi in zip(gaps[::2], gaps[1::2]):
+        for lineno, line in _numbered(text, starts, lo, hi):
+            record = line[:6].strip()
+            if record in ("ATOM", "HETATM", "ANISOU"):
+                raise PdbParseError(f"line {lineno}: {record} record outside every "
+                                    "MODEL/ENDMDL block")
+    return starts, blocks
+
+
+def _numbered(text: str, starts, lo: int, hi: int):
+    """(line number, line) of the lines with index lo to hi - 1 (see :func:`_model_blocks`)."""
+    return enumerate(text[starts[lo]:starts[hi]].splitlines(), start=lo + 1)
+
+
+def _first_model_lines(text: str, starts, blocks):
+    """(line number, line) of the first model: the first block's body, or
+    every line of a text without MODEL records."""
+    if blocks:
+        return _numbered(text, starts, *blocks[0][1:])
+    return enumerate(text.splitlines(), start=1)
+
+
 def parse_pdb(text: str) -> Structure:
     """Parse ATOM/HETATM (+ trailing ANISOU) records into a Structure.
 
@@ -350,9 +403,10 @@ def parse_pdb(text: str) -> Structure:
     blank or 'A' are skipped; HETATM records are treated like ATOM so ligands
     come through.  ANISOU diagonals (file units of 1e-4 A^2) are converted to
     per-axis B-values via B = 8*pi^2*U.  If MODEL records are present only
-    the first model is read (see :func:`parse_pdb_models` for ensembles).
+    the first model is read, by the rule of :func:`_model_blocks` (see
+    :func:`parse_pdb_models` for ensembles).
     """
-    return _structure(_read_model(enumerate(text.splitlines(), start=1)))
+    return _structure(_read_model(_first_model_lines(text, *_model_blocks(text))))
 
 
 def serial_mismatch(got: list[int], want: list[int], where: str) -> str:
@@ -446,37 +500,8 @@ def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
     break).  Results and errors (class, message and order) are therefore
     those of reading each model line by line.
     """
-    # offset of each line start, by str.splitlines' breaks; a line-aligned
-    # slice of the text splits into the same lines as the whole text does
-    starts = np.concatenate(([0], np.cumsum(np.fromiter(
-        map(len, text.splitlines(keepends=True)), dtype=np.int64))))
-
-    def lines(lo, hi) -> list[str]:
-        return text[starts[lo]:starts[hi]].splitlines()
-
-    # a MODEL or ENDMDL record holds its word, so only lines holding one are tested
-    marked = np.searchsorted(starts, [*_offsets(text, "MODEL"), *_offsets(text, "ENDMDL")],
-                             side="right") - 1
-    blocks: list[list[int]] = []  # [MODEL line index, first body line, end] of each model
-    current = None
-    for i in sorted(set(marked.tolist())):
-        record = lines(i, i + 1)[0][:6].strip()
-        if record == "MODEL":
-            if current is not None:
-                raise PdbParseError(f"line {current[0] + 1}: MODEL without ENDMDL")
-            current = [i, i + 1, i + 1]
-            blocks.append(current)
-        elif record == "ENDMDL" and current is not None:
-            current[2] = i
-            current = None
-    if current is not None:
-        raise PdbParseError(f"line {current[0] + 1}: MODEL without ENDMDL")
-
-    def numbered(block):
-        return enumerate(lines(block[1], block[2]), start=block[1] + 1)
-
-    model = _read_model(numbered(blocks[0]) if blocks
-                        else enumerate(text.splitlines(), start=1))
+    starts, blocks = _model_blocks(text)
+    model = _read_model(_first_model_lines(text, starts, blocks))
     first = _structure(model)
     coords = np.empty((max(len(blocks), 1), first.n_atoms, 3))
     coords[0] = first.coords
@@ -486,7 +511,7 @@ def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
         if k in fast:
             coords[k] = fast[k]
             continue
-        _, _, serials, _, xyz, _, _ = _read_model(numbered(block))
+        _, _, serials, _, xyz, _, _ = _read_model(_numbered(text, starts, *block[1:]))
         if serials != want:
             raise PdbParseError(f"line {block[0] + 1}: model {k + 1} lists "
                                 + serial_mismatch(serials, want, "model 1"))

@@ -222,15 +222,11 @@ def sigma_from_b(b):
     return np.sqrt(b / EIGHT_PI_SQ)
 
 
-def default_resolution(d: int) -> int:
-    """Anchored-box grid resolution: 64 per axis for d <= 3, 16 beyond."""
-    return 64 if d <= 3 else 16
-
-
 def star_discrepancy_estimate(points, resolution: int | None = None) -> float:
     """Estimate the star discrepancy on an anchored-box grid.
 
-    Scans every box [0, g) with g on a ``resolution``-per-axis lattice and
+    Scans every box [0, g) with g on a ``resolution``-per-axis lattice
+    (64 for d <= 3 and 16 beyond when not given) and
     returns the largest |empirical fraction - box volume|.  This lower-bounds
     the true star discrepancy and converges to it as the resolution grows
     (the exact quantity is NP-hard in the dimension).
@@ -244,7 +240,7 @@ def star_discrepancy_estimate(points, resolution: int | None = None) -> float:
     if np.any(pts < 0.0) or np.any(pts >= 1.0):
         raise ValueError("points must lie in [0, 1)^d")
     if resolution is None:
-        resolution = default_resolution(d)
+        resolution = 64 if d <= 3 else 16
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     res = resolution

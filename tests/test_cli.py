@@ -353,6 +353,19 @@ class TestBound:
             _t, bound, mc = (float(x) for x in row.split(","))
             assert bound >= mc - 0.05
 
+    @pytest.mark.parametrize("missing", ["kernel", "boxes_a"])
+    def test_bound_config_without_a_key_is_a_data_error(self, workspace, capsys, missing):
+        # each once exited 3 with "domain error: 'kernel'" (or 'boxes_a')
+        bound_cfg = {"mode": "pairwise", "kernel": {"terms": [[1.0, 1.0]]},
+                     "boxes_a": [[[1.0, 1.5]]], "boxes_b": [[[5.0, 5.5]]]}
+        del bound_cfg[missing]
+        path = workspace / "bound.json"
+        path.write_text(json.dumps(bound_cfg))
+        cfg = write_config(workspace, bound_config=str(path))
+        capsys.readouterr()
+        assert main(["bound", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"moluq: data error: {path} has no {missing!r}\n"
+
 
 class TestBindsite:
     def test_multi_conformer_grouped_poses(self, workspace):
@@ -436,6 +449,28 @@ class TestBindsite:
         res_rows = (out / "bindsite_residues.csv").read_text().strip().splitlines()
         assert res_rows[0] == "chain,residue_seq,residue_name,p_bs"
 
+    @pytest.mark.parametrize("raw, what", [
+        ([{"model": 0}], "pose 0 has no 'rotation'"),
+        ({"a": 1}, "must be a JSON array, not dict"),
+        ([1, 2], "pose 0 must be a JSON object, not int"),
+        ([{"model": 0, "poses": []}, {"model": 1}], "pose group 1 has no 'poses'"),
+        ([{"model": 0, "poses": [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}]}],
+         "pose group 0: pose 0 has no 'translation'"),
+    ], ids=["pose_without_rotation", "top_level_object", "pose_not_an_object",
+            "group_without_poses", "grouped_pose_without_translation"])
+    def test_malformed_pose_file_is_a_data_error(self, workspace, capsys, raw, what):
+        # these once exited 3 naming only a key or index, or ended in a traceback
+        lig = make_structure([[0.0, 3.0, 0.0]])
+        (workspace / "ligand.pdb").write_text(write_pdb_models(lig, [lig.positions()] * 2))
+        path = workspace / "poses.json"
+        path.write_text(json.dumps(raw))
+        cfg = write_config(workspace, ligand=str(workspace / "ligand.pdb"), poses=str(path))
+        capsys.readouterr()
+        assert main(["bindsite", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"moluq: data error: {path}") and err.endswith(f"{what}\n"), err
+        assert not (workspace / "run" / "bindsite_atoms.csv").exists()
+
 
 class TestVolmapModes:
     def test_volmap_and_modes(self, workspace):
@@ -511,6 +546,43 @@ class TestReplayAndExitCodes:
         replay_out = workspace / "replayed"
         assert main(["replay", str(sidecar), "--out", str(replay_out)]) == 0
         assert (replay_out / "qoi_values.csv").read_bytes() == original
+
+    def _certify_sidecar(self, workspace):
+        out = workspace / "run"
+        out.mkdir()
+        rows = ["qoi,sample_index,value"] + [f"x,{i},{i % 5}.0" for i in range(20)]
+        (out / "qoi_values.csv").write_text("\n".join(rows) + "\n")
+        assert main(["certify", "--config", str(write_config(workspace))]) == 0
+        return out / "certify_meta.json", (out / "certificates.csv").read_bytes()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"t_grid": "abc"}, "config key 't_grid' must be an array, not 'abc'"),
+        ({"command": "nosuch"}, "not the sidecar of a moluq command (its command: 'nosuch')"),
+        ({"config": [1]}, "config: a run config must be a JSON object, not list"),
+    ], ids=["t_grid_string", "unknown_command", "config_not_an_object"])
+    def test_replayed_sidecar_is_checked_like_a_config(self, workspace, capsys, change,
+                                                       message):
+        # the first two once exited 3 ("could not convert string to float: 'a'",
+        # "'nosuch'")
+        sidecar, _ = self._certify_sidecar(workspace)
+        meta = json.loads(sidecar.read_text())
+        if "t_grid" in change:
+            meta["config"].update(change)
+        else:
+            meta.update(change)
+        sidecar.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["replay", str(sidecar), "--out", str(workspace / "again")]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_replayed_sidecar_takes_defaults_for_missing_keys(self, workspace):
+        # a sidecar without t_grid once exited 3 with "domain error: 't_grid'"
+        sidecar, original = self._certify_sidecar(workspace)
+        meta = json.loads(sidecar.read_text())
+        del meta["config"]["t_grid"]
+        sidecar.write_text(json.dumps(meta))
+        assert main(["replay", str(sidecar), "--out", str(workspace / "again")]) == 0
+        assert (workspace / "again" / "certificates.csv").read_bytes() == original
 
     def test_usage_error_exit_1(self, workspace):
         assert main(["sample"]) == 1  # no config/out at all

@@ -170,3 +170,50 @@ def test_models_come_back_as_one_coordinate_array():
     for k in range(3):
         np.testing.assert_array_equal(coords[k], np.array(POSITIONS) + k)
     np.testing.assert_array_equal(first.positions(), coords[0])
+
+
+# one rule for where model 1 is: parse_pdb reads the first MODEL ... ENDMDL
+# block of parse_pdb_models' scan, and both reject the same texts
+STRAY_RECORDS = {
+    # an ATOM before the first MODEL: parse_pdb once read it into model 1
+    "atom_before_model": (
+        [atom_line(1, ["0.000", "0.000", "0.000"]), "MODEL        1",
+         *model_lines(serials=(2, 3, 4)), "ENDMDL", "END"],
+        "line 1: ATOM record outside every MODEL/ENDMDL block"),
+    # a HETATM after the last ENDMDL: both readers once dropped it
+    "hetatm_after_endmdl": (
+        ensemble_text([model_lines(), model_lines(1.0)]).splitlines()[:-1]
+        + ["HETATM    9  O   HOH A   9       1.000   1.000   1.000  1.00 10.00           O",
+           "END"],
+        "line 11: HETATM record outside every MODEL/ENDMDL block"),
+    # a MODEL without ENDMDL: parse_pdb once read on into the next model
+    "model_without_endmdl": (
+        ensemble_text([model_lines(), model_lines(1.0)], drop_endmdl=(1,)).splitlines(),
+        "line 1: MODEL without ENDMDL"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRAY_RECORDS))
+def test_both_readers_find_model_1_by_one_rule(case, tmp_path, capsys):
+    lines, message = STRAY_RECORDS[case]
+    text = "\n".join(lines) + "\n"
+    for reader in (parse_pdb, parse_pdb_models):
+        with pytest.raises(PdbParseError) as err:
+            reader(text)
+        assert str(err.value) == message, reader.__name__
+    code, stderr = run_qoi(tmp_path, text, ensemble_text([model_lines()]), capsys)
+    assert (code, stderr) == (2, f"moluq: data error: {message}\n")
+
+
+def test_parse_pdb_reads_the_first_block_only(monkeypatch):
+    # model 2 lists other atoms, which parse_pdb_models rejects; parse_pdb
+    # reads lines 2-4 of model 1 and no later model
+    text = ensemble_text([model_lines(), model_lines(1.0, serials=(4, 5, 6))])
+    read = []
+    reader = molio._read_model
+    monkeypatch.setattr(molio, "_read_model",
+                        lambda numbered: reader(read.append(list(numbered)) or read[-1]))
+    assert parse_pdb(text).serials.tolist() == [1, 2, 3]
+    assert [[n for n, _ in lines] for lines in read] == [[2, 3, 4]]
+    with pytest.raises(PdbParseError, match="model 2 lists serial 4"):
+        parse_pdb_models(text)
