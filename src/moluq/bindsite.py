@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from moluq.molio import Structure
-from moluq.conformers import Ensemble
+
+if TYPE_CHECKING:  # annotations only
+    from moluq.conformers import Ensemble
 
 
 @dataclass(frozen=True)

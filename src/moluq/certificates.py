@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_T_GRID = (0.001, 0.005, 0.01, 0.02, 0.03, 0.05, 0.1)
+from moluq import DEFAULT_T_GRID
 
 # Closed-form mean distance between two uniform points in [0,1]^d.
 _EXACT_BOX_DISTANCE = {

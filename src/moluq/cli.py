@@ -8,6 +8,9 @@ byte-deterministic given (inputs, seed).
 
 Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 numerical or
 domain error.
+
+Each command imports the moluq modules it runs when it runs, so a stage
+loads (and, without cached bytecode, compiles) only those.
 """
 
 from __future__ import annotations
@@ -18,13 +21,15 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 import moluq
-from moluq import bindsite, bounds, certificates, conformers, molio, qoi, vizgrid
+
+if TYPE_CHECKING:  # annotations only; the commands import these when they run
+    from moluq import bindsite, bounds, conformers, molio, qoi
 
 DEFAULTS = {
     "seed": 0,
@@ -40,7 +45,7 @@ DEFAULTS = {
     "spacing": 0.5,
     "dielectric": {"mode": "constant", "value": 1.0},
     "solvent_dielectric": 80.0,
-    "t_grid": list(certificates.DEFAULT_T_GRID),
+    "t_grid": list(moluq.DEFAULT_T_GRID),
     "tau": 0.05,
     "saturation_mode": "incremental",
     "contact_cutoff": 5.0,
@@ -88,6 +93,28 @@ def _expect(value, kind: type, where: str):
     if not isinstance(value, kind):
         raise DataFormatError(f"{where} must be a JSON {'object' if kind is dict else 'array'}, "
                               f"not {type(value).__name__}")
+    return value
+
+
+def _numbers(value, where: str, count: int | None = None) -> np.ndarray:
+    """``value`` as a flat float array of ``count`` numbers, or of any count
+    when ``value`` is a JSON array and no count is given; ``where`` names it
+    in the error."""
+    if count is None:
+        count = len(_expect(value, list, where))
+    try:
+        arr = np.array(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.size != count:
+        raise DataFormatError(f"{where} must be {count} numbers, not {json.dumps(value)}")
+    return arr
+
+
+def _number(value, where: str):
+    """``value`` when it is a JSON number; ``where`` names it in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataFormatError(f"{where} must be a number, not {json.dumps(value)}")
     return value
 
 
@@ -168,6 +195,8 @@ def _resolve_input(cfg: dict, key: str, default: str | None = None) -> str:
 
 
 def _load_structure(cfg) -> molio.Structure:
+    from moluq import molio
+
     path = _resolve_input(cfg, "structure")
     s = molio.parse_pdb(_read_text(path))
     if cfg.get("params"):
@@ -180,6 +209,8 @@ def _load_structure(cfg) -> molio.Structure:
 def _map_workers(fn, items, workers: int):
     if workers <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -187,6 +218,8 @@ def _map_workers(fn, items, workers: int):
 # ---------------------------------------------------------------- sample
 
 def run_sample(cfg) -> list[str]:
+    from moluq import conformers, molio
+
     out = _out_dir(cfg)
     if cfg["samples"] is None:
         raise UsageError("--samples is required for 'sample' (no built-in default: "
@@ -237,6 +270,8 @@ def run_sample(cfg) -> list[str]:
 # ---------------------------------------------------------------- qoi
 
 def _qoi_config(cfg) -> qoi.QOIConfig:
+    from moluq import qoi
+
     diel = cfg["dielectric"]
     return qoi.QOIConfig(
         probe=float(cfg["probe"]), n_points=int(cfg["n_points"]),
@@ -265,6 +300,8 @@ def _split_chains(s: molio.Structure, cfg):
 def _ensemble_models(cfg, s: molio.Structure) -> tuple[str, np.ndarray]:
     """Path and (m, n, 3) models of the run's ensemble file, whose models must
     list the serials of the structure ``s`` in its order."""
+    from moluq import molio
+
     ensemble_path = _resolve_input(cfg, "ensemble",
                                    default=str(Path(cfg["out"]) / "ensemble.pdb"))
     first, coords = molio.parse_pdb_models(_read_text(ensemble_path))
@@ -276,6 +313,8 @@ def _ensemble_models(cfg, s: molio.Structure) -> tuple[str, np.ndarray]:
 
 
 def run_qoi(cfg) -> list[str]:
+    from moluq import molio, qoi
+
     out = _out_dir(cfg)
     s = molio.detect_bonds(_load_structure(cfg))
     ensemble_path, coords = _ensemble_models(cfg, s)
@@ -341,6 +380,8 @@ def _load_streams(cfg):
 # ---------------------------------------------------------------- certify
 
 def run_certify(cfg) -> list[str]:
+    from moluq import certificates
+
     out = _out_dir(cfg)
     streams, t_grid = _load_streams(cfg)
 
@@ -365,6 +406,8 @@ def run_certify(cfg) -> list[str]:
 # ---------------------------------------------------------------- saturate
 
 def run_saturate(cfg) -> list[str]:
+    from moluq import certificates
+
     out = _out_dir(cfg)
     streams, t_grid = _load_streams(cfg)
     outputs = []
@@ -394,39 +437,54 @@ def run_saturate(cfg) -> list[str]:
 
 # ---------------------------------------------------------------- bound
 
-def _box(raw) -> bounds.BoxDomain:
-    return bounds.BoxDomain(tuple(tuple(iv) for iv in raw))
+def _box(raw, where: str) -> bounds.BoxDomain:
+    """The box of the JSON array ``raw`` of [lower, upper] intervals, which
+    ``where`` names in errors."""
+    from moluq import bounds
+
+    return bounds.BoxDomain(tuple(tuple(_numbers(iv, f"{where}: interval {i}", 2))
+                                  for i, iv in enumerate(_expect(raw, list, where))))
 
 
 def run_bound(cfg) -> list[str]:
+    from moluq import bounds
+
     out = _out_dir(cfg)
     spec_cfg, where = cfg.get("bound"), "config key 'bound'"
     if spec_cfg is None:
         where = _resolve_input(cfg, "bound_config")
         spec_cfg = _load_json(where)
-    t_grid = [float(t) for t in _expect(spec_cfg, dict, where).get("t_grid", cfg["t_grid"])]
+    t_grid = _expect(spec_cfg, dict, where).get("t_grid", cfg["t_grid"])
+    t_where = f"{where}: t_grid" if "t_grid" in spec_cfg else "config key 't_grid'"
+    t_grid = _numbers(t_grid, t_where).tolist()
     mode = spec_cfg.get("mode", "single")
-    mc_draws = int(spec_cfg.get("mc_draws", 0))
-    rng = np.random.default_rng(int(spec_cfg.get("mc_seed", cfg["seed"])))
+    mc_draws = int(_number(spec_cfg.get("mc_draws", 0), f"{where}: mc_draws"))
+    rng = np.random.default_rng(int(_number(spec_cfg.get("mc_seed", cfg["seed"]),
+                                            f"{where}: mc_seed")))
 
     def draw(box):  # mc_draws uniform points of the box
         return box.lowers() + rng.random((mc_draws, box.dim)) * (box.uppers() - box.lowers())
 
     deviations: list[float] = []
     if mode == "azuma":
-        aspec = bounds.AzumaSpec(tuple(float(c) for c in _field(spec_cfg, "c", where)))
+        aspec = bounds.AzumaSpec(tuple(_numbers(_field(spec_cfg, "c", where), f"{where}: c")))
         bound_at = lambda t: bounds.azuma_tail(aspec, t)
     elif mode in ("single", "pairwise"):
         terms = _field(_field(spec_cfg, "kernel", where), "terms", f"{where}: kernel")
-        kspec = bounds.KernelSpec(tuple(tuple(t) for t in terms))
+        kspec = bounds.KernelSpec(tuple(
+            tuple(_numbers(term, f"{where}: kernel term {k}", 2))
+            for k, term in enumerate(_expect(terms, list, f"{where}: kernel terms"))))
         if mode == "single":
-            box = _box(_field(spec_cfg, "box", where))
+            box = _box(_field(spec_cfg, "box", where), f"{where}: box")
             deviations = [bounds.d3_bound(kspec, box, i) for i in range(box.dim)]
             bound_at = lambda t: bounds.mcdiarmid_tail(deviations, t)
             points = [draw(box)]
         else:
-            boxes_a = [_box(b) for b in _field(spec_cfg, "boxes_a", where)]
-            boxes_b = [_box(b) for b in _field(spec_cfg, "boxes_b", where)]
+            def boxes(key):
+                entries = _expect(_field(spec_cfg, key, where), list, f"{where}: {key}")
+                return [_box(b, f"{where}: {key} entry {k}") for k, b in enumerate(entries)]
+
+            boxes_a, boxes_b = boxes("boxes_a"), boxes("boxes_b")
             bound_at = lambda t: bounds.pairwise_sum_tail(kspec, boxes_a, boxes_b, t)
             # one difference per pair of boxes, drawn lazily: a's point, then b's
             points = (draw(bb) - xa for xa in map(draw, boxes_a) for bb in boxes_b)
@@ -456,16 +514,21 @@ def run_bound(cfg) -> list[str]:
 
 def _load_poses(raw, where: str) -> list[bindsite.Pose]:
     """The poses of the JSON array ``raw``, which ``where`` names in errors."""
+    from moluq import bindsite
+
     poses = []
     for j, entry in enumerate(_expect(raw, list, where)):
         pose = f"{where}: pose {j}"
         poses.append(bindsite.Pose(
-            rotation=np.array(_field(entry, "rotation", pose), dtype=float).reshape(3, 3),
-            translation=np.array(_field(entry, "translation", pose), dtype=float)))
+            rotation=_numbers(_field(entry, "rotation", pose), f"{pose}: rotation", 9)
+            .reshape(3, 3),
+            translation=_numbers(_field(entry, "translation", pose), f"{pose}: translation", 3)))
     return poses
 
 
 def run_bindsite(cfg) -> list[str]:
+    from moluq import bindsite, conformers, molio, vizgrid
+
     out = _out_dir(cfg)
     receptor = _load_structure(cfg)
     ligand, ligand_coords = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))
@@ -510,11 +573,15 @@ def run_bindsite(cfg) -> list[str]:
 # ---------------------------------------------------------------- volmap / modes
 
 def _load_ensemble(cfg) -> conformers.Ensemble:
+    from moluq import conformers
+
     s = _load_structure(cfg)
     return conformers.Ensemble(s, _ensemble_models(cfg, s)[1])
 
 
 def run_volmap(cfg) -> list[str]:
+    from moluq import vizgrid
+
     out = _out_dir(cfg)
     ens = _load_ensemble(cfg)
     grid = vizgrid.occupancy_map(ens, spacing=float(cfg["spacing"]),
@@ -524,6 +591,8 @@ def run_volmap(cfg) -> list[str]:
 
 
 def run_modes(cfg) -> list[str]:
+    from moluq import conformers
+
     out = _out_dir(cfg)
     ens = _load_ensemble(cfg)
     variances, axes = conformers.atom_motion_modes(ens)
@@ -571,6 +640,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _data_errors() -> tuple[type[Exception], ...]:
+    """The exceptions that exit 2.  Called only once an exception reaches
+    ``main``'s handlers, so a stage that never reads a PDB loads no molio."""
+    from moluq.molio import PdbParseError
+
+    return PdbParseError, DataFormatError, json.JSONDecodeError
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -591,7 +668,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"moluq: usage error: {exc}", file=sys.stderr)
         return 1
-    except (molio.PdbParseError, DataFormatError, json.JSONDecodeError) as exc:
+    except _data_errors() as exc:
         print(f"moluq: data error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError, KeyError) as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from moluq.molio import Structure, bond_adjacency, bonded_exclusions
-from moluq.pairs import cutoff_pairs, exclusion_codes, not_in_codes
+from moluq.pairs import exclusion_codes, not_in_codes, stack_cutoff_pairs
 from moluq.sampling import (
     LowDiscrepancySequence,
     gaussian_dimension,
@@ -292,16 +292,23 @@ def clash_filter(positions, s: Structure, factor: float = 0.6) -> str | None:
     closer than factor * (r_i + r_j); the worst (deepest relative overlap)
     pair is named in the reason, the first in (i, j) order on a tie.
     Candidate pairs come from the neighbour search of
-    :func:`moluq.pairs.cutoff_pairs`, so memory grows with the number of
-    close pairs rather than n^2.  Stands in for the force-field relaxation
-    step of the original accept/reject protocol.
+    :func:`moluq.pairs.stack_cutoff_pairs`, so memory grows with the number
+    of close pairs rather than n^2.  Stands in for the force-field
+    relaxation step of the original accept/reject protocol.  The one-draw
+    case of the samplers' screen.
     """
-    return _clash_check(s, factor)(positions)
+    return _clash_check(s, factor)(np.asarray(positions, dtype=float)[None])[0]
+
+
+# The samplers screen their draws in stacks of at most this many atoms (one
+# draw when a draw alone is larger), one neighbour search per stack, so the
+# search's candidate arrays do not grow with the number of draws.
+_SCREEN_ATOMS = 2**13
 
 
 def _clash_check(s: Structure, factor: float):
-    """The test of :func:`clash_filter` bound to one structure: (n, 3)
-    positions -> rejection reason, or None when they pass.
+    """The test of :func:`clash_filter` bound to one structure: an (m, n, 3)
+    stack of positions -> m rejection reasons, None for a draw that passes.
 
     The radii and the bonded-exclusion codes are built once here rather
     than once per draw.
@@ -310,23 +317,28 @@ def _clash_check(s: Structure, factor: float):
         raise ValueError("factor must be in (0, 1]")
     n = s.n_atoms
     if n < 2:
-        return lambda positions: None
+        return lambda stack: [None] * len(stack)
     radii = s.radii
     codes = exclusion_codes(bonded_exclusions(s), n)
     max_cutoff = factor * (2.0 * radii.max())
 
-    def check(positions: np.ndarray) -> str | None:
-        ii, jj, dist = cutoff_pairs(positions, max_cutoff)
+    def check(stack: np.ndarray) -> list[str | None]:
+        starts, ii, jj, dist = stack_cutoff_pairs(stack, max_cutoff)
         keep = not_in_codes(ii, jj, n, codes)
+        draw = np.repeat(np.arange(len(stack)), np.diff(starts))[keep]
         ii, jj, dist = ii[keep], jj[keep], dist[keep]
         cutoff = factor * (radii[ii] + radii[jj])
         ratios = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
-        if ratios.size == 0 or ratios.min() >= 1.0:
-            return None
-        worst = int(np.argmin(ratios))
-        i, j = int(ii[worst]), int(jj[worst])
-        return (f"atoms {s.serials[i]}-{s.serials[j]} at "
-                f"{dist[worst]:.3f} A < {cutoff[worst]:.3f} A")
+        reasons: list[str | None] = [None] * len(stack)
+        rejected = np.unique(draw[ratios < 1.0])
+        # each rejected draw's worst pair: the first minimum of its own pairs
+        for k, lo, hi in zip(rejected.tolist(), np.searchsorted(draw, rejected).tolist(),
+                             np.searchsorted(draw, rejected, side="right").tolist()):
+            worst = lo + int(np.argmin(ratios[lo:hi]))
+            i, j = int(ii[worst]), int(jj[worst])
+            reasons[k] = (f"atoms {s.serials[i]}-{s.serials[j]} at "
+                          f"{dist[worst]:.3f} A < {cutoff[worst]:.3f} A")
+        return reasons
 
     return check
 
@@ -378,8 +390,13 @@ def sample_torsion_ensemble(
 
 
 def _screened(s: Structure, coords: np.ndarray, screen, sequence_kind: str) -> Ensemble:
-    """The ensemble of ``coords`` with each draw's clash check, if any."""
-    reasons = None if screen is None else tuple(screen(positions) for positions in coords)
+    """The ensemble of ``coords`` with each draw's clash check, if any, run
+    on stacks of at most ``_SCREEN_ATOMS`` atoms."""
+    reasons = None
+    if screen is not None:
+        step = max(1, _SCREEN_ATOMS // max(s.n_atoms, 1))
+        reasons = tuple(reason for lo in range(0, len(coords), step)
+                        for reason in screen(coords[lo:lo + step]))
     return Ensemble(source=s, coords=coords, reasons=reasons, sequence_kind=sequence_kind)
 
 

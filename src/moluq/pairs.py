@@ -65,33 +65,53 @@ def cutoff_pairs(positions, max_cutoff: float):
     ``max_cutoff``; callers apply their own strict test to ``dist``.
     Distances use the per-pair formula ``sqrt(((p_i - p_j)**2).sum())``,
     bit-identical to a dense n x n block.  Non-finite positions raise
-    ``ValueError``.
-
-    The search is a cell list: cubic cells of side max(radius, span / 2**16)
-    (the floor keeps int64 cell keys small on wide, sparse inputs), atoms
-    sorted by cell key, and each cell's candidates found by ``searchsorted``
-    in itself and its 13 forward neighbours.
+    ``ValueError``.  The one-draw case of :func:`stack_cutoff_pairs`.
     """
     positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
+    _starts, ii, jj, dist = stack_cutoff_pairs(positions[None], max_cutoff)
+    return ii, jj, dist
+
+
+def stack_cutoff_pairs(stack, max_cutoff: float):
+    """:func:`cutoff_pairs` of each draw of an (m, n, 3) stack, in one search.
+
+    Returns (starts, ii, jj, dist): draw k's pairs are the entries
+    starts[k]:starts[k + 1], with ii, jj its atom indices; each draw's
+    slice equals ``cutoff_pairs(stack[k], max_cutoff)`` bit for bit, because
+    a pair is kept exactly when its own distance is within the radius,
+    whatever cells the atoms land in.
+
+    The search is a cell list: cubic cells of side max(radius, span / 2**16)
+    (the floor keeps int64 cell keys small on wide, sparse inputs; span is
+    the widest draw's), each draw's cells counted from its own lower corner,
+    atoms sorted by (draw, cell) key, and each cell's candidates found by
+    ``searchsorted`` in itself and its 13 forward neighbours.  The draw is
+    the key's leading digit and no neighbour offset leaves a draw's own
+    cells, so no two draws pair.  Callers bound m * n: the key holds
+    m * (2**16 + 3)**3 values at most.
+    """
+    stack = np.asarray(stack, dtype=float)
+    m, n = stack.shape[:2]
     radius = max_cutoff * (1.0 + _RADIUS_SLACK)
-    if n < 2 or not radius >= 0.0:
+    if m == 0 or n < 2 or not radius >= 0.0:
         empty = np.zeros(0, dtype=np.intp)
-        return empty, empty, np.zeros(0)
-    if not np.isfinite(positions).all():
+        return np.zeros(m + 1, dtype=np.intp), empty, empty, np.zeros(0)
+    if not np.isfinite(stack).all():
         raise ValueError("positions must be finite, check for nan or inf values")
-    lo = positions.min(axis=0)
-    span = float((positions.max(axis=0) - lo).max())
+    lo = stack.min(axis=1, keepdims=True)
+    span = float((stack.max(axis=1, keepdims=True) - lo).max())
     # a zero side (radius 0, every atom at one point) may be any positive one
     side = max(radius, span / 2**16) * _CELL_MARGIN or 1.0
     # cell coordinates start at 1, so a neighbour offset of -1 never wraps
-    cell = np.floor((positions - lo) / side).astype(np.int64) + 1
+    cell = (np.floor((stack - lo) / side).astype(np.int64) + 1).reshape(-1, 3)
     dims = cell.max(axis=0) + 2
-    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    draw = np.repeat(np.arange(m, dtype=np.int64), n)
+    key = ((draw * dims[0] + cell[:, 0]) * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
     order = np.argsort(key, kind="stable")
     key = key[order]
-    xs, ys, zs = positions[order].T.copy()
-    slots = np.arange(n)
+    flat = stack.reshape(-1, 3)
+    xs, ys, zs = flat[order].T.copy()
+    slots = np.arange(m * n)
     found_i, found_j = [], []
     for dx, dy, dz in _FORWARD_OFFSETS:
         offset = (dx * dims[1] + dy) * dims[2] + dz
@@ -107,11 +127,15 @@ def cutoff_pairs(positions, max_cutoff: float):
         found_i.append(order[np.repeat(slots, count)[near]])
         found_j.append(order[slot_j[near]])
     i, j = np.concatenate(found_i), np.concatenate(found_j)
-    ii, jj = np.minimum(i, j), np.maximum(i, j)
-    by_code = np.argsort(ii.astype(np.int64) * n + jj)
-    ii, jj = ii[by_code], jj[by_code]
-    dist = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
-    return ii, jj, dist
+    # flat indices: one draw's atoms are contiguous, so sorting by the flat
+    # pair code sorts by (draw, code)
+    gi, gj = np.minimum(i, j), np.maximum(i, j)
+    by_code = np.argsort(gi.astype(np.int64) * (m * n) + gj)
+    gi, gj = gi[by_code], gj[by_code]
+    dist = np.sqrt(((flat[gi] - flat[gj]) ** 2).sum(axis=1))
+    base = gi // n * n
+    starts = np.searchsorted(gi, np.arange(m + 1) * n)
+    return starts, gi - base, gj - base, dist
 
 
 def tree_sum(count: int, terms) -> float:

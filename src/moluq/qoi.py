@@ -279,8 +279,8 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
     n = positions.shape[0]
     if n == 0:
         return np.zeros(0)
-    if not np.all(rho > 0):  # NaN fails too
-        raise ValueError("van der Waals radii must be positive")
+    if not np.all((rho > 0) & (rho < np.inf)):  # NaN fails too
+        raise ValueError("van der Waals radii must be finite and positive")
     inv = 1.0 / rho
     if n > 1:
         xyz = positions.T.copy()
@@ -324,8 +324,8 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
     rb = np.asarray(radii_born, dtype=float)
     if positions.shape[0] == 0:
         return 0.0
-    if not np.all(rb > 0):  # NaN fails too; +inf passes
-        raise ValueError("Born radii must be positive")
+    if not np.all((rb > 0) & (rb < np.inf)):  # NaN fails too
+        raise ValueError("Born radii must be finite and positive")
     tau = 1.0 - 1.0 / solvent_dielectric
     n = positions.shape[0]
     xyz = positions.T.copy()
@@ -576,7 +576,7 @@ def volume(positions, radii, spacing: float) -> float:
     if positions.shape[0] == 0:
         return 0.0
     lo, dims = padded_box(positions, radii, spacing)
-    return float(cover_spheres(positions, radii, lo, spacing, dims).sum()) * spacing**3
+    return float(np.count_nonzero(cover_spheres(positions, radii, lo, spacing, dims))) * spacing**3
 
 
 def evaluate_qoi(kind: QOIKind, a: AtomSet, config: QOIConfig = QOIConfig()) -> float:

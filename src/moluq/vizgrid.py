@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from moluq.conformers import Ensemble
+if TYPE_CHECKING:  # annotations only: qoi imports this module, not conformers
+    from moluq.conformers import Ensemble
 
 
 @dataclass(frozen=True)

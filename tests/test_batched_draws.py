@@ -3,11 +3,12 @@
 Each oracle below is the former one-draw-at-a-time code: ``apply_torsions``
 with its ``dihedral_angle``/``_rotation_about``/``_wrap_angle`` helpers,
 the point-by-point ``normals_from_unit``, the Cartesian and torsion
-ensemble loops with the per-draw clash check, and the per-atom loop of
-``atom_motion_modes``.  The batched code must reproduce them exactly
-(``==``, not approx).
+ensemble loops with the per-draw clash check and its one-draw cell-list
+search, and the per-atom loop of ``atom_motion_modes``.  The batched code
+must reproduce them exactly (``==``, not approx).
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from moluq.conformers import (
     torsion_graph_from_dihedrals,
 )
 from moluq.molio import ParamTable, assign_params, bonded_exclusions, detect_bonds
-from moluq.pairs import cutoff_pairs, exclusion_codes, not_in_codes
+from moluq.pairs import cutoff_pairs, exclusion_codes, not_in_codes, stack_cutoff_pairs
 from moluq.sampling import LowDiscrepancySequence, gaussian_dimension, normals_from_unit
 from conftest import lattice, make_structure, zigzag_chain
 
@@ -78,6 +79,45 @@ def loop_apply_torsions(g, angles, seen=None):
     return pos
 
 
+def loop_cutoff_pairs(positions, max_cutoff):
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    radius = max_cutoff * (1.0 + 1e-9)
+    if n < 2 or not radius >= 0.0:
+        empty = np.zeros(0, dtype=np.intp)
+        return empty, empty, np.zeros(0)
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite, check for nan or inf values")
+    lo = positions.min(axis=0)
+    span = float((positions.max(axis=0) - lo).max())
+    side = max(radius, span / 2**16) * (1.0 + 1e-6) or 1.0
+    cell = np.floor((positions - lo) / side).astype(np.int64) + 1
+    dims = cell.max(axis=0) + 2
+    key = (cell[:, 0] * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    xs, ys, zs = positions[order].T.copy()
+    slots = np.arange(n)
+    found_i, found_j = [], []
+    for dx, dy, dz in [o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0, 0, 0)]:
+        offset = (dx * dims[1] + dy) * dims[2] + dz
+        last = np.searchsorted(key, key + offset, side="right")
+        first = slots + 1 if offset == 0 else np.searchsorted(key, key + offset, side="left")
+        count = np.maximum(last - first, 0)
+        slot_j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+        d2 = ((np.repeat(xs, count) - xs[slot_j]) ** 2 + (np.repeat(ys, count) - ys[slot_j]) ** 2
+              + (np.repeat(zs, count) - zs[slot_j]) ** 2)
+        near = np.sqrt(d2) <= radius
+        found_i.append(order[np.repeat(slots, count)[near]])
+        found_j.append(order[slot_j[near]])
+    i, j = np.concatenate(found_i), np.concatenate(found_j)
+    ii, jj = np.minimum(i, j), np.maximum(i, j)
+    by_code = np.argsort(ii.astype(np.int64) * n + jj)
+    ii, jj = ii[by_code], jj[by_code]
+    dist = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
+    return ii, jj, dist
+
+
 def loop_clash_check(s, factor):
     n = s.n_atoms
     if n < 2:
@@ -87,7 +127,7 @@ def loop_clash_check(s, factor):
     max_cutoff = factor * (2.0 * radii.max())
 
     def check(positions):
-        ii, jj, dist = cutoff_pairs(positions, max_cutoff)
+        ii, jj, dist = loop_cutoff_pairs(positions, max_cutoff)
         keep = not_in_codes(ii, jj, n, codes)
         ii, jj, dist = ii[keep], jj[keep], dist[keep]
         cutoff = factor * (radii[ii] + radii[jj])
@@ -324,3 +364,76 @@ def test_atom_motion_modes_match_per_atom_loop():
     want_var, want_axes = loop_motion_modes(stack[e.accepted])
     assert np.array_equal(variances, want_var)
     assert np.array_equal(axes, want_axes)
+
+
+# ---------------------------------------------------------------- clash screen
+
+def _loop_reasons(s, factor, coords):
+    check = loop_clash_check(s, factor)
+    return tuple(check(positions) for positions in coords)
+
+
+@pytest.mark.parametrize("factor", [0.6, 0.8, 1.0])
+@pytest.mark.parametrize("n_atoms, seed", [(24, 1), (40, 3)])
+def test_torsion_screen_matches_per_draw_loop(n_atoms, seed, factor):
+    # a compact zigzag chain with free dihedrals: at factor 1.0 every draw clashes
+    g = edge_graph(chain_structure(n_atoms, seed))
+    e = sample_torsion_ensemble(g, seed=seed, n_samples=40, clash_factor=factor)
+    assert e.reasons == _loop_reasons(g.structure, factor, e.coords)
+    if factor == 1.0:
+        assert not e.accepted.any()
+
+
+@pytest.mark.parametrize("screen_atoms", [2**13, 360, 121, 1])
+def test_cartesian_screen_matches_per_draw_loop_in_any_stack_size(monkeypatch, screen_atoms):
+    # 120 atoms, 40 draws: one stack of all 40, stacks of 3 ending in a stack
+    # of 1, and one draw per stack
+    monkeypatch.setattr(conformers, "_SCREEN_ATOMS", screen_atoms)
+    s = lattice_structure(120, 4)
+    e = sample_cartesian_ensemble(s, seed=5, n_samples=40, clash_factor=0.6,
+                                  sigmas=np.full((s.n_atoms, 3), 0.45))
+    assert e.reasons == _loop_reasons(s, 0.6, e.coords)
+    assert 0 < e.accepted.sum() < 40
+
+
+@pytest.mark.parametrize("n_atoms", [0, 1])
+def test_screen_of_draws_with_fewer_than_two_atoms(n_atoms):
+    s = make_structure(lattice(1)[:n_atoms])
+    e = sample_cartesian_ensemble(s, seed=1, n_samples=5, clash_factor=0.6)
+    assert e.reasons == _loop_reasons(s, 0.6, e.coords) == (None,) * 5
+
+
+def test_screen_of_one_draw():
+    s = lattice_structure(120, 4)
+    sigmas = np.full((s.n_atoms, 3), 0.45)
+    free = sample_cartesian_ensemble(s, seed=5, n_samples=12, clash_factor=None, sigmas=sigmas)
+    want = _loop_reasons(s, 0.6, free.coords)
+    assert tuple(conformers.clash_filter(p, s, 0.6) for p in free.coords) == want
+    assert any(want) and not all(want)
+    one = sample_cartesian_ensemble(s, seed=5, n_samples=1, clash_factor=0.6, sigmas=sigmas)
+    assert one.reasons == want[:1]
+
+
+def test_screen_names_the_first_worst_pair_of_each_draw_on_a_tie():
+    # four unbonded atoms 1 A apart on a line: three pairs tie at the worst ratio
+    line = np.arange(4.0)[:, None] * [1.0, 0.0, 0.0]
+    s = assign_params(make_structure(line * 3.0), ParamTable.default())
+    stack = np.stack([line * 3.0, line, line[::-1].copy(), line * 3.0])
+    got = conformers._clash_check(s, 0.6)(stack)
+    assert got == list(_loop_reasons(s, 0.6, stack))
+    assert got[0] is None and got[1] == got[2] and got[1].startswith("atoms 1-2 at 1.000 A")
+
+
+def test_stack_search_matches_one_draw_searches_whatever_the_cell_layout():
+    rng = np.random.default_rng(8)
+    base = lattice(150) + rng.uniform(-0.2, 0.2, (150, 3))
+    stack = np.stack([base, base + 1e3, base * 0.5, base * 2e5, base[::-1] - 7.0])
+    for cutoff in (0.0, 1.2, 2.5, 6.0):
+        starts, ii, jj, dist = stack_cutoff_pairs(stack, cutoff)
+        assert starts[0] == 0 and starts[-1] == len(ii)
+        for k, positions in enumerate(stack):
+            want = loop_cutoff_pairs(positions, cutoff)
+            got = (part[starts[k]:starts[k + 1]] for part in (ii, jj, dist))
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (cutoff, k)
+            assert all(np.array_equal(g, w) for g, w in zip(cutoff_pairs(positions, cutoff),
+                                                            want))

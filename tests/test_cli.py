@@ -366,6 +366,40 @@ class TestBound:
         assert main(["bound", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"moluq: data error: {path} has no {missing!r}\n"
 
+    @pytest.mark.parametrize("change, what", [
+        ({"boxes_a": [[1, 2]]}, "boxes_a entry 0: interval 0 must be 2 numbers, not 1"),
+        ({"kernel": {"terms": [[1.0]]}}, "kernel term 0 must be 2 numbers, not [1.0]"),
+        ({"boxes_b": [[[5.0, 5.5, 6.0]]]},
+         "boxes_b entry 0: interval 0 must be 2 numbers, not [5.0, 5.5, 6.0]"),
+        ({"t_grid": 0.1}, "t_grid must be a JSON array, not float"),
+        ({"mc_draws": [100]}, "mc_draws must be a number, not [100]"),
+    ], ids=["box_of_numbers", "kernel_term_of_one_number", "interval_of_three_numbers",
+            "t_grid_of_one_number", "mc_draws_array"])
+    def test_malformed_bound_config_value_is_a_data_error(self, workspace, capsys, change,
+                                                          what):
+        # a box of numbers, a t_grid number and an mc_draws array ended in
+        # TypeError tracebacks; the kernel term and the interval exited 3 with
+        # "not enough" / "too many values to unpack", naming no file
+        bound_cfg = {"mode": "pairwise", "kernel": {"terms": [[1.0, 1.0]]},
+                     "boxes_a": [[[1.0, 1.5]]], "boxes_b": [[[5.0, 5.5]]], **change}
+        path = workspace / "bound.json"
+        path.write_text(json.dumps(bound_cfg))
+        cfg = write_config(workspace, bound_config=str(path))
+        capsys.readouterr()
+        assert main(["bound", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"moluq: data error: {path}: {what}\n"
+        assert not (workspace / "run" / "bounds.csv").exists()
+
+    def test_malformed_single_box_interval_is_a_data_error(self, workspace, capsys):
+        path = workspace / "bound.json"
+        path.write_text(json.dumps({"mode": "single", "kernel": {"terms": [[1.0, 1.0]]},
+                                    "box": [[1.0, 2.0], [1, 2, 3]]}))
+        cfg = write_config(workspace, bound_config=str(path))
+        capsys.readouterr()
+        assert main(["bound", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"moluq: data error: {path}: box: interval 1 "
+                                           f"must be 2 numbers, not [1, 2, 3]\n")
+
 
 class TestBindsite:
     def test_multi_conformer_grouped_poses(self, workspace):
@@ -456,8 +490,14 @@ class TestBindsite:
         ([{"model": 0, "poses": []}, {"model": 1}], "pose group 1 has no 'poses'"),
         ([{"model": 0, "poses": [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}]}],
          "pose group 0: pose 0 has no 'translation'"),
+        # this one exited 3 with numpy's reshape message, naming no file
+        ([{"rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}],
+         "pose 0: rotation must be 9 numbers, not [1, 0, 0, 0]"),
+        ([{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, "x", 0]}],
+         "pose 0: translation must be 3 numbers, not [0, \"x\", 0]"),
     ], ids=["pose_without_rotation", "top_level_object", "pose_not_an_object",
-            "group_without_poses", "grouped_pose_without_translation"])
+            "group_without_poses", "grouped_pose_without_translation",
+            "rotation_of_four_numbers", "translation_not_numbers"])
     def test_malformed_pose_file_is_a_data_error(self, workspace, capsys, raw, what):
         # these once exited 3 naming only a key or index, or ended in a traceback
         lig = make_structure([[0.0, 3.0, 0.0]])
@@ -648,7 +688,55 @@ class TestReplayAndExitCodes:
         assert one == many
 
 
+# the moluq modules besides the package and moluq.cli that each command runs
+STAGE_MODULES = {
+    "sample": {"molio", "pairs", "conformers", "sampling"},
+    "qoi": {"molio", "pairs", "qoi", "vizgrid"},
+    "certify": {"certificates"},
+    "saturate": {"certificates"},
+    "bound": {"bounds"},
+    "bindsite": {"molio", "pairs", "bindsite", "conformers", "sampling", "vizgrid"},
+    "volmap": {"molio", "pairs", "conformers", "sampling", "vizgrid"},
+    "modes": {"molio", "pairs", "conformers", "sampling"},
+}
+
+
 class TestImportHygiene:
+    def test_each_command_loads_only_the_modules_it_runs(self, workspace):
+        """A fresh interpreter per command runs ``main`` and lists the moluq
+        modules it loaded: a stage compiles no module it does not call, and
+        only ``--workers 2`` loads concurrent.futures."""
+        import moluq
+        lig = make_structure([[0.0, 3.0, 0.0]])
+        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        (workspace / "poses.json").write_text(json.dumps(
+            [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]}]))
+        cfg = write_config(workspace, samples=24, seed=2, qoi=["area", "volume", "lj"],
+                           n_points=32, spacing=0.8, ligand=str(workspace / "ligand.pdb"),
+                           poses=str(workspace / "poses.json"),
+                           bound={"kernel": {"terms": [[1.0, 1.0]]}, "box": [[1.0, 2.0]]})
+        runs = [[command, "--config", str(cfg)] for command in STAGE_MODULES]
+        runs.append(["qoi", "--config", str(cfg), "--workers", "2"])
+        script = textwrap.dedent("""
+            import json, sys
+            import moluq.cli
+
+            code = moluq.cli.main(json.loads(sys.argv[1]))
+            print(json.dumps({"exit": code, "futures": "concurrent.futures" in sys.modules,
+                              "modules": sorted(m for m in sys.modules
+                                                if m.split(".")[0] == "moluq")}))
+        """)
+        src = str(Path(moluq.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv in runs:
+            result = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                                    env=env, capture_output=True, text=True, timeout=300)
+            assert result.returncode == 0, result.stderr
+            got = json.loads(result.stdout.splitlines()[-1])
+            want = ["moluq", "moluq.cli"] + [f"moluq.{m}" for m in STAGE_MODULES[argv[0]]]
+            assert got == {"exit": 0, "futures": argv[-1] == "2",
+                           "modules": sorted(want)}, argv
+
     def test_no_source_file_imports_scipy(self):
         """No module under src/moluq imports scipy, at any depth: its only
         runtime role is the Sobol direction-number table file it installs."""

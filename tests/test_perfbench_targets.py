@@ -58,3 +58,24 @@ def test_memory_pass_runs_on_a_small_workload(tmp_path, workload, peaks):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert sorted(json.loads(out.read_text())) == sorted(f"{p}.peak_mib" for p in peaks)
+
+
+def test_span_target_modules_resolve_as_package_attributes():
+    """``spans.install`` reads each target module as ``getattr(moluq, name)``
+    after ``import moluq.cli``, which no longer imports them: the package
+    loads a submodule on first attribute access, and only a submodule."""
+    script = (
+        "import json, sys\n"
+        "import moluq, moluq.cli\n"
+        "names = json.loads(sys.argv[1])\n"
+        "mods = {name: getattr(moluq, name).__name__ for name in names}\n"
+        "print(json.dumps([mods, hasattr(moluq, 'nosuch')]))\n"
+    )
+    names = list(_load("spans").TARGETS)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(names)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    mods, has_nosuch = json.loads(proc.stdout)
+    assert mods == {name: f"moluq.{name}" for name in names}
+    assert has_nosuch is False

@@ -200,8 +200,17 @@ class TestBornRadii:
     def test_nan_radius_rejected(self, radii):
         # NaN passed the `<= 0` check and gave NaN radii for every atom
         pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])[:len(radii)]
-        with pytest.raises(ValueError, match="van der Waals radii must be positive"):
+        with pytest.raises(ValueError, match="van der Waals radii must be finite and positive"):
             born_radii(pos, radii)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, 0.0, -1.5])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_or_non_positive_radius_rejected(self, bad, slot):
+        # +inf passed `rho > 0`: [1.5, inf] warned in the divide and gave [0.75, inf]
+        radii = [1.5, 1.5]
+        radii[slot] = bad
+        with pytest.raises(ValueError, match="van der Waals radii must be finite and positive"):
+            born_radii(np.array([[0.0, 0, 0], [3.0, 0, 0]]), radii)
 
 
 class TestGB:
@@ -247,15 +256,22 @@ class TestGB:
     def test_nan_born_radius_rejected(self, radii):
         # NaN passed the `<= 0` check and gave a NaN energy
         pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])[:len(radii)]
-        with pytest.raises(ValueError, match="Born radii must be positive"):
+        with pytest.raises(ValueError, match="Born radii must be finite and positive"):
             gb_polarization(pos, [1.0, -0.5][:len(radii)], radii)
 
-    def test_infinite_born_radius_accepted(self):
-        # born_radii returns +inf where 1/rho_i equals the descreening sum
+    def test_infinite_born_radius_rejected(self):
+        # +inf passed `rb > 0` and dropped the atom from the sum: a finite -33.55
         pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])
-        e = gb_polarization(pos, [1.0, -0.5], [math.inf, 1.5])
-        assert e == gb_polarization(pos, [0.0, -0.5], [math.inf, 1.5])
-        assert math.isfinite(e)
+        with pytest.raises(ValueError, match="Born radii must be finite and positive"):
+            gb_polarization(pos, [1.0, -0.5], [math.inf, 1.5])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, 0.0, -1.5])
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_non_finite_or_non_positive_born_radius_rejected(self, bad, slot):
+        radii = [1.5, 2.0]
+        radii[slot] = bad
+        with pytest.raises(ValueError, match="Born radii must be finite and positive"):
+            gb_polarization(np.array([[0.0, 0, 0], [3.0, 0, 0]]), [1.0, -0.5], radii)
 
     def test_vacuum_solvent_dielectric_gives_zero(self):
         pos = np.array([[0.0, 0, 0], [3.0, 0, 0]])
