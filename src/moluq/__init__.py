@@ -15,7 +15,7 @@ __version__ = "0.1.0"
 DEFAULT_T_GRID = (0.001, 0.005, 0.01, 0.02, 0.03, 0.05, 0.1)
 
 _SUBMODULES = frozenset({"bindsite", "bounds", "certificates", "cli", "conformers", "molio",
-                         "pairs", "qoi", "sampling", "vizgrid"})
+                         "pairs", "qoi", "sampling", "schema", "vizgrid"})
 
 
 def __getattr__(name: str):

@@ -27,41 +27,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 import moluq
+from moluq import schema
 
 if TYPE_CHECKING:  # annotations only; the commands import these when they run
-    from moluq import bindsite, bounds, conformers, molio, qoi
+    from moluq import conformers, molio
 
-DEFAULTS = {
-    "seed": 0,
-    "samples": None,
-    "mode": "cartesian",
-    "clash_factor": 0.6,
-    "fixed_chains": [],
-    "qoi": ["area", "volume", "lj", "coulomb", "gb"],
-    "chain_a": None,
-    "chain_b": None,
-    "probe": 1.4,
-    "n_points": 960,
-    "spacing": 0.5,
-    "dielectric": {"mode": "constant", "value": 1.0},
-    "solvent_dielectric": 80.0,
-    "t_grid": list(moluq.DEFAULT_T_GRID),
-    "tau": 0.05,
-    "saturation_mode": "incremental",
-    "contact_cutoff": 5.0,
-    "workers": 1,
-}
-
-
-# the JSON type each config key takes: the Python types json.load gives it
-# and the name an error message uses
-_CONFIG_TYPES = {
-    **dict.fromkeys(("seed", "samples", "clash_factor", "probe", "n_points", "spacing",
-                     "solvent_dielectric", "tau", "contact_cutoff", "workers"),
-                    ((int, float), "a number")),
-    **dict.fromkeys(("fixed_chains", "qoi", "t_grid"), ((list,), "an array")),
-    "dielectric": ((dict,), "an object"),
-}
+# the run config's defaults (perfbench/memory_pass.py reads them)
+DEFAULTS = {key: spec.default for key, spec in schema.CONFIG.items()}
+_INT_FLAGS = ("seed", "samples", "workers")  # the config keys a flag sets, besides --out
 
 
 class UsageError(Exception):
@@ -69,7 +42,17 @@ class UsageError(Exception):
 
 
 class DataFormatError(ValueError):
-    """Malformed tabular input (value streams, pose files)."""
+    """Malformed input data (value streams, JSON data files)."""
+
+
+def _check_file(raw, key: schema.Key, path: str):
+    """``raw``, read from the data file ``path``, checked against ``key``."""
+    try:
+        return schema.check(raw, key)
+    except schema.Invalid as exc:
+        where, problem = exc.args
+        raise DataFormatError(f"{path}: {where} {problem}" if where else f"{path} {problem}") \
+            from None
 
 
 def _fmt(x: float) -> str:
@@ -87,77 +70,24 @@ def _load_json(path: str):
     return json.loads(_read_text(path))
 
 
-def _expect(value, kind: type, where: str):
-    """``value`` when it is a JSON object (``dict``) or array (``list``), as
-    ``kind`` asks; ``where`` names it in the error."""
-    if not isinstance(value, kind):
-        raise DataFormatError(f"{where} must be a JSON {'object' if kind is dict else 'array'}, "
-                              f"not {type(value).__name__}")
-    return value
-
-
-def _numbers(value, where: str, count: int | None = None) -> np.ndarray:
-    """``value`` as a flat float array of ``count`` numbers, or of any count
-    when ``value`` is a JSON array and no count is given; ``where`` names it
-    in the error."""
-    if count is None:
-        count = len(_expect(value, list, where))
-    try:
-        arr = np.array(value, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.size != count:
-        raise DataFormatError(f"{where} must be {count} numbers, not {json.dumps(value)}")
-    return arr
-
-
-def _number(value, where: str):
-    """``value`` when it is a JSON number; ``where`` names it in the error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise DataFormatError(f"{where} must be a number, not {json.dumps(value)}")
-    return value
-
-
-def _field(obj, key: str, where: str):
-    """``obj[key]`` of the JSON object ``obj``, which ``where`` names in errors."""
-    if key not in _expect(obj, dict, where):
-        raise DataFormatError(f"{where} has no {key!r}")
-    return obj[key]
-
-
 def load_config(args, raw=None, source: str | None = None) -> dict:
-    """DEFAULTS updated by the run config ``raw`` (named ``source`` in errors;
-    the --config file when no source is given), then by the flags in ``args``;
-    every key of DEFAULTS is type-checked."""
-    cfg = dict(DEFAULTS)
+    """The run config ``raw`` (named ``source`` in errors; the --config file
+    when no source is given) under the flags in ``args``, checked against
+    CONFIG, with absent keys at their defaults."""
     if source is None and getattr(args, "config", None):
         raw, source = _load_json(args.config), args.config
-    if source is not None:
-        if not isinstance(raw, dict):
-            raise UsageError(f"{source}: a run config must be a JSON object, "
-                             f"not {type(raw).__name__}")
-        cfg.update(raw)
-    for key in ("seed", "samples", "workers", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if "out" not in cfg or not cfg["out"]:
+    if source is not None and not isinstance(raw, dict):
+        raise UsageError(f"{source}: a run config must be a JSON object, "
+                         f"not {type(raw).__name__}")
+    flags = {key: getattr(args, key, None) for key in (*_INT_FLAGS, "out")}
+    try:
+        cfg = schema.check({**(raw or {}), **{k: v for k, v in flags.items() if v is not None}},
+                           schema.Key("object", keys=schema.CONFIG))
+    except schema.Invalid as exc:
+        raise UsageError(f"config key {exc.args[0]!r} {exc.args[1]}") from None
+    if not cfg["out"]:
         raise UsageError("an output directory is required (--out or config 'out')")
-    for key, (types, name) in _CONFIG_TYPES.items():
-        value = cfg[key]
-        if value is None and key in ("samples", "clash_factor"):
-            continue  # no count given; clash filter off
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise UsageError(f"config key {key!r} must be {name}, not {value!r}")
-    if cfg["samples"] is not None and cfg["samples"] < 1:
-        raise UsageError("samples must be >= 1")
     return cfg
-
-
-def _out_dir(cfg) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -169,22 +99,15 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _write_meta(out: Path, command: str, cfg: dict, outputs: list[str]) -> None:
-    meta = {
-        "command": command,
-        "version": moluq.__version__,
-        "config": {k: v for k, v in sorted(cfg.items()) if k != "out"},
-        "outputs": sorted(outputs),
-    }
+    meta = {"command": command, "version": moluq.__version__, "outputs": sorted(outputs),
+            "config": {k: v for k, v in sorted(cfg.items()) if k != "out"}}
     (out / f"{command}_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _resolve_input(cfg: dict, key: str, default: str | None = None) -> str:
-    """Resolve an input path and pin the absolute form into the config.
-
-    The pinned path lands in the metadata sidecar, which makes a sidecar
-    sufficient to replay the run from any output directory.
-    """
-    path = cfg.get(key) or default
+    """The absolute path of input ``key``, pinned into the config so that the
+    sidecar replays the run from any output directory."""
+    path = cfg[key] or default
     if not path:
         raise UsageError(f"config key {key!r} (an input path) is required")
     resolved = Path(path)
@@ -194,13 +117,21 @@ def _resolve_input(cfg: dict, key: str, default: str | None = None) -> str:
     return cfg[key]
 
 
+def _load_input(cfg: dict, key: str, table: schema.Key):
+    """The JSON data file that config key ``key`` names, checked against ``table``."""
+    path = _resolve_input(cfg, key)
+    return _check_file(_load_json(path), table, path)
+
+
 def _load_structure(cfg) -> molio.Structure:
     from moluq import molio
 
     path = _resolve_input(cfg, "structure")
     s = molio.parse_pdb(_read_text(path))
-    if cfg.get("params"):
-        table = molio.ParamTable.from_json(_read_text(_resolve_input(cfg, "params")))
+    if cfg["params"]:
+        text = _read_text(_resolve_input(cfg, "params"))
+        _check_file(json.loads(text), schema.PARAMS, cfg["params"])
+        table = molio.ParamTable.from_json(text)
     else:
         table = molio.ParamTable.default()
     return molio.assign_params(s, table)
@@ -215,36 +146,33 @@ def _map_workers(fn, items, workers: int):
         return list(pool.map(fn, items))
 
 
-# ---------------------------------------------------------------- sample
-
 def run_sample(cfg) -> list[str]:
     from moluq import conformers, molio
 
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     if cfg["samples"] is None:
         raise UsageError("--samples is required for 'sample' (no built-in default: "
                          "use 'saturate' to pick a count)")
+    if cfg["fixed_chains"] and cfg["mode"] != "cartesian":
+        raise UsageError(f"config key 'fixed_chains' pins chains in mode 'cartesian' only, "
+                         f"not in mode {cfg['mode']!r}")
     s = molio.detect_bonds(_load_structure(cfg))
-    seed, n = int(cfg["seed"]), int(cfg["samples"])
-    clash = cfg["clash_factor"]
-    _check_chains(s.chains, cfg["fixed_chains"])
+    seed, n, clash = cfg["seed"], cfg["samples"], cfg["clash_factor"]
     if cfg["mode"] == "cartesian":
+        _check_chains(s.chains, cfg["fixed_chains"])
         sigmas = conformers.cartesian_sigmas(s)
         for chain in cfg["fixed_chains"]:
             sigmas[s.chains[chain]] = 0.0
         ens = conformers.sample_cartesian_ensemble(s, seed, n, clash_factor=clash,
                                                    sigmas=sigmas)
-    elif cfg["mode"] == "torsion":
-        if cfg.get("torsion_dihedrals"):
-            spec = _load_json(_resolve_input(cfg, "torsion_dihedrals"))
-            dihedrals = [(tuple(d["atoms"]), d.get("lower", -np.pi), d.get("upper", np.pi))
-                         for d in spec["dihedrals"]]
-            graph = conformers.torsion_graph_from_dihedrals(s, dihedrals)
+    else:
+        if cfg["torsion_dihedrals"]:
+            spec = _load_input(cfg, "torsion_dihedrals", schema.DIHEDRALS)
+            graph = conformers.torsion_graph_from_dihedrals(
+                s, [(tuple(d["atoms"]), d["lower"], d["upper"]) for d in spec["dihedrals"]])
         else:
             graph = conformers.build_torsion_graph(s)
         ens = conformers.sample_torsion_ensemble(graph, seed, n, clash_factor=clash)
-    else:
-        raise UsageError(f"unknown sampling mode {cfg['mode']!r}")
 
     kept = np.flatnonzero(ens.accepted)
     if not kept.size:
@@ -253,32 +181,12 @@ def run_sample(cfg) -> list[str]:
     # stage's memory peak while the text is built
     pdb_text = molio.write_pdb_models(s, [ens.coords[i] for i in kept], (kept + 1).tolist())
     (out / "ensemble.pdb").write_text(pdb_text)
-    manifest = {
-        "seed": seed,
-        "samples": n,
-        "mode": cfg["mode"],
-        "sequence": ens.sequence_kind,
-        "clash_factor": clash,
-        "accepted": kept.tolist(),
-        "rejected": [{"sample_index": i, "reason": reason}
-                     for i, reason in enumerate(ens.reasons) if reason is not None],
-    }
+    manifest = {"seed": seed, "samples": n, "mode": cfg["mode"], "sequence": ens.sequence_kind,
+                "clash_factor": clash, "accepted": kept.tolist(),
+                "rejected": [{"sample_index": i, "reason": reason}
+                             for i, reason in enumerate(ens.reasons) if reason is not None]}
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return ["ensemble.pdb", "manifest.json"]
-
-
-# ---------------------------------------------------------------- qoi
-
-def _qoi_config(cfg) -> qoi.QOIConfig:
-    from moluq import qoi
-
-    diel = cfg["dielectric"]
-    return qoi.QOIConfig(
-        probe=float(cfg["probe"]), n_points=int(cfg["n_points"]),
-        spacing=float(cfg["spacing"]),
-        coulomb=qoi.CoulombModel(mode=diel["mode"], value=float(diel["value"])),
-        solvent_dielectric=float(cfg["solvent_dielectric"]),
-    )
 
 
 def _check_chains(chains: dict[str, list[int]], names) -> None:
@@ -315,11 +223,15 @@ def _ensemble_models(cfg, s: molio.Structure) -> tuple[str, np.ndarray]:
 def run_qoi(cfg) -> list[str]:
     from moluq import molio, qoi
 
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     s = molio.detect_bonds(_load_structure(cfg))
     ensemble_path, coords = _ensemble_models(cfg, s)
     kinds = [qoi.QOIKind(k) for k in cfg["qoi"]]
-    qcfg = _qoi_config(cfg)
+    diel = cfg["dielectric"]
+    qcfg = qoi.QOIConfig(
+        probe=float(cfg["probe"]), n_points=cfg["n_points"], spacing=float(cfg["spacing"]),
+        coulomb=qoi.CoulombModel(mode=diel["mode"], value=float(diel["value"])),
+        solvent_dielectric=float(cfg["solvent_dielectric"]))
     idx_a, idx_b = _split_chains(s, cfg)
     if any(k.is_delta for k in kinds) and not idx_b:
         raise ValueError("delta QOIs need two chains (set chain_a/chain_b)")
@@ -333,8 +245,7 @@ def run_qoi(cfg) -> list[str]:
         if len(recorded) == len(coords):
             indices = recorded
     samples = [(-1, s.positions())] + list(zip(indices, coords))
-    rows = _map_workers(lambda item: (item[0], evaluate(item[1])), samples,
-                        int(cfg["workers"]))
+    rows = _map_workers(lambda item: (item[0], evaluate(item[1])), samples, cfg["workers"])
     _write_csv(out / "qoi_values.csv", ["qoi", "sample_index", "value"],
                ([kind.value, sample_index, _fmt(row[kind.value])]
                 for kind in kinds for sample_index, row in rows))
@@ -377,12 +288,10 @@ def _load_streams(cfg):
     return streams, tuple(float(t) for t in cfg["t_grid"])
 
 
-# ---------------------------------------------------------------- certify
-
 def run_certify(cfg) -> list[str]:
     from moluq import certificates
 
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     streams, t_grid = _load_streams(cfg)
 
     cert_rows, z_rows = [], []
@@ -403,12 +312,10 @@ def run_certify(cfg) -> list[str]:
     return ["certificates.csv", "certificates.txt", "zscores.csv"]
 
 
-# ---------------------------------------------------------------- saturate
-
 def run_saturate(cfg) -> list[str]:
     from moluq import certificates
 
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     streams, t_grid = _load_streams(cfg)
     outputs = []
     reports = []
@@ -435,61 +342,35 @@ def run_saturate(cfg) -> list[str]:
     return outputs
 
 
-# ---------------------------------------------------------------- bound
-
-def _box(raw, where: str) -> bounds.BoxDomain:
-    """The box of the JSON array ``raw`` of [lower, upper] intervals, which
-    ``where`` names in errors."""
-    from moluq import bounds
-
-    return bounds.BoxDomain(tuple(tuple(_numbers(iv, f"{where}: interval {i}", 2))
-                                  for i, iv in enumerate(_expect(raw, list, where))))
-
-
 def run_bound(cfg) -> list[str]:
     from moluq import bounds
 
-    out = _out_dir(cfg)
-    spec_cfg, where = cfg.get("bound"), "config key 'bound'"
-    if spec_cfg is None:
-        where = _resolve_input(cfg, "bound_config")
-        spec_cfg = _load_json(where)
-    t_grid = _expect(spec_cfg, dict, where).get("t_grid", cfg["t_grid"])
-    t_where = f"{where}: t_grid" if "t_grid" in spec_cfg else "config key 't_grid'"
-    t_grid = _numbers(t_grid, t_where).tolist()
-    mode = spec_cfg.get("mode", "single")
-    mc_draws = int(_number(spec_cfg.get("mc_draws", 0), f"{where}: mc_draws"))
-    rng = np.random.default_rng(int(_number(spec_cfg.get("mc_seed", cfg["seed"]),
-                                            f"{where}: mc_seed")))
+    out = Path(cfg["out"])
+    spec = cfg["bound"] or _load_input(cfg, "bound_config", schema.BOUND)
+    mode, mc_draws = spec["mode"], spec["mc_draws"]
+    t_grid = [float(t) for t in (cfg["t_grid"] if spec["t_grid"] is None else spec["t_grid"])]
+    rng = np.random.default_rng(cfg["seed"] if spec["mc_seed"] is None else spec["mc_seed"])
 
     def draw(box):  # mc_draws uniform points of the box
         return box.lowers() + rng.random((mc_draws, box.dim)) * (box.uppers() - box.lowers())
 
     deviations: list[float] = []
     if mode == "azuma":
-        aspec = bounds.AzumaSpec(tuple(_numbers(_field(spec_cfg, "c", where), f"{where}: c")))
+        aspec = bounds.AzumaSpec(spec["c"])
         bound_at = lambda t: bounds.azuma_tail(aspec, t)
-    elif mode in ("single", "pairwise"):
-        terms = _field(_field(spec_cfg, "kernel", where), "terms", f"{where}: kernel")
-        kspec = bounds.KernelSpec(tuple(
-            tuple(_numbers(term, f"{where}: kernel term {k}", 2))
-            for k, term in enumerate(_expect(terms, list, f"{where}: kernel terms"))))
+    else:
+        kspec = bounds.KernelSpec(spec["kernel"]["terms"])
         if mode == "single":
-            box = _box(_field(spec_cfg, "box", where), f"{where}: box")
+            box = bounds.BoxDomain(spec["box"])
             deviations = [bounds.d3_bound(kspec, box, i) for i in range(box.dim)]
             bound_at = lambda t: bounds.mcdiarmid_tail(deviations, t)
             points = [draw(box)]
         else:
-            def boxes(key):
-                entries = _expect(_field(spec_cfg, key, where), list, f"{where}: {key}")
-                return [_box(b, f"{where}: {key} entry {k}") for k, b in enumerate(entries)]
-
-            boxes_a, boxes_b = boxes("boxes_a"), boxes("boxes_b")
+            boxes_a, boxes_b = ([bounds.BoxDomain(b) for b in spec[key]]
+                                for key in ("boxes_a", "boxes_b"))
             bound_at = lambda t: bounds.pairwise_sum_tail(kspec, boxes_a, boxes_b, t)
             # one difference per pair of boxes, drawn lazily: a's point, then b's
             points = (draw(bb) - xa for xa in map(draw, boxes_a) for bb in boxes_b)
-    else:
-        raise UsageError(f"unknown bound mode {mode!r}")
 
     header, mc_values = ["t", "bound"], None
     if mc_draws and mode != "azuma":
@@ -510,46 +391,30 @@ def run_bound(cfg) -> list[str]:
     return ["bounds.csv", "deviations.json"]
 
 
-# ---------------------------------------------------------------- bindsite
-
-def _load_poses(raw, where: str) -> list[bindsite.Pose]:
-    """The poses of the JSON array ``raw``, which ``where`` names in errors."""
-    from moluq import bindsite
-
-    poses = []
-    for j, entry in enumerate(_expect(raw, list, where)):
-        pose = f"{where}: pose {j}"
-        poses.append(bindsite.Pose(
-            rotation=_numbers(_field(entry, "rotation", pose), f"{pose}: rotation", 9)
-            .reshape(3, 3),
-            translation=_numbers(_field(entry, "translation", pose), f"{pose}: translation", 3)))
-    return poses
-
-
 def run_bindsite(cfg) -> list[str]:
     from moluq import bindsite, conformers, molio, vizgrid
 
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     receptor = _load_structure(cfg)
     ligand, ligand_coords = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))
     poses_path = _resolve_input(cfg, "poses")
-    raw = _expect(_load_json(poses_path), list, poses_path)
+    raw = _load_json(poses_path)
     model = bindsite.ContactModel(cutoff=float(cfg["contact_cutoff"]))
 
     # a grouped file pairs group k with ligand model k; a flat pose list
     # places the first model only
-    if raw and isinstance(raw[0], dict) and "poses" in raw[0]:
-        pose_lists = []
-        for k, group in enumerate(raw):
-            where = f"{poses_path}: pose group {k}"
-            poses = _field(group, "poses", where)
-            if group.get("model", k) != k:
+    if isinstance(raw, list) and raw and isinstance(raw[0], dict) and "poses" in raw[0]:
+        groups = _check_file(raw, schema.POSE_GROUPS, poses_path)
+        for k, group in enumerate(groups):
+            if group["model"] not in (None, k):
                 raise DataFormatError(f"{poses_path}: pose group {k} names model "
                                       f"{group['model']!r}; group k must hold model k's poses")
-            pose_lists.append(_load_poses(poses, where))
     else:
-        pose_lists = [_load_poses(raw, poses_path)]
+        groups = [{"poses": _check_file(raw, schema.POSES, poses_path)}]
         ligand_coords = ligand_coords[:1]
+    pose_lists = [[bindsite.Pose(rotation=np.reshape(pose["rotation"], (3, 3)),
+                                 translation=pose["translation"]) for pose in group["poses"]]
+                  for group in groups]
     site_map = bindsite.binding_site_prob_multi(
         receptor, conformers.Ensemble(ligand, ligand_coords), pose_lists, model)
 
@@ -570,8 +435,6 @@ def run_bindsite(cfg) -> list[str]:
             "bindsite_colors.csv", "bindsite_colors.pml"]
 
 
-# ---------------------------------------------------------------- volmap / modes
-
 def _load_ensemble(cfg) -> conformers.Ensemble:
     from moluq import conformers
 
@@ -582,10 +445,10 @@ def _load_ensemble(cfg) -> conformers.Ensemble:
 def run_volmap(cfg) -> list[str]:
     from moluq import vizgrid
 
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     ens = _load_ensemble(cfg)
     grid = vizgrid.occupancy_map(ens, spacing=float(cfg["spacing"]),
-                                 radius_mode=cfg.get("radius_mode", "vdw"))
+                                 radius_mode=cfg["radius_mode"])
     (out / "occupancy.dx").write_text(vizgrid.write_grid(grid))
     return ["occupancy.dx"]
 
@@ -593,7 +456,7 @@ def run_volmap(cfg) -> list[str]:
 def run_modes(cfg) -> list[str]:
     from moluq import conformers
 
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     ens = _load_ensemble(cfg)
     variances, axes = conformers.atom_motion_modes(ens)
     _write_csv(out / "modes.csv",
@@ -604,18 +467,9 @@ def run_modes(cfg) -> list[str]:
     return ["modes.csv"]
 
 
-# ---------------------------------------------------------------- dispatch
-
-COMMANDS = {
-    "sample": run_sample,
-    "qoi": run_qoi,
-    "certify": run_certify,
-    "saturate": run_saturate,
-    "bound": run_bound,
-    "bindsite": run_bindsite,
-    "volmap": run_volmap,
-    "modes": run_modes,
-}
+COMMANDS = {"sample": run_sample, "qoi": run_qoi, "certify": run_certify,
+            "saturate": run_saturate, "bound": run_bound, "bindsite": run_bindsite,
+            "volmap": run_volmap, "modes": run_modes}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -630,22 +484,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--workers", type=int, default=None)
+        for flag in _INT_FLAGS:
+            p.add_argument(f"--{flag}", type=int, default=None)
         p.add_argument("--out", default=None)
     replay = sub.add_parser("replay")
     replay.add_argument("sidecar", help="a <command>_meta.json from a previous run")
     replay.add_argument("--out", default=None)
     return parser
-
-
-def _data_errors() -> tuple[type[Exception], ...]:
-    """The exceptions that exit 2.  Called only once an exception reaches
-    ``main``'s handlers, so a stage that never reads a PDB loads no molio."""
-    from moluq.molio import PdbParseError
-
-    return PdbParseError, DataFormatError, json.JSONDecodeError
 
 
 def main(argv=None) -> int:
@@ -662,18 +507,20 @@ def main(argv=None) -> int:
             cfg = load_config(args, meta.get("config"), f"{args.sidecar}: config")
         else:
             cfg = load_config(args)
+        Path(cfg["out"]).mkdir(parents=True, exist_ok=True)
         outputs = COMMANDS[command](cfg)
-        _write_meta(_out_dir(cfg), command, cfg, outputs)
+        _write_meta(Path(cfg["out"]), command, cfg, outputs)
         return 0
     except UsageError as exc:
         print(f"moluq: usage error: {exc}", file=sys.stderr)
         return 1
-    except _data_errors() as exc:
-        print(f"moluq: data error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, KeyError) as exc:
-        print(f"moluq: domain error: {exc}", file=sys.stderr)
-        return 3
+        # molio loads here, on the error path: a stage that reads no PDB never loads it
+        from moluq.molio import PdbParseError
+
+        data = isinstance(exc, (PdbParseError, DataFormatError, json.JSONDecodeError))
+        print(f"moluq: {'data' if data else 'domain'} error: {exc}", file=sys.stderr)
+        return 2 if data else 3
 
 
 if __name__ == "__main__":

@@ -218,6 +218,8 @@ def torsion_graph_from_dihedrals(s: Structure, dihedrals) -> TorsionGraph:
     adj = bond_adjacency(s.bonds, s.n_atoms)
     specs = []
     for atoms, lower, upper in dihedrals:
+        if not all(0 <= a < s.n_atoms for a in atoms):
+            raise ValueError(f"dihedral {atoms}: atom indices must lie in [0, {s.n_atoms})")
         i, j, k, l = atoms
         downstream = _downstream_of(adj, j, k)
         if l not in downstream:

@@ -267,8 +267,8 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
     """Effective Born radii by pairwise volume descreening (Angstrom).
 
     1/R_i = 1/rho_i - sum_j V_j / (4 pi r_ij^4) with V_j the sphere volume of
-    atom j, clamped so R_i >= rho_i / 2 (deep burial would otherwise drive
-    the inverse radius negative).  Rows i run in blocks of at most
+    atom j, clamped so R_i >= rho_i / 2; deep burial, 1/R_i <= 0, takes that
+    floor.  Rows i run in blocks of at most
     ``_BLOCK_ELEMENTS`` pairs (one row when n is larger), built in two
     buffers reused from block to block.  Each block's r_ii^2 is set to inf,
     so the coincident-atom test skips it and its term rho_i^3 / (3 inf^2) is
@@ -303,8 +303,7 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
             descreen.reshape(-1)[lo::n + 1] = 0.0
             descreened[rows] = descreen.sum(axis=1)
         inv = inv - descreened
-    raw = np.where(inv != 0.0, 1.0 / np.where(inv != 0.0, inv, 1.0), np.inf)
-    return np.maximum(raw, rho / 2.0)
+    return np.maximum(1.0 / np.where(inv > 0.0, inv, np.inf), rho / 2.0)  # 1 / inf = 0
 
 
 def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 80.0) -> float:

@@ -277,6 +277,43 @@ class TestTorsionMode:
                 d1 = np.linalg.norm(m[i] - m[j])
                 assert abs(d0 - d1) < 2e-3  # PDB coordinates carry 3 decimals
 
+    def test_fixed_chains_outside_cartesian_mode_is_a_usage_error(self, workspace, capsys):
+        # torsion mode once ignored fixed_chains and moved the pinned chain's atoms
+        cfg = write_config(workspace, mode="torsion", samples=2, fixed_chains=["A"])
+        capsys.readouterr()
+        assert main(["sample", "--config", str(cfg)]) == 1
+        assert ("config key 'fixed_chains' pins chains in mode 'cartesian' only, "
+                "not in mode 'torsion'") in capsys.readouterr().err
+        assert not (workspace / "run" / "ensemble.pdb").exists()
+
+    @pytest.mark.parametrize("spec, code, what", [
+        ({"dihed": []}, 2, "dihed is not a known key; did you mean 'dihedrals'?"),
+        ({"dihedrals": [{"atoms": [0, 1, 2]}]}, 2,
+         "dihedrals[0].atoms must be 4 integers, not [0, 1, 2]"),
+        ({"dihedrals": [{"atoms": [0, 1, 2, 3], "lower": "x"}]}, 2,
+         'dihedrals[0].lower must be a number, not "x"'),
+        ({"dihedrals": [{"atoms": [-1, 0, 1, 2]}]}, 3,
+         "dihedral (-1, 0, 1, 2): atom indices must lie in [0, 6)"),
+        ({"dihedrals": [{"atoms": [9, 0, 1, 2]}]}, 3,
+         "dihedral (9, 0, 1, 2): atom indices must lie in [0, 6)"),
+    ], ids=["misspelled_key", "three_atoms", "lower_string", "negative_index",
+            "index_past_the_end"])
+    def test_malformed_dihedral_file(self, workspace, capsys, spec, code, what):
+        # these exited 3 naming only a key, ended in tracebacks, or (the
+        # negative index) sampled a wrapped-around dihedral with exit 0
+        from conftest import zigzag_chain
+        s = make_structure(zigzag_chain(6), bonds=tuple((i, i + 1) for i in range(5)))
+        (workspace / "chain.pdb").write_text(write_pdb(s))
+        path = workspace / "dihedrals.json"
+        path.write_text(json.dumps(spec))
+        cfg = write_config(workspace, structure=str(workspace / "chain.pdb"), mode="torsion",
+                           samples=2, clash_factor=None, torsion_dihedrals=str(path))
+        capsys.readouterr()
+        assert main(["sample", "--config", str(cfg)]) == code
+        err = capsys.readouterr().err
+        assert err.endswith(f"{what}\n"), err
+        assert code == 3 or err.startswith(f"moluq: data error: {path}: ")
+
     def test_torsion_mode_autodetects_rotatable_bonds(self, workspace):
         from conftest import zigzag_chain
         chain = zigzag_chain(6)
@@ -367,12 +404,12 @@ class TestBound:
         assert capsys.readouterr().err == f"moluq: data error: {path} has no {missing!r}\n"
 
     @pytest.mark.parametrize("change, what", [
-        ({"boxes_a": [[1, 2]]}, "boxes_a entry 0: interval 0 must be 2 numbers, not 1"),
-        ({"kernel": {"terms": [[1.0]]}}, "kernel term 0 must be 2 numbers, not [1.0]"),
+        ({"boxes_a": [[1, 2]]}, "boxes_a[0][0] must be an array, not 1"),
+        ({"kernel": {"terms": [[1.0]]}}, "kernel.terms[0] must be 2 numbers, not [1.0]"),
         ({"boxes_b": [[[5.0, 5.5, 6.0]]]},
-         "boxes_b entry 0: interval 0 must be 2 numbers, not [5.0, 5.5, 6.0]"),
-        ({"t_grid": 0.1}, "t_grid must be a JSON array, not float"),
-        ({"mc_draws": [100]}, "mc_draws must be a number, not [100]"),
+         "boxes_b[0][0] must be 2 numbers, not [5.0, 5.5, 6.0]"),
+        ({"t_grid": 0.1}, "t_grid must be an array or null, not 0.1"),
+        ({"mc_draws": [100]}, "mc_draws must be an integer, not [100]"),
     ], ids=["box_of_numbers", "kernel_term_of_one_number", "interval_of_three_numbers",
             "t_grid_of_one_number", "mc_draws_array"])
     def test_malformed_bound_config_value_is_a_data_error(self, workspace, capsys, change,
@@ -397,7 +434,7 @@ class TestBound:
         cfg = write_config(workspace, bound_config=str(path))
         capsys.readouterr()
         assert main(["bound", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == (f"moluq: data error: {path}: box: interval 1 "
+        assert capsys.readouterr().err == (f"moluq: data error: {path}: box[1] "
                                            f"must be 2 numbers, not [1, 2, 3]\n")
 
 
@@ -484,17 +521,17 @@ class TestBindsite:
         assert res_rows[0] == "chain,residue_seq,residue_name,p_bs"
 
     @pytest.mark.parametrize("raw, what", [
-        ([{"model": 0}], "pose 0 has no 'rotation'"),
-        ({"a": 1}, "must be a JSON array, not dict"),
-        ([1, 2], "pose 0 must be a JSON object, not int"),
-        ([{"model": 0, "poses": []}, {"model": 1}], "pose group 1 has no 'poses'"),
+        ([{"model": 0}], "[0].model is not a known key"),
+        ({"a": 1}, 'must be an array, not {"a": 1}'),
+        ([1, 2], "[0] must be an object, not 1"),
+        ([{"model": 0, "poses": []}, {"model": 1}], "[1] has no 'poses'"),
         ([{"model": 0, "poses": [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1]}]}],
-         "pose group 0: pose 0 has no 'translation'"),
+         "[0].poses[0] has no 'translation'"),
         # this one exited 3 with numpy's reshape message, naming no file
         ([{"rotation": [1, 0, 0, 0], "translation": [0, 0, 0]}],
-         "pose 0: rotation must be 9 numbers, not [1, 0, 0, 0]"),
+         "[0].rotation must be 9 numbers, not [1, 0, 0, 0]"),
         ([{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, "x", 0]}],
-         "pose 0: translation must be 3 numbers, not [0, \"x\", 0]"),
+         '[0].translation[1] must be a number, not "x"'),
     ], ids=["pose_without_rotation", "top_level_object", "pose_not_an_object",
             "group_without_poses", "grouped_pose_without_translation",
             "rotation_of_four_numbers", "translation_not_numbers"])
@@ -596,7 +633,7 @@ class TestReplayAndExitCodes:
         return out / "certify_meta.json", (out / "certificates.csv").read_bytes()
 
     @pytest.mark.parametrize("change, message", [
-        ({"t_grid": "abc"}, "config key 't_grid' must be an array, not 'abc'"),
+        ({"t_grid": "abc"}, "config key 't_grid' must be an array, not \"abc\""),
         ({"command": "nosuch"}, "not the sidecar of a moluq command (its command: 'nosuch')"),
         ({"config": [1]}, "config: a run config must be a JSON object, not list"),
     ], ids=["t_grid_string", "unknown_command", "config_not_an_object"])
@@ -638,8 +675,9 @@ class TestReplayAndExitCodes:
 
     @pytest.mark.parametrize("command, raw, message", [
         ("sample", [1, 2], "a run config must be a JSON object, not list"),
-        ("sample", {"samples": "4"}, "config key 'samples' must be a number, not '4'"),
-        ("qoi", {"n_points": [960]}, "config key 'n_points' must be a number, not [960]"),
+        ("sample", {"samples": "4"},
+         "config key 'samples' must be an integer or null, not \"4\""),
+        ("qoi", {"n_points": [960]}, "config key 'n_points' must be an integer, not [960]"),
         ("certify", {"t_grid": 5}, "config key 't_grid' must be an array, not 5"),
         ("qoi", {"dielectric": 1.0}, "config key 'dielectric' must be an object, not 1.0"),
     ], ids=["top_level_list", "samples_string", "n_points_list", "t_grid_number",
@@ -655,6 +693,62 @@ class TestReplayAndExitCodes:
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, raw, message", [
+        (["sample"], {"smaples": 3},
+         "config key 'smaples' is not a known key; did you mean 'samples'?"),
+        (["sample"], {"seed": 1.5}, "config key 'seed' must be an integer, not 1.5"),
+        (["sample"], {"samples": True},
+         "config key 'samples' must be an integer or null, not true"),
+        (["sample", "--samples", "0"], {}, "config key 'samples' must be >= 1, not 0"),
+        (["qoi"], {"workers": 0}, "config key 'workers' must be >= 1, not 0"),
+        (["qoi"], {"n_points": 2.5}, "config key 'n_points' must be an integer, not 2.5"),
+        (["certify"], {"t_grid": ["a"]}, "config key 't_grid[0]' must be a number, not \"a\""),
+        (["qoi"], {"qoi": ["area", "bogus"]},
+         "config key 'qoi[1]' must be one of \"area\", \"volume\", \"lj\", \"coulomb\""),
+        (["qoi"], {"dielectric": {"mode": "weird"}}, "config key 'dielectric.mode' must be "
+         "one of \"constant\", \"distance_dependent\", not \"weird\""),
+        (["qoi"], {"dielectric": {"mode": "constant"}}, "config key 'dielectric' has no 'value'"),
+        (["certify"], {"values": 7}, "config key 'values' must be a string or null, not 7"),
+        (["saturate"], {"saturation_mode": "bogus"},
+         "config key 'saturation_mode' must be one of \"incremental\", \"full\", not \"bogus\""),
+        (["volmap"], {"radius_mode": "abc"},
+         "config key 'radius_mode' must be one of \"vdw\", not \"abc\""),
+        (["bound"], {"bound": {"kernel": {"terms": [[1.0, 1.0]]}, "box": [[1.0, 2.0]],
+                               "mc_draws": -1}},
+         "config key 'bound.mc_draws' must be >= 0, not -1"),
+        (["bound"], {"bound": {"mode": "azuma"}}, "config key 'bound' has no 'c'"),
+    ], ids=["misspelled_key", "seed_fraction", "samples_bool", "samples_flag_zero",
+            "workers_zero", "n_points_fraction", "t_grid_string", "qoi_unknown",
+            "dielectric_mode", "dielectric_without_value", "values_number",
+            "saturation_mode", "radius_mode", "inline_mc_draws", "inline_azuma_without_c"])
+    def test_config_outside_the_table_exits_1(self, workspace, capsys, argv, raw, message):
+        # the misspelled key, the fractions and workers 0 once exited 0 (the
+        # key ignored, the values truncated); the rest exited 2 or 3 naming no
+        # key, or ended in a traceback
+        cfg = write_config(workspace, **raw)
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert message in capsys.readouterr().err
+        assert not (workspace / "run").exists()
+
+    @pytest.mark.parametrize("raw, what", [
+        ([1, 2], " must be an object, not [1, 2]"),
+        ({"elements": {"C": {"radius": 1.7, "lj_a": 1.0, "lj_b": 1.0}}},
+         ": elements.C has no 'charge'"),
+        ({"overrides": [{"residue": "GLY", "atom": "CA", "radius": "x", "charge": 0.0,
+                         "lj_a": 1.0, "lj_b": 1.0}]},
+         ': overrides[0].radius must be a number, not "x"'),
+    ], ids=["top_level_list", "row_without_charge", "radius_string"])
+    def test_malformed_parameter_file_is_a_data_error(self, workspace, capsys, raw, what):
+        # the list ended in an AttributeError traceback, the missing charge
+        # exited 3 with "domain error: 'charge'"
+        path = workspace / "params.json"
+        path.write_text(json.dumps(raw))
+        cfg = write_config(workspace, samples=2, params=str(path))
+        capsys.readouterr()
+        assert main(["sample", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"moluq: data error: {path}{what}\n"
 
     def test_domain_error_exit_3(self, workspace):
         out = workspace / "run"
@@ -688,7 +782,27 @@ class TestReplayAndExitCodes:
         assert one == many
 
 
-# the moluq modules besides the package and moluq.cli that each command runs
+def test_readme_lists_the_run_config_table():
+    """README.md's run-config table lists exactly the schema's keys, each
+    with its JSON type and default."""
+    import re
+    from moluq import schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Run config\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]+) \| `([^`]*)` \|", section, re.MULTILINE)
+    assert {key: (kind.strip(), json.loads(default)) for key, kind, default in rows} == {
+        key: (spec.type.replace("|", " or "), spec.default)
+        for key, spec in schema.CONFIG.items()}
+    assert len(rows) == len(schema.CONFIG)
+
+
+def test_schema_lists_every_qoi_kind():
+    from moluq import qoi, schema
+    assert list(schema.QOI_NAMES) == [k.value for k in qoi.QOIKind]
+
+
+# the moluq modules besides the package, moluq.cli and moluq.schema that each
+# command runs
 STAGE_MODULES = {
     "sample": {"molio", "pairs", "conformers", "sampling"},
     "qoi": {"molio", "pairs", "qoi", "vizgrid"},
@@ -704,8 +818,9 @@ STAGE_MODULES = {
 class TestImportHygiene:
     def test_each_command_loads_only_the_modules_it_runs(self, workspace):
         """A fresh interpreter per command runs ``main`` and lists the moluq
-        modules it loaded: a stage compiles no module it does not call, and
-        only ``--workers 2`` loads concurrent.futures."""
+        modules it loaded: a stage compiles no module it does not call, only
+        ``--workers 2`` loads concurrent.futures, and difflib, which only an
+        unknown config key needs, never loads."""
         import moluq
         lig = make_structure([[0.0, 3.0, 0.0]])
         (workspace / "ligand.pdb").write_text(write_pdb(lig))
@@ -723,6 +838,7 @@ class TestImportHygiene:
 
             code = moluq.cli.main(json.loads(sys.argv[1]))
             print(json.dumps({"exit": code, "futures": "concurrent.futures" in sys.modules,
+                              "difflib": "difflib" in sys.modules,
                               "modules": sorted(m for m in sys.modules
                                                 if m.split(".")[0] == "moluq")}))
         """)
@@ -733,8 +849,9 @@ class TestImportHygiene:
                                     env=env, capture_output=True, text=True, timeout=300)
             assert result.returncode == 0, result.stderr
             got = json.loads(result.stdout.splitlines()[-1])
-            want = ["moluq", "moluq.cli"] + [f"moluq.{m}" for m in STAGE_MODULES[argv[0]]]
-            assert got == {"exit": 0, "futures": argv[-1] == "2",
+            want = ["moluq", "moluq.cli", "moluq.schema"] + [
+                f"moluq.{m}" for m in STAGE_MODULES[argv[0]]]
+            assert got == {"exit": 0, "futures": argv[-1] == "2", "difflib": False,
                            "modules": sorted(want)}, argv
 
     def test_no_source_file_imports_scipy(self):

@@ -37,6 +37,6 @@ def test_workload_hashes_repeat(tmp_path):
 def test_failed_stage_is_named(tmp_path):
     module = _load()
     spec = small_surface(module)
-    spec["config"]["qoi"] = ["no_such_qoi"]
+    spec["config"]["probe"] = -1.0  # a domain error that only the qoi stage meets
     with pytest.raises(module.StageFailed, match=r"^surface-1 qoi: exit code 3: moluq: "):
         module.workload_hashes("surface", spec, 1, tmp_path)

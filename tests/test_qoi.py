@@ -74,7 +74,7 @@ def brute_born(pos, rho):
                 continue
             r = math.dist(pos[i], pos[j])
             inv -= rho[j] ** 3 / (3 * r**4)
-        r_i = (1.0 / inv) if inv != 0 else math.inf
+        r_i = 1.0 / inv if inv > 0 else 0.0  # deep burial takes the rho/2 floor
         out.append(max(r_i, rho[i] / 2))
     return np.array(out)
 
@@ -191,6 +191,15 @@ class TestBornRadii:
         a = random_atomset(rng, n=12)
         np.testing.assert_allclose(born_radii(a.positions, a.radii),
                                    brute_born(a.positions, a.radii), rtol=1e-12)
+
+    def test_zero_inverse_radius_is_deep_burial(self):
+        # atom 0's descreening sum equals 1/rho exactly: R was +inf, and the
+        # gb row then exited 3 on the infinite radius
+        pos = np.array([[0.0, 0, 0], [2.0, 0, 0]])
+        rb = born_radii(pos, [6.0, 2.0])
+        assert rb.tolist() == [3.0, 1.0]
+        np.testing.assert_array_equal(rb, brute_born(pos, [6.0, 2.0]))
+        assert math.isfinite(gb_polarization(pos, [0.5, -0.5], rb))
 
     def test_coincident_error(self):
         with pytest.raises(ValueError):
