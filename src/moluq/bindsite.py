@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from moluq.molio import Structure
-
-if TYPE_CHECKING:  # annotations only
-    from moluq.conformers import Ensemble
 
 
 @dataclass(frozen=True)
@@ -78,8 +74,24 @@ def _contact_rows(receptor_positions, placed, cutoff) -> np.ndarray:
     return (d2.min(axis=1) <= cutoff * cutoff).astype(float)
 
 
-def _contact_map(A: Structure, configs, m: ContactModel) -> BindingSiteMap:
-    """Contact fraction over (ligand positions, poses) pairs, each with k poses.
+def binding_site_prob(A: Structure, ligand_positions, poses,
+                      m: ContactModel = ContactModel()) -> BindingSiteMap:
+    """Fraction of poses contacting each receptor atom, for one (n, 3) array
+    of ligand positions: the one-draw case of :func:`binding_site_prob_multi`."""
+    poses = list(poses)
+    if not poses:
+        raise ValueError("need at least one pose")
+    return binding_site_prob_multi(A, [ligand_positions], [poses], m)
+
+
+def binding_site_prob_multi(A: Structure, ligand_coords, poses_per_conformer,
+                            m: ContactModel = ContactModel()) -> BindingSiteMap:
+    """Contact probability averaged over N ligand draws x k poses each.
+
+    ``ligand_coords`` holds the N (n, 3) draws, and every draw given counts
+    (pass ``ens.coords[ens.accepted]`` to leave out the draws a clash filter
+    rejected).  ``poses_per_conformer`` pairs positionally with the draws and
+    every draw must carry the same number of poses.
 
     Each pose is tested only against the receptor atoms inside the placed
     ligand's bounding box, widened by the cutoff plus a relative slack far
@@ -87,9 +99,17 @@ def _contact_map(A: Structure, configs, m: ContactModel) -> BindingSiteMap:
     axis, so its computed ``d2`` exceeds cutoff**2 and it would have added 0.
     ``hits`` keeps the exact counts of testing every atom.
     """
+    pose_lists = [list(p) for p in poses_per_conformer]
+    if len(pose_lists) != len(ligand_coords):
+        raise ValueError("need one pose list per conformer")
+    if not pose_lists:
+        raise ValueError("need at least one conformer")
+    k = len(pose_lists[0])
+    if k == 0 or any(len(p) != k for p in pose_lists):
+        raise ValueError("every conformer must have the same positive pose count")
     rec = A.positions()
     hits = np.zeros(A.n_atoms)
-    for positions, poses in configs:
+    for positions, poses in zip(ligand_coords, pose_lists):
         for pose in poses:
             placed = pose.apply(positions)
             near = slice(None)  # an empty ligand fails in _contact_rows, as it did
@@ -98,42 +118,8 @@ def _contact_map(A: Structure, configs, m: ContactModel) -> BindingSiteMap:
                 near = np.flatnonzero(((rec >= placed.min(axis=0) - reach)
                                        & (rec <= placed.max(axis=0) + reach)).all(axis=1))
             hits[near] += _contact_rows(rec[near], placed, m.cutoff)
-    k = len(configs[0][1])
-    return BindingSiteMap(probabilities=hits / (k * len(configs)),
+    return BindingSiteMap(probabilities=hits / (k * len(pose_lists)),
                           serials=tuple(A.serials.tolist()))
-
-
-def binding_site_prob(A: Structure, ligand_positions, poses,
-                      m: ContactModel = ContactModel()) -> BindingSiteMap:
-    """Fraction of poses contacting each receptor atom, for one (n, 3) array
-    of ligand positions."""
-    poses = list(poses)
-    if not poses:
-        raise ValueError("need at least one pose")
-    return _contact_map(A, [(ligand_positions, poses)], m)
-
-
-def binding_site_prob_multi(A: Structure, ensemble_b: Ensemble, poses_per_conformer,
-                            m: ContactModel = ContactModel()) -> BindingSiteMap:
-    """Contact probability averaged over N accepted ligand draws x k poses each.
-
-    ``poses_per_conformer`` pairs positionally with the draws of
-    ``ensemble_b.coords`` and every draw must carry the same number of poses;
-    draws the clash filter rejected are left out of the average.
-    """
-    pose_lists = [list(p) for p in poses_per_conformer]
-    if len(pose_lists) != len(ensemble_b.coords):
-        raise ValueError("need one pose list per conformer")
-    if not pose_lists:
-        raise ValueError("need at least one conformer")
-    k = len(pose_lists[0])
-    if k == 0 or any(len(p) != k for p in pose_lists):
-        raise ValueError("every conformer must have the same positive pose count")
-    configs = [(xyz, poses) for xyz, poses, ok
-               in zip(ensemble_b.coords, pose_lists, ensemble_b.accepted) if ok]
-    if not configs:
-        raise ValueError("no conformer of the ligand ensemble was accepted")
-    return _contact_map(A, configs, m)
 
 
 def inhibit_score(known_site, candidate: BindingSiteMap) -> float:

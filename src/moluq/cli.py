@@ -30,7 +30,7 @@ import moluq
 from moluq import schema
 
 if TYPE_CHECKING:  # annotations only; the commands import these when they run
-    from moluq import conformers, molio
+    from moluq import molio
 
 # the run config's defaults (perfbench/memory_pass.py reads them)
 DEFAULTS = {key: spec.default for key, spec in schema.CONFIG.items()}
@@ -241,7 +241,10 @@ def run_qoi(cfg) -> list[str]:
     indices = list(range(len(coords)))
     manifest_path = Path(ensemble_path).parent / "manifest.json"
     if manifest_path.exists():
-        recorded = json.loads(manifest_path.read_text()).get("accepted", [])
+        recorded = _check_file(json.loads(manifest_path.read_text()), schema.MANIFEST,
+                               str(manifest_path))["accepted"]
+        if len(set(recorded)) != len(recorded):
+            raise DataFormatError(f"{manifest_path}: accepted lists a sample index twice")
         if len(recorded) == len(coords):
             indices = recorded
     samples = [(-1, s.positions())] + list(zip(indices, coords))
@@ -392,11 +395,11 @@ def run_bound(cfg) -> list[str]:
 
 
 def run_bindsite(cfg) -> list[str]:
-    from moluq import bindsite, conformers, molio, vizgrid
+    from moluq import bindsite, molio, vizgrid
 
     out = Path(cfg["out"])
     receptor = _load_structure(cfg)
-    ligand, ligand_coords = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))
+    ligand_coords = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))[1]
     poses_path = _resolve_input(cfg, "poses")
     raw = _load_json(poses_path)
     model = bindsite.ContactModel(cutoff=float(cfg["contact_cutoff"]))
@@ -415,8 +418,7 @@ def run_bindsite(cfg) -> list[str]:
     pose_lists = [[bindsite.Pose(rotation=np.reshape(pose["rotation"], (3, 3)),
                                  translation=pose["translation"]) for pose in group["poses"]]
                   for group in groups]
-    site_map = bindsite.binding_site_prob_multi(
-        receptor, conformers.Ensemble(ligand, ligand_coords), pose_lists, model)
+    site_map = bindsite.binding_site_prob_multi(receptor, ligand_coords, pose_lists, model)
 
     atoms = zip(receptor.serials.tolist(), receptor.chain_ids.tolist(),
                 receptor.residue_seqs.tolist(), receptor.residue_names.tolist())
@@ -435,19 +437,12 @@ def run_bindsite(cfg) -> list[str]:
             "bindsite_colors.csv", "bindsite_colors.pml"]
 
 
-def _load_ensemble(cfg) -> conformers.Ensemble:
-    from moluq import conformers
-
-    s = _load_structure(cfg)
-    return conformers.Ensemble(s, _ensemble_models(cfg, s)[1])
-
-
 def run_volmap(cfg) -> list[str]:
     from moluq import vizgrid
 
     out = Path(cfg["out"])
-    ens = _load_ensemble(cfg)
-    grid = vizgrid.occupancy_map(ens, spacing=float(cfg["spacing"]),
+    s = _load_structure(cfg)
+    grid = vizgrid.occupancy_map(s, _ensemble_models(cfg, s)[1], spacing=float(cfg["spacing"]),
                                  radius_mode=cfg["radius_mode"])
     (out / "occupancy.dx").write_text(vizgrid.write_grid(grid))
     return ["occupancy.dx"]
@@ -457,13 +452,13 @@ def run_modes(cfg) -> list[str]:
     from moluq import conformers
 
     out = Path(cfg["out"])
-    ens = _load_ensemble(cfg)
-    variances, axes = conformers.atom_motion_modes(ens)
+    s = _load_structure(cfg)
+    variances, axes = conformers.atom_motion_modes(_ensemble_models(cfg, s)[1])
     _write_csv(out / "modes.csv",
                ["serial", "var1", "var2", "var3",
                 "v1x", "v1y", "v1z", "v2x", "v2y", "v2z", "v3x", "v3y", "v3z"],
                ([serial] + [_fmt(v) for v in var] + [_fmt(x) for x in ax.reshape(-1)]
-                for serial, var, ax in zip(ens.source.serials.tolist(), variances, axes)))
+                for serial, var, ax in zip(s.serials.tolist(), variances, axes)))
     return ["modes.csv"]
 
 

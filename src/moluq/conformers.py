@@ -52,32 +52,25 @@ class Conformer:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """``m`` draws of the positions of ``source``'s atoms, in its atom order.
+    """A sampler's result: ``m`` draws of the positions of ``source``'s atoms,
+    in its atom order.
 
     ``coords`` is (m, n, 3).  ``reasons`` holds one clash-filter rejection
-    reason per draw, None for a draw that was accepted; left out, every draw
-    is accepted.  ``accepted`` is the (m,) mask of draws whose reason is
+    reason per draw, None for a draw that was accepted (every draw, when no
+    filter ran).  ``accepted`` is the (m,) mask of draws whose reason is
     None.  ``sequence_kind`` names the low-discrepancy stream that drew them
-    (see LowDiscrepancySequence.kind), None for an ensemble read from a file.
+    (see LowDiscrepancySequence.kind).
     """
 
     source: Structure
     coords: np.ndarray
-    reasons: tuple[str | None, ...] | None = None
-    sequence_kind: str | None = None
+    reasons: tuple[str | None, ...]
+    sequence_kind: str
     accepted: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 3 or coords.shape[1:] != (self.source.n_atoms, 3):
-            raise ValueError(f"expected coords of shape (m, {self.source.n_atoms}, 3), "
-                             f"got {coords.shape}")
-        reasons = (None,) * len(coords) if self.reasons is None else tuple(self.reasons)
-        if len(reasons) != len(coords):
-            raise ValueError("need one rejection reason (or None) per draw")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "reasons", reasons)
-        object.__setattr__(self, "accepted", np.array([r is None for r in reasons], dtype=bool))
+        object.__setattr__(self, "accepted",
+                           np.array([r is None for r in self.reasons], dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -394,7 +387,7 @@ def sample_torsion_ensemble(
 def _screened(s: Structure, coords: np.ndarray, screen, sequence_kind: str) -> Ensemble:
     """The ensemble of ``coords`` with each draw's clash check, if any, run
     on stacks of at most ``_SCREEN_ATOMS`` atoms."""
-    reasons = None
+    reasons = (None,) * len(coords)
     if screen is not None:
         step = max(1, _SCREEN_ATOMS // max(s.n_atoms, 1))
         reasons = tuple(reason for lo in range(0, len(coords), step)
@@ -426,17 +419,19 @@ def rmsd(a, b, superpose: bool = False) -> float:
     return float(np.sqrt(((pa - pb) ** 2).sum() / pa.shape[0]))
 
 
-def atom_motion_modes(e: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Principal motion directions and variances per atom.
+def atom_motion_modes(coords) -> tuple[np.ndarray, np.ndarray]:
+    """Principal motion directions and variances per atom of an (m, n, 3)
+    array of draws.
 
     Returns (variances, axes): variances is (n, 3) sorted descending, axes is
     (n, 3, 3) with axes[a][k] the unit direction of the k-th mode.  Both come
     from the eigen-decomposition of each atom's 3x3 positional covariance
-    (population) across accepted conformers.
+    (population) across every draw given: pass ``ens.coords[ens.accepted]``
+    to leave out the draws the clash filter rejected.
     """
-    stack = e.coords[e.accepted]  # (m, n, 3)
+    stack = np.asarray(coords, dtype=float)
     if len(stack) < 4:
-        raise ValueError("motion modes need at least 4 accepted conformers")
+        raise ValueError("motion modes need at least 4 conformers")
     per_atom = (stack - stack.mean(axis=0)).transpose(1, 0, 2)  # (n, m, 3)
     cov = per_atom.transpose(0, 2, 1) @ per_atom / len(stack)
     vals, vecs = np.linalg.eigh(cov)

@@ -109,10 +109,9 @@ def stack_cutoff_pairs(stack, max_cutoff: float):
     key = ((draw * dims[0] + cell[:, 0]) * dims[1] + cell[:, 1]) * dims[2] + cell[:, 2]
     order = np.argsort(key, kind="stable")
     key = key[order]
-    flat = stack.reshape(-1, 3)
-    xs, ys, zs = flat[order].T.copy()
+    xs, ys, zs = stack.reshape(-1, 3)[order].T.copy()
     slots = np.arange(m * n)
-    found_i, found_j = [], []
+    found_i, found_j, found_d = [], [], []
     for dx, dy, dz in _FORWARD_OFFSETS:
         offset = (dx * dims[1] + dy) * dims[2] + dz
         # each sorted slot s pairs with the slots [first[s], last[s])
@@ -120,19 +119,21 @@ def stack_cutoff_pairs(stack, max_cutoff: float):
         first = slots + 1 if offset == 0 else np.searchsorted(key, key + offset, side="left")
         count = np.maximum(last - first, 0)
         slot_j = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
-        # (dx**2 + dy**2) + dz**2 is the order of the final .sum(axis=1)
+        # (dx**2 + dy**2) + dz**2 is the order of ((p_i - p_j)**2).sum(), and
+        # a pair's squares do not depend on which atom comes first
         d2 = ((np.repeat(xs, count) - xs[slot_j]) ** 2 + (np.repeat(ys, count) - ys[slot_j]) ** 2
               + (np.repeat(zs, count) - zs[slot_j]) ** 2)
-        near = np.sqrt(d2) <= radius
+        dist = np.sqrt(d2)
+        near = dist <= radius
         found_i.append(order[np.repeat(slots, count)[near]])
         found_j.append(order[slot_j[near]])
+        found_d.append(dist[near])
     i, j = np.concatenate(found_i), np.concatenate(found_j)
     # flat indices: one draw's atoms are contiguous, so sorting by the flat
     # pair code sorts by (draw, code)
     gi, gj = np.minimum(i, j), np.maximum(i, j)
     by_code = np.argsort(gi.astype(np.int64) * (m * n) + gj)
-    gi, gj = gi[by_code], gj[by_code]
-    dist = np.sqrt(((flat[gi] - flat[gj]) ** 2).sum(axis=1))
+    gi, gj, dist = gi[by_code], gj[by_code], np.concatenate(found_d)[by_code]
     base = gi // n * n
     starts = np.searchsorted(gi, np.arange(m + 1) * n)
     return starts, gi - base, gj - base, dist

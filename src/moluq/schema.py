@@ -95,6 +95,13 @@ POSES = Key("array", items=Key("object", keys={
     "rank": INTEGER.optional()}))  # accepted and ignored
 POSE_GROUPS = Key("array", items=Key("object", keys={
     "model": INTEGER.optional(), "poses": POSES}))  # model null: the group's position
+# the manifest.json that the sample command writes beside ensemble.pdb; accepted
+# lists the sample index of each model, and qoi checks that none repeats
+MANIFEST = Key("object", keys={
+    "seed": INTEGER, "samples": INTEGER, "mode": STRING, "sequence": STRING,
+    "clash_factor": Key("number|null"), "accepted": Key("array", items=Key("integer", minimum=0)),
+    "rejected": Key("array", items=Key("object", keys={"sample_index": INTEGER,
+                                                        "reason": STRING}))})
 
 # each JSON type: the Python types json.load gives it, and its name in errors
 _JSON_TYPES = {"number": ((int, float), "a number"), "integer": (int, "an integer"),

@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:  # annotations only: qoi imports this module, not conformers
-    from moluq.conformers import Ensemble
+from moluq.molio import Structure
 
 
 @dataclass(frozen=True)
 class ScalarGrid:
-    """A regular scalar field: voxel values stored flat in x-fastest order.
+    """A regular scalar field: voxel values stored flat in ``.dx`` file order.
 
     ``origin`` is the center of voxel (0, 0, 0); the value at (ix, iy, iz)
-    sits at flat index ix + nx * (iy + ny * iz).
+    sits at flat index iz + nz * (iy + ny * ix), so z runs fastest.
     """
 
     origin: np.ndarray
@@ -44,8 +42,7 @@ class ScalarGrid:
 
     def as_3d(self) -> np.ndarray:
         """(nx, ny, nz) view of the values."""
-        nx, ny, nz = self.dims
-        return self.values.reshape(nz, ny, nx).transpose(2, 1, 0)
+        return self.values.reshape(self.dims)
 
 
 # stencil voxels tested per block of atoms in cover_spheres
@@ -101,36 +98,38 @@ def cover_spheres(positions, radii, lo, spacing: float, dims) -> np.ndarray:
     return covered
 
 
-def occupancy_map(e: Ensemble, spacing: float, radius_mode="vdw") -> ScalarGrid:
-    """Pseudo-electron-cloud: per voxel, the fraction of conformers covering it.
+def occupancy_map(s: Structure, coords, spacing: float, radius_mode="vdw") -> ScalarGrid:
+    """Pseudo-electron-cloud: per voxel, the fraction of the draws covering it.
 
-    A conformer covers a voxel when any of its atom spheres contains the
-    voxel center.  ``radius_mode`` is "vdw" (per-atom radii from the source
-    structure) or a fixed radius in Angstrom.
+    ``coords`` is an (m, n, 3) array of draws of ``s``'s atoms, and every
+    draw given counts (pass ``ens.coords[ens.accepted]`` to leave out the
+    draws a clash filter rejected).  A draw covers a voxel when any of its
+    atom spheres contains the voxel center.  ``radius_mode`` is "vdw"
+    (per-atom radii of ``s``) or a fixed radius in Angstrom.
     """
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError("spacing must be finite and positive")
-    accepted = e.coords[e.accepted]
-    if not len(accepted):
-        raise ValueError("ensemble has no accepted conformers")
-    if e.source.n_atoms == 0:
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 3 or coords.shape[1:] != (s.n_atoms, 3):
+        raise ValueError(f"expected coords of shape (m, {s.n_atoms}, 3), got {coords.shape}")
+    if not len(coords):
+        raise ValueError("occupancy needs at least one draw")
+    if s.n_atoms == 0:
         raise ValueError("ensemble structure has no atoms")
     if radius_mode == "vdw":
-        radii = e.source.radii
+        radii = s.radii
     else:
         radius = float(radius_mode)
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError("fixed radius must be finite and positive")
-        radii = np.full(e.source.n_atoms, radius)
-    lo, dims = padded_box(accepted.reshape(-1, 3), radii, spacing)
+        radii = np.full(s.n_atoms, radius)
+    lo, dims = padded_box(coords.reshape(-1, 3), radii, spacing)
     counts = np.zeros(tuple(dims), dtype=np.int64)
-    for positions in accepted:
+    for positions in coords:
         counts += cover_spheres(positions, radii, lo, spacing, dims)
-    frac = counts.astype(float) / len(accepted)
-    # store x-fastest: transpose to (z, y, x) then flatten C-order
-    flat = frac.transpose(2, 1, 0).reshape(-1)
     return ScalarGrid(origin=lo + 0.5 * spacing, spacing=spacing,
-                      dims=tuple(int(d) for d in dims), values=flat)
+                      dims=tuple(int(d) for d in dims),
+                      values=(counts / len(coords)).reshape(-1))
 
 
 def write_grid(g: ScalarGrid) -> str:
@@ -149,8 +148,7 @@ def write_grid(g: ScalarGrid) -> str:
         f"object 2 class gridconnections counts {nx} {ny} {nz}",
         f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
     ]
-    # file order: x slowest, z fastest
-    data = g.as_3d().reshape(-1)
+    data = g.values
     # three values to a line; the grid's last value always ends its line
     seps = np.array([" ", " ", "\n"] * (_WRITE_CHUNK // 3), dtype=object)
     chunks = ["\n".join(lines) + "\n"]

@@ -371,10 +371,8 @@ def test_criterion_11_binding_site_suite():
     assert np.all((site.probabilities >= 0) & (site.probabilities <= 1))
 
     # multi-configuration site map vs naive loop
-    from moluq.conformers import Ensemble
-    ens = Ensemble(source=make_structure(lig_a), coords=np.array([lig_a, lig_b]))
     pose_lists = [poses[:3], poses[3:]]
-    multi = binding_site_prob_multi(receptor, ens, pose_lists, model)
+    multi = binding_site_prob_multi(receptor, np.array([lig_a, lig_b]), pose_lists, model)
     np.testing.assert_array_equal(
         multi.probabilities, naive_map(receptor, [lig_a, lig_b], pose_lists, 5.0))
 

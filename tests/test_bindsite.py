@@ -13,7 +13,6 @@ from moluq.bindsite import (
     inhibit_score,
     residue_site_probabilities,
 )
-from moluq.conformers import Ensemble
 from conftest import make_structure
 
 
@@ -129,60 +128,57 @@ class TestBindingSiteProb:
 
 
 class TestBindingSiteProbMulti:
-    def _ensemble(self, receptor, positions_list):
-        source = make_structure(positions_list[0])
-        return Ensemble(source=source, coords=np.array(positions_list, dtype=float))
-
     def test_single_conformer_reduces(self, receptor, ligand):
-        ens = self._ensemble(receptor, [ligand])
+        draws = np.array([ligand], dtype=float)
         poses = [identity_pose(), Pose(rotation=rotation_z(1.0), translation=np.zeros(3))]
-        multi = binding_site_prob_multi(receptor, ens, [poses])
+        multi = binding_site_prob_multi(receptor, draws, [poses])
         single = binding_site_prob(receptor, ligand, poses)
         np.testing.assert_array_equal(multi.probabilities, single.probabilities)
 
     def test_hand_built_four_term_average(self, receptor):
         near = [[0.0, 3.0, 0.0]]
         far = [[0.0, 300.0, 0.0]]
-        ens = self._ensemble(receptor, [near, far])
+        draws = np.array([near, far], dtype=float)
         identity = identity_pose()
         poses = [[identity, identity], [identity, identity]]
-        site = binding_site_prob_multi(receptor, ens, poses)
+        site = binding_site_prob_multi(receptor, draws, poses)
         # atom 0 contacts in 2 of 4 (conformer, pose) terms
         assert site.probabilities[0] == pytest.approx(0.5)
 
     def test_probabilities_in_unit_interval(self, receptor):
         rng = np.random.default_rng(1)
         positions = [rng.uniform(-4, 4, (5, 3)) for _ in range(3)]
-        ens = self._ensemble(receptor, positions)
+        draws = np.array(positions, dtype=float)
         poses = [
             [Pose(rotation=rotation_z(rng.uniform(0, 6)), translation=rng.uniform(-8, 8, 3))
              for _ in range(4)]
             for _ in range(3)
         ]
-        site = binding_site_prob_multi(receptor, ens, poses)
+        site = binding_site_prob_multi(receptor, draws, poses)
         assert np.all(site.probabilities >= 0) and np.all(site.probabilities <= 1)
-        want = naive_map(receptor, list(ens.coords), poses, 5.0)
+        want = naive_map(receptor, list(draws), poses, 5.0)
         np.testing.assert_array_equal(site.probabilities, want)
 
     def test_rejected_draws_left_out(self):
         receptor = make_structure([[0.0, 0.0, 0.0]])
-        ens = Ensemble(source=make_structure([[0.0, 0.0, 0.0]]),
-                       coords=np.array([[[0.0, 3.0, 0.0]], [[0.0, 300.0, 0.0]]]),
-                       reasons=(None, "clash"))
-        site = binding_site_prob_multi(receptor, ens, [[identity_pose()]] * 2)
+        coords = np.array([[[0.0, 3.0, 0.0]], [[0.0, 300.0, 0.0]]])
+        accepted = np.array([True, False])
+        poses = [[identity_pose()]] * 2
+        site = binding_site_prob_multi(receptor, coords[accepted],
+                                       [p for p, ok in zip(poses, accepted) if ok])
         assert site.probabilities[0] == 1.0
 
     def test_no_accepted_draw_rejected(self):
         receptor = make_structure([[0.0, 0.0, 0.0]])
-        ens = Ensemble(source=make_structure([[0.0, 0.0, 0.0]]),
-                       coords=np.array([[[0.0, 3.0, 0.0]]]), reasons=("clash",))
-        with pytest.raises(ValueError, match="accepted"):
-            binding_site_prob_multi(receptor, ens, [[identity_pose()]])
+        coords = np.array([[[0.0, 3.0, 0.0]]])
+        accepted = np.array([False])
+        with pytest.raises(ValueError, match="at least one conformer"):
+            binding_site_prob_multi(receptor, coords[accepted], [])
 
     def test_ragged_pose_lists_rejected(self, receptor, ligand):
-        ens = self._ensemble(receptor, [ligand, ligand])
+        draws = np.array([ligand, ligand], dtype=float)
         with pytest.raises(ValueError, match="same positive pose count"):
-            binding_site_prob_multi(receptor, ens, [[identity_pose()], []])
+            binding_site_prob_multi(receptor, draws, [[identity_pose()], []])
 
 
 class TestInhibitScore:

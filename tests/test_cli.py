@@ -178,6 +178,23 @@ class TestQoiCertifySaturate:
         ensemble.write_text(write_pdb(first.subset(range(first.n_atoms - 1))))
         assert main(["qoi", "--config", str(cfg)]) == 3
 
+    @pytest.mark.parametrize("change, what", [
+        (lambda m: [m], " must be an object, not ["),
+        (lambda m: {**m, "accepted": "abc"}, ': accepted must be an array, not "abc"'),
+        (lambda m: {**m, "accepted": [0.5, 1, 2]}, ": accepted[0] must be an integer, not 0.5"),
+        (lambda m: {**m, "accepted": [0, 0, 0]}, ": accepted lists a sample index twice"),
+    ], ids=["array", "string", "fraction", "repeat"])
+    def test_malformed_manifest_is_a_data_error(self, workspace, capsys, change, what):
+        # each once ended in a traceback or exited 0 with made-up sample indices
+        cfg = self._sampled(workspace, n=3)
+        manifest = workspace / "run" / "manifest.json"
+        assert len(json.loads(manifest.read_text())["accepted"]) == 3
+        manifest.write_text(json.dumps(change(json.loads(manifest.read_text()))))
+        capsys.readouterr()
+        assert main(["qoi", "--config", str(cfg)]) == 2
+        assert f"data error: {manifest}{what}" in capsys.readouterr().err
+        assert not (workspace / "run" / "qoi_values.csv").exists()
+
     def test_qoi_stream_then_certify(self, workspace):
         cfg = self._sampled(workspace)
         assert main(["qoi", "--config", str(cfg)]) == 0
@@ -809,8 +826,8 @@ STAGE_MODULES = {
     "certify": {"certificates"},
     "saturate": {"certificates"},
     "bound": {"bounds"},
-    "bindsite": {"molio", "pairs", "bindsite", "conformers", "sampling", "vizgrid"},
-    "volmap": {"molio", "pairs", "conformers", "sampling", "vizgrid"},
+    "bindsite": {"molio", "pairs", "vizgrid", "bindsite"},
+    "volmap": {"molio", "pairs", "vizgrid"},
     "modes": {"molio", "pairs", "conformers", "sampling"},
 }
 

@@ -1,9 +1,9 @@
 """Box-pruned pose contacts against a verbatim copy of the all-atom loop.
 
-``bindsite._contact_map`` tests each pose only against the receptor atoms
-inside the placed ligand's widened bounding box.  The pruned atoms would have
-added 0, so the map must equal (``==``) the former loop over every atom,
-including atoms exactly at the cutoff.
+``bindsite.binding_site_prob_multi`` tests each pose only against the
+receptor atoms inside the placed ligand's widened bounding box.  The pruned
+atoms would have added 0, so the map must equal (``==``) the former loop over
+every atom, including atoms exactly at the cutoff.
 """
 
 import numpy as np
@@ -13,10 +13,8 @@ from moluq.bindsite import (
     BindingSiteMap,
     ContactModel,
     Pose,
-    _contact_map,
     binding_site_prob_multi,
 )
-from moluq.conformers import Ensemble
 from conftest import lattice, make_structure, zigzag_chain
 from test_bindsite import identity_pose
 
@@ -49,9 +47,14 @@ def random_rotation(rng):
     return q if np.linalg.det(q) > 0 else -q
 
 
+def contact_map(receptor, configs, m):
+    """binding_site_prob_multi of (ligand positions, poses) pairs."""
+    return binding_site_prob_multi(receptor, [c for c, _ in configs], [p for _, p in configs], m)
+
+
 def assert_same_map(receptor, configs, cutoff):
     m = ContactModel(cutoff)
-    got, want = _contact_map(receptor, configs, m), former_contact_map(receptor, configs, m)
+    got, want = contact_map(receptor, configs, m), former_contact_map(receptor, configs, m)
     assert got.probabilities.tobytes() == want.probabilities.tobytes()
     assert got.serials == want.serials
     return got.probabilities
@@ -121,7 +124,9 @@ def test_rejected_ligand_draws_left_out():
     reasons = (None, "clash: atoms 0 and 1", None, "clash: atoms 2 and 5", None)
     pose_lists = [[Pose(random_rotation(rng), rec[rng.integers(240)]) for _ in range(6)]
                   for _ in range(5)]
-    got = binding_site_prob_multi(receptor, Ensemble(ligand, coords, reasons), pose_lists,
+    accepted = np.array([r is None for r in reasons])
+    got = binding_site_prob_multi(receptor, coords[accepted],
+                                  [p for p, ok in zip(pose_lists, accepted) if ok],
                                   ContactModel(4.5))
     kept = [(coords[i], pose_lists[i]) for i in (0, 2, 4)]
     want = former_contact_map(receptor, kept, ContactModel(4.5))
@@ -132,7 +137,7 @@ def test_empty_ligand_still_fails_as_before():
     receptor = make_structure(lattice(20))
     configs = [(np.zeros((0, 3)), [identity_pose()])]
     with pytest.raises(ValueError) as got:
-        _contact_map(receptor, configs, ContactModel())
+        contact_map(receptor, configs, ContactModel())
     with pytest.raises(ValueError) as want:
         former_contact_map(receptor, configs, ContactModel())
     assert str(got.value) == str(want.value)

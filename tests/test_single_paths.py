@@ -18,7 +18,6 @@ import pytest
 
 from moluq.bindsite import BindingSiteMap, ContactModel, Pose, binding_site_prob
 from moluq.certificates import DEFAULT_T_GRID, EmpiricalDistribution, chernoff_table
-from moluq.conformers import Ensemble
 from moluq.molio import (
     EIGHT_PI_SQ,
     ParamTable,
@@ -94,13 +93,12 @@ def _grid_geometry(lo, hi, spacing):
     return origin, dims
 
 
-def oracle_occupancy(e, spacing, radius_mode="vdw"):
-    """(origin, dims, x-fastest values) of the former occupancy_map."""
-    accepted = e.coords[e.accepted]
+def oracle_occupancy(s, accepted, spacing, radius_mode="vdw"):
+    """(origin, dims, values in file order) of the former occupancy_map."""
     if radius_mode == "vdw":
-        radii = e.source.radii
+        radii = s.radii
     else:
-        radii = np.full(e.source.n_atoms, float(radius_mode))
+        radii = np.full(s.n_atoms, float(radius_mode))
     pad = (float(radii.max()) if radii.size else 0.0) + spacing
     lo = accepted.reshape(-1, 3).min(axis=0) - pad
     hi = accepted.reshape(-1, 3).max(axis=0) + pad
@@ -120,8 +118,7 @@ def oracle_occupancy(e, spacing, radius_mode="vdw"):
             )
         counts += covered
     frac = counts.astype(float) / len(accepted)
-    flat = frac.transpose(2, 1, 0).reshape(-1)
-    return origin, tuple(int(d) for d in dims), flat
+    return origin, tuple(int(d) for d in dims), frac.reshape(-1)
 
 
 def oracle_binding_site_prob(A, B, poses, m=ContactModel()):
@@ -248,10 +245,10 @@ def test_volume_matches_former_loop(n_atoms, seed):
 def test_occupancy_map_matches_former_loop(n_atoms, seed):
     s = lattice_structure(n_atoms, seed)
     coords = np.array([jittered(s, 100 * seed + k, 0.4) for k in range(6)])
-    e = Ensemble(source=s, coords=coords, reasons=(None, None, "clash", None, None, None))
+    accepted = coords[[True, True, False, True, True, True]]  # draw 2 was rejected
     for spacing, mode in ((0.5, "vdw"), (0.8, "vdw"), (0.6, 1.6)):
-        g = occupancy_map(e, spacing=spacing, radius_mode=mode)
-        origin, dims, values = oracle_occupancy(e, spacing, mode)
+        g = occupancy_map(s, accepted, spacing=spacing, radius_mode=mode)
+        origin, dims, values = oracle_occupancy(s, accepted, spacing, mode)
         assert np.array_equal(g.origin, origin) and g.dims == dims
         assert np.array_equal(g.values, values)
         assert 0.0 < values.max() <= 1.0

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moluq.conformers import Ensemble
 from moluq.qoi import volume
 from moluq.vizgrid import (
     ScalarGrid,
@@ -35,9 +34,7 @@ def parse_grid(text):
     origin = np.array([float(x) for x in lines[1].split()[1:]])
     spacing = float(lines[2].split()[1])
     data = np.array(" ".join(lines[7:-1]).split(), dtype=float)
-    # file order is z fastest; ScalarGrid stores x fastest
-    return ScalarGrid(origin=origin, spacing=spacing, dims=dims,
-                      values=data.reshape(dims).transpose(2, 1, 0).reshape(-1))
+    return ScalarGrid(origin=origin, spacing=spacing, dims=dims, values=data)
 
 
 def unit_grid(values, dims, spacing=1.0):
@@ -55,12 +52,12 @@ class TestScalarGrid:
         with pytest.raises(ValueError, match="spacing must be finite and positive"):
             unit_grid([1.0], (1, 1, 1), spacing=spacing)
 
-    def test_x_fastest_indexing(self):
+    def test_z_fastest_indexing(self):
         g = unit_grid(np.arange(8.0), (2, 2, 2))
         cube = g.as_3d()
-        assert cube[1, 0, 0] == 1.0
+        assert cube[0, 0, 1] == 1.0
         assert cube[0, 1, 0] == 2.0
-        assert cube[0, 0, 1] == 4.0
+        assert cube[1, 0, 0] == 4.0
 
 
 class TestWriteGrid:
@@ -92,16 +89,16 @@ class TestWriteGrid:
 class TestOccupancy:
     def _ensemble(self, offsets, radius=1.5):
         s = make_structure([[0.0, 0.0, 0.0]], vdw_radius=radius)
-        return Ensemble(source=s, coords=np.array(offsets, dtype=float)[:, None, :])
+        return s, np.array(offsets, dtype=float)[:, None, :]
 
     def test_identical_conformers_binary(self):
         e = self._ensemble([[0, 0, 0]] * 3)
-        g = occupancy_map(e, spacing=0.5)
+        g = occupancy_map(*e, spacing=0.5)
         assert set(np.unique(g.values)) <= {0.0, 1.0}
 
     def test_half_occupancy_voxel(self):
         e = self._ensemble([[0, 0, 0], [40.0, 0, 0]])
-        g = occupancy_map(e, spacing=0.5)
+        g = occupancy_map(*e, spacing=0.5)
         # a voxel inside the first conformer's sphere only is covered half the time
         assert np.isclose(g.values, 0.5).any()
         assert np.all((g.values >= 0.0) & (g.values <= 1.0))
@@ -109,7 +106,7 @@ class TestOccupancy:
     def test_integral_bounds_intersection_volume(self):
         e = self._ensemble([[0, 0, 0], [0.4, 0, 0]])
         spacing = 0.3
-        g = occupancy_map(e, spacing=spacing)
+        g = occupancy_map(*e, spacing=spacing)
         integral = g.values.sum() * spacing**3
         # intersection of the two spheres is contained in both, so the
         # occupancy integral must be at least ... use the smaller sphere count
@@ -118,7 +115,7 @@ class TestOccupancy:
 
     def test_fixed_radius_mode(self):
         e = self._ensemble([[0, 0, 0]])
-        g = occupancy_map(e, spacing=0.5, radius_mode=2.0)
+        g = occupancy_map(*e, spacing=0.5, radius_mode=2.0)
         v = g.values.sum() * 0.5**3
         assert v == pytest.approx(4 / 3 * np.pi * 8.0, rel=0.05)
 
@@ -127,16 +124,23 @@ class TestOccupancy:
         # align and every voxel moves by at most 1/(N+1)
         offsets3 = [[0, 0, 0], [0.5, 0, 0], [-0.5, 0, 0]]
         offsets4 = offsets3 + [[0.25, 0.0, 0.0]]
-        g3 = occupancy_map(self._ensemble(offsets3), spacing=0.5)
-        g4 = occupancy_map(self._ensemble(offsets4), spacing=0.5)
+        g3 = occupancy_map(*self._ensemble(offsets3), spacing=0.5)
+        g4 = occupancy_map(*self._ensemble(offsets4), spacing=0.5)
         assert g3.dims == g4.dims and np.allclose(g3.origin, g4.origin)
         assert np.abs(g4.values - g3.values).max() <= 1.0 / 4 + 1e-12
 
     def test_requires_accepted_conformer(self):
         s = make_structure([[0.0, 0.0, 0.0]])
-        e = Ensemble(source=s, coords=s.positions()[None], reasons=("clash",))
+        accepted = np.array([False])  # the one draw was rejected
         with pytest.raises(ValueError):
-            occupancy_map(e, spacing=0.5)
+            occupancy_map(s, s.positions()[None][accepted], spacing=0.5)
+
+    def test_coords_must_draw_the_structure_atoms(self):
+        # one radius per atom of s: a 2-atom draw of a 1-atom structure would
+        # broadcast that radius over both atoms
+        s, coords = self._ensemble([[0, 0, 0]])
+        with pytest.raises(ValueError, match=r"expected coords of shape \(m, 1, 3\)"):
+            occupancy_map(s, np.concatenate([coords, coords], axis=1), spacing=0.5)
 
 
 class TestColormap:
@@ -370,16 +374,16 @@ class TestWriteGridAgainstLoop:
 class TestNonFiniteSizes:
     def _ensemble(self):
         s = make_structure([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]], vdw_radius=1.5)
-        return Ensemble(source=s, coords=s.positions()[None])
+        return s, s.positions()[None]
 
     @pytest.mark.parametrize("spacing", [math.nan, math.inf, -math.inf, 0.0, -0.5])
     def test_spacing(self, spacing):
         with pytest.raises(ValueError, match="spacing must be finite and positive"):
-            occupancy_map(self._ensemble(), spacing)
+            occupancy_map(*self._ensemble(), spacing)
         with pytest.raises(ValueError, match="spacing must be finite and positive"):
             volume(np.zeros((2, 3)), [1.5, 1.5], spacing)
 
     @pytest.mark.parametrize("radius", ["nan", "inf", math.nan, math.inf, 0.0, -1.0])
     def test_fixed_radius(self, radius):
         with pytest.raises(ValueError, match="fixed radius must be finite and positive"):
-            occupancy_map(self._ensemble(), 0.5, radius_mode=radius)
+            occupancy_map(*self._ensemble(), 0.5, radius_mode=radius)
