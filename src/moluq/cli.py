@@ -10,7 +10,10 @@ Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 numerical or
 domain error.
 
 Each command imports the moluq modules it runs when it runs, so a stage
-loads (and, without cached bytecode, compiles) only those.
+loads (and, without cached bytecode, compiles) only those; ``certify`` and
+``saturate`` load no numpy.  A stage's BLAS calls are all small (3x3
+factorizations, short dot products), so ``main`` starts OpenBLAS with one
+thread unless the caller set a thread count.
 """
 
 from __future__ import annotations
@@ -20,21 +23,24 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 import moluq
 from moluq import schema
 
 if TYPE_CHECKING:  # annotations only; the commands import these when they run
+    import numpy as np
+
     from moluq import molio
 
 # the run config's defaults (perfbench/memory_pass.py reads them)
 DEFAULTS = {key: spec.default for key, spec in schema.CONFIG.items()}
 _INT_FLAGS = ("seed", "samples", "workers")  # the config keys a flag sets, besides --out
+# a caller who sets one of these chose OpenBLAS's thread count
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 class UsageError(Exception):
@@ -66,8 +72,15 @@ def _read_text(path: str) -> str:
     return p.read_text()
 
 
+def _parse_json(text: str, path: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
+
+
 def _load_json(path: str):
-    return json.loads(_read_text(path))
+    return _parse_json(_read_text(path), path)
 
 
 def load_config(args, raw=None, source: str | None = None) -> dict:
@@ -130,7 +143,7 @@ def _load_structure(cfg) -> molio.Structure:
     s = molio.parse_pdb(_read_text(path))
     if cfg["params"]:
         text = _read_text(_resolve_input(cfg, "params"))
-        _check_file(json.loads(text), schema.PARAMS, cfg["params"])
+        _check_file(_parse_json(text, cfg["params"]), schema.PARAMS, cfg["params"])
         table = molio.ParamTable.from_json(text)
     else:
         table = molio.ParamTable.default()
@@ -147,6 +160,8 @@ def _map_workers(fn, items, workers: int):
 
 
 def run_sample(cfg) -> list[str]:
+    import numpy as np
+
     from moluq import conformers, molio
 
     out = Path(cfg["out"])
@@ -237,16 +252,17 @@ def run_qoi(cfg) -> list[str]:
         raise ValueError("delta QOIs need two chains (set chain_a/chain_b)")
     evaluate = qoi.row_evaluator(kinds, s, idx_a, idx_b, qcfg)
 
-    # keep original sample indices when the ensemble's manifest is available
+    # the ensemble's manifest, when there is one, gives each model its sample index
     indices = list(range(len(coords)))
-    manifest_path = Path(ensemble_path).parent / "manifest.json"
-    if manifest_path.exists():
-        recorded = _check_file(json.loads(manifest_path.read_text()), schema.MANIFEST,
-                               str(manifest_path))["accepted"]
-        if len(set(recorded)) != len(recorded):
+    manifest_path = str(Path(ensemble_path).parent / "manifest.json")
+    if Path(manifest_path).exists():
+        indices = _check_file(_load_json(manifest_path), schema.MANIFEST,
+                              manifest_path)["accepted"]
+        if len(set(indices)) != len(indices):
             raise DataFormatError(f"{manifest_path}: accepted lists a sample index twice")
-        if len(recorded) == len(coords):
-            indices = recorded
+        if len(indices) != len(coords):
+            raise DataFormatError(f"{manifest_path}: accepted lists {len(indices)} sample "
+                                  f"indices for the {len(coords)} models of {ensemble_path}")
     samples = [(-1, s.positions())] + list(zip(indices, coords))
     rows = _map_workers(lambda item: (item[0], evaluate(item[1])), samples, cfg["workers"])
     _write_csv(out / "qoi_values.csv", ["qoi", "sample_index", "value"],
@@ -346,6 +362,8 @@ def run_saturate(cfg) -> list[str]:
 
 
 def run_bound(cfg) -> list[str]:
+    import numpy as np
+
     from moluq import bounds
 
     out = Path(cfg["out"])
@@ -395,6 +413,8 @@ def run_bound(cfg) -> list[str]:
 
 
 def run_bindsite(cfg) -> list[str]:
+    import numpy as np
+
     from moluq import bindsite, molio, vizgrid
 
     out = Path(cfg["out"])
@@ -489,6 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # OpenBLAS reads its thread count when numpy loads, so it is set only
+    # before that; its idle thread would spin on a core the stage needs
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     try:
         args = build_parser().parse_args(argv)
         command = args.command
@@ -510,10 +534,10 @@ def main(argv=None) -> int:
         print(f"moluq: usage error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError, KeyError) as exc:
-        # molio loads here, on the error path: a stage that reads no PDB never loads it
-        from moluq.molio import PdbParseError
-
-        data = isinstance(exc, (PdbParseError, DataFormatError, json.JSONDecodeError))
+        # a PDB parse error can only come from a stage that loaded molio
+        molio = sys.modules.get("moluq.molio")
+        data = isinstance(exc, DataFormatError) or (
+            molio is not None and isinstance(exc, molio.PdbParseError))
         print(f"moluq: {'data' if data else 'domain'} error: {exc}", file=sys.stderr)
         return 2 if data else 3
 

@@ -195,6 +195,26 @@ class TestQoiCertifySaturate:
         assert f"data error: {manifest}{what}" in capsys.readouterr().err
         assert not (workspace / "run" / "qoi_values.csv").exists()
 
+    def test_manifest_of_another_ensemble_is_a_data_error(self, workspace, capsys):
+        # it once exited 0, numbering the three models 0, 1 and 2
+        cfg = self._sampled(workspace, n=3)
+        manifest = workspace / "run" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "accepted": [7, 8]}))
+        capsys.readouterr()
+        assert main(["qoi", "--config", str(cfg)]) == 2
+        ensemble = (workspace / "run" / "ensemble.pdb").resolve()
+        assert (f"data error: {manifest}: accepted lists 2 sample indices for the 3 models "
+                f"of {ensemble}\n") in capsys.readouterr().err
+        assert not (workspace / "run" / "qoi_values.csv").exists()
+
+    def test_ensemble_without_manifest_numbers_its_models(self, workspace):
+        cfg = write_config(workspace, samples=3, seed=5, qoi=["lj"])
+        assert main(["sample", "--config", str(cfg)]) == 0
+        (workspace / "run" / "manifest.json").unlink()
+        assert main(["qoi", "--config", str(cfg)]) == 0
+        rows = (workspace / "run" / "qoi_values.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["-1", "0", "1", "2"]
+
     def test_qoi_stream_then_certify(self, workspace):
         cfg = self._sampled(workspace)
         assert main(["qoi", "--config", str(cfg)]) == 0
@@ -678,6 +698,31 @@ class TestReplayAndExitCodes:
         assert main(["replay", str(sidecar), "--out", str(workspace / "again")]) == 0
         assert (workspace / "again" / "certificates.csv").read_bytes() == original
 
+    @pytest.mark.parametrize("which", ["config", "manifest", "poses", "bound_config",
+                                       "params"])
+    def test_json_syntax_error_names_its_file(self, workspace, capsys, which):
+        # each once printed only json's message, such as "Expecting ',' delimiter"
+        workspace = workspace.resolve()  # input paths are named resolved
+        lig = make_structure([[0.0, 3.0, 0.0]])
+        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        path = workspace / f"{which}.json"
+        cfg = write_config(workspace, samples=3, seed=5, qoi=["lj"],
+                           ligand=str(workspace / "ligand.pdb"),
+                           **({which: str(path)} if which in ("poses", "bound_config", "params")
+                              else {}))
+        command = {"config": "certify", "manifest": "qoi", "poses": "bindsite",
+                   "bound_config": "bound", "params": "sample"}[which]
+        if which == "manifest":
+            assert main(["sample", "--config", str(cfg)]) == 0
+            path = workspace / "run" / "manifest.json"
+        elif which == "config":
+            path = cfg
+        path.write_text('[{"rotation": [1, 0')  # a file cut short
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"moluq: data error: {path}: Expecting "), err
+
     def test_usage_error_exit_1(self, workspace):
         assert main(["sample"]) == 1  # no config/out at all
 
@@ -830,14 +875,17 @@ STAGE_MODULES = {
     "volmap": {"molio", "pairs", "vizgrid"},
     "modes": {"molio", "pairs", "conformers", "sampling"},
 }
+# the commands that compute with pure Python only
+NUMPY_FREE = {"certify", "saturate"}
 
 
 class TestImportHygiene:
     def test_each_command_loads_only_the_modules_it_runs(self, workspace):
         """A fresh interpreter per command runs ``main`` and lists the moluq
         modules it loaded: a stage compiles no module it does not call, only
-        ``--workers 2`` loads concurrent.futures, and difflib, which only an
-        unknown config key needs, never loads."""
+        ``--workers 2`` loads concurrent.futures, difflib, which only an
+        unknown config key needs, never loads, and certify and saturate load
+        no numpy."""
         import moluq
         lig = make_structure([[0.0, 3.0, 0.0]])
         (workspace / "ligand.pdb").write_text(write_pdb(lig))
@@ -856,6 +904,7 @@ class TestImportHygiene:
             code = moluq.cli.main(json.loads(sys.argv[1]))
             print(json.dumps({"exit": code, "futures": "concurrent.futures" in sys.modules,
                               "difflib": "difflib" in sys.modules,
+                              "numpy": "numpy" in sys.modules,
                               "modules": sorted(m for m in sys.modules
                                                 if m.split(".")[0] == "moluq")}))
         """)
@@ -869,7 +918,7 @@ class TestImportHygiene:
             want = ["moluq", "moluq.cli", "moluq.schema"] + [
                 f"moluq.{m}" for m in STAGE_MODULES[argv[0]]]
             assert got == {"exit": 0, "futures": argv[-1] == "2", "difflib": False,
-                           "modules": sorted(want)}, argv
+                           "numpy": argv[0] not in NUMPY_FREE, "modules": sorted(want)}, argv
 
     def test_no_source_file_imports_scipy(self):
         """No module under src/moluq imports scipy, at any depth: its only
@@ -925,3 +974,34 @@ class TestImportHygiene:
         assert result.returncode == 0, result.stderr
         assert (workspace / "run" / "saturation.json").exists()
         assert (workspace / "torsion" / "ensemble.pdb").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/task").is_dir(),
+                        reason="counts threads in Linux's /proc/self/task")
+    @pytest.mark.skipif("openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]
+                        ["name"], reason="numpy's BLAS is not OpenBLAS")
+    @pytest.mark.parametrize("caller, threads", [(None, 1), ("2", 2)],
+                             ids=["unset", "caller_sets_2"])
+    def test_a_stage_runs_one_blas_thread(self, workspace, caller, threads):
+        """A fresh process that runs a qoi stage through ``main`` has one
+        thread afterwards: OpenBLAS started none of its own, unless the
+        caller chose its thread count."""
+        import moluq
+        cfg = write_config(workspace, samples=3, seed=2, qoi=["lj"])
+        assert main(["sample", "--config", str(cfg)]) == 0
+        script = textwrap.dedent("""
+            import os, sys
+            import moluq.cli
+
+            code = moluq.cli.main(["qoi", "--config", sys.argv[1]])
+            print(code, len(os.listdir("/proc/self/task")))
+        """)
+        src = str(Path(moluq.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = src
+        if caller is not None:
+            env["OPENBLAS_NUM_THREADS"] = caller
+        result = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", str(threads)]

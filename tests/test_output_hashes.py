@@ -40,3 +40,17 @@ def test_failed_stage_is_named(tmp_path):
     spec["config"]["probe"] = -1.0  # a domain error that only the qoi stage meets
     with pytest.raises(module.StageFailed, match=r"^surface-1 qoi: exit code 3: moluq: "):
         module.workload_hashes("surface", spec, 1, tmp_path)
+
+
+def test_hashes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
+    """Stages inherit the caller's environment: one thread by default, two
+    when the caller asks OpenBLAS for two, and every output the same."""
+    module = _load()
+    spec = small_surface(module)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    default = module.workload_hashes("surface", spec, 1, tmp_path / "default")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    two_threads = module.workload_hashes("surface", spec, 1, tmp_path / "two")
+    assert default == two_threads
+    assert default
