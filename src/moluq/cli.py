@@ -65,11 +65,27 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_text(path: str) -> str:
+def _read_file(path: str, parse):
+    """``parse`` applied to the bytes of the input file ``path``.  A byte
+    that is not UTF-8 is a data error naming the file and the byte."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"input file not found: {path}")
-    return p.read_text()
+    data = p.read_bytes()
+    try:
+        return parse(data)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: byte {exc.start} ({data[exc.start]:#04x}) is not "
+                              f"UTF-8 text: {exc.reason}") from None
+
+
+def _text(data: bytes) -> str:
+    # universal newlines, as a file opened in text mode reads them
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _read_text(path: str) -> str:
+    return _read_file(path, _text)
 
 
 def _parse_json(text: str, path: str):
@@ -139,8 +155,7 @@ def _load_input(cfg: dict, key: str, table: schema.Key):
 def _load_structure(cfg) -> molio.Structure:
     from moluq import molio
 
-    path = _resolve_input(cfg, "structure")
-    s = molio.parse_pdb(_read_text(path))
+    s = _read_file(_resolve_input(cfg, "structure"), molio.parse_pdb)
     if cfg["params"]:
         text = _read_text(_resolve_input(cfg, "params"))
         _check_file(_parse_json(text, cfg["params"]), schema.PARAMS, cfg["params"])
@@ -192,10 +207,16 @@ def run_sample(cfg) -> list[str]:
     kept = np.flatnonzero(ens.accepted)
     if not kept.size:
         raise ValueError("no conformer passed the clash filter; nothing to write")
-    # row views, not coords[kept]: a copy of the ensemble would be live at the
-    # stage's memory peak while the text is built
-    pdb_text = molio.write_pdb_models(s, [ens.coords[i] for i in kept], (kept + 1).tolist())
-    (out / "ensemble.pdb").write_text(pdb_text)
+    # row views, not coords[kept]: no copy of the ensemble is made; the file
+    # is renamed into place once every model is written, so a model that
+    # fails its checks leaves no partial ensemble.pdb behind
+    partial = out / "ensemble.pdb.partial"
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            molio.write_pdb_models(s, [ens.coords[i] for i in kept], fh, (kept + 1).tolist())
+        os.replace(partial, out / "ensemble.pdb")
+    finally:
+        partial.unlink(missing_ok=True)
     manifest = {"seed": seed, "samples": n, "mode": cfg["mode"], "sequence": ens.sequence_kind,
                 "clash_factor": clash, "accepted": kept.tolist(),
                 "rejected": [{"sample_index": i, "reason": reason}
@@ -227,7 +248,7 @@ def _ensemble_models(cfg, s: molio.Structure) -> tuple[str, np.ndarray]:
 
     ensemble_path = _resolve_input(cfg, "ensemble",
                                    default=str(Path(cfg["out"]) / "ensemble.pdb"))
-    first, coords = molio.parse_pdb_models(_read_text(ensemble_path))
+    first, coords = _read_file(ensemble_path, molio.parse_pdb_models)
     got, want = first.serials.tolist(), s.serials.tolist()
     if got != want:
         raise ValueError(f"{ensemble_path}: ensemble lists "
@@ -419,7 +440,7 @@ def run_bindsite(cfg) -> list[str]:
 
     out = Path(cfg["out"])
     receptor = _load_structure(cfg)
-    ligand_coords = molio.parse_pdb_models(_read_text(_resolve_input(cfg, "ligand")))[1]
+    ligand_coords = _read_file(_resolve_input(cfg, "ligand"), molio.parse_pdb_models)[1]
     poses_path = _resolve_input(cfg, "poses")
     raw = _load_json(poses_path)
     model = bindsite.ContactModel(cutoff=float(cfg["contact_cutoff"]))

@@ -361,8 +361,11 @@ def sample_cartesian_ensemble(
     seq = LowDiscrepancySequence(max(gaussian_dimension(n_normals), 1), scramble_seed=seed,
                                  n_samples=n_samples)
     screen = None if clash_factor is None else _clash_check(s, clash_factor)
-    z = normals_from_unit(seq.next_points(n_samples), n_normals)
-    coords = s.positions() + sigmas * z.reshape(n_samples, s.n_atoms, 3)
+    # sigmas * z + positions, in place in the array of normals
+    coords = normals_from_unit(seq.next_points(n_samples), n_normals).reshape(
+        n_samples, s.n_atoms, 3)
+    coords *= sigmas
+    coords += s.coords
     return _screened(s, coords, screen, seq.kind)
 
 

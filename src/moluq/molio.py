@@ -5,12 +5,14 @@ element, residue, chain), (n, 3) coordinates, crystallographic uncertainty
 (isotropic ``b_iso``, optional per-axis ``b_aniso``) and the nonbonded
 parameters (charge, van der Waals radius, 12-6 coefficients) used by the
 energy evaluators.  Ensembles are read as one (m, n, 3) coordinate array.
-All functions here are pure: they return new objects and never mutate their
-inputs.
+All functions here are pure, returning new objects and never mutating their
+inputs, except :func:`write_pdb_models`, which writes into the file it is
+given.
 """
 
 from __future__ import annotations
 
+import codecs
 import itertools
 import json
 import math
@@ -340,27 +342,82 @@ def _structure(model) -> Structure:
     )
 
 
-def _model_blocks(text: str):
-    """``(starts, blocks)``: the offset of each line start, by the breaks of
-    ``str.splitlines``, and the [MODEL line index, first body line, end] of
-    each MODEL ... ENDMDL block; ``(None, [])`` when ``text`` never says MODEL.
+# str.splitlines breaks a line at these bytes ('\r\n' is one break) ...
+_BREAK_BYTES = np.zeros(256, dtype=bool)
+_BREAK_BYTES[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = True
+# ... and at these characters, several bytes each in UTF-8
+_WIDE_BREAKS = tuple(ch.encode("utf-8") for ch in "\x85\u2028\u2029")
+# bytes that each step of a pass over a whole file (the UTF-8 check, the
+# line scan) takes at once, so that no temporary grows with the file
+_SCAN_BYTES = 1 << 18
+
+
+def _utf8(text: str | bytes) -> bytes:
+    """The UTF-8 bytes of a PDB text: a str encoded, bytes checked.
+
+    Raises UnicodeDecodeError for the first byte that is not UTF-8, its
+    ``start`` the offset in ``text``.  Bytes with a non-ASCII byte are
+    decoded in chunks that are dropped, so no copy of the text is held.
+    """
+    if isinstance(text, str):
+        return text.encode("utf-8")
+    if not text.isascii():
+        decoder = codecs.getincrementaldecoder("utf-8")()
+        for lo in range(0, len(text), _SCAN_BYTES):
+            held = len(decoder.getstate()[0])  # a character the chunk before cut
+            try:
+                decoder.decode(text[lo:lo + _SCAN_BYTES], final=lo + _SCAN_BYTES >= len(text))
+            except UnicodeDecodeError as exc:
+                at = lo - held + exc.start
+                raise UnicodeDecodeError("utf-8", text, at, at + exc.end - exc.start,
+                                         exc.reason) from None
+    return text
+
+
+def _line_starts(data: bytes) -> np.ndarray:
+    """The offset of each line in ``data``, then ``len(data)``: the lines
+    of ``str.splitlines`` on its text, found in the bytes (one int64 each)."""
+    raw = np.frombuffer(data, dtype=np.uint8)
+    parts = [np.zeros(1, dtype=np.int64)]
+    for lo in range(0, len(raw), _SCAN_BYTES):
+        chunk = raw[lo:lo + _SCAN_BYTES]
+        at = np.flatnonzero(chunk < 0x1F)
+        at = at[_BREAK_BYTES[chunk[at]]] + (lo + 1)
+        # a '\r' that a '\n' follows ends no line: the '\n' does
+        after = raw[np.minimum(at, len(raw) - 1)]
+        parts.append(at[~((raw[at - 1] == 0x0D) & (after == 0x0A) & (at < len(raw)))])
+    is_ascii = data.isascii()
+    if not is_ascii:
+        parts.append(np.array([i + len(word) for word in _WIDE_BREAKS
+                               for i in _offsets(data, word)], dtype=np.int64))
+    starts = np.concatenate([*parts, [len(data)]])
+    if not is_ascii:
+        starts.sort()
+    # the last line ends at the end of the data, with or without a break
+    return starts[:-1] if len(starts) > 1 and starts[-2] == len(data) else starts
+
+
+def _model_blocks(data: bytes):
+    """``(starts, blocks)``: the offsets of :func:`_line_starts` and the
+    [MODEL line index, first body line, end] of each MODEL ... ENDMDL block;
+    ``(None, [])`` when ``data`` never says MODEL.
 
     Raises :class:`PdbParseError`, naming the line, for a MODEL without
     ENDMDL and, when there are blocks, for an ATOM, HETATM or ANISOU record
-    outside them; an ENDMDL outside a block is ignored.
+    outside them; an ENDMDL outside a block is ignored.  Only the lines
+    that hold one of the two words, and those outside the blocks, are
+    decoded.
     """
-    if "MODEL" not in text:
+    if b"MODEL" not in data:
         return None, []
-    # a line-aligned slice of the text splits into the same lines as the whole
-    # text does, and a MODEL or ENDMDL record holds its word
-    starts = np.concatenate(([0], np.cumsum(np.fromiter(
-        map(len, text.splitlines(keepends=True)), dtype=np.int64))))
-    marked = np.searchsorted(starts, [*_offsets(text, "MODEL"), *_offsets(text, "ENDMDL")],
+    starts = _line_starts(data)
+    # a MODEL or ENDMDL record holds its word
+    marked = np.searchsorted(starts, [*_offsets(data, b"MODEL"), *_offsets(data, b"ENDMDL")],
                              side="right") - 1
     blocks: list[list[int]] = []
     current = None
     for i in sorted(set(marked.tolist())):
-        record = text[starts[i]:starts[i + 1]].splitlines()[0][:6].strip()
+        record = next(_numbered(data, starts, i, i + 1))[1][:6].strip()
         if record == "MODEL":
             if current is not None:
                 raise PdbParseError(f"line {current[0] + 1}: MODEL without ENDMDL")
@@ -375,7 +432,7 @@ def _model_blocks(text: str):
     gaps = [0, *itertools.chain.from_iterable((model, end + 1) for model, _, end in blocks),
             len(starts) - 1] if blocks else []
     for lo, hi in zip(gaps[::2], gaps[1::2]):
-        for lineno, line in _numbered(text, starts, lo, hi):
+        for lineno, line in _numbered(data, starts, lo, hi):
             record = line[:6].strip()
             if record in ("ATOM", "HETATM", "ANISOU"):
                 raise PdbParseError(f"line {lineno}: {record} record outside every "
@@ -383,20 +440,22 @@ def _model_blocks(text: str):
     return starts, blocks
 
 
-def _numbered(text: str, starts, lo: int, hi: int):
-    """(line number, line) of the lines with index lo to hi - 1 (see :func:`_model_blocks`)."""
-    return enumerate(text[starts[lo]:starts[hi]].splitlines(), start=lo + 1)
+def _numbered(data: bytes, starts, lo: int, hi: int):
+    """(line number, line) of the lines with index lo to hi - 1 (see
+    :func:`_model_blocks`), decoded; a line-aligned slice splits into the
+    same lines as the whole text does."""
+    return enumerate(data[starts[lo]:starts[hi]].decode("utf-8").splitlines(), start=lo + 1)
 
 
-def _first_model_lines(text: str, starts, blocks):
+def _first_model_lines(data: bytes, starts, blocks):
     """(line number, line) of the first model: the first block's body, or
     every line of a text without MODEL records."""
     if blocks:
-        return _numbered(text, starts, *blocks[0][1:])
-    return enumerate(text.splitlines(), start=1)
+        return _numbered(data, starts, *blocks[0][1:])
+    return enumerate(data.decode("utf-8").splitlines(), start=1)
 
 
-def parse_pdb(text: str) -> Structure:
+def parse_pdb(text: str | bytes) -> Structure:
     """Parse ATOM/HETATM (+ trailing ANISOU) records into a Structure.
 
     Follows the fixed-column PDB convention.  Alternate locations other than
@@ -404,9 +463,11 @@ def parse_pdb(text: str) -> Structure:
     come through.  ANISOU diagonals (file units of 1e-4 A^2) are converted to
     per-axis B-values via B = 8*pi^2*U.  If MODEL records are present only
     the first model is read, by the rule of :func:`_model_blocks` (see
-    :func:`parse_pdb_models` for ensembles).
+    :func:`parse_pdb_models` for ensembles).  Bytes are read as UTF-8, as
+    :func:`parse_pdb_models` reads them.
     """
-    return _structure(_read_model(_first_model_lines(text, *_model_blocks(text))))
+    data = _utf8(text)
+    return _structure(_read_model(_first_model_lines(data, *_model_blocks(data))))
 
 
 def serial_mismatch(got: list[int], want: list[int], where: str) -> str:
@@ -418,67 +479,62 @@ def serial_mismatch(got: list[int], want: list[int], where: str) -> str:
     return f"{len(got)} atoms where {where} lists {len(want)}"
 
 
-def _offsets(text: str, word: str):
-    at = text.find(word)
+def _offsets(data: bytes, word: bytes):
+    at = data.find(word)
     while at >= 0:
         yield at
-        at = text.find(word, at + 1)
+        at = data.find(word, at + 1)
 
 
-def _cast_fields(fields: np.ndarray) -> np.ndarray | None:
-    """float64 of each 8-byte field on the last axis of the uint8 ``fields``,
-    by numpy's bytes-to-float cast; None when it cannot read one of them."""
-    try:
-        return fields.view("S8")[..., 0].astype(np.float64)
-    except ValueError:
-        return None
-
-
-def _later_coords(text: str, starts: np.ndarray, blocks, kept: list[int]):
-    """Coordinates of the models after the first that repeat its text byte for
-    byte outside columns 31-54 of its kept ATOM/HETATM rows and whose x, y, z
-    fields read as finite numbers.  Returns {model index: (n, 3) array};
-    other models are left to the per-line reader.
-
-    ``starts`` holds the offset of each line, ``blocks`` the (MODEL line,
-    first, end) line ranges of the models and ``kept`` the line numbers of
-    the first model's kept rows.  The fields of all such models are cast in
-    one pass, and model by model only when that pass raises.  numpy parses a
-    field as ``float()`` parses its stripped text, correctly rounded to the
-    same bits, except that it drops trailing NULs (``S`` padding), which
-    ``float()`` rejects, and skips the line breaks of ``str.splitlines`` as
-    blanks, where the per-line reader sees two lines.  A model whose fields
-    hold a control byte (below 0x20) or a non-finite value therefore goes to
-    the per-line reader, so what this returns is what that reader would, and
-    it would raise nothing.
-    """
-    if not text.isascii():
-        return {}
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    _, lo, hi = blocks[0]
+def _first_layout(raw: np.ndarray, starts: np.ndarray, block, kept: list[int]):
+    """``(keep, masked)`` of the first model for :func:`_cast_model`: a byte
+    mask that is 0 in columns 31-54 of its kept ATOM/HETATM rows (line
+    numbers ``kept``) and 0xFF elsewhere, and its body under that mask.
+    None when the body is not ASCII, where byte columns are not the
+    per-line reader's character columns."""
+    _, lo, hi = block
     body = raw[starts[lo]:starts[hi]]
-    cols = ((starts[np.asarray(kept, dtype=np.int64) - 1] - starts[lo])[:, None]
-            + np.arange(30, 54)).ravel()
+    if body.max(initial=0) >= 0x80:
+        return None
+    rows = starts[np.asarray(kept, dtype=np.int64) - 1] - starts[lo]
     keep = np.full(len(body), 0xFF, dtype=np.uint8)
-    keep[cols] = 0
-    body_kept = body & keep
-    same = []  # models whose text outside the coordinates is the first's
-    for k, (_, lo_k, hi_k) in enumerate(blocks[1:], start=1):
-        text_k = raw[starts[lo_k]:starts[hi_k]]
-        if len(text_k) == len(body) and np.array_equal(text_k & keep, body_kept):
-            same.append((k, text_k[cols]))
-    if not same:
-        return {}
-    fields = np.array([f for _, f in same]).reshape(len(same), len(kept), 3, 8)
-    values = _cast_fields(fields)
-    if values is None:  # some field is no number: find the models that hold one
-        values = [_cast_fields(f) for f in fields]
-    control = (fields < 0x20).any(axis=(1, 2, 3))
-    return {k: v for (k, _), v, bad in zip(same, values, control)
-            if not bad and v is not None and np.isfinite(v).all()}
+    for col in range(30, 54):
+        keep[rows + col] = 0
+    return keep, body & keep
 
 
-def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
+def _cast_model(text: np.ndarray, layout, out: np.ndarray) -> bool:
+    """Write the coordinates of the later model whose bytes are ``text``
+    into the (n, 3) ``out`` and return True, when the model repeats the
+    first model byte for byte outside the x, y, z columns of ``layout``
+    (see :func:`_first_layout`) and every field reads as a finite number;
+    return False, writing nothing, otherwise.
+
+    The fields go through numpy's bytes-to-float cast, which rounds as
+    ``float()`` does, to the same bits.  It also drops trailing NULs
+    (``S`` padding), which ``float()`` rejects, and skips the line breaks
+    of ``str.splitlines`` as blanks, where the per-line reader sees two
+    lines; so a field that holds a byte below 0x20, a non-ASCII byte or a
+    non-finite value is left to that reader.  What this writes is what
+    that reader would return, and it would raise nothing.
+    """
+    keep, masked = layout
+    if len(text) != len(keep) or not np.array_equal(text & keep, masked):
+        return False
+    fields = text[keep == 0]  # row by row, x, y, z
+    if fields.min(initial=0x20) < 0x20 or fields.max(initial=0) >= 0x80:
+        return False
+    try:
+        values = fields.view("S8").astype(np.float64)
+    except ValueError:
+        return False
+    if not np.isfinite(values).all():
+        return False
+    out[...] = values.reshape(out.shape)
+    return True
+
+
+def parse_pdb_models(text: str | bytes) -> tuple[Structure, np.ndarray]:
     """Parse a multi-MODEL PDB into its first model and every model's coordinates.
 
     Returns ``(first, coords)``: the first model as a Structure and an
@@ -489,29 +545,31 @@ def parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
     naming the MODEL record's line, when a MODEL has no ENDMDL or a later
     model does not list the first model's serials in the same order.
 
-    The first model is read line by line.  A later model whose text is ASCII
-    and equals the first model's everywhere except the x, y, z columns
-    (31-54) of the first model's kept ATOM/HETATM rows is read as arrays:
-    its coordinate fields go through numpy's bytes-to-float cast, which
-    rounds as ``float()`` does, so the values are bit-equal.  The model goes
-    through the per-line reader instead when the cast cannot read one of its
-    fields, when a value is not finite, or when a field holds a control byte
-    (a NUL, which numpy drops as padding and ``float()`` rejects, or a line
-    break).  Results and errors (class, message and order) are therefore
-    those of reading each model line by line.
+    ``text`` is the file's bytes, read as UTF-8 (a str is encoded first);
+    UnicodeDecodeError names the offset of the first byte that is not.
+    Besides the bytes and the result, the reader holds one int64 offset per
+    line and the text of one model at a time: the first model is decoded
+    and read line by line.  A later model whose bytes equal the first
+    model's everywhere except the x, y, z columns (31-54) of its kept
+    ATOM/HETATM rows is read from the bytes by :func:`_cast_model`, without
+    decoding; any other goes through the per-line reader.  Results and
+    errors (class, message and order) are therefore those of reading each
+    model line by line.
     """
-    starts, blocks = _model_blocks(text)
-    model = _read_model(_first_model_lines(text, starts, blocks))
+    data = _utf8(text)
+    starts, blocks = _model_blocks(data)
+    model = _read_model(_first_model_lines(data, starts, blocks))
     first = _structure(model)
     coords = np.empty((max(len(blocks), 1), first.n_atoms, 3))
     coords[0] = first.coords
-    fast = _later_coords(text, starts, blocks, model[0]) if len(blocks) > 1 else {}
+    raw = np.frombuffer(data, dtype=np.uint8)
+    layout = _first_layout(raw, starts, blocks[0], model[0]) if len(blocks) > 1 else None
     want = first.serials.tolist()
     for k, block in enumerate(blocks[1:], start=1):
-        if k in fast:
-            coords[k] = fast[k]
+        lo, hi = starts[block[1]], starts[block[2]]
+        if layout is not None and _cast_model(raw[lo:hi], layout, coords[k]):
             continue
-        _, _, serials, _, xyz, _, _ = _read_model(_numbered(text, starts, *block[1:]))
+        _, _, serials, _, xyz, _, _ = _read_model(_numbered(data, starts, *block[1:]))
         if serials != want:
             raise PdbParseError(f"line {block[0] + 1}: model {k + 1} lists "
                                 + serial_mismatch(serials, want, "model 1"))
@@ -541,19 +599,22 @@ def _int_col(value: int, width: int, what: str) -> str:
     return text
 
 
-def _atom_lines(s: Structure):
-    """Columns 7-26 of each atom's records (serial, name, residue, chain,
-    number; shared by ATOM and ANISOU) and columns 55-78 of its ATOM record
-    (occupancy, B-value, element).  Only the coordinates change per model."""
+def _atom_lines(s: Structure, rows: slice = slice(None)):
+    """Columns 7-26 of the records of each atom in ``rows`` (serial, name,
+    residue, chain, number; shared by ATOM and ANISOU) and columns 55-78 of
+    its ATOM record (occupancy, B-value, element).  Only the coordinates
+    change per model."""
+    elements = s.elements[rows].tolist()
     ids = [
         f"{_int_col(serial, 5, 'serial')} {_format_atom_name(name, element)} "
         f"{residue:>3s} {chain}{_int_col(seq, 4, 'residue number')}"
         for serial, name, element, residue, chain, seq in zip(
-            s.serials.tolist(), s.names.tolist(), s.elements.tolist(),
-            s.residue_names.tolist(), s.chain_ids.tolist(), s.residue_seqs.tolist())
+            s.serials[rows].tolist(), s.names[rows].tolist(), elements,
+            s.residue_names[rows].tolist(), s.chain_ids[rows].tolist(),
+            s.residue_seqs[rows].tolist())
     ]
     tails = [f"{1.0:6.2f}{b:6.2f}          {element:>2s}"
-             for b, element in zip(s.b_iso.tolist(), s.elements.tolist())]
+             for b, element in zip(s.b_iso[rows].tolist(), elements)]
     return ids, tails
 
 
@@ -582,25 +643,47 @@ def write_pdb(s: Structure) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
-    """Render an ensemble as a multi-MODEL PDB sharing ``s``'s atom metadata.
+# atoms rendered per write: a block's text, encoded once more by the file,
+# and its coordinates as Python floats are all the writer holds besides the
+# templates
+_WRITE_ATOMS = 256
 
-    Each model's ATOM records come from one ``%``-template of the structure,
-    filled with all its coordinates at once (``%8.3f`` renders as
-    ``f"{v:8.3f}"``).  A model whose text is longer than the template
-    predicts holds a coordinate that overflows its 8 columns; it is rendered
-    again atom by atom, which raises :class:`PdbFormatError` naming the first
-    such coordinate, so text and errors are those of the per-atom path.  A
-    model of the wrong shape, or with a non-finite coordinate (named by atom
-    serial, axis and value), raises ValueError.
+
+def _block_templates(s: Structure):
+    """(first atom, end, template, width) of each block of ``_WRITE_ATOMS``
+    atoms: one ``%``-template of the block's ATOM records and the length of
+    its text when every coordinate fills its 8 columns."""
+    blocks = []
+    for lo in range(0, s.n_atoms, _WRITE_ATOMS):
+        hi = min(lo + _WRITE_ATOMS, s.n_atoms)
+        template = "".join(f"ATOM  {atom_id.replace('%', '%%')}    %8.3f%8.3f%8.3f"
+                           f"{tail.replace('%', '%%')}\n"
+                           for atom_id, tail in zip(*_atom_lines(s, slice(lo, hi))))
+        blocks.append((lo, hi, template, len(template % ((0.0,) * (3 * (hi - lo))))))
+    return blocks
+
+
+def write_pdb_models(s: Structure, positions_list, file, model_numbers=None) -> None:
+    """Write an ensemble to the open text ``file`` as a multi-MODEL PDB
+    sharing ``s``'s atom metadata.
+
+    The ATOM records of each block of ``_WRITE_ATOMS`` atoms come from one
+    ``%``-template, filled with the block's coordinates at once (``%8.3f``
+    renders as ``f"{v:8.3f}"``).  A block whose text is longer than its
+    template predicts holds a coordinate that overflows its 8 columns; it is
+    rendered again atom by atom, which raises :class:`PdbFormatError` naming
+    the first such coordinate, so text and errors are those of the per-atom
+    path.  A model of the wrong shape, or with a non-finite coordinate (named
+    by atom serial, axis and value), raises ValueError.
+
+    Besides its arguments the writer holds the templates (about one model's
+    text) and one block at a time.  An error leaves what was written before
+    it in ``file``; a caller that must not leave a partial file writes to a
+    temporary one and renames it.
     """
     if model_numbers is None:
         model_numbers = range(1, len(positions_list) + 1)
-    ids, tails = _atom_lines(s)
-    template = "".join(f"ATOM  {atom_id.replace('%', '%%')}    %8.3f%8.3f%8.3f"
-                       f"{tail.replace('%', '%%')}\n" for atom_id, tail in zip(ids, tails))
-    width = len(template % ((0.0,) * (3 * s.n_atoms)))  # every field 8 columns wide
-    parts = []
+    blocks = _block_templates(s)
     for num, positions in zip(model_numbers, positions_list):
         positions = np.asarray(positions, dtype=float)
         expected = f"model {num}: expected ({s.n_atoms}, 3) finite positions"
@@ -610,14 +693,15 @@ def write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
             i, axis = np.argwhere(~np.isfinite(positions))[0]
             raise ValueError(f"{expected}, atom {s.serials[i]} has {'xyz'[axis]} = "
                              f"{positions[i, axis]}")
-        parts.append(f"MODEL     {num:4d}\n")
-        atoms = template % tuple(positions.ravel().tolist())
-        if len(atoms) != width:  # raises at the first overflowing coordinate
-            atoms = "".join(f"{line}\n" for line in _atom_records(ids, tails, positions))
-        parts.append(atoms)
-        parts.append("ENDMDL\n")
-    parts.append("END\n")
-    return "".join(parts)
+        file.write(f"MODEL     {num:4d}\n")
+        for lo, hi, template, width in blocks:
+            atoms = template % tuple(positions[lo:hi].ravel().tolist())
+            if len(atoms) != width:  # raises at the first overflowing coordinate
+                atoms = "".join(f"{line}\n" for line in _atom_records(
+                    *_atom_lines(s, slice(lo, hi)), positions[lo:hi]))
+            file.write(atoms)
+        file.write("ENDMDL\n")
+    file.write("END\n")
 
 
 def assign_params(s: Structure, table: ParamTable) -> Structure:

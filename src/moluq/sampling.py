@@ -10,7 +10,9 @@ anchored-box star discrepancy estimator.
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
+import zipfile
 
 import numpy as np
 
@@ -25,6 +27,7 @@ SOBOL_MAX_DIM = 21201
 _SOBOL_BITS = 30
 _MSB_FIRST = np.uint32(1) << np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
 _LSB_FIRST = _MSB_FIRST[::-1]
+_LOWER = np.tri(_SOBOL_BITS, dtype=np.uint32)  # np.tril as a product
 
 # Dimensions whose LMS matrices are drawn and applied at once (450 KiB per
 # temporary).  Chunks of 1024 (3.5 MiB each) set the peak memory of a
@@ -42,11 +45,35 @@ def _direction_table(dimension: int) -> tuple[np.ndarray, np.ndarray]:
     for root in roots:
         path = os.path.join(root, "stats", "_sobol_direction_numbers.npz")
         if os.path.isfile(path):
-            with np.load(path) as table:
-                return table["poly"][:dimension], table["vinit"][:dimension]
+            with zipfile.ZipFile(path) as table:
+                return (_npy_rows(table, "poly.npy", dimension),
+                        _npy_rows(table, "vinit.npy", dimension))
     raise FileNotFoundError(
         "Sobol direction numbers not found: moluq reads "
         "scipy/stats/_sobol_direction_numbers.npz from the installed scipy")
+
+
+def _npy_rows(archive: zipfile.ZipFile, name: str, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the 1-D or 2-D ``.npy`` array ``name`` in an
+    ``.npz`` archive, as ``np.load(...)[name][:rows]`` gives them.
+
+    The member is inflated as a stream and only what the rows need is kept:
+    a prefix of a C-order array, the head of each column of a Fortran-order
+    one (``vinit`` is stored so), read one column at a time.
+    """
+    with archive.open(name) as stream:
+        version = np.lib.format.read_magic(stream)
+        shape, fortran, dtype = {(1, 0): np.lib.format.read_array_header_1_0,
+                                 (2, 0): np.lib.format.read_array_header_2_0}[version](stream)
+        rows = min(rows, shape[0])
+        if not fortran:
+            count = rows * math.prod(shape[1:])
+            return np.frombuffer(stream.read(count * dtype.itemsize), dtype,
+                                 count).reshape(rows, *shape[1:])
+        out = np.empty((rows, shape[1]), dtype)
+        for column in out.T:
+            column[:] = np.frombuffer(stream.read(shape[0] * dtype.itemsize), dtype, rows)
+        return out
 
 
 def _direction_numbers(dimension: int) -> np.ndarray:
@@ -58,12 +85,11 @@ def _direction_numbers(dimension: int) -> np.ndarray:
     """
     poly, vinit = _direction_table(dimension)
     deg = np.frexp(poly.astype(float))[1] - 1
-    max_deg = int(deg.max(initial=0))
-    terms = np.arange(max_deg)
-    # coef[:, k]: coefficient of x^(m-1-k) in each coordinate's polynomial
-    coef = (poly[:, None] >> np.maximum(deg[:, None] - 1 - terms, 0)) & 1
-    coef[terms >= deg[:, None]] = 0
-    v = np.zeros((dimension, _SOBOL_BITS), dtype=np.int64)
+    # coef[k]: coefficient of x^(m-1-k) in each coordinate's polynomial (0 for k >= m)
+    coef = [np.where(deg > k, (poly >> np.maximum(deg - 1 - k, 0)) & 1, 0).astype(np.uint32)
+            for k in range(int(deg.max(initial=0)))]
+    # every number stays below 2**30, so uint32 holds the recurrence exactly
+    v = np.zeros((dimension, _SOBOL_BITS), dtype=np.uint32)
     v[:, :vinit.shape[1]] = vinit
     rows = np.arange(dimension)
     # column j of a coordinate of degree m is vinit for j < m, the recurrence
@@ -71,18 +97,22 @@ def _direction_numbers(dimension: int) -> np.ndarray:
     for j in range(_SOBOL_BITS):
         recur = deg <= j
         newv = v[rows, j - deg]
-        for k in range(min(j, max_deg)):
-            newv ^= coef[:, k] * (v[:, j - k - 1] << (k + 1))
+        for k in range(min(j, len(coef))):
+            newv ^= coef[k] * (v[:, j - k - 1] << (k + 1))
         v[recur, j] = newv[recur]
     v[0] = 1
-    return (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+    v <<= np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)
+    return v
 
 
 def _parity(words: np.ndarray) -> np.ndarray:
-    """Parity of the set bits of each 32-bit word."""
+    """Parity of the set bits of each 32-bit word, computed in place."""
+    half = np.empty_like(words)
     for shift in (16, 8, 4, 2, 1):
-        words = words ^ (words >> shift)
-    return words & 1
+        np.right_shift(words, shift, out=half)
+        words ^= half
+    words &= 1
+    return words
 
 
 def _scrambled_net(dimension: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,13 +130,17 @@ def _scrambled_net(dimension: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     diag = np.arange(_SOBOL_BITS)
     for lo in range(0, dimension, _LMS_CHUNK):
         hi = min(lo + _LMS_CHUNK, dimension)
-        ltm = np.tril(rng.integers(2, size=(hi - lo, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32))
+        ltm = rng.integers(2, size=(hi - lo, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+        ltm *= _LOWER
         ltm[:, diag, diag] = 1
         # row p of each matrix as one word, its column 0 the top bit; bit
         # 29 - p of a scrambled number is the parity of row p AND the number
-        words = (ltm * _MSB_FIRST).sum(axis=2, dtype=np.uint32)
-        bits = _parity(words[:, None, :] & sv[lo:hi, :, None])
-        sv[lo:hi] = (bits * _MSB_FIRST).sum(axis=2, dtype=np.uint32)
+        ltm *= _MSB_FIRST
+        words = ltm.sum(axis=2, dtype=np.uint32)
+        bits = np.bitwise_and(words[:, None, :], sv[lo:hi, :, None], out=ltm)
+        _parity(bits)
+        bits *= _MSB_FIRST
+        bits.sum(axis=2, dtype=np.uint32, out=sv[lo:hi])
     return shift, sv
 
 
@@ -120,8 +154,8 @@ def _net_points(shift: np.ndarray, sv: np.ndarray, indices: np.ndarray) -> np.nd
     gray = indices ^ (indices >> 1)
     words = np.repeat(shift[None, :], len(indices), axis=0)
     for b in range(int(gray.max(initial=0)).bit_length()):
-        words[(gray >> b) & 1 == 1] ^= sv[:, b]
-    return words * (1.0 / 2**_SOBOL_BITS)
+        np.bitwise_xor(words, sv[:, b], out=words, where=((gray >> b) & 1 == 1)[:, None])
+    return np.multiply(words, 1.0 / 2**_SOBOL_BITS)
 
 
 class LowDiscrepancySequence:
@@ -178,10 +212,10 @@ class LowDiscrepancySequence:
             raise ValueError(f"at most {self._limit} points can be drawn from this stream; "
                              f"{self.index} were drawn, then {count} more were asked for")
         runs = np.arange(self.index, end)
-        pts = np.hstack([_net_points(shift, sv, runs if order is None else order[runs])
-                         for shift, sv, order in self._nets])
+        blocks = [_net_points(shift, sv, runs if order is None else order[runs])
+                  for shift, sv, order in self._nets]
         self.index = end
-        return pts
+        return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
 def normals_from_unit(points: np.ndarray, count: int) -> np.ndarray:
@@ -197,12 +231,19 @@ def normals_from_unit(points: np.ndarray, count: int) -> np.ndarray:
     if points.shape[-1] < need:
         raise ValueError(f"need {need} unit coordinates for {count} normals")
     u = np.asarray(points[..., :need], dtype=float).reshape(*points.shape[:-1], -1, 2)
-    u1 = np.maximum(u[..., 0], np.finfo(float).tiny)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u[..., 1]
     z = np.empty(points.shape[:-1] + (need,))
-    z[..., 0::2] = r * np.cos(theta)
-    z[..., 1::2] = r * np.sin(theta)
+    # theta into the even slots and r into the odd ones, then r*cos and r*sin
+    # over them, so that the only temporary is sin(theta)
+    theta, r = z[..., 0::2], z[..., 1::2]
+    np.multiply(u[..., 1], 2.0 * np.pi, out=theta)
+    np.maximum(u[..., 0], np.finfo(float).tiny, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    sin = np.sin(theta)
+    np.cos(theta, out=theta)
+    theta *= r
+    r *= sin
     return z[..., :count]
 
 

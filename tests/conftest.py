@@ -1,9 +1,10 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
-from moluq.molio import Structure
+from moluq.molio import Structure, write_pdb_models
 
 
 def make_structure(positions, bonds=(), element="C", b_iso=0.0, b_aniso=None, chain="A",
@@ -31,6 +32,12 @@ def make_structure(positions, bonds=(), element="C", b_iso=0.0, b_aniso=None, ch
         bonds=tuple(bonds),
     )
 
+
+def models_text(s, positions_list, model_numbers=None) -> str:
+    """What ``write_pdb_models`` writes, as one string."""
+    buf = io.StringIO()
+    write_pdb_models(s, positions_list, buf, model_numbers)
+    return buf.getvalue()
 
 
 def param_table_json(table) -> dict:

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from moluq.cli import main
-from moluq.molio import parse_pdb_models, write_pdb, write_pdb_models
-from conftest import make_structure, param_table_json
+from moluq.molio import parse_pdb_models, write_pdb
+from conftest import make_structure, models_text, param_table_json
 
 
 def small_protein_pdb():
@@ -118,6 +118,28 @@ class TestSample:
         err = capsys.readouterr().err
         assert "'Z'" in err and "'A', 'B'" in err
         assert not (workspace / "run" / "ensemble.pdb").exists()
+
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "model 3: expected (5, 3) finite positions, atom 2 has x = nan"),
+        (1e4, "coordinate 10000.0 does not fit fixed-column format"),
+    ])
+    def test_a_model_that_fails_its_checks_leaves_no_ensemble(self, workspace, monkeypatch,
+                                                              capsys, value, message):
+        from moluq import conformers
+        draw = conformers.sample_cartesian_ensemble
+
+        def spoilt(*args, **kwargs):  # models 1 and 2 are written before model 3
+            ens = draw(*args, **kwargs)
+            ens.coords[2, 1, 0] = value
+            return ens
+
+        monkeypatch.setattr(conformers, "sample_cartesian_ensemble", spoilt)
+        cfg = write_config(workspace, samples=4, seed=3, clash_factor=None)
+        capsys.readouterr()
+        assert main(["sample", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == f"moluq: domain error: {message}\n"
+        assert list((workspace / "run").iterdir()) == []
 
 
 class TestQoiCertifySaturate:
@@ -478,9 +500,8 @@ class TestBound:
 class TestBindsite:
     def test_multi_conformer_grouped_poses(self, workspace):
         lig = make_structure([[0.0, 3.0, 0.0]])
-        from moluq.molio import write_pdb_models
         frames = [lig.positions(), lig.positions() + [0.0, 200.0, 0.0]]
-        (workspace / "ligand.pdb").write_text(write_pdb_models(lig, frames))
+        (workspace / "ligand.pdb").write_text(models_text(lig, frames))
         identity = {"rank": 1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
                     "translation": [0.0, 0.0, 0.0]}
         grouped = [{"model": 0, "poses": [identity]}, {"model": 1, "poses": [identity]}]
@@ -513,7 +534,7 @@ class TestBindsite:
         # silently mispaired
         lig = make_structure([[0.0, 3.0, 0.0]])
         frames = [lig.positions(), lig.positions() + [0.0, 200.0, 0.0]]
-        (workspace / "ligand.pdb").write_text(write_pdb_models(lig, frames))
+        (workspace / "ligand.pdb").write_text(models_text(lig, frames))
         identity = {"rank": 1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
                     "translation": [0.0, 0.0, 0.0]}
         swapped = [{"model": 1, "poses": [identity]}, {"model": 0, "poses": [identity]}]
@@ -575,7 +596,7 @@ class TestBindsite:
     def test_malformed_pose_file_is_a_data_error(self, workspace, capsys, raw, what):
         # these once exited 3 naming only a key or index, or ended in a traceback
         lig = make_structure([[0.0, 3.0, 0.0]])
-        (workspace / "ligand.pdb").write_text(write_pdb_models(lig, [lig.positions()] * 2))
+        (workspace / "ligand.pdb").write_text(models_text(lig, [lig.positions()] * 2))
         path = workspace / "poses.json"
         path.write_text(json.dumps(raw))
         cfg = write_config(workspace, ligand=str(workspace / "ligand.pdb"), poses=str(path))
@@ -623,7 +644,7 @@ class TestVolmapModes:
         ensemble = workspace / "run" / "ensemble.pdb"
         first, coords = parse_pdb_models(ensemble.read_text())
         shifted = replace(first, serials=first.serials + 6)
-        ensemble.write_text(write_pdb_models(shifted, coords))
+        ensemble.write_text(models_text(shifted, coords))
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 3
         assert "ensemble lists serial 7 where the structure lists serial 1" in capsys.readouterr().err
@@ -734,6 +755,22 @@ class TestReplayAndExitCodes:
         (workspace / "bad.pdb").write_text("ATOM      1  C   GLY A   1     bad")
         cfg = write_config(workspace, structure=str(workspace / "bad.pdb"), samples=2)
         assert main(["sample", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("which", ["structure", "ensemble", "config"])
+    def test_a_byte_that_is_not_utf8_is_a_data_error(self, workspace, capsys, which):
+        cfg = write_config(workspace, samples=2, seed=3, qoi=["area"])
+        assert main(["sample", "--config", str(cfg)]) == 0
+        path = {"structure": workspace / "input.pdb", "config": cfg,
+                "ensemble": workspace / "run" / "ensemble.pdb"}[which]
+        data = path.read_bytes()
+        # column 73 of the first ATOM line, or a byte inside a JSON string
+        at = data.index(b"ATOM") + 72 if which != "config" else data.index(b"input.pdb")
+        path.write_bytes(data[:at] + b"\xe9" + data[at + 1:])
+        capsys.readouterr()
+        assert main(["sample" if which == "structure" else "qoi", "--config", str(cfg)]) == 2
+        named = str(path) if which == "config" else str(path.resolve())
+        assert capsys.readouterr().err == (f"moluq: data error: {named}: byte {at} (0xe9) is "
+                                           "not UTF-8 text: invalid continuation byte\n")
 
     @pytest.mark.parametrize("command, raw, message", [
         ("sample", [1, 2], "a run config must be a JSON object, not list"),

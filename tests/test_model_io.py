@@ -31,9 +31,8 @@ from moluq.molio import (
     _int_field,
     _require_unique,
     parse_pdb_models,
-    write_pdb_models,
 )
-from conftest import lattice, make_structure
+from conftest import lattice, make_structure, models_text
 
 GEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
 
@@ -375,9 +374,21 @@ def test_full_width_fields_and_negative_zero(reads):
     assert coords[1, 2].tolist() == [-1234567.0, 5.0, 12.5]
 
 
-def test_non_ascii_text_reads_line_by_line(reads):
+def test_non_ascii_remark_keeps_later_models_on_the_array_path(reads):
     bodies = [[record(s, xyz) for s, xyz in enumerate(shifted(3, k), start=1)] for k in range(3)]
     text = "REMARK   1 Å-scale ensemble\n" + ensemble(bodies)
+    assert_same_parse(text)
+    reads.clear()
+    parse_pdb_models(text)
+    assert len(reads) == 1  # the models themselves are ASCII
+
+
+def test_non_ascii_first_model_reads_line_by_line(reads):
+    # byte columns are the per-line reader's character columns only in ASCII
+    # full-width fields that still read as numbers when taken a byte early
+    bodies = [[record(1, (1234.567 + k, 2345.678, 3456.789 + 10 * k), name=" CÅ "),
+               record(2, (4.0, 0.5, 1.0 + k))] for k in range(3)]
+    text = ensemble(bodies)
     assert_same_parse(text)
     reads.clear()
     parse_pdb_models(text)
@@ -459,12 +470,12 @@ def test_writer_matches_former_text():
                 [-999.9994, 0.0, -0.0005], [1e-12, -1e-12, 5.0005],
                 [2.5e-4, -2.5e-4, 1234.5675], [0.1, 0.2, 0.3]]
     frames.append(edge)
-    assert write_pdb_models(s, frames) == former_write_pdb_models(s, frames)
+    assert models_text(s, frames) == former_write_pdb_models(s, frames)
     numbers = [7, 70, 700, 7000, 70000]
-    assert write_pdb_models(s, frames, numbers) == former_write_pdb_models(s, frames, numbers)
-    assert write_pdb_models(s, []) == former_write_pdb_models(s, []) == "END\n"
+    assert models_text(s, frames, numbers) == former_write_pdb_models(s, frames, numbers)
+    assert models_text(s, []) == former_write_pdb_models(s, []) == "END\n"
     empty = make_structure(np.zeros((0, 3)))
-    assert write_pdb_models(empty, [np.zeros((0, 3))] * 2) == former_write_pdb_models(
+    assert models_text(empty, [np.zeros((0, 3))] * 2) == former_write_pdb_models(
         empty, [np.zeros((0, 3))] * 2)
 
 
@@ -472,7 +483,7 @@ def test_writer_escapes_percent_in_names():
     s = make_structure([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], name=["%s", "C%"],
                        residue_name="%d%")
     frames = [s.positions(), s.positions() + 0.5]
-    assert write_pdb_models(s, frames) == former_write_pdb_models(s, frames)
+    assert models_text(s, frames) == former_write_pdb_models(s, frames)
 
 
 @pytest.mark.parametrize("value", [10000.0, -1000.0, 1e300, 9999.9995, -999.9995])
@@ -481,7 +492,7 @@ def test_writer_overflow_raises_former_error(value):
     bad = s.positions()
     bad[13, 1] = value
     frames = [s.positions(), bad, s.positions() + [[1e6, 0.0, 0.0]]]
-    got = outcome(write_pdb_models, s, frames)
+    got = outcome(models_text, s, frames)
     assert got == outcome(former_write_pdb_models, s, frames)
     assert got[0] is PdbFormatError
 
@@ -492,7 +503,7 @@ def test_writer_overflow_raises_former_error(value):
 def test_round_trip_gives_rounded_coordinates(values):
     frames = np.array(values).reshape(-1, 2, 3)
     s = make_structure(np.zeros((2, 3)))
-    text = write_pdb_models(s, frames)
+    text = models_text(s, frames)
     assert text == former_write_pdb_models(s, frames)
     _, coords = parse_pdb_models(text)
     want = np.array([float(f"{v:8.3f}") for v in values]).reshape(frames.shape)

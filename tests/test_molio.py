@@ -17,9 +17,8 @@ from moluq.molio import (
     parse_pdb,
     parse_pdb_models,
     write_pdb,
-    write_pdb_models,
 )
-from conftest import make_structure, param_table_json
+from conftest import make_structure, models_text, param_table_json
 
 ATOM_LINE = "ATOM      1  N   ALA A   1      11.104   6.134  -6.504  1.00 20.00           N"
 ANISOU_LINE = "ANISOU    1  N   ALA A   1     2500   2500   2500      0      0      0       N"
@@ -160,14 +159,14 @@ class TestWritePdb:
     def test_multi_model_roundtrip(self):
         s = make_structure([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         frames = [s.positions(), s.positions() + 1.0]
-        text = write_pdb_models(s, frames)
+        text = models_text(s, frames)
         _, models = parse_pdb_models(text)
         assert len(models) == 2
         np.testing.assert_allclose(models[1], frames[1], atol=5e-4)
 
     def test_parse_pdb_reads_first_model_only(self):
         s = make_structure([[0.0, 0.0, 0.0]])
-        text = write_pdb_models(s, [s.positions(), s.positions() + 3.0])
+        text = models_text(s, [s.positions(), s.positions() + 3.0])
         first = parse_pdb(text)
         assert first.n_atoms == 1
         np.testing.assert_allclose(first.positions()[0], [0, 0, 0], atol=1e-6)

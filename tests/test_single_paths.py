@@ -26,7 +26,6 @@ from moluq.molio import (
     _int_col,
     assign_params,
     write_pdb,
-    write_pdb_models,
 )
 from moluq.qoi import (
     AtomSet,
@@ -39,7 +38,7 @@ from moluq.qoi import (
     volume,
 )
 from moluq.vizgrid import occupancy_map
-from conftest import lattice, make_structure
+from conftest import lattice, make_structure, models_text
 
 ELEMENTS = ("C", "C", "N", "C", "O", "S", "H")
 
@@ -375,8 +374,8 @@ def test_sasa_matches_former_loop_on_edge_cases():
 def test_write_pdb_models_matches_former_rebuild():
     s = lattice_structure(140, 4)
     frames = [jittered(s, 40 + k, 0.3) for k in range(3)] + [s.positions() - 500.0]
-    assert write_pdb_models(s, frames) == oracle_write_pdb_models(s, frames)
-    assert (write_pdb_models(s, frames, [3, 9, 27, 81])
+    assert models_text(s, frames) == oracle_write_pdb_models(s, frames)
+    assert (models_text(s, frames, [3, 9, 27, 81])
             == oracle_write_pdb_models(s, frames, [3, 9, 27, 81]))
 
 
@@ -402,7 +401,7 @@ def test_write_pdb_models_rejects_malformed_model(bad):
     s = lattice_structure(12, 5)
     good = s.positions()
     with pytest.raises(ValueError, match=r"model 2: expected \(12, 3\) finite positions"):
-        write_pdb_models(s, [good, bad(good)])
+        models_text(s, [good, bad(good)])
 
 
 @pytest.mark.parametrize("value, text", [(np.nan, "y = nan"), (-np.inf, "y = -inf")])
@@ -413,5 +412,5 @@ def test_write_pdb_models_names_the_non_finite_coordinate(value, text):
     bad[4, 1] = value
     bad[7, 0] = value  # only the first non-finite value is named
     with pytest.raises(ValueError) as err:
-        write_pdb_models(s, [s.positions(), bad])
+        models_text(s, [s.positions(), bad])
     assert str(err.value) == f"model 2: expected (12, 3) finite positions, atom 50 has {text}"
