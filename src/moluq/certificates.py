@@ -7,17 +7,19 @@ z-scores of reference values and the sample-count saturation protocol that
 finds how many samples the certificate needs before it stops moving.
 
 The module computes without numpy, so that a stage which only certifies
-never loads it, and keeps numpy's bits: sums follow numpy's pairwise
-summation, counts are taken on sorted values with the elementwise test
-itself, and the saturation distance is the fused multiply-add chain that
-OpenBLAS's ``ddot`` runs for short vectors.  Only the Monte-Carlo estimate
-of :func:`expected_hypercube_distance_mc` imports numpy.
+never loads it.  Sums are exact: each value is an integer count of
+2**-1074, the sum is a Python integer, and a mean is that sum over the count,
+rounded once.  IEEE 754 defines that rounding identically on every CPU, so
+no certificate depends on a library's order of summation.  Counts are taken
+on sorted values with the elementwise test itself.  Only the Monte-Carlo
+estimate of :func:`expected_hypercube_distance_mc` imports numpy.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,12 +50,15 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_values(cls, values) -> "EmpiricalDistribution":
-        """The values with numpy's ``mean()`` and ``std()`` of them, bit for bit."""
+        """The values with their population mean and standard deviation: the
+        exact mean of the values, and the root of the exact mean of the rounded
+        squared deviations, each rounded once."""
         values = _finite_values(values)
         if not values:
             raise ValueError("need a non-empty 1-d value list")
-        mean = _sum(values) / len(values)
-        variance = _sum([(v - mean) * (v - mean) for v in values]) / len(values)
+        mean = _exact_mean(values)
+        squares = [(v - mean) * (v - mean) for v in values]
+        variance = _exact_mean(squares) if math.isfinite(max(squares)) else math.inf
         return cls(values=tuple(values), mean=mean, std=math.sqrt(variance))
 
 
@@ -103,71 +108,15 @@ def _finite_values(values) -> list[float]:
     return out
 
 
-def _split(n: int) -> int:
-    """How many of n > 128 values numpy's pairwise sum adds up first: n/2
-    rounded down to a multiple of 8."""
-    return n // 2 - n // 2 % 8
+def _fixed(v: float) -> int:
+    """The finite float ``v`` as an integer count of 2**-1074, exactly."""
+    num, den = v.as_integer_ratio()  # den is 2**k with k <= 1074
+    return num << (1075 - den.bit_length())
 
 
-def _pairwise_sums(values: list[float]):
-    """A function ``sums(start, count, n)`` that returns, for each p in
-    ``range(start, start + count)``, numpy's pairwise sum of ``values[p:p + n]``
-    bit for bit.
-
-    numpy's pairwise sum (Higham 1993) of n < 8 values runs left to right
-    from 0.0.  Of 8 to 128 values, lane j < 8 adds values j, j + 8, ... left
-    to right over the whole groups of 8, the lanes join as
-    ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)), and the n % 8 values
-    left over follow one by one.  More than 128 values sum as the first
-    ``_split(n)`` values plus the rest.  ``np.add.reduce`` adds the pairwise
-    sum of a contiguous float64 array to 0.0.
-
-    The joined lanes of every run of 8g values, g = 1..16, are tabulated up
-    front, and results are cached, so the prefixes of a stream share the
-    halves they have in common and a run of ``count`` equal-length slices
-    costs one walk of the split tree.  Callers must not change the lists.
-    """
-    blocks: list[list[float]] = [[]]  # blocks[g][p]: joined lanes of values[p:p + 8g]
-    lanes = values  # lanes[p]: values[p] + values[p + 8] + ..., g terms, left to right
-    for groups in range(1, 17):
-        if groups > 1:
-            lanes = [a + b for a, b in zip(lanes, values[8 * (groups - 1):])]
-        blocks.append([((a + b) + (c + d)) + ((e + f) + (g + h))
-                       for a, b, c, d, e, f, g, h in zip(*(lanes[j:] for j in range(8)))])
-
-    @functools.lru_cache(maxsize=1 << 12)
-    def sums(start: int, count: int, n: int) -> list[float]:
-        if n > 128:
-            first = _split(n)
-            return [a + b for a, b in zip(sums(start, count, first),
-                                          sums(start + first, count, n - first))]
-        groups = n // 8
-        out = blocks[groups][start:start + count] if groups else [0.0] * count
-        for i in range(start + 8 * groups, start + n):
-            out = [a + b for a, b in zip(out, values[i:i + count])]
-        return out
-
-    return sums
-
-
-def _sum(values: list[float]) -> float:
-    """numpy's ``sum()`` of ``values``, bit for bit."""
-    return 0.0 + _pairwise_sums(values)(0, 1, len(values))[0]
-
-
-def _suffix_sums(sums, n: int) -> list[float]:
-    """Element s is the pairwise sum of values[s:], for s in 0..n, from the
-    ``sums`` of n values.  A suffix longer than 128 is its first half plus a
-    shorter suffix; lengths 16j to 16j + 15 all split at 8j, so their first
-    halves come from one call."""
-    out = [0.0] * (n + 1)
-    for length in range(1, min(n, 128) + 1):
-        out[n - length] = sums(n - length, 1, length)[0]
-    for j in range(8, n // 16 + 1):
-        lo, hi = max(16 * j, 129), min(16 * j + 15, n)
-        for s, first in zip(range(n - hi, n - lo + 1), sums(n - hi, hi - lo + 1, 8 * j)):
-            out[s] = first + out[s + 8 * j]
-    return out
+def _exact_mean(values: list[float]) -> float:
+    """The mean of finite floats, rounded once."""
+    return sum(map(_fixed, values)) / (len(values) << 1074)
 
 
 def chernoff_table(d: EmpiricalDistribution, t_values=DEFAULT_T_GRID) -> CertificateTable:
@@ -179,8 +128,7 @@ def chernoff_table(d: EmpiricalDistribution, t_values=DEFAULT_T_GRID) -> Certifi
     t = _check_t_grid(t_values)
     if d.mean == 0.0:
         raise ValueError("relative-error certificate undefined for zero mean")
-    values = list(d.values)
-    return CertificateTable(t_values=t, epsilons=tuple(_epsilons(sorted(values), _sum(values), t)))
+    return CertificateTable(t_values=t, epsilons=tuple(_epsilons(sorted(d.values), d.mean, t)))
 
 
 def zscore(x0: float, d: EmpiricalDistribution) -> float:
@@ -234,15 +182,12 @@ def expected_hypercube_distance(d: int) -> float:
     return expected_hypercube_distance_mc(d)[0]
 
 
-def _epsilons(ordered: list[float], total: float, t: tuple[float, ...]) -> list[float]:
+def _epsilons(ordered: list[float], mean: float, t: tuple[float, ...]) -> list[float]:
     """For each t, the fraction of the ascending values ``ordered`` whose
-    relative error from their mean exceeds t; ``total`` is their sum."""
+    relative error from their mean ``mean`` exceeds t."""
     n = len(ordered)
-    mean = total / n
     if mean == 0.0:
         raise ValueError("certificate undefined for a zero-mean value block")
-    if not math.isfinite(mean):
-        raise ValueError("certificate undefined: the sum of the values overflows")
     scale = abs(mean)
     mid = bisect.bisect_left(ordered, mean)
     out = []
@@ -270,26 +215,6 @@ def _first(ordered: list[float], lo: int, hi: int, mean: float, scale: float, tk
     return i
 
 
-def _fma_norm(xs: list[float]) -> float:
-    """sqrt(x0*x0 + x1*x1 + ...) summed as acc = fma(x, x, acc) from 0.0,
-    each step rounded once: how OpenBLAS's ``ddot``, under ``np.linalg.norm``,
-    sums fewer than 16 values (checked up to 12).
-
-    Python 3.11 has no ``math.fma``.  Each step splits x*x into its rounded
-    product p and the exact error e (Dekker's TwoProduct, exact for |x|
-    between 2**-480 and 2**500 or 0), and ``math.fsum`` rounds acc + p + e
-    once (Ogita, Rump & Oishi 2005).
-    """
-    acc = 0.0
-    for x in xs:
-        p = x * x
-        c = 134217729.0 * x  # 2**27 + 1 splits x into two 26-bit halves
-        hi = c - (c - x)
-        lo = x - hi
-        acc = math.fsum((acc, p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo))
-    return math.sqrt(acc)
-
-
 def saturation(values, tau: float = 0.05, t_values=DEFAULT_T_GRID,
                mode: str = "incremental") -> SaturationReport:
     """Find the sample count where the certificate stops changing.
@@ -310,8 +235,10 @@ def saturation(values, tau: float = 0.05, t_values=DEFAULT_T_GRID,
     the incremental witness is itself noisy, so reaching incremental
     saturation also certifies saturation against the full stream.
 
-    The head and the witness stay sorted as they grow, and their sums come
-    from one table of pairwise sums, so each r costs a few bisections per t.
+    The head and the witness stay sorted as they grow, and their exact sums
+    are differences of one list of exact prefix sums, so each r costs a few
+    bisections per t.  The distance is ``sqrt(fsum(d * d))``: each square
+    rounded, their sum rounded once.
     """
     values = _finite_values(values)
     n = len(values)
@@ -324,23 +251,23 @@ def saturation(values, tau: float = 0.05, t_values=DEFAULT_T_GRID,
     t = _check_t_grid(t_values)
     normalizer = expected_hypercube_distance(len(t))
 
-    sums = _pairwise_sums(values)
-    cmp_eps = _epsilons(sorted(values), sums(0, 1, n)[0], t)
+    prefix = list(itertools.accumulate(map(_fixed, values), initial=0))
+    cmp_eps = _epsilons(sorted(values), prefix[n] / (n << 1074), t)
     if mode == "full":
         last_r = n - 1
     else:
         last_r = n - 10
-        suffix = _suffix_sums(sums, n)
         witness = sorted(values[n - 11:])
     head = values[:1]
     curve = []
     for r in range(2, last_r + 1):
         bisect.insort(head, values[r - 1])
-        head_eps = _epsilons(head, sums(0, 1, r)[0], t)
+        head_eps = _epsilons(head, prefix[r] / (r << 1074), t)
         if mode == "incremental":  # the witness is values[n - (r + 10):]
             bisect.insort(witness, values[n - r - 10])
-            cmp_eps = _epsilons(witness, suffix[n - r - 10], t)
-        curve.append((r, _fma_norm([a - b for a, b in zip(head_eps, cmp_eps)]) / normalizer))
+            cmp_eps = _epsilons(witness, (prefix[n] - prefix[n - r - 10]) / ((r + 10) << 1074), t)
+        distance = math.sqrt(math.fsum((a - b) * (a - b) for a, b in zip(head_eps, cmp_eps)))
+        curve.append((r, distance / normalizer))
 
     above = [i for i, (_r, err) in enumerate(curve) if err >= tau]
     if not above:

@@ -232,12 +232,18 @@ def _check_chains(chains: dict[str, list[int]], names) -> None:
                              f"(its chains: {', '.join(map(repr, chains))})")
 
 
-def _split_chains(s: molio.Structure, cfg):
+def _split_chains(s: molio.Structure, cfg, delta: bool):
+    """Atom indices of chains A and B; ``delta`` QOIs need two different chains."""
     chains = s.chains
     names = list(chains)
     chain_a = cfg["chain_a"] or (names[0] if names else None)
     chain_b = cfg["chain_b"] or (names[1] if len(names) > 1 else None)
     _check_chains(chains, [name for name in (chain_a, chain_b) if name is not None])
+    if delta and chain_b is None:
+        raise UsageError(f"delta QOIs need two chains, and the structure has one, {chain_a!r}")
+    if delta and chain_a == chain_b:
+        raise UsageError(f"delta QOIs need two different chains, and chain_a and chain_b "
+                         f"are both {chain_a!r}")
     return chains.get(chain_a, []), chains.get(chain_b, [])
 
 
@@ -261,16 +267,14 @@ def run_qoi(cfg) -> list[str]:
 
     out = Path(cfg["out"])
     s = molio.detect_bonds(_load_structure(cfg))
-    ensemble_path, coords = _ensemble_models(cfg, s)
     kinds = [qoi.QOIKind(k) for k in cfg["qoi"]]
+    idx_a, idx_b = _split_chains(s, cfg, any(k.is_delta for k in kinds))
+    ensemble_path, coords = _ensemble_models(cfg, s)
     diel = cfg["dielectric"]
     qcfg = qoi.QOIConfig(
         probe=float(cfg["probe"]), n_points=cfg["n_points"], spacing=float(cfg["spacing"]),
         coulomb=qoi.CoulombModel(mode=diel["mode"], value=float(diel["value"])),
         solvent_dielectric=float(cfg["solvent_dielectric"]))
-    idx_a, idx_b = _split_chains(s, cfg)
-    if any(k.is_delta for k in kinds) and not idx_b:
-        raise ValueError("delta QOIs need two chains (set chain_a/chain_b)")
     evaluate = qoi.row_evaluator(kinds, s, idx_a, idx_b, qcfg)
 
     # the ensemble's manifest, when there is one, gives each model its sample index
@@ -293,14 +297,16 @@ def run_qoi(cfg) -> list[str]:
 
 
 def _read_value_streams(path: str):
-    """qoi_values.csv -> {qoi: (reference or None, [values in sample order])}."""
+    """qoi_values.csv -> {qoi: (reference or None, [values in sample order])}.
+    A QOI with two reference rows (negative sample_index) or a sample index
+    listed twice is a data error."""
     text = _read_text(path)
     streams: dict[str, dict] = {}
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or {"qoi", "sample_index", "value"} - set(reader.fieldnames):
         raise DataFormatError(f"{path}: expected columns qoi,sample_index,value")
     for row in reader:
-        entry = streams.setdefault(row["qoi"], {"reference": None, "values": []})
+        entry = streams.setdefault(row["qoi"], {"reference": None, "values": {}})
         try:
             idx = int(row["sample_index"])
             val = float(row["value"])
@@ -310,11 +316,16 @@ def _read_value_streams(path: str):
             raise DataFormatError(f"{path}: {row['qoi']} at sample_index {idx} "
                                   f"is {row['value']}, not a finite number")
         if idx < 0:
+            if entry["reference"] is not None:
+                raise DataFormatError(f"{path}: {row['qoi']} has a second reference row, "
+                                      f"at sample_index {idx}")
             entry["reference"] = val
+        elif idx in entry["values"]:
+            raise DataFormatError(f"{path}: {row['qoi']} lists sample_index {idx} twice")
         else:
-            entry["values"].append((idx, val))
+            entry["values"][idx] = val
     for entry in streams.values():
-        entry["values"] = [v for _i, v in sorted(entry["values"])]
+        entry["values"] = [v for _i, v in sorted(entry["values"].items())]
     return streams
 
 

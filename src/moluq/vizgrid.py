@@ -205,7 +205,7 @@ def colormap_export(keys, values, palette: str = "green_white_red") -> tuple[str
     for row, (key, v) in enumerate(zip(keys, vals)):
         frac = 0.5 if hi == lo else (float(v) - lo) / (hi - lo)
         r, g, b = _interpolate(anchors, frac)
-        csv_lines.append(f"{key},{v!r},{r},{g},{b}")
+        csv_lines.append(f"{key},{float(v)!r},{r},{g},{b}")
         script_lines.append(
             f"set_color moluq_c{row}, [{r / 255:.4f}, {g / 255:.4f}, {b / 255:.4f}]"
         )

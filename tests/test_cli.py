@@ -171,6 +171,33 @@ class TestQoiCertifySaturate:
         assert "'Z'" in err and "'A', 'B'" in err
         assert not (workspace / "run" / "qoi_values.csv").exists()
 
+    def test_delta_qois_on_one_chain_twice_are_a_usage_error(self, workspace, capsys):
+        # this once exited 3 with AtomSet.union's "atom serials overlap between groups"
+        cfg = self._sampled(workspace, n=2)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "chain_a": "B",
+                                   "chain_b": "B", "qoi": ["lj", "delta_lj"]}))
+        capsys.readouterr()
+        assert main(["qoi", "--config", str(cfg)]) == 1
+        assert ("usage error: delta QOIs need two different chains, and chain_a and chain_b "
+                "are both 'B'\n") in capsys.readouterr().err
+        assert not (workspace / "run" / "qoi_values.csv").exists()
+
+    def test_delta_qois_on_a_one_chain_structure_are_a_usage_error(self, workspace, capsys):
+        # this once exited 3 as a domain error
+        s = make_structure([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [2.25, 1.3, 0.0]],
+                           element=["C", "N", "O"], chain="A", b_iso=10.0)
+        (workspace / "input.pdb").write_text(write_pdb(s))
+        cfg = write_config(workspace, samples=2, seed=5, qoi=["area", "delta_area"])
+        assert main(["sample", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["qoi", "--config", str(cfg)]) == 1
+        assert "usage error: delta QOIs need two chains, and the structure has one, 'A'\n" \
+            in capsys.readouterr().err
+        assert not (workspace / "run" / "qoi_values.csv").exists()
+        # without a delta QOI the one chain is enough
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "qoi": ["area"]}))
+        assert main(["qoi", "--config", str(cfg)]) == 0
+
     @pytest.mark.parametrize("key, value, message", [
         ("dielectric", {"mode": "constant", "value": math.nan},
          "dielectric parameter must be finite and positive"),
@@ -281,6 +308,26 @@ class TestQoiCertifySaturate:
         capsys.readouterr()
         assert main([command, "--config", str(cfg)]) == 2
         assert "area at sample_index 6 is nan" in capsys.readouterr().err
+        assert [f.name for f in out.iterdir()] == ["qoi_values.csv"]
+
+    @pytest.mark.parametrize("command", ["certify", "saturate"])
+    @pytest.mark.parametrize("repeat, what", [
+        ("-1", "area has a second reference row, at sample_index -1"),
+        ("3", "area lists sample_index 3 twice"),
+    ], ids=["reference", "sample"])
+    def test_repeated_row_is_a_data_error(self, workspace, capsys, command, repeat, what):
+        # a second reference row once replaced the first, and a repeated sample
+        # counted twice: both exited 0
+        out = workspace / "run"
+        out.mkdir()
+        rows = ["qoi,sample_index,value"] + [f"area,{i},{100.0 + i}" for i in range(-1, 12)]
+        rows.insert(6, f"area,{repeat},90.5")
+        (out / "qoi_values.csv").write_text("\n".join(rows) + "\n")
+        cfg = write_config(workspace)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert f"data error: {(out / 'qoi_values.csv').resolve()}: {what}\n" \
+            in capsys.readouterr().err
         assert [f.name for f in out.iterdir()] == ["qoi_values.csv"]
 
     def test_saturate_skips_degenerate_streams(self, workspace):
@@ -528,6 +575,26 @@ class TestBindsite:
             outputs[label] = {f.name: f.read_bytes() for f in (workspace / label).iterdir()
                               if not f.name.endswith("_meta.json")}
         assert len(outputs["flat"]) == 4 and outputs["flat"] == outputs["grouped"]
+
+    def test_color_values_are_the_atoms_p_bs(self, workspace):
+        # the value column once read np.float64(0.5)
+        lig = make_structure([[0.0, 3.0, 0.0], [0.8, 3.9, 0.4]])
+        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        poses = [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [dx, 0.0, 0.0]}
+                 for dx in (0.0, 2.5, 5.0)]
+        (workspace / "poses.json").write_text(json.dumps(poses))
+        cfg = write_config(workspace, ligand=str(workspace / "ligand.pdb"),
+                           poses=str(workspace / "poses.json"))
+        assert main(["bindsite", "--config", str(cfg)]) == 0
+        out = workspace / "run"
+        atoms = [row.split(",") for row in
+                 (out / "bindsite_atoms.csv").read_text().splitlines()[1:]]
+        colors = [row.split(",") for row in
+                  (out / "bindsite_colors.csv").read_text().splitlines()[1:]]
+        p_bs = {serial: float(p) for serial, *_, p in atoms}
+        assert [serial for serial, *_ in colors] == list(p_bs)
+        assert {serial: float(value) for serial, value, *_ in colors} == p_bs
+        assert set(p_bs.values()) - {0.0, 1.0}  # a fraction, not just 0 and 1
 
     def test_groups_out_of_model_order_are_a_data_error(self, workspace, capsys):
         # groups pair with ligand models by position, so swapped groups were

@@ -1,6 +1,7 @@
 """``tools/output_hashes.py`` hashes the same outputs on every run."""
 
 import copy
+import hashlib
 import importlib.util
 from pathlib import Path
 
@@ -54,3 +55,12 @@ def test_hashes_do_not_depend_on_the_blas_thread_count(tmp_path, monkeypatch):
     two_threads = module.workload_hashes("surface", spec, 1, tmp_path / "two")
     assert default == two_threads
     assert default
+
+
+def test_keep_copies_the_hashed_outputs(tmp_path):
+    module = _load()
+    spec = small_surface(module)
+    lines = module.workload_hashes("surface", spec, 1, tmp_path / "run", tmp_path / "kept")
+    kept = sorted(p for p in (tmp_path / "kept").rglob("*") if p.is_file())
+    assert [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  surface-1/"
+            f"{p.relative_to(tmp_path / 'kept').as_posix()}" for p in kept] == lines

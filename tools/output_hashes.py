@@ -15,13 +15,17 @@ temporary directory, so::
     PYTHONPATH=<checkout>/src python3 tools/output_hashes.py > hashes.txt
 
 hashes that checkout's moluq; two checkouts give the same lines when their
-outputs are byte-identical.
+outputs are byte-identical.  ``--keep DIR`` also copies the hashed outputs
+to ``DIR/<workload>-<seed>/``, which must not exist yet, so that
+``tools/output_diff.py`` can say how far two checkouts' outputs differ.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -46,9 +50,11 @@ def _run(label: str, argv: list[str]) -> None:
         raise StageFailed(f"{label}: exit code {proc.returncode}: {proc.stderr.strip()}")
 
 
-def workload_hashes(name: str, spec: dict, seed: int, directory: Path) -> list[str]:
+def workload_hashes(name: str, spec: dict, seed: int, directory: Path,
+                    keep: Path | None = None) -> list[str]:
     """Run ``spec``'s chain on inputs from ``seed`` in ``directory``; returns
-    the ``<sha256>  <name>-<seed>/<file>`` lines of its outputs, sorted by file."""
+    the ``<sha256>  <name>-<seed>/<file>`` lines of its outputs, sorted by file,
+    and copies those outputs to ``keep`` when it is given."""
     files = write_inputs(spec, seed, directory)
     config = json.loads(files["config"].read_text())
     for command, flags in spec["stages"]:
@@ -61,19 +67,30 @@ def workload_hashes(name: str, spec: dict, seed: int, directory: Path) -> list[s
             {**config, "poses": str(flat), "out": str(Path(config["out"]) / "flat")}))
         _run(f"{name}-{seed} bindsite (flat poses)", ["bindsite", "--config", str(flat_config)])
     out = Path(config["out"])
+    if keep is not None:
+        shutil.copytree(out, keep, ignore=shutil.ignore_patterns("*_meta.json"))
     return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
             f"{name}-{seed}/{path.relative_to(out).as_posix()}"
             for path in sorted(out.rglob("*"))
             if path.is_file() and not path.name.endswith("_meta.json")]
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--keep", type=Path, metavar="DIR",
+                        help="also copy the hashed outputs to DIR/<workload>-<seed>/")
+    args = parser.parse_args(argv)
+    if args.keep is not None and args.keep.exists():
+        print(f"output_hashes: {args.keep} exists already", file=sys.stderr)
+        return 1
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
         try:
             for name, spec in WORKLOADS.items():
                 for seed in SEEDS:
-                    lines += workload_hashes(name, spec, seed, Path(tmp) / f"{name}-{seed}")
+                    label = f"{name}-{seed}"
+                    lines += workload_hashes(name, spec, seed, Path(tmp) / label,
+                                             None if args.keep is None else args.keep / label)
         except StageFailed as err:
             print(f"output_hashes: {err}", file=sys.stderr)
             return 1
