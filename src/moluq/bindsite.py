@@ -74,16 +74,6 @@ def _contact_rows(receptor_positions, placed, cutoff) -> np.ndarray:
     return (d2.min(axis=1) <= cutoff * cutoff).astype(float)
 
 
-def binding_site_prob(A: Structure, ligand_positions, poses,
-                      m: ContactModel = ContactModel()) -> BindingSiteMap:
-    """Fraction of poses contacting each receptor atom, for one (n, 3) array
-    of ligand positions: the one-draw case of :func:`binding_site_prob_multi`."""
-    poses = list(poses)
-    if not poses:
-        raise ValueError("need at least one pose")
-    return binding_site_prob_multi(A, [ligand_positions], [poses], m)
-
-
 def binding_site_prob_multi(A: Structure, ligand_coords, poses_per_conformer,
                             m: ContactModel = ContactModel()) -> BindingSiteMap:
     """Contact probability averaged over N ligand draws x k poses each.

@@ -92,14 +92,6 @@ class AzumaSpec:
         object.__setattr__(self, "c", c)
 
 
-def kernel_value(spec: KernelSpec, x) -> float:
-    """sum_k a_k / ||x||^{b_k} at a point (helper for oracles and sampling)."""
-    norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    if norm == 0.0:
-        raise ValueError("kernel is singular at the origin")
-    return sum(a / norm**b for a, b in spec.terms)
-
-
 def _single_term(a: float, b: float, radius_sq: float) -> float:
     return a / radius_sq ** (b / 2.0)
 

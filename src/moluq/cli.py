@@ -233,14 +233,15 @@ def _check_chains(chains: dict[str, list[int]], names) -> None:
 
 
 def _split_chains(s: molio.Structure, cfg, delta: bool):
-    """Atom indices of chains A and B; ``delta`` QOIs need two different chains."""
+    """Atom indices of chains A and B; ``delta`` QOIs need two different chains.
+    A key not set names the first chain, in file order, that the other does not."""
     chains = s.chains
-    names = list(chains)
-    chain_a = cfg["chain_a"] or (names[0] if names else None)
-    chain_b = cfg["chain_b"] or (names[1] if len(names) > 1 else None)
+    chain_a = cfg["chain_a"] or next((c for c in chains if c != cfg["chain_b"]), None)
+    chain_b = cfg["chain_b"] or next((c for c in chains if c != chain_a), None)
     _check_chains(chains, [name for name in (chain_a, chain_b) if name is not None])
-    if delta and chain_b is None:
-        raise UsageError(f"delta QOIs need two chains, and the structure has one, {chain_a!r}")
+    if delta and None in (chain_a, chain_b):
+        raise UsageError(f"delta QOIs need two chains, and the structure has one, "
+                         f"{chain_a or chain_b!r}")
     if delta and chain_a == chain_b:
         raise UsageError(f"delta QOIs need two different chains, and chain_a and chain_b "
                          f"are both {chain_a!r}")
@@ -298,8 +299,8 @@ def run_qoi(cfg) -> list[str]:
 
 def _read_value_streams(path: str):
     """qoi_values.csv -> {qoi: (reference or None, [values in sample order])}.
-    A QOI with two reference rows (negative sample_index) or a sample index
-    listed twice is a data error."""
+    A QOI with two reference rows (sample_index -1), another negative sample
+    index or a sample index listed twice is a data error."""
     text = _read_text(path)
     streams: dict[str, dict] = {}
     reader = csv.DictReader(io.StringIO(text))
@@ -315,7 +316,10 @@ def _read_value_streams(path: str):
         if not math.isfinite(val):
             raise DataFormatError(f"{path}: {row['qoi']} at sample_index {idx} "
                                   f"is {row['value']}, not a finite number")
-        if idx < 0:
+        if idx < -1:
+            raise DataFormatError(f"{path}: {row['qoi']} has sample_index {idx}; only the "
+                                  f"reference row, -1, has a negative index")
+        if idx == -1:
             if entry["reference"] is not None:
                 raise DataFormatError(f"{path}: {row['qoi']} has a second reference row, "
                                       f"at sample_index {idx}")
@@ -496,7 +500,8 @@ def run_volmap(cfg) -> list[str]:
     s = _load_structure(cfg)
     grid = vizgrid.occupancy_map(s, _ensemble_models(cfg, s)[1], spacing=float(cfg["spacing"]),
                                  radius_mode=cfg["radius_mode"])
-    (out / "occupancy.dx").write_text(vizgrid.write_grid(grid))
+    with open(out / "occupancy.dx", "w", encoding="utf-8") as fh:
+        vizgrid.write_grid(grid, fh)
     return ["occupancy.dx"]
 
 

@@ -52,8 +52,8 @@ class Conformer:
 
 @dataclass(frozen=True)
 class Ensemble:
-    """A sampler's result: ``m`` draws of the positions of ``source``'s atoms,
-    in its atom order.
+    """A sampler's result: ``m`` draws of the positions of a structure's
+    atoms, in its atom order.
 
     ``coords`` is (m, n, 3).  ``reasons`` holds one clash-filter rejection
     reason per draw, None for a draw that was accepted (every draw, when no
@@ -62,7 +62,6 @@ class Ensemble:
     (see LowDiscrepancySequence.kind).
     """
 
-    source: Structure
     coords: np.ndarray
     reasons: tuple[str | None, ...]
     sequence_kind: str
@@ -395,7 +394,7 @@ def _screened(s: Structure, coords: np.ndarray, screen, sequence_kind: str) -> E
         step = max(1, _SCREEN_ATOMS // max(s.n_atoms, 1))
         reasons = tuple(reason for lo in range(0, len(coords), step)
                         for reason in screen(coords[lo:lo + step]))
-    return Ensemble(source=s, coords=coords, reasons=reasons, sequence_kind=sequence_kind)
+    return Ensemble(coords=coords, reasons=reasons, sequence_kind=sequence_kind)
 
 
 def rmsd(a, b, superpose: bool = False) -> float:

@@ -1,4 +1,4 @@
-"""Molecular structure I/O: fixed-column PDB parsing/writing and parameter assignment.
+"""Molecular structure I/O: PDB reading, ensemble writing and parameter assignment.
 
 A :class:`Structure` holds its atoms as columns: identity (serial, name,
 element, residue, chain), (n, 3) coordinates, crystallographic uncertainty
@@ -12,7 +12,6 @@ given.
 
 from __future__ import annotations
 
-import codecs
 import itertools
 import json
 import math
@@ -347,8 +346,8 @@ _BREAK_BYTES = np.zeros(256, dtype=bool)
 _BREAK_BYTES[[0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E]] = True
 # ... and at these characters, several bytes each in UTF-8
 _WIDE_BREAKS = tuple(ch.encode("utf-8") for ch in "\x85\u2028\u2029")
-# bytes that each step of a pass over a whole file (the UTF-8 check, the
-# line scan) takes at once, so that no temporary grows with the file
+# bytes that each step of the line scan takes at once, so that no temporary
+# grows with the file
 _SCAN_BYTES = 1 << 18
 
 
@@ -356,21 +355,13 @@ def _utf8(text: str | bytes) -> bytes:
     """The UTF-8 bytes of a PDB text: a str encoded, bytes checked.
 
     Raises UnicodeDecodeError for the first byte that is not UTF-8, its
-    ``start`` the offset in ``text``.  Bytes with a non-ASCII byte are
-    decoded in chunks that are dropped, so no copy of the text is held.
+    ``start`` the offset in ``text``.  ASCII bytes need no check; other
+    bytes are decoded once, and the decoded copy dropped.
     """
     if isinstance(text, str):
         return text.encode("utf-8")
     if not text.isascii():
-        decoder = codecs.getincrementaldecoder("utf-8")()
-        for lo in range(0, len(text), _SCAN_BYTES):
-            held = len(decoder.getstate()[0])  # a character the chunk before cut
-            try:
-                decoder.decode(text[lo:lo + _SCAN_BYTES], final=lo + _SCAN_BYTES >= len(text))
-            except UnicodeDecodeError as exc:
-                at = lo - held + exc.start
-                raise UnicodeDecodeError("utf-8", text, at, at + exc.end - exc.start,
-                                         exc.reason) from None
+        text.decode("utf-8")
     return text
 
 
@@ -600,10 +591,9 @@ def _int_col(value: int, width: int, what: str) -> str:
 
 
 def _atom_lines(s: Structure, rows: slice = slice(None)):
-    """Columns 7-26 of the records of each atom in ``rows`` (serial, name,
-    residue, chain, number; shared by ATOM and ANISOU) and columns 55-78 of
-    its ATOM record (occupancy, B-value, element).  Only the coordinates
-    change per model."""
+    """Columns 7-26 of the ATOM record of each atom in ``rows`` (serial,
+    name, residue, chain, number) and its columns 55-78 (occupancy,
+    B-value, element).  Only the coordinates change per model."""
     elements = s.elements[rows].tolist()
     ids = [
         f"{_int_col(serial, 5, 'serial')} {_format_atom_name(name, element)} "
@@ -616,31 +606,6 @@ def _atom_lines(s: Structure, rows: slice = slice(None)):
     tails = [f"{1.0:6.2f}{b:6.2f}          {element:>2s}"
              for b, element in zip(s.b_iso[rows].tolist(), elements)]
     return ids, tails
-
-
-def _atom_records(ids, tails, positions) -> list[str]:
-    """The ATOM records at the given (n, 3) positions, one coordinate at a
-    time; raises :class:`PdbFormatError` at the first that overflows."""
-    return [f"ATOM  {atom_id}    {_coord(x)}{_coord(y)}{_coord(z)}{tail}"
-            for atom_id, (x, y, z), tail in zip(ids, positions.tolist(), tails)]
-
-
-def write_pdb(s: Structure) -> str:
-    """Render a Structure as fixed-column PDB text (ANISOU where present),
-    with TER records at chain boundaries."""
-    ids, tails = _atom_lines(s)
-    u = np.rint(s.b_aniso / EIGHT_PI_SQ * 1e4).astype(int).tolist()
-    elements, chains = s.elements.tolist(), s.chain_ids.tolist()
-    lines = []
-    for i, line in enumerate(_atom_records(ids, tails, s.coords)):
-        lines.append(line)
-        if s.has_aniso[i]:
-            lines.append(f"ANISOU{ids[i]}  {u[i][0]:7d}{u[i][1]:7d}{u[i][2]:7d}"
-                         f"{0:7d}{0:7d}{0:7d}      {elements[i]:>2s}")
-        if i + 1 == len(chains) or chains[i + 1] != chains[i]:
-            lines.append("TER")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
 
 
 # atoms rendered per write: a block's text, encoded once more by the file,
@@ -670,11 +635,10 @@ def write_pdb_models(s: Structure, positions_list, file, model_numbers=None) -> 
     The ATOM records of each block of ``_WRITE_ATOMS`` atoms come from one
     ``%``-template, filled with the block's coordinates at once (``%8.3f``
     renders as ``f"{v:8.3f}"``).  A block whose text is longer than its
-    template predicts holds a coordinate that overflows its 8 columns; it is
-    rendered again atom by atom, which raises :class:`PdbFormatError` naming
-    the first such coordinate, so text and errors are those of the per-atom
-    path.  A model of the wrong shape, or with a non-finite coordinate (named
-    by atom serial, axis and value), raises ValueError.
+    template predicts holds a coordinate that overflows its 8 columns:
+    :class:`PdbFormatError` names the first such coordinate, in atom and
+    x, y, z order.  A model of the wrong shape, or with a non-finite
+    coordinate (named by atom serial, axis and value), raises ValueError.
 
     Besides its arguments the writer holds the templates (about one model's
     text) and one block at a time.  An error leaves what was written before
@@ -696,9 +660,9 @@ def write_pdb_models(s: Structure, positions_list, file, model_numbers=None) -> 
         file.write(f"MODEL     {num:4d}\n")
         for lo, hi, template, width in blocks:
             atoms = template % tuple(positions[lo:hi].ravel().tolist())
-            if len(atoms) != width:  # raises at the first overflowing coordinate
-                atoms = "".join(f"{line}\n" for line in _atom_records(
-                    *_atom_lines(s, slice(lo, hi)), positions[lo:hi]))
+            if len(atoms) != width:
+                for value in positions[lo:hi].ravel().tolist():
+                    _coord(value)  # raises at the first overflowing coordinate
             file.write(atoms)
         file.write("ENDMDL\n")
     file.write("END\n")

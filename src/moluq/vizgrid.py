@@ -40,10 +40,6 @@ class ScalarGrid:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "dims", (int(nx), int(ny), int(nz)))
 
-    def as_3d(self) -> np.ndarray:
-        """(nx, ny, nz) view of the values."""
-        return self.values.reshape(self.dims)
-
 
 # stencil voxels tested per block of atoms in cover_spheres
 _STENCIL_BLOCK = 2**15
@@ -132,26 +128,27 @@ def occupancy_map(s: Structure, coords, spacing: float, radius_mode="vdw") -> Sc
                       values=(counts / len(coords)).reshape(-1))
 
 
-def write_grid(g: ScalarGrid) -> str:
-    """Render a grid as OpenDX general-array text.
+def write_grid(g: ScalarGrid, file) -> None:
+    """Write a grid to the open text ``file`` as OpenDX general-array text.
 
     Uses the conventional z-fastest data order with 3 values per line, 6
-    significant digits.  Byte-deterministic for a fixed grid.
+    significant digits.  Byte-deterministic for a fixed grid.  Besides the
+    grid the writer holds one chunk of ``_WRITE_CHUNK`` values' text at a
+    time.
     """
     nx, ny, nz = g.dims
-    lines = [
-        f"object 1 class gridpositions counts {nx} {ny} {nz}",
-        f"origin {g.origin[0]:.6g} {g.origin[1]:.6g} {g.origin[2]:.6g}",
-        f"delta {g.spacing:.6g} 0 0",
-        f"delta 0 {g.spacing:.6g} 0",
-        f"delta 0 0 {g.spacing:.6g}",
-        f"object 2 class gridconnections counts {nx} {ny} {nz}",
-        f"object 3 class array type double rank 0 items {nx * ny * nz} data follows",
-    ]
+    file.write(
+        f"object 1 class gridpositions counts {nx} {ny} {nz}\n"
+        f"origin {g.origin[0]:.6g} {g.origin[1]:.6g} {g.origin[2]:.6g}\n"
+        f"delta {g.spacing:.6g} 0 0\n"
+        f"delta 0 {g.spacing:.6g} 0\n"
+        f"delta 0 0 {g.spacing:.6g}\n"
+        f"object 2 class gridconnections counts {nx} {ny} {nz}\n"
+        f"object 3 class array type double rank 0 items {nx * ny * nz} data follows\n"
+    )
     data = g.values
     # three values to a line; the grid's last value always ends its line
     seps = np.array([" ", " ", "\n"] * (_WRITE_CHUNK // 3), dtype=object)
-    chunks = ["\n".join(lines) + "\n"]
     for start in range(0, data.size, _WRITE_CHUNK):
         # format each distinct bit pattern once: keying on bits keeps -0.0 apart from 0.0
         keys, inverse = np.unique(data[start:start + _WRITE_CHUNK].view(np.int64),
@@ -161,9 +158,8 @@ def write_grid(g: ScalarGrid) -> str:
         tokens[0::2] = table[inverse]
         tokens[1::2] = seps[:inverse.size]
         tokens[-1] = "\n"
-        chunks.append("".join(tokens.tolist()))
-    chunks.append('attribute "dep" string "positions"\n')
-    return "".join(chunks)
+        file.write("".join(tokens.tolist()))
+    file.write('attribute "dep" string "positions"\n')
 
 
 PALETTES = {

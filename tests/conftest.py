@@ -40,6 +40,11 @@ def models_text(s, positions_list, model_numbers=None) -> str:
     return buf.getvalue()
 
 
+def pdb_text(s) -> str:
+    """``s`` as a PDB file of one MODEL at its own coordinates."""
+    return models_text(s, [s.coords])
+
+
 def param_table_json(table) -> dict:
     """``table`` in the JSON schema that ``ParamTable.from_json`` reads."""
     def row(r):

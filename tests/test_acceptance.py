@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from moluq import bounds, certificates
-from moluq.bindsite import ContactModel, Pose, binding_score, binding_site_prob, \
-    binding_site_prob_multi, inhibit_score
+from moluq.bindsite import ContactModel, Pose, binding_score, binding_site_prob_multi, \
+    inhibit_score
 from moluq.bounds import AzumaSpec, BoxDomain, KernelSpec, azuma_tail, d1_bound, \
     d2_bound, d3_bound, mcdiarmid_tail, pairwise_sum_tail, estimate_conditional_c
 from moluq.certificates import EmpiricalDistribution, chernoff_table, \
@@ -20,12 +20,11 @@ from moluq.certificates import EmpiricalDistribution, chernoff_table, \
 from moluq.cli import main as cli_main
 from moluq.conformers import apply_torsions, build_torsion_graph, rmsd, \
     sample_torsion_ensemble, torsion_graph_from_dihedrals, dihedral_angle
-from moluq.molio import write_pdb
 from moluq.qoi import QOIKind, born_radii, coulomb_energy, delta_qoi, \
     gb_polarization, lj_energy, sasa, volume
 from moluq.sampling import LowDiscrepancySequence, sigma_from_b, \
     star_discrepancy_estimate
-from conftest import make_structure, zigzag_chain
+from conftest import make_structure, pdb_text, zigzag_chain
 from test_qoi import brute_coulomb, brute_gb, brute_lj, random_atomset
 from test_bindsite import naive_map, rotation_z
 
@@ -365,7 +364,7 @@ def test_criterion_11_binding_site_suite():
                   translation=rng.uniform(-4, 4, 3)) for _ in range(6)]
 
     # single-configuration site map vs naive loop
-    site = binding_site_prob(receptor, lig_a, poses, model)
+    site = binding_site_prob_multi(receptor, [lig_a], [poses], model)
     np.testing.assert_array_equal(
         site.probabilities, naive_map(receptor, [lig_a], [poses], 5.0))
     assert np.all((site.probabilities >= 0) & (site.probabilities <= 1))
@@ -398,7 +397,7 @@ def test_criterion_11_binding_site_suite():
                        translation=g_rot @ p.translation + g_tr
                        - g_rot @ p.rotation @ g_rot.T @ g_tr)
                   for p in poses]
-    moved = binding_site_prob(moved_receptor, lig_a @ g_rot.T + g_tr, conjugated, model)
+    moved = binding_site_prob_multi(moved_receptor, [lig_a @ g_rot.T + g_tr], [conjugated], model)
     np.testing.assert_allclose(moved.probabilities, site.probabilities, atol=1e-9)
     _report(11, "site-map/overlap/multi-config/pose-score ops match naive "
                 "oracles; probabilities in [0,1]; rigid-motion invariant")
@@ -409,7 +408,7 @@ def test_criterion_12_determinism_and_replay(tmp_path):
                  [6.0, 0.0, 0.0], [7.5, 0.0, 0.0]]
     s = make_structure(positions, element=["C", "N", "O", "C", "N"], chain=list("AAABB"),
                        b_iso=12.0, residue_seq=range(1, 6), residue_name="GLY")
-    (tmp_path / "input.pdb").write_text(write_pdb(s))
+    (tmp_path / "input.pdb").write_text(pdb_text(s))
     cfg = {
         "structure": str(tmp_path / "input.pdb"),
         "out": str(tmp_path / "run"),

@@ -8,7 +8,6 @@ from moluq.bindsite import (
     ContactModel,
     Pose,
     binding_score,
-    binding_site_prob,
     binding_site_prob_multi,
     inhibit_score,
     residue_site_probabilities,
@@ -86,23 +85,23 @@ class TestContactModel:
 
 class TestBindingSiteProb:
     def test_single_pose_is_indicator(self, receptor, ligand):
-        site = binding_site_prob(receptor, ligand, [identity_pose()])
+        site = binding_site_prob_multi(receptor, [ligand], [[identity_pose()]])
         assert set(np.unique(site.probabilities)) <= {0.0, 1.0}
 
     def test_identical_poses_idempotent(self, receptor, ligand):
-        one = binding_site_prob(receptor, ligand, [identity_pose()])
-        many = binding_site_prob(receptor, ligand, [identity_pose()] * 4)
+        one = binding_site_prob_multi(receptor, [ligand], [[identity_pose()]])
+        many = binding_site_prob_multi(receptor, [ligand], [[identity_pose()] * 4])
         np.testing.assert_array_equal(one.probabilities, many.probabilities)
 
     def test_three_of_four_poses(self, receptor, ligand):
         near = identity_pose()
         far = Pose(rotation=np.eye(3), translation=np.array([0.0, 500.0, 0.0]))
-        site = binding_site_prob(receptor, ligand, [near, near, near, far])
+        site = binding_site_prob_multi(receptor, [ligand], [[near, near, near, far]])
         assert site.probabilities[0] == pytest.approx(0.75)
 
     def test_empty_pose_list_rejected(self, receptor, ligand):
         with pytest.raises(ValueError):
-            binding_site_prob(receptor, ligand, [])
+            binding_site_prob_multi(receptor, [ligand], [[]])
 
     def test_pose_order_irrelevant(self, receptor, ligand):
         poses = [
@@ -110,8 +109,8 @@ class TestBindingSiteProb:
             Pose(rotation=rotation_z(0.5), translation=np.array([1.0, 0, 0])),
             Pose(rotation=rotation_z(-1.0), translation=np.array([0, 2.0, 0])),
         ]
-        a = binding_site_prob(receptor, ligand, poses)
-        b = binding_site_prob(receptor, ligand, poses[::-1])
+        a = binding_site_prob_multi(receptor, [ligand], [poses])
+        b = binding_site_prob_multi(receptor, [ligand], [poses[::-1]])
         np.testing.assert_array_equal(a.probabilities, b.probabilities)
 
     def test_matches_naive_oracle(self, receptor):
@@ -122,7 +121,7 @@ class TestBindingSiteProb:
                  translation=rng.uniform(-6, 6, 3))
             for _ in range(9)
         ]
-        got = binding_site_prob(receptor, lig_pos, poses).probabilities
+        got = binding_site_prob_multi(receptor, [lig_pos], [poses]).probabilities
         want = naive_map(receptor, [lig_pos], [poses], 5.0)
         np.testing.assert_array_equal(got, want)
 
@@ -132,8 +131,8 @@ class TestBindingSiteProbMulti:
         draws = np.array([ligand], dtype=float)
         poses = [identity_pose(), Pose(rotation=rotation_z(1.0), translation=np.zeros(3))]
         multi = binding_site_prob_multi(receptor, draws, [poses])
-        single = binding_site_prob(receptor, ligand, poses)
-        np.testing.assert_array_equal(multi.probabilities, single.probabilities)
+        np.testing.assert_array_equal(multi.probabilities,
+                                      naive_map(receptor, [ligand], [poses], 5.0))
 
     def test_hand_built_four_term_average(self, receptor):
         near = [[0.0, 3.0, 0.0]]
@@ -210,12 +209,12 @@ class TestInhibitScore:
 
 class TestBindingScore:
     def test_no_contacts_zero(self, receptor, ligand):
-        site = binding_site_prob(receptor, ligand, [identity_pose()])
+        site = binding_site_prob_multi(receptor, [ligand], [[identity_pose()]])
         far = Pose(rotation=np.eye(3), translation=np.array([0.0, 900.0, 0.0]))
         assert binding_score(ligand, far, site, receptor) == 0.0
 
     def test_full_probability_atoms_counted(self, receptor, ligand):
-        site = binding_site_prob(receptor, ligand, [identity_pose()])
+        site = binding_site_prob_multi(receptor, [ligand], [[identity_pose()]])
         score = binding_score(ligand, identity_pose(), site, receptor)
         assert score == site.probabilities.sum()
 
@@ -224,7 +223,7 @@ class TestBindingScore:
         lig_pos = rng.uniform(-3, 3, (6, 3))
         poses = [Pose(rotation=rotation_z(rng.uniform(0, 6)),
                       translation=rng.uniform(-5, 5, 3)) for _ in range(5)]
-        site = binding_site_prob(receptor, lig_pos, poses)
+        site = binding_site_prob_multi(receptor, [lig_pos], [poses])
         pose = poses[2]
         placed = lig_pos @ pose.rotation.T + pose.translation
         want = sum(
@@ -240,7 +239,7 @@ class TestRigidMotionInvariance:
         lig_pos = rng.uniform(-3, 3, (6, 3))
         poses = [Pose(rotation=rotation_z(rng.uniform(0, 6)),
                       translation=rng.uniform(-5, 5, 3)) for _ in range(6)]
-        base = binding_site_prob(receptor, lig_pos, poses).probabilities
+        base = binding_site_prob_multi(receptor, [lig_pos], [poses]).probabilities
 
         g_rot = rotation_z(0.77)
         g_tr = np.array([5.0, -3.0, 2.0])
@@ -251,7 +250,7 @@ class TestRigidMotionInvariance:
                  translation=g_rot @ p.translation + g_tr - g_rot @ p.rotation @ g_rot.T @ g_tr)
             for p in poses
         ]
-        moved = binding_site_prob(moved_receptor, moved_ligand, conjugated).probabilities
+        moved = binding_site_prob_multi(moved_receptor, [moved_ligand], [conjugated]).probabilities
         np.testing.assert_allclose(moved, base, atol=1e-9)
 
 

@@ -14,7 +14,6 @@ from moluq.bounds import (
     d3_bound,
     difference_box,
     estimate_conditional_c,
-    kernel_value,
     mcdiarmid_tail,
     pairwise_sum_tail,
 )
@@ -26,6 +25,12 @@ GRID_PER_AXIS = 20
 
 def kernel_fn(a, b):
     return lambda *coords: a / sum(c * c for c in coords) ** (b / 2)
+
+
+def kernel_value(spec, x):
+    """sum_k a_k / ||x||^{b_k} at a point."""
+    norm = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    return sum(a / norm**b for a, b in spec.terms)
 
 
 def grid_axes(box, n=GRID_PER_AXIS):

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from moluq.cli import main
-from moluq.molio import parse_pdb_models, write_pdb
-from conftest import make_structure, models_text, param_table_json
+from moluq.molio import parse_pdb_models
+from conftest import make_structure, models_text, param_table_json, pdb_text
 
 
 def small_protein_pdb():
@@ -23,8 +23,8 @@ def small_protein_pdb():
     ]
     elements = ["C", "N", "O", "C", "N"]
     chains = ["A", "A", "A", "B", "B"]
-    return write_pdb(make_structure(positions, element=elements, chain=chains, b_iso=10.0,
-                                    residue_seq=range(1, 6), residue_name="GLY"))
+    return pdb_text(make_structure(positions, element=elements, chain=chains, b_iso=10.0,
+                                   residue_seq=range(1, 6), residue_name="GLY"))
 
 
 def write_config(tmp_path, **extra):
@@ -64,7 +64,7 @@ class TestSample:
 
     def test_zero_variance_single_sample_identity(self, workspace, tmp_path):
         s = make_structure([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]], b_iso=0.0)
-        (workspace / "flat.pdb").write_text(write_pdb(s))
+        (workspace / "flat.pdb").write_text(pdb_text(s))
         cfg = write_config(workspace, structure=str(workspace / "flat.pdb"),
                            samples=1, seed=0)
         assert main(["sample", "--config", str(cfg)]) == 0
@@ -82,7 +82,7 @@ class TestSample:
     def test_all_clash_structure_fails_with_diagnostic(self, workspace, capsys):
         # 2.5 A apart: beyond the bond heuristic but inside a 0.9 clash factor
         s = make_structure([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0]], b_iso=0.5)
-        (workspace / "clash.pdb").write_text(write_pdb(s))
+        (workspace / "clash.pdb").write_text(pdb_text(s))
         cfg = write_config(workspace, structure=str(workspace / "clash.pdb"),
                            samples=3, seed=0, clash_factor=0.9)
         code = main(["sample", "--config", str(cfg)])
@@ -182,11 +182,22 @@ class TestQoiCertifySaturate:
                 "are both 'B'\n") in capsys.readouterr().err
         assert not (workspace / "run" / "qoi_values.csv").exists()
 
+    def test_a_chain_named_for_one_side_is_not_the_default_for_the_other(self, workspace):
+        # "chain_a": "B" alone once defaulted chain_b to B too and exited 1
+        cfg = self._sampled(workspace, n=3)
+        base = {**json.loads(cfg.read_text()), "qoi": ["lj", "delta_lj"]}
+        outputs = []
+        for chains in ({"chain_a": "B", "chain_b": "A"}, {"chain_a": "B"}, {"chain_b": "A"}):
+            cfg.write_text(json.dumps({**base, **chains}))
+            assert main(["qoi", "--config", str(cfg)]) == 0, chains
+            outputs.append((workspace / "run" / "qoi_values.csv").read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
     def test_delta_qois_on_a_one_chain_structure_are_a_usage_error(self, workspace, capsys):
         # this once exited 3 as a domain error
         s = make_structure([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0], [2.25, 1.3, 0.0]],
                            element=["C", "N", "O"], chain="A", b_iso=10.0)
-        (workspace / "input.pdb").write_text(write_pdb(s))
+        (workspace / "input.pdb").write_text(pdb_text(s))
         cfg = write_config(workspace, samples=2, seed=5, qoi=["area", "delta_area"])
         assert main(["sample", "--config", str(cfg)]) == 0
         capsys.readouterr()
@@ -194,6 +205,15 @@ class TestQoiCertifySaturate:
         assert "usage error: delta QOIs need two chains, and the structure has one, 'A'\n" \
             in capsys.readouterr().err
         assert not (workspace / "run" / "qoi_values.csv").exists()
+        # naming the one chain for either side leaves the other without one
+        base = cfg.read_text()
+        for key in ("chain_a", "chain_b"):
+            cfg.write_text(json.dumps({**json.loads(base), key: "A"}))
+            assert main(["qoi", "--config", str(cfg)]) == 1
+            assert "usage error: delta QOIs need two chains, and the structure has one, 'A'\n" \
+                in capsys.readouterr().err
+            assert not (workspace / "run" / "qoi_values.csv").exists()
+        cfg.write_text(base)
         # without a delta QOI the one chain is enough
         cfg.write_text(json.dumps({**json.loads(cfg.read_text()), "qoi": ["area"]}))
         assert main(["qoi", "--config", str(cfg)]) == 0
@@ -224,7 +244,7 @@ class TestQoiCertifySaturate:
         cfg = self._sampled(workspace, n=2)
         ensemble = workspace / "run" / "ensemble.pdb"
         first, _ = parse_pdb_models(ensemble.read_text())
-        ensemble.write_text(write_pdb(first.subset(range(first.n_atoms - 1))))
+        ensemble.write_text(pdb_text(first.subset(range(first.n_atoms - 1))))
         assert main(["qoi", "--config", str(cfg)]) == 3
 
     @pytest.mark.parametrize("change, what", [
@@ -330,6 +350,33 @@ class TestQoiCertifySaturate:
             in capsys.readouterr().err
         assert [f.name for f in out.iterdir()] == ["qoi_values.csv"]
 
+    @pytest.mark.parametrize("command", ["certify", "saturate"])
+    def test_negative_index_other_than_the_reference_is_a_data_error(self, workspace, capsys,
+                                                                      command):
+        # a reference row listed at -5 once made certify exit 0 with a z-score against it
+        out = workspace / "run"
+        out.mkdir()
+        rows = ["qoi,sample_index,value", "area,-5,50.0"] + [
+            f"area,{i},{100.0 + i}" for i in range(12)]
+        (out / "qoi_values.csv").write_text("\n".join(rows) + "\n")
+        cfg = write_config(workspace)
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg)]) == 2
+        assert (f"data error: {(out / 'qoi_values.csv').resolve()}: area has sample_index -5; "
+                f"only the reference row, -1, has a negative index\n") in capsys.readouterr().err
+        assert [f.name for f in out.iterdir()] == ["qoi_values.csv"]
+
+    def test_reference_row_at_minus_one_gives_its_zscore(self, workspace):
+        out = workspace / "run"
+        out.mkdir()
+        rows = ["qoi,sample_index,value", "area,-1,50.0"] + [
+            f"area,{i},{100.0 + i}" for i in range(12)]
+        (out / "qoi_values.csv").write_text("\n".join(rows) + "\n")
+        assert main(["certify", "--config", str(write_config(workspace))]) == 0
+        assert (out / "zscores.csv").read_text() == (
+            "qoi,reference,mean,std,zscore\n"
+            "area,50.0,105.5,3.452052529534663,-16.07739150118941\n")
+
     def test_saturate_skips_degenerate_streams(self, workspace):
         out = workspace / "run"
         out.mkdir()
@@ -364,7 +411,7 @@ class TestTorsionMode:
         from conftest import zigzag_chain
         chain = zigzag_chain(6)
         s = make_structure(chain, bonds=tuple((i, i + 1) for i in range(5)))
-        (workspace / "chain.pdb").write_text(write_pdb(s))
+        (workspace / "chain.pdb").write_text(pdb_text(s))
         dihedrals = {"dihedrals": [
             {"atoms": [0, 1, 2, 3], "lower": -0.4, "upper": 0.4},
             {"atoms": [1, 2, 3, 4], "lower": -0.4, "upper": 0.4},
@@ -409,7 +456,7 @@ class TestTorsionMode:
         # negative index) sampled a wrapped-around dihedral with exit 0
         from conftest import zigzag_chain
         s = make_structure(zigzag_chain(6), bonds=tuple((i, i + 1) for i in range(5)))
-        (workspace / "chain.pdb").write_text(write_pdb(s))
+        (workspace / "chain.pdb").write_text(pdb_text(s))
         path = workspace / "dihedrals.json"
         path.write_text(json.dumps(spec))
         cfg = write_config(workspace, structure=str(workspace / "chain.pdb"), mode="torsion",
@@ -424,7 +471,7 @@ class TestTorsionMode:
         from conftest import zigzag_chain
         chain = zigzag_chain(6)
         s = make_structure(chain, bonds=tuple((i, i + 1) for i in range(5)))
-        (workspace / "chain.pdb").write_text(write_pdb(s))
+        (workspace / "chain.pdb").write_text(pdb_text(s))
         cfg = write_config(workspace, structure=str(workspace / "chain.pdb"),
                            mode="torsion", samples=3, seed=2, clash_factor=None)
         assert main(["sample", "--config", str(cfg)]) == 0
@@ -562,7 +609,7 @@ class TestBindsite:
 
     def test_flat_pose_list_equals_one_group(self, workspace):
         lig = make_structure([[0.0, 3.0, 0.0], [0.8, 3.9, 0.4]])
-        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        (workspace / "ligand.pdb").write_text(pdb_text(lig))
         poses = [{"rank": r, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
                   "translation": [dx, 0.0, 0.0]} for r, dx in enumerate((0.0, 2.5, 5.0), 1)]
         outputs = {}
@@ -579,7 +626,7 @@ class TestBindsite:
     def test_color_values_are_the_atoms_p_bs(self, workspace):
         # the value column once read np.float64(0.5)
         lig = make_structure([[0.0, 3.0, 0.0], [0.8, 3.9, 0.4]])
-        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        (workspace / "ligand.pdb").write_text(pdb_text(lig))
         poses = [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [dx, 0.0, 0.0]}
                  for dx in (0.0, 2.5, 5.0)]
         (workspace / "poses.json").write_text(json.dumps(poses))
@@ -616,7 +663,7 @@ class TestBindsite:
     def test_nan_contact_cutoff_exits_3(self, workspace, capsys):
         # NaN passed `cutoff <= 0`, so every p_bs came out 0 and bindsite exited 0
         lig = make_structure([[0.0, 3.0, 0.0]])
-        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        (workspace / "ligand.pdb").write_text(pdb_text(lig))
         poses = [{"rank": 1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
                   "translation": [0.0, 0.0, 0.0]}]
         (workspace / "poses.json").write_text(json.dumps(poses))
@@ -630,7 +677,7 @@ class TestBindsite:
 
     def test_single_pose_binary_map(self, workspace):
         lig = make_structure([[0.0, 3.0, 0.0]])
-        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        (workspace / "ligand.pdb").write_text(pdb_text(lig))
         poses = [{"rank": 1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1],
                   "translation": [0.0, 0.0, 0.0]}]
         (workspace / "poses.json").write_text(json.dumps(poses))
@@ -720,7 +767,7 @@ class TestVolmapModes:
 def test_bonds_are_detected_only_by_stages_that_read_them(workspace, monkeypatch):
     from moluq import molio
     lig = make_structure([[0.0, 3.0, 0.0]])
-    (workspace / "ligand.pdb").write_text(write_pdb(lig))
+    (workspace / "ligand.pdb").write_text(pdb_text(lig))
     identity = {"rank": 1, "rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]}
     (workspace / "poses.json").write_text(json.dumps([identity]))
     cfg = write_config(workspace, samples=4, seed=2, spacing=0.8, qoi=["lj", "delta_lj"],
@@ -792,7 +839,7 @@ class TestReplayAndExitCodes:
         # each once printed only json's message, such as "Expecting ',' delimiter"
         workspace = workspace.resolve()  # input paths are named resolved
         lig = make_structure([[0.0, 3.0, 0.0]])
-        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        (workspace / "ligand.pdb").write_text(pdb_text(lig))
         path = workspace / f"{which}.json"
         cfg = write_config(workspace, samples=3, seed=5, qoi=["lj"],
                            ligand=str(workspace / "ligand.pdb"),
@@ -992,7 +1039,7 @@ class TestImportHygiene:
         no numpy."""
         import moluq
         lig = make_structure([[0.0, 3.0, 0.0]])
-        (workspace / "ligand.pdb").write_text(write_pdb(lig))
+        (workspace / "ligand.pdb").write_text(pdb_text(lig))
         (workspace / "poses.json").write_text(json.dumps(
             [{"rotation": [1, 0, 0, 0, 1, 0, 0, 0, 1], "translation": [0, 0, 0]}]))
         cfg = write_config(workspace, samples=24, seed=2, qoi=["area", "volume", "lj"],
@@ -1049,7 +1096,7 @@ class TestImportHygiene:
         import moluq
         from conftest import zigzag_chain
         chain = make_structure(zigzag_chain(6), bonds=tuple((i, i + 1) for i in range(5)))
-        (workspace / "chain.pdb").write_text(write_pdb(chain))
+        (workspace / "chain.pdb").write_text(pdb_text(chain))
         cart = write_config(workspace, samples=16, seed=3, clash_factor=0.6,
                             qoi=["area", "lj", "delta_area"], n_points=32)
         tors = workspace / "torsion.json"

@@ -2,10 +2,9 @@
 
 Each oracle below is the former second implementation of a job: the voxel
 loops of ``qoi.volume`` and ``vizgrid.occupancy_map``, the single-config
-``binding_site_prob`` loop, the counting in ``chernoff_table``, the
-per-model ``Structure`` rebuild of ``write_pdb_models``, the per-atom
-record loop of ``write_pdb``, and the dense per-atom Shrake-Rupley loop
-run once per group of ``delta_area``.  The
+binding-site loop, the counting in ``chernoff_table``, the per-model
+``Structure`` rebuild of ``write_pdb_models``, and the dense per-atom
+Shrake-Rupley loop run once per group of ``delta_area``.  The
 merged code must reproduce them exactly (``==``, not approx) on seeded,
 perturbed zigzag lattices.
 """
@@ -16,16 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moluq.bindsite import BindingSiteMap, ContactModel, Pose, binding_site_prob
+from moluq.bindsite import BindingSiteMap, ContactModel, Pose, binding_site_prob_multi
 from moluq.certificates import DEFAULT_T_GRID, EmpiricalDistribution, chernoff_table
 from moluq.molio import (
-    EIGHT_PI_SQ,
     ParamTable,
     _coord,
     _format_atom_name,
     _int_col,
     assign_params,
-    write_pdb,
 )
 from moluq.qoi import (
     AtomSet,
@@ -155,22 +152,6 @@ def oracle_atom_line(s, i):
     )
 
 
-def oracle_write_pdb(s):
-    """The former per-atom write_pdb loop over one structure."""
-    lines = []
-    for i in range(s.n_atoms):
-        lines.append(oracle_atom_line(s, i))
-        if s.has_aniso[i]:
-            atom_id = oracle_atom_line(s, i)[6:26]
-            u = np.rint(np.asarray(s.b_aniso[i]) / EIGHT_PI_SQ * 1e4).astype(int)
-            lines.append(f"ANISOU{atom_id}  "
-                         f"{u[0]:7d}{u[1]:7d}{u[2]:7d}{0:7d}{0:7d}{0:7d}      {s.elements[i]:>2s}")
-        if i + 1 == s.n_atoms or s.chain_ids[i + 1] != s.chain_ids[i]:
-            lines.append("TER")
-    lines.append("END")
-    return "\n".join(lines) + "\n"
-
-
 def oracle_write_pdb_models(s, positions_list, model_numbers=None):
     if model_numbers is None:
         model_numbers = range(1, len(positions_list) + 1)
@@ -275,7 +256,7 @@ def test_binding_site_prob_matches_former_loop(n_atoms, seed):
     for k, cutoff in ((1, 5.0), (7, 4.0), (32, 6.5)):
         poses = random_poses(rng, k, spread=8.0)
         m = ContactModel(cutoff=cutoff)
-        got = binding_site_prob(receptor, ligand, poses, m)
+        got = binding_site_prob_multi(receptor, [ligand], [poses], m)
         want = oracle_binding_site_prob(receptor, ligand, poses, m)
         assert np.array_equal(got.probabilities, want.probabilities)
         assert got.serials == want.serials
@@ -377,17 +358,6 @@ def test_write_pdb_models_matches_former_rebuild():
     assert models_text(s, frames) == oracle_write_pdb_models(s, frames)
     assert (models_text(s, frames, [3, 9, 27, 81])
             == oracle_write_pdb_models(s, frames, [3, 9, 27, 81]))
-
-
-def test_write_pdb_matches_former_loop():
-    s = lattice_structure(140, 5)
-    rng = np.random.default_rng(5)
-    s = replace(s, b_iso=rng.uniform(0.0, 99.0, s.n_atoms),
-                b_aniso=rng.uniform(0.0, 99.0, (s.n_atoms, 3)),
-                has_aniso=rng.random(s.n_atoms) < 0.3,
-                chain_ids=["A" if i < 50 else "B" if i < 90 else "C" for i in range(s.n_atoms)])
-    assert 0 < s.has_aniso.sum() < s.n_atoms
-    assert write_pdb(s) == oracle_write_pdb(s)
 
 
 @pytest.mark.parametrize("bad", [

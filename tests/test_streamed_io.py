@@ -21,10 +21,10 @@ import pytest
 from moluq import molio, sampling
 from moluq.cli import _text
 from moluq.molio import (
+    PdbFormatError,
     PdbParseError,
     Structure,
     _atom_lines,
-    _atom_records,
     _read_model,
     _structure,
     serial_mismatch,
@@ -202,6 +202,20 @@ def prior_parse_pdb_models(text: str) -> tuple[Structure, np.ndarray]:
                                 + serial_mismatch(serials, want, "model 1"))
         coords[k] = xyz
     return first, coords
+
+
+def _atom_records(ids, tails, positions) -> list[str]:
+    """The ATOM records at the given (n, 3) positions, one coordinate at a
+    time; raises :class:`PdbFormatError` at the first that overflows (the
+    per-atom path the writer once fell back to, verbatim)."""
+    def coord(value: float) -> str:
+        text = f"{value:8.3f}"
+        if len(text) > 8:
+            raise PdbFormatError(f"coordinate {value} does not fit fixed-column format")
+        return text
+
+    return [f"ATOM  {atom_id}    {coord(x)}{coord(y)}{coord(z)}{tail}"
+            for atom_id, (x, y, z), tail in zip(ids, positions.tolist(), tails)]
 
 
 def prior_write_pdb_models(s: Structure, positions_list, model_numbers=None) -> str:
