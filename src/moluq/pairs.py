@@ -1,17 +1,21 @@
-"""Pair layer: neighbour search under a cutoff, bonded-exclusion masks and
-all-pairs sums in bounded memory.
+"""Pair layer: neighbour search under a cutoff, bonded-exclusion codes and
+exact sums of pair terms.
 
 An unordered atom pair (i, j) with i < j < n is encoded as the int64 code
 i*n + j, so sorting by code lists pairs in row-major upper-triangle order,
-the order ``np.triu_indices(n, k=1)`` produces.  Callers keep that order, so
-every sum and every first-argmin over pairs runs exactly as over the dense
-upper triangle.  :func:`tree_sum` adds a sequence of terms with the bits of
-one ``np.sum`` while building only a bounded range of it at a time.
+the order ``np.triu_indices(n, k=1)`` produces.
+
+:func:`exact_sums` splits terms into partial sums that add up to their sum
+exactly, and ``math.fsum`` rounds those once.  A sum so formed does not
+depend on the order of its terms, so an energy does not depend on the order
+in which a file lists the atoms, nor on the order in which numpy's
+CPU-specific loops add.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -25,11 +29,12 @@ _RADIUS_SLACK = 1e-9
 # spans at most 2**16 cells.
 _CELL_MARGIN = 1.0 + 1e-6
 
-# numpy sums a contiguous float64 array pairwise (Higham 1993): a range of
-# m > 128 values splits at m//2 - (m//2) % 8 and the sums of the two halves
-# are added.  tree_sum splits the same way down to ranges of at most this
-# many values (256 KiB of float64) and sums each with np.sum.
-_TREE_LEAF = 2**15
+# Binned summation (Demmel & Nguyen, ARITH 2013): bins are _BIN_BITS bits
+# apart, so each part of a bin is an integer multiple of the bin's unit of at
+# most _BIN_BITS + 1 bits, and np.sum of up to _BIN_PARTS parts stays below
+# 2**53 units: exact, in whatever order numpy adds them.
+_BIN_BITS = 36
+_BIN_PARTS = 2**16
 
 # The self cell and the 13 neighbour cells that come after it in (x, y, z)
 # order: each unordered pair of adjacent cells is searched once.
@@ -139,60 +144,33 @@ def stack_cutoff_pairs(stack, max_cutoff: float):
     return starts, gi - base, gj - base, dist
 
 
-def tree_sum(count: int, terms) -> float:
-    """``float(np.sum(x))`` for a float64 array x of ``count`` terms, built in ranges.
+def exact_sums(terms: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Exact partial sums of each row of the 2-D float64 array ``terms``.
 
-    ``terms(lo, hi)`` returns x[lo:hi] as a contiguous float64 array.  The
-    range [0, count) splits where numpy's pairwise sum splits it, down to
-    leaves of at most 2**15 terms, and each leaf is summed by np.sum; the
-    result has the bits of one np.sum over all of x, while only one leaf is
-    held at a time.  Leaves are built left to right, so the first error
-    ``terms`` raises is the one a pass over all of x would raise first.
+    Column i of the returned 2-D array holds floats whose sum is exactly
+    that of row i, so ``math.fsum`` of the column is row i's sum rounded
+    once.  ``terms`` is overwritten; ``scratch`` is workspace of its shape.
+
+    With every |term| < 2**e, adding and subtracting 1.5 * 2**(e + 16) rounds
+    each term to a multiple of 2**(e - 36), its part in the bin below 2**e;
+    the remainders, each below 2**(e - 36), go to the next bin down until
+    none is left.  Each bin's parts are added by ``np.sum`` in runs of at most
+    2**16 per row, which is exact in any order.  Terms with an inf, a nan or
+    a magnitude of 2**1007 or more are returned as they are: ``math.fsum``
+    adds them exactly too, or raises for inf - inf and beyond the float range.
     """
-    return float(_tree_part(terms, 0, count))
-
-
-def _tree_part(terms, lo: int, m: int):
-    # a module-level function: a recursive closure would be a reference
-    # cycle holding ``terms`` (and the buffers it uses) until the cyclic GC
-    if m <= _TREE_LEAF:
-        return np.sum(terms(lo, lo + m))
-    h = m // 2 - (m // 2) % 8
-    return _tree_part(terms, lo, h) + _tree_part(terms, lo + h, m - h)
-
-
-def leaf_size(count: int) -> int:
-    """The most terms that one leaf of ``tree_sum(count, terms)`` holds."""
-    return min(count, _TREE_LEAF)
-
-
-def triu_pairs(n: int, codes: np.ndarray):
-    """The pairs i < j < n whose code is not in ``codes``, by ranges of the list.
-
-    Returns (count, pairs): ``pairs(lo, hi)`` gives the (ii, jj) index arrays
-    of kept pairs lo..hi-1 in upper-triangle order, building nothing outside
-    the range.  Kept pair t is pair t + c of the full triangle, where c counts
-    the excluded pairs before it: those whose triangle index less their rank
-    among the codes is at most t.  ``codes`` is as built by
-    :func:`exclusion_codes`.
-    """
-    rows = np.arange(n + 1, dtype=np.int64)
-    row_start = rows * n - rows * (rows + 1) // 2  # triangle index of pair (i, i + 1)
-    ci, cj = np.divmod(codes, n)
-    excluded = row_start[ci] + (cj - ci - 1)
-    kept_before = excluded - np.arange(excluded.size)
-
-    def pairs(lo: int, hi: int):
-        k_lo, k_hi = np.searchsorted(kept_before, [lo, hi - 1], side="right")
-        u_lo, u_hi = lo + k_lo, hi + k_hi
-        first, last = np.searchsorted(row_start, [u_lo, u_hi - 1], side="right") - 1
-        spanned = np.arange(first, last + 1)
-        per_row = (np.minimum(row_start[spanned + 1], u_hi)
-                   - np.maximum(row_start[spanned], u_lo))
-        ii = np.repeat(spanned, per_row)
-        jj = np.arange(u_lo, u_hi) - row_start[ii] + ii + 1
-        keep = np.ones(ii.size, dtype=bool)
-        keep[excluded[k_lo:k_hi] - u_lo] = False
-        return ii[keep], jj[keep]
-
-    return n * (n - 1) // 2 - codes.size, pairs
+    top = max(float(terms.max()), -float(terms.min()))
+    if not top < 2.0**1007:  # inf, nan, or 1.5 * 2**(e + 16) would overflow
+        return terms.T.copy()
+    parts = []
+    e = math.frexp(top)[1]
+    while top:
+        big = math.ldexp(1.5, e + 52 - _BIN_BITS)  # its unit in the last place: 2**(e - 36)
+        part = np.add(terms, big, out=scratch)
+        part -= big
+        terms -= part
+        parts += [part[:, lo:lo + _BIN_PARTS].sum(axis=1)
+                  for lo in range(0, terms.shape[1], _BIN_PARTS)]
+        top = terms.any()  # a remainder is left for the bins below
+        e -= _BIN_BITS
+    return np.array(parts).reshape(-1, terms.shape[0])

@@ -9,11 +9,12 @@ QOI covers the whole structure, while a delta covers only chains A and B,
 each group with its own bonded exclusions; when A+B is the whole structure
 the row evaluates that shared term once.
 
-All evaluators are pure and deterministic; pairwise sums use a fixed order
-so results do not depend on how work is scheduled.  The all-pairs energies
-build their pair terms in bounded ranges, in a few range-sized buffers
-reused from range to range, and add them with :func:`moluq.pairs.tree_sum`,
-with the bits of one ``np.sum`` over all pairs and no n x n temporary.
+All evaluators are pure and deterministic.  Every sum is exact and rounded
+once, so no result depends on the order of the atoms, on how work is
+scheduled or on numpy's CPU path: the all-pairs energies and the Born radii
+build their terms in dense row blocks, in a few block-sized buffers reused
+from block to block with no n x n temporary, and add them with
+:func:`moluq.pairs.exact_sums`; areas are totalled with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from moluq.molio import Structure, bonded_exclusions
-from moluq.pairs import cutoff_pairs, exclusion_codes, leaf_size, tree_sum, triu_pairs
+from moluq.pairs import cutoff_pairs, exact_sums, exclusion_codes
 from moluq.vizgrid import cover_spheres, padded_box
 
 COULOMB_CONSTANT = 332.0636  # kcal mol^-1 A e^-2
 
-# Caps the values held by each temporary of the Born-radius row blocks and of
+# Caps the values held by each temporary of the all-pairs row blocks and of
 # the LJ coefficient table (256 KiB of float64).
 _BLOCK_ELEMENTS = 2**15
 
@@ -143,54 +144,68 @@ class AtomSet:
         )
 
 
-def _squared_distances(xyz, ii, jj, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """(dx**2 + dy**2) + dz**2 between points ii and jj of the (3, n) array
-    ``xyz``, written into ``out``; ``work`` is scratch of the same shape.
-    This is the order in which ``((p_i - p_j)**2).sum(axis=-1)`` adds x, y,
-    z, without its slow reduction over a length-3 axis.
+def _row_blocks(positions, context, codes=None):
+    """Dense blocks of squared distances: rows [lo, hi) against columns
+    (lo, n), the pairs i < j, when ``codes`` (sorted exclusion codes, see
+    :func:`moluq.pairs.exclusion_codes`) is given, else against all columns.
 
-    The all-pairs kernels pass the same buffers for every leaf or row block:
-    with fresh leaf-sized temporaries the allocator gave the heap top back to
-    the system and faulted it in again on every leaf (about 15,000 minor
-    page faults per 1,000-atom ``gb_polarization`` call on a 2-core VM,
-    most of its time).
+    Yields (rows, cols, r2, work, scratch): the row and column slices, their
+    (rows, cols) block of squared distances and two scratch blocks, all views
+    of three buffers reused from block to block (with fresh block-sized
+    temporaries the allocator gave the heap top back to the system and
+    faulted it in again on every block).  A block holds about
+    ``_BLOCK_ELEMENTS`` values, or one row when a row is longer.  r2 is
+    (dx**2 + dy**2) + dz**2, the order of ``((p_i - p_j)**2).sum(axis=-1)``
+    and the same bits for (i, j) as for (j, i).  It is inf at (i, i), at the
+    pairs j < i and at the excluded pairs, so that their terms are 0.  With a
+    ``context``, a pair at distance 0 raises ``ValueError`` naming the first
+    such pair in (i, j) order.
     """
-    x, y, z = xyz
-    np.subtract(x[ii], x[jj], out=out)
-    np.square(out, out=out)
-    for c in (y, z):
-        np.subtract(c[ii], c[jj], out=work)
-        np.square(work, out=work)
-        out += work
-    return out
+    x, y, z = np.asarray(positions, dtype=float).T.copy().reshape(3, -1)
+    n = x.size
+    upper = codes is not None
+    buffers = np.empty((3, min(max(_BLOCK_ELEMENTS, n), n * n)))
+    lo = 0
+    while lo < n - upper:
+        first = lo + 1 if upper else 0
+        width = n - first
+        hi = min(n - upper, lo + max(1, _BLOCK_ELEMENTS // width))
+        rows, cols = slice(lo, hi), slice(first, n)
+        r2, work, scratch = (b[:(hi - lo) * width].reshape(hi - lo, width) for b in buffers)
+        np.square(np.subtract(x[rows, None], x[cols], out=r2), out=r2)
+        for c in (y, z):
+            r2 += np.square(np.subtract(c[rows, None], c[cols], out=work), out=work)
+        if upper:
+            np.copyto(r2[:, :hi - lo], np.inf, where=np.tri(hi - lo, k=-1, dtype=bool))
+            k0, k1 = np.searchsorted(codes, [lo * n, hi * n])
+            ci, cj = np.divmod(codes[k0:k1], n)
+            r2[ci - lo, cj - first] = np.inf
+        else:
+            r2.reshape(-1)[lo::n + 1] = np.inf
+        if context and not r2.all():
+            i, j = np.argwhere(r2 == 0.0)[0]
+            raise ValueError(f"{context}: coincident atoms at pair ({lo + i}, {first + j})")
+        yield rows, cols, r2, work, scratch
+        lo = hi
 
 
-def _pair_sum(positions, exclusions, context: str, pair_terms) -> float:
-    """Sum of ``pair_terms(ii, jj, r, work)`` over the pairs i < j not in
-    ``exclusions``, in upper-triangle order, by :func:`tree_sum`.
+def _pair_sum(positions, exclusions, context, pair_terms) -> list[float]:
+    """Floats whose sum is exactly that of ``pair_terms(rows, cols, r2, work,
+    scratch)`` over the pairs i < j not in ``exclusions``, so that
+    ``math.fsum`` of them is that sum rounded once.
 
-    ``r`` holds the pair distances and ``work`` is scratch of its size, both
-    buffers reused from leaf to leaf; ``pair_terms`` returns the leaf's terms
-    in one of them.  A pair at distance 0 raises ``ValueError`` naming the
-    first such pair.
+    ``pair_terms`` gets one block of :func:`_row_blocks` (checked for
+    coincident atoms when ``context`` names the kernel) and returns its
+    terms in r2 or work.  A term must be 0 where r2 is inf, and the same bits
+    for (i, j) as for (j, i), so that the sum does not depend on the atom
+    order.
     """
-    xyz = np.asarray(positions, dtype=float).T.copy()
-    n = xyz.shape[1]
-    count, pair_range = triu_pairs(n, exclusion_codes(exclusions, n))
-    buffers = np.empty((2, leaf_size(count)))
-
-    def terms(lo, hi):
-        ii, jj = pair_range(lo, hi)
-        r, work = buffers[:, :hi - lo]
-        np.sqrt(_squared_distances(xyz, ii, jj, r, work), out=r)
-        if np.any(r == 0.0):
-            bad = int(np.argmax(r == 0.0))
-            raise ValueError(
-                f"{context}: coincident atoms at pair ({int(ii[bad])}, {int(jj[bad])})"
-            )
-        return pair_terms(ii, jj, r, work)
-
-    return tree_sum(count, terms) if count else 0.0
+    codes = exclusion_codes(exclusions, len(positions))
+    parts = []
+    for rows, cols, r2, work, scratch in _row_blocks(positions, context, codes):
+        terms = pair_terms(rows, cols, r2, work, scratch).reshape(1, -1)
+        parts += exact_sums(terms, scratch.reshape(1, -1))[:, 0].tolist()
+    return parts
 
 
 def _lj_atom_terms(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -204,19 +219,22 @@ def _lj_atom_terms(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 def _lj_pair_terms(eps_i, rmin_i, eps_j, rmin_j) -> tuple[np.ndarray, np.ndarray]:
     """Pair 12-6 coefficients (a_ij, b_ij): geometric-mean well depth and
-    arithmetic-mean minimum distance."""
+    arithmetic-mean minimum distance, the same bits for (i, j) as for (j, i)."""
     eps = np.sqrt(eps_i * eps_j)
     rmin = 0.5 * (rmin_i + rmin_j)
-    return eps * rmin**12, 2.0 * eps * rmin**6
+    rmin2 = rmin * rmin
+    rmin6 = rmin2 * rmin2 * rmin2
+    return eps * (rmin6 * rmin6), 2.0 * eps * rmin6
 
 
 def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
     """12-6 energy sum a_ij/r^12 - b_ij/r^6 over unordered pairs (kcal/mol).
 
-    All pairs except the bonded ``exclusions`` contribute.  Per-atom depth
-    and minimum distance are computed once.  When the atoms have P distinct
-    (eps, rmin) rows with P^2 <= ``_BLOCK_ELEMENTS``, a_ij and b_ij are
-    computed once per ordered pair of rows and gathered per atom pair at
+    All pairs except the bonded ``exclusions`` contribute, and r^6 is
+    (r^2 r^2) r^2 from the squared distances.  Per-atom depth and minimum
+    distance are computed once.  When the atoms have P distinct (eps, rmin)
+    rows with P^2 <= ``_BLOCK_ELEMENTS``, a_ij and b_ij are computed once per
+    ordered pair of rows and gathered per atom pair at
     ``kind[i] * P + kind[j]``; for more rows they are computed per atom
     pair.  Both give the same bits.
     """
@@ -231,36 +249,40 @@ def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
         a_tab, b_tab = _lj_pair_terms(params.real[ki], params.imag[ki],
                                       params.real[kj], params.imag[kj])
 
-        def coefficients(ii, jj):
-            cell = kind[ii] * p + kind[jj]
+        def coefficients(rows, cols):
+            cell = np.add(kind[rows, None] * p, kind[cols])
             return a_tab[cell], b_tab[cell]
     else:
-        def coefficients(ii, jj):
-            return _lj_pair_terms(eps[ii], rmin[ii], eps[jj], rmin[jj])
+        def coefficients(rows, cols):
+            return _lj_pair_terms(eps[rows, None], rmin[rows, None], eps[cols], rmin[cols])
 
-    def terms(ii, jj, r, work):
-        a_ij, b_ij = coefficients(ii, jj)
-        r6 = np.power(r, 6, out=r)
-        np.divide(a_ij, np.square(r6, out=work), out=work)
-        work -= np.divide(b_ij, r6, out=r6)
+    def terms(rows, cols, r2, work, _scratch):
+        a_ij, b_ij = coefficients(rows, cols)
+        r6 = np.multiply(r2, r2, out=work)
+        r6 *= r2
+        np.divide(b_ij, r6, out=r2)
+        np.divide(a_ij, np.square(r6, out=r6), out=work)
+        work -= r2
         return work
 
-    return _pair_sum(positions, exclusions, "lj_energy", terms)
+    return math.fsum(_pair_sum(positions, exclusions, "lj_energy", terms))
 
 
 def coulomb_energy(positions, charges, model: CoulombModel = CoulombModel(),
                    exclusions=frozenset()) -> float:
-    """Pairwise electrostatic sum C q_i q_j / (eps(r) r) (kcal/mol)."""
+    """Pairwise electrostatic sum C q_i q_j / (eps(r) r) (kcal/mol): the exact
+    sum of q_i q_j / (eps(r) r), rounded once, times C."""
     charges = np.asarray(charges, dtype=float)
 
-    def terms(ii, jj, r, work):
+    def terms(rows, cols, r2, work, _scratch):
+        r = np.sqrt(r2, out=r2)
         denom = np.multiply(model.epsilon(r), r, out=work)
-        out = np.multiply(COULOMB_CONSTANT, charges[ii], out=r)
-        out *= charges[jj]
+        out = np.multiply(charges[rows, None], charges[cols], out=r2)
         out /= denom
         return out
 
-    return _pair_sum(positions, exclusions, "coulomb_energy", terms)
+    return COULOMB_CONSTANT * math.fsum(_pair_sum(positions, exclusions, "coulomb_energy",
+                                                  terms))
 
 
 def born_radii(positions, vdw_radii) -> np.ndarray:
@@ -268,41 +290,23 @@ def born_radii(positions, vdw_radii) -> np.ndarray:
 
     1/R_i = 1/rho_i - sum_j V_j / (4 pi r_ij^4) with V_j the sphere volume of
     atom j, clamped so R_i >= rho_i / 2; deep burial, 1/R_i <= 0, takes that
-    floor.  Rows i run in blocks of at most
-    ``_BLOCK_ELEMENTS`` pairs (one row when n is larger), built in two
-    buffers reused from block to block.  Each block's r_ii^2 is set to inf,
-    so the coincident-atom test skips it and its term rho_i^3 / (3 inf^2) is
-    the +0.0 that stands for j = i.
+    floor.  Each row's sum over j != i is exact, rounded once, so R_i does not
+    depend on the atom order.  Rows run in the blocks of :func:`_row_blocks`;
+    the term j = i is set to +0.0.
     """
-    positions = np.asarray(positions, dtype=float)
     rho = np.asarray(vdw_radii, dtype=float)
-    n = positions.shape[0]
-    if n == 0:
-        return np.zeros(0)
     if not np.all((rho > 0) & (rho < np.inf)):  # NaN fails too
         raise ValueError("van der Waals radii must be finite and positive")
-    inv = 1.0 / rho
-    if n > 1:
-        xyz = positions.T.copy()
-        rho3 = rho**3
-        descreened = np.empty(n)
-        step = max(1, _BLOCK_ELEMENTS // n)
-        buffers = np.empty((2, min(step, n), n))
-        for lo in range(0, n, step):
-            rows = slice(lo, min(lo + step, n))
-            r2, descreen = buffers[:, :rows.stop - lo]
-            _squared_distances(xyz, (rows, None), slice(None), r2, descreen)
-            r2.reshape(-1)[lo::n + 1] = np.inf  # the entries (i, i)
-            if np.any(r2 == 0.0):
-                i, j = divmod(int(np.argmax(r2 == 0.0)), n)
-                raise ValueError(f"born_radii: coincident atoms at pair ({lo + i}, {j})")
-            np.square(r2, out=descreen)
-            descreen *= 3.0
-            np.divide(rho3, descreen, out=descreen)
-            # +0.0 already, unless rho_i^3 overflowed to inf (inf / inf)
-            descreen.reshape(-1)[lo::n + 1] = 0.0
-            descreened[rows] = descreen.sum(axis=1)
-        inv = inv - descreened
+    rho3 = rho * rho * rho
+    descreened = np.empty(rho.size)
+    for rows, _cols, r2, descreen, scratch in _row_blocks(positions, "born_radii"):
+        np.square(r2, out=descreen)
+        descreen *= 3.0
+        np.divide(rho3, descreen, out=descreen)
+        # +0.0 already, unless rho_i^3 overflowed to inf (inf / inf)
+        descreen.reshape(-1)[rows.start::rho.size + 1] = 0.0
+        descreened[rows] = list(map(math.fsum, exact_sums(descreen, scratch).T.tolist()))
+    inv = 1.0 / rho - descreened
     return np.maximum(1.0 / np.where(inv > 0.0, inv, np.inf), rho / 2.0)  # 1 / inf = 0
 
 
@@ -310,33 +314,24 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
     """Polarization energy of the analytic implicit-solvent form (kcal/mol).
 
     -(tau/2) C sum_{i,j} q_i q_j / sqrt(r^2 + R_i R_j exp(-r^2/(4 R_i R_j)))
-    over all ordered pairs including i = j, in row-major order; tau = 1 - 1/eps
-    for a solvent relative permittivity eps, which must be finite and >= 1.
-    Each :func:`tree_sum` leaf [lo, hi) of the n*n terms is built for the
-    rows it spans against all columns, in three buffers reused from leaf to
-    leaf, then sliced; leaves may start and end mid-row.
+    over all ordered pairs including i = j; tau = 1 - 1/eps for a solvent
+    relative permittivity eps, which must be finite and >= 1.  A term has
+    the same bits for (i, j) as for (j, i), so the exact sum is twice the
+    exact sum over i < j plus the diagonal, rounded once; coincident atoms
+    give finite terms.
     """
     if not (math.isfinite(solvent_dielectric) and solvent_dielectric >= 1.0):
         raise ValueError("solvent dielectric must be finite and >= 1")
-    positions = np.asarray(positions, dtype=float)
     charges = np.asarray(charges, dtype=float)
     rb = np.asarray(radii_born, dtype=float)
-    if positions.shape[0] == 0:
+    if rb.size == 0:
         return 0.0
     if not np.all((rb > 0) & (rb < np.inf)):  # NaN fails too
         raise ValueError("Born radii must be finite and positive")
     tau = 1.0 - 1.0 / solvent_dielectric
-    n = positions.shape[0]
-    xyz = positions.T.copy()
-    # a leaf starting mid-row spans at most leaf_size // n + 2 rows
-    buffers = np.empty((3, min(n, leaf_size(n * n) // n + 2), n))
 
-    def terms(lo, hi):
-        first, last = lo // n, (hi - 1) // n + 1
-        rows = slice(first, last)
-        r2, work, out = buffers[:, :last - first]
-        _squared_distances(xyz, (rows, None), slice(None), r2, work)
-        rr = np.multiply(rb[rows, None], rb, out=out)
+    def terms(rows, cols, r2, work, scratch):
+        rr = np.multiply(rb[rows, None], rb[cols], out=scratch)
         np.multiply(4.0, rr, out=work)
         # -(r2 / x) has the bits of -r2 / x: IEEE division is sign-symmetric
         np.divide(r2, work, out=work)
@@ -344,12 +339,14 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
         np.exp(work, out=work)
         work *= rr
         np.add(r2, work, out=work)
-        denom = np.sqrt(work, out=work)
-        block = np.multiply(charges[rows, None], charges, out=out)
-        block /= denom
-        return block.reshape(-1)[lo - first * n:hi - first * n]
+        out = np.multiply(charges[rows, None], charges[cols], out=r2)
+        out /= np.sqrt(work, out=work)
+        return out
 
-    return float(-(tau / 2.0) * COULOMB_CONSTANT * tree_sum(n * n, terms))
+    # each pair i < j stands for (i, j) and (j, i); at i = j, r = 0 and the
+    # denominator, the square root of R_i R_i rounded, is R_i exactly
+    parts = 2 * _pair_sum(positions, (), None, terms) + (charges * charges / rb).tolist()
+    return float(-(tau / 2.0) * COULOMB_CONSTANT * math.fsum(parts))
 
 
 def sphere_points(n: int) -> np.ndarray:
@@ -541,16 +538,18 @@ def sasa(positions, radii, probe: float = 1.4, n_points: int = 960, groups=None)
     search, in bounded blocks, so memory grows with n * n_points rather than
     n^2.  Radii must be finite and >= 0 and positions finite.
 
-    Returns (total, per-atom areas) in Angstrom^2.  With ``groups`` (one label
+    Returns (total, per-atom areas) in Angstrom^2, the total by ``math.fsum``
+    so that it does not depend on the atom order.  With ``groups`` (one label
     per atom) it returns (total, per-atom areas, per-atom areas alone), where
     atom i's area alone is its area on the atoms of its own group only, from
     the same pass.
     """
     masks, own, inflated = _exposure_mask(positions, radii, probe, n_points, groups)
     per_atom = _atom_areas(masks, inflated)
+    total = math.fsum(per_atom.tolist())
     if own is None:
-        return float(per_atom.sum()), per_atom
-    return float(per_atom.sum()), per_atom, _atom_areas(own, inflated)
+        return total, per_atom
+    return total, per_atom, _atom_areas(own, inflated)
 
 
 def _delta_area(both: AtomSet, n_a: int, config: QOIConfig) -> tuple[float, float]:
@@ -559,7 +558,7 @@ def _delta_area(both: AtomSet, n_a: int, config: QOIConfig) -> tuple[float, floa
     groups = np.arange(both.n) >= n_a
     whole, _full, alone = sasa(both.positions, both.radii, config.probe, config.n_points,
                                groups)
-    return whole, whole - float(alone[:n_a].sum()) - float(alone[n_a:].sum())
+    return whole, whole - math.fsum(alone[:n_a].tolist()) - math.fsum(alone[n_a:].tolist())
 
 
 def volume(positions, radii, spacing: float) -> float:

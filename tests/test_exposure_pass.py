@@ -157,7 +157,7 @@ def assert_same_pass(pos, radii, probe, n_points, groups=None):
     assert np.array_equal(inflated, want_inflated)
     total, per_atom, *alone = sasa(pos, radii, probe, n_points, groups)
     want_per_atom = _atom_areas(want, want_inflated)
-    assert total == float(want_per_atom.sum())
+    assert total == math.fsum(want_per_atom.tolist())
     assert np.array_equal(per_atom, want_per_atom)
     if groups is None:
         assert own is None and alone == []

@@ -1,21 +1,23 @@
-"""The blockwise all-pairs energies against verbatim copies of the dense kernels.
+"""The blockwise all-pairs energies against dense brute-force oracles.
 
-``pairs.tree_sum`` reproduces ``np.sum`` only because numpy sums a
-contiguous float64 array pairwise with a fixed split rule; the first tests
-pin that rule, so a numpy that changes it fails here by name.  The kernels
-must then equal the dense n x n code they replaced exactly (``==``), and
-the LJ coefficient table, the row-span GB leaves and the inf-diagonal Born
-blocks must equal the per-pair blockwise loops they replaced.
+Every kernel adds its terms exactly and rounds once, so it must equal
+``math.fsum`` of the same terms from a dense pass over the pairs, by ``==``:
+at n = 0, 1, 2, across several row blocks, with malformed exclusions, whole
+excluded rows and coincident atoms.  The LJ coefficient table, the half-pass
+GB sum and the inf-diagonal Born blocks must equal the per-pair forms they
+stand for, and no result may depend on the order of the atoms.
+``pairs.exact_sums`` itself is checked against exact rational sums over the
+whole float range.
 """
 
-import gc
-import weakref
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from moluq import pairs, qoi
-from moluq.pairs import exclusion_codes, tree_sum, triu_pairs
+from moluq import qoi
+from moluq.pairs import exact_sums, exclusion_codes
 from moluq.qoi import (
     COULOMB_CONSTANT,
     CoulombModel,
@@ -26,83 +28,65 @@ from moluq.qoi import (
     coulomb_energy,
     gb_polarization,
     lj_energy,
+    sasa,
 )
 from conftest import lattice
 
-LEAF = 2**15
+
+# ---------------------------------------------------------------- exact sums
+
+def summed(rows):
+    terms = np.array(rows, dtype=float).reshape(len(rows), -1)
+    return list(map(math.fsum, exact_sums(terms, np.empty_like(terms)).T.tolist()))
 
 
-# ---------------------------------------------------------------- numpy's rule
-
-def pairwise_sum(x, lo, m):
-    """numpy's float64 pairwise sum of x[lo:lo + m], in Python floats: runs
-    of fewer than 8 in order, up to 128 with 8 accumulators, longer ranges
-    split at m//2 - (m//2) % 8."""
-    if m < 8:
-        total = -0.0
-        for v in x[lo:lo + m]:
-            total += v
-        return total
-    if m <= 128:
-        r = list(x[lo:lo + 8])
-        i = 8
-        while i < m - m % 8:
-            for k in range(8):
-                r[k] += x[lo + i + k]
-            i += 8
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for v in x[lo + i:lo + m]:
-            total += v
-        return total
-    h = m // 2 - (m // 2) % 8
-    return pairwise_sum(x, lo, h) + pairwise_sum(x, lo + h, m - h)
+def exact(row):
+    return float(sum(map(Fraction, row)))
 
 
-EDGES = [LEAF + d for d in (-9, -8, -1, 0, 1, 7, 8, 9)] + [2 * LEAF + d for d in (-8, -1, 0, 1, 8, 17)]
-
-
-def test_numpy_sum_uses_the_pairwise_split_rule():
+def test_exact_sums_are_exact_over_the_float_range():
     rng = np.random.default_rng(0)
-    for m in list(range(1, 301)) + EDGES:
-        x = rng.normal(size=m) * rng.uniform(1e-3, 1e3, size=m)
-        assert np.sum(x) == pairwise_sum(x.tolist(), 0, m), m
+    for trial in range(60):
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 400))
+        x = rng.normal(size=(rows, cols)) * np.exp(rng.uniform(-40.0, 40.0, size=(rows, cols)))
+        x *= math.exp(rng.uniform(-660.0, 660.0)) if trial % 3 == 0 else 1.0
+        x[rng.random((rows, cols)) < 0.1] = 0.0
+        want = [exact(row) for row in x.tolist()]
+        assert summed(x.tolist()) == want
+        # the same multiset in another order gives the same bits
+        assert summed(rng.permuted(x, axis=1).tolist()) == want
 
 
-@pytest.mark.parametrize("m", [0, 1, 7, 129] + EDGES + [3 * LEAF + 5, 5 * LEAF + 3])
-def test_tree_sum_is_np_sum_built_in_bounded_leaves(m):
-    x = np.random.default_rng(m).normal(size=m) * 1e3
-    leaves = []
-
-    def terms(lo, hi):
-        leaves.append((lo, hi))
-        return x[lo:hi].copy()
-
-    assert tree_sum(m, terms) == np.sum(x)
-    assert all(0 < hi - lo <= LEAF for lo, hi in leaves) or m == 0
-    # the leaves tile [0, m) left to right
-    assert [lo for lo, _hi in leaves] == [0] + [hi for _lo, hi in leaves[:-1]]
-    assert leaves[-1][1] == m
+def test_exact_sums_beyond_one_run_of_parts():
+    # 3 * 2**17 parts of about 2**36 units each: one np.sum over the row would
+    # need more than 53 bits
+    x = np.random.default_rng(1).uniform(0.5, 1.0, size=3 * 2**17).tolist()
+    assert summed([x]) == [exact(x)]
 
 
-def test_tree_sum_frees_terms_without_the_cyclic_gc():
-    # the energy kernels' terms hold their leaf buffers: a reference cycle
-    # kept them alive until a collection and raised the qoi stage's RSS
-    class Terms:
-        def __call__(self, lo, hi):
-            return np.ones(hi - lo)
-
-    terms = Terms()
-    ref = weakref.ref(terms)
-    gc.disable()
-    try:
-        assert tree_sum(3 * LEAF, terms) == 3 * LEAF
-        del terms
-        assert ref() is None
-    finally:
-        gc.enable()
+@pytest.mark.parametrize("row, want", [
+    ([math.inf, 1.0, 2.0], math.inf),
+    ([-math.inf, 1.0, 2.0], -math.inf),
+    ([2e303, -1e303, 1.0], 1e303),  # terms of 2**1007 or more are their own parts
+    ([5e-324, -5e-324, 5e-324], 5e-324),
+    ([0.1, 0.2, -0.3], 2.0**-55),  # float(0.1 + 0.2 - 0.3) is 2**-54
+    ([0.0, -0.0, 0.0], 0.0),
+])
+def test_exact_sums_of_special_rows(row, want):
+    assert summed([row]) == [want]
 
 
-# ---------------------------------------------------------------- dense copies
+@pytest.mark.parametrize("row, error", [
+    ([math.inf, 1.0, -math.inf], ValueError),
+    ([1e308, 1e308, 0.0], OverflowError),
+])
+def test_sums_without_a_float_value_raise(row, error):
+    with pytest.raises(error):
+        summed([row])
+    assert math.isnan(summed([[math.nan, 1.0]])[0])
+
+
+# ---------------------------------------------------------------- dense oracles
 
 def dense_pair_arrays(n, exclusions):
     ii, jj = np.triu_indices(n, k=1)
@@ -113,14 +97,14 @@ def dense_pair_arrays(n, exclusions):
     return ii, jj
 
 
-def dense_pair_distances(positions, ii, jj, context):
-    d = np.sqrt(((positions[ii] - positions[jj]) ** 2).sum(axis=1))
-    if np.any(d == 0.0):
-        bad = int(np.argmax(d == 0.0))
+def dense_squared_distances(positions, ii, jj, context):
+    r2 = ((positions[ii] - positions[jj]) ** 2).sum(axis=1)
+    if np.any(r2 == 0.0):
+        bad = int(np.argmax(r2 == 0.0))
         raise ValueError(
             f"{context}: coincident atoms at pair ({int(ii[bad])}, {int(jj[bad])})"
         )
-    return d
+    return r2
 
 
 def dense_lj_atom_terms(a, b):
@@ -134,30 +118,27 @@ def dense_lj_atom_terms(a, b):
 def dense_lj_pair_terms(eps_i, rmin_i, eps_j, rmin_j):
     eps = np.sqrt(eps_i * eps_j)
     rmin = 0.5 * (rmin_i + rmin_j)
-    return eps * rmin**12, 2.0 * eps * rmin**6
+    rmin6 = (rmin * rmin) * (rmin * rmin) * (rmin * rmin)
+    return eps * (rmin6 * rmin6), 2.0 * eps * rmin6
 
 
 def dense_lj_energy(positions, lj_a, lj_b, exclusions=frozenset()):
     positions = np.asarray(positions, dtype=float)
     ii, jj = dense_pair_arrays(positions.shape[0], exclusions)
-    if len(ii) == 0:
-        return 0.0
-    r = dense_pair_distances(positions, ii, jj, "lj_energy")
+    r2 = dense_squared_distances(positions, ii, jj, "lj_energy")
     eps, rmin = dense_lj_atom_terms(lj_a, lj_b)
     a_ij, b_ij = dense_lj_pair_terms(eps[ii], rmin[ii], eps[jj], rmin[jj])
-    r6 = r**6
-    return float(np.sum(a_ij / r6**2 - b_ij / r6))
+    r6 = r2 * r2 * r2
+    return math.fsum((a_ij / (r6 * r6) - b_ij / r6).tolist())
 
 
 def dense_coulomb_energy(positions, charges, model=CoulombModel(), exclusions=frozenset()):
     positions = np.asarray(positions, dtype=float)
     charges = np.asarray(charges, dtype=float)
     ii, jj = dense_pair_arrays(positions.shape[0], exclusions)
-    if len(ii) == 0:
-        return 0.0
-    r = dense_pair_distances(positions, ii, jj, "coulomb_energy")
-    return float(np.sum(COULOMB_CONSTANT * charges[ii] * charges[jj]
-                        / (model.epsilon(r) * r)))
+    r = np.sqrt(dense_squared_distances(positions, ii, jj, "coulomb_energy"))
+    terms = charges[ii] * charges[jj] / (model.epsilon(r) * r)
+    return COULOMB_CONSTANT * math.fsum(terms.tolist())
 
 
 def dense_born_radii(positions, vdw_radii):
@@ -176,13 +157,16 @@ def dense_born_radii(positions, vdw_radii):
         if np.any(r2[off] == 0.0):
             i, j = divmod(int(np.argmax((r2 == 0.0) & off)), n)
             raise ValueError(f"born_radii: coincident atoms at pair ({i}, {j})")
-        descreen = np.where(off, (rho[None, :] ** 3) / (3.0 * np.where(off, r2**2, 1.0)), 0.0)
-        inv = inv - descreen.sum(axis=1)
-    raw = np.where(inv != 0.0, 1.0 / np.where(inv != 0.0, inv, 1.0), np.inf)
+        rho3 = rho * rho * rho
+        with np.errstate(invalid="ignore"):
+            descreen = np.where(off, rho3[None, :] / (3.0 * np.where(off, r2**2, 1.0)), 0.0)
+        inv = inv - np.array([math.fsum(row) for row in descreen.tolist()])
+    raw = np.where(inv > 0.0, 1.0 / np.where(inv > 0.0, inv, 1.0), 0.0)
     return np.maximum(raw, rho / 2.0)
 
 
 def dense_gb_polarization(positions, charges, radii_born, solvent_dielectric=80.0):
+    """The full n x n sum over ordered pairs, diagonal included."""
     positions = np.asarray(positions, dtype=float)
     charges = np.asarray(charges, dtype=float)
     rb = np.asarray(radii_born, dtype=float)
@@ -194,9 +178,9 @@ def dense_gb_polarization(positions, charges, radii_born, solvent_dielectric=80.
     diff = positions[:, None, :] - positions[None, :, :]
     r2 = (diff**2).sum(axis=2)
     rr = rb[:, None] * rb[None, :]
-    denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
+    denom = np.sqrt(r2 + rr * np.exp(-(r2 / (4.0 * rr))))
     qq = charges[:, None] * charges[None, :]
-    return float(-(tau / 2.0) * COULOMB_CONSTANT * np.sum(qq / denom))
+    return float(-(tau / 2.0) * COULOMB_CONSTANT * math.fsum((qq / denom).ravel().tolist()))
 
 
 # ---------------------------------------------------------------- inputs
@@ -228,8 +212,8 @@ def trimmed_exclusions(n, count, seed):
     return base | {(int(ii[k]), int(jj[k])) for k in extra}
 
 
-# reversed, out of range, self and non-integer entries exclude nothing; the
-# integer-valued floats (1.0, 4.0) exclude pair (1, 4)
+# reversed, out of range, self, negative and non-integer entries exclude
+# nothing; the integer-valued floats (1.0, 4.0) exclude pair (1, 4)
 MALFORMED = frozenset({(7, 3), (-1, 4), (5, 10**6), (2, 2), (-3, -1), (1.0, 4.0), (1.5, 6)})
 
 
@@ -253,25 +237,24 @@ def test_kernels_match_dense_below_eight_atoms(n):
         assert_energies_match(pos, lj_a, lj_b, charges, radii, excl)
 
 
-# (n, kept pairs): P at a leaf edge, around it, at the first split and at a
-# second level of splitting
-TRIU_EDGES = [(261, LEAF - 1), (261, LEAF), (261, LEAF + 1), (262, LEAF + 8),
-              (262, LEAF + 15), (366, 2 * LEAF), (366, 2 * LEAF + 1), (446, 3 * LEAF + 5)]
+# (n, kept pairs), named for the edges of the former np.sum emulation's
+# leaves: thousands of excluded pairs spread over several row blocks
+TRIU_EDGES = [(261, 2**15 - 1), (261, 2**15), (261, 2**15 + 1), (262, 2**15 + 8),
+              (262, 2**15 + 15), (366, 2**16), (366, 2**16 + 1), (446, 3 * 2**15 + 5)]
 
 
 @pytest.mark.parametrize("n, count", TRIU_EDGES)
 def test_pair_energies_match_dense_at_leaf_and_split_edges(n, count):
     pos, lj_a, lj_b, charges, _radii = atoms(n, count)
     excl = trimmed_exclusions(n, count, count)
-    assert triu_pairs(n, exclusion_codes(excl, n))[0] == count
+    assert dense_pair_arrays(n, excl)[0].size == count
     assert lj_energy(pos, lj_a, lj_b, excl) == dense_lj_energy(pos, lj_a, lj_b, excl)
     model = CoulombModel("distance_dependent", 4.0)
     assert (coulomb_energy(pos, charges, model, excl)
             == dense_coulomb_energy(pos, charges, model, excl))
 
 
-# n*n terms below, at and above one and two leaves; Born-radius row blocks
-# of 2**15 // n rows, one of them short
+# Born-radius row blocks of 2**15 // n rows, one of them short
 @pytest.mark.parametrize("n", [181, 182, 256, 257, 300])
 def test_born_and_gb_match_dense_at_leaf_edges(n):
     pos, _a, _b, charges, radii = atoms(n, n)
@@ -304,7 +287,7 @@ def _message(fn, *args):
 
 
 def test_coincident_atoms_name_the_same_pair():
-    n = 300  # 44,850 pairs: the first coincident kept pair lies in the second leaf
+    n = 300  # the first coincident kept pair lies in a later row block
     pos, lj_a, lj_b, charges, radii = atoms(n, 4)
     pos[[9, 260, 299]] = pos[3], pos[250], pos[250]
     excl = chain_exclusions(n) | {(3, 9)}
@@ -313,6 +296,7 @@ def test_coincident_atoms_name_the_same_pair():
             (coulomb_energy, dense_coulomb_energy, (pos, charges, CoulombModel(), excl)),
             (born_radii, dense_born_radii, (pos, radii))]:
         assert _message(fn, *args) == _message(dense, *args)
+    # the excluded coincident pair (3, 9) does not raise
     assert _message(lj_energy, pos, lj_a, lj_b, excl).endswith("pair (250, 260)")
     assert _message(born_radii, pos, radii).endswith("pair (3, 9)")
     # GB has no such check: r = 0 is a finite term
@@ -321,47 +305,39 @@ def test_coincident_atoms_name_the_same_pair():
 
 # ---------------------------------------------------------------- per-pair loops
 
-def loop_squared_distances(xyz, ii, jj):
-    x, y, z = xyz
-    return ((x[ii] - x[jj]) ** 2 + (y[ii] - y[jj]) ** 2) + (z[ii] - z[jj]) ** 2
-
-
-def loop_pair_sum(positions, exclusions, context, pair_terms):
-    xyz = np.asarray(positions, dtype=float).T.copy()
-    n = xyz.shape[1]
-    count, pairs = triu_pairs(n, exclusion_codes(exclusions, n))
-
-    def terms(lo, hi):
-        ii, jj = pairs(lo, hi)
-        r = np.sqrt(loop_squared_distances(xyz, ii, jj))
-        if np.any(r == 0.0):
-            bad = int(np.argmax(r == 0.0))
-            raise ValueError(
-                f"{context}: coincident atoms at pair ({int(ii[bad])}, {int(jj[bad])})"
-            )
-        return pair_terms(ii, jj, r)
-
-    return tree_sum(count, terms) if count else 0.0
+def loop_pair_sum(positions, exclusions, pair_terms):
+    """math.fsum of ``pair_terms(ii, jj, r2)`` over the kept pairs, one row at
+    a time."""
+    positions = np.asarray(positions, dtype=float)
+    n = positions.shape[0]
+    parts = []
+    for i in range(n - 1):
+        jj = np.array([j for j in range(i + 1, n) if (i, j) not in exclusions], dtype=int)
+        ii = np.full(jj.size, i)
+        r2 = ((positions[ii] - positions[jj]) ** 2).sum(axis=1)
+        parts += pair_terms(ii, jj, r2).tolist()
+    return math.fsum(parts)
 
 
 def loop_coulomb_energy(positions, charges, model=CoulombModel(), exclusions=frozenset()):
     charges = np.asarray(charges, dtype=float)
 
-    def terms(ii, jj, r):
-        return COULOMB_CONSTANT * charges[ii] * charges[jj] / (model.epsilon(r) * r)
+    def terms(ii, jj, r2):
+        r = np.sqrt(r2)
+        return charges[ii] * charges[jj] / (model.epsilon(r) * r)
 
-    return loop_pair_sum(positions, exclusions, "coulomb_energy", terms)
+    return COULOMB_CONSTANT * loop_pair_sum(positions, exclusions, terms)
 
 
 def loop_lj_energy(positions, lj_a, lj_b, exclusions=frozenset()):
     eps, rmin = _lj_atom_terms(lj_a, lj_b)
 
-    def terms(ii, jj, r):
+    def terms(ii, jj, r2):
         a_ij, b_ij = _lj_pair_terms(eps[ii], rmin[ii], eps[jj], rmin[jj])
-        r6 = r**6
-        return a_ij / r6**2 - b_ij / r6
+        r6 = r2 * r2 * r2
+        return a_ij / (r6 * r6) - b_ij / r6
 
-    return loop_pair_sum(positions, exclusions, "lj_energy", terms)
+    return loop_pair_sum(positions, exclusions, terms)
 
 
 def loop_born_radii(positions, vdw_radii):
@@ -370,48 +346,19 @@ def loop_born_radii(positions, vdw_radii):
     n = positions.shape[0]
     if n == 0:
         return np.zeros(0)
-    if np.any(rho <= 0):
-        raise ValueError("van der Waals radii must be positive")
     inv = 1.0 / rho
     if n > 1:
-        xyz = positions.T.copy()
-        rho3 = rho**3
+        rho3 = rho * rho * rho
         descreened = np.empty(n)
-        step = max(1, _BLOCK_ELEMENTS // n)
-        for lo in range(0, n, step):
-            rows = np.arange(lo, min(lo + step, n))
-            r2 = loop_squared_distances(xyz, rows[:, None], slice(None))
-            off = np.arange(n) != rows[:, None]
-            if np.any(r2[off] == 0.0):
-                i, j = divmod(int(np.argmax((r2 == 0.0) & off)), n)
-                raise ValueError(f"born_radii: coincident atoms at pair ({lo + i}, {j})")
-            descreen = np.where(off, rho3 / (3.0 * np.where(off, r2**2, 1.0)), 0.0)
-            descreened[rows] = descreen.sum(axis=1)
+        for i in range(n):
+            others = np.arange(n) != i
+            r2 = ((positions[others] - positions[i]) ** 2).sum(axis=1)
+            if np.any(r2 == 0.0):
+                j = int(np.flatnonzero(others)[np.argmax(r2 == 0.0)])
+                raise ValueError(f"born_radii: coincident atoms at pair ({i}, {j})")
+            descreened[i] = math.fsum((rho3[others] / (3.0 * r2**2)).tolist())
         inv = inv - descreened
-    raw = np.where(inv != 0.0, 1.0 / np.where(inv != 0.0, inv, 1.0), np.inf)
-    return np.maximum(raw, rho / 2.0)
-
-
-def loop_gb_polarization(positions, charges, radii_born, solvent_dielectric=80.0):
-    positions = np.asarray(positions, dtype=float)
-    charges = np.asarray(charges, dtype=float)
-    rb = np.asarray(radii_born, dtype=float)
-    if positions.shape[0] == 0:
-        return 0.0
-    if np.any(rb <= 0):
-        raise ValueError("Born radii must be positive")
-    tau = 1.0 - 1.0 / solvent_dielectric
-    n = positions.shape[0]
-    xyz = positions.T.copy()
-
-    def terms(lo, hi):
-        ii, jj = np.divmod(np.arange(lo, hi), n)
-        r2 = loop_squared_distances(xyz, ii, jj)
-        rr = rb[ii] * rb[jj]
-        denom = np.sqrt(r2 + rr * np.exp(-r2 / (4.0 * rr)))
-        return charges[ii] * charges[jj] / denom
-
-    return float(-(tau / 2.0) * COULOMB_CONSTANT * tree_sum(n * n, terms))
+    return np.maximum(1.0 / np.where(inv > 0.0, inv, np.inf), rho / 2.0)
 
 
 def lj_rows(n, p, seed):
@@ -440,22 +387,23 @@ def test_lj_table_matches_the_per_pair_loop(monkeypatch, p, tabled):
     sizes = []
 
     def counted(*args):
-        sizes.append(args[0].size)
+        sizes.append(np.broadcast_shapes(*(np.shape(x) for x in args)))
         return _lj_pair_terms(*args)
 
     monkeypatch.setattr(qoi, "_lj_pair_terms", counted)
     for excl in (frozenset(), chain_exclusions(n) | MALFORMED):
         sizes.clear()
         assert lj_energy(pos, lj_a, lj_b, excl) == loop_lj_energy(pos, lj_a, lj_b, excl)
-        # P^2 <= 2**15: one call over the table; otherwise one per leaf of pairs
-        assert (sizes == [p * p]) == tabled
-        assert sum(sizes) == (p * p if tabled else triu_pairs(n, exclusion_codes(excl, n))[0])
+        # P^2 <= 2**15: one call over the table; otherwise one per row block
+        assert (sizes == [(p * p,)]) == tabled
+        assert tabled or (len(sizes) > 1 and sum(r for r, _c in sizes) == n - 1
+                          and max(r * c for r, c in sizes) <= _BLOCK_ELEMENTS)
 
 
-@pytest.mark.parametrize("leaf", [40, 97, LEAF])
+@pytest.mark.parametrize("leaf", [40, 97, 2**15])
 def test_leaf_buffers_match_the_loops(monkeypatch, leaf):
-    # every leaf of the pair sums writes into the same two buffers
-    monkeypatch.setattr(pairs, "_TREE_LEAF", leaf)
+    # every row block of the pair sums writes into the same three buffers
+    monkeypatch.setattr(qoi, "_BLOCK_ELEMENTS", leaf)
     n = 150
     pos, lj_a, lj_b, charges, _radii = atoms(n, leaf)
     for excl in (frozenset(), chain_exclusions(n) | MALFORMED):
@@ -478,25 +426,14 @@ def test_lj_table_without_wells_or_atoms_matches_the_loop():
 @pytest.mark.parametrize("leaf", [40, 97])
 @pytest.mark.parametrize("n", [1, 6, 23, 50])
 def test_gb_row_span_leaves_match_the_per_term_loop(monkeypatch, leaf, n):
-    monkeypatch.setattr(pairs, "_TREE_LEAF", leaf)
+    # the half pass over i < j in row blocks of about ``leaf`` terms, doubled,
+    # plus the diagonal, equals the exact sum over all n * n ordered pairs
+    monkeypatch.setattr(qoi, "_BLOCK_ELEMENTS", leaf)
     pos, _a, _b, charges, radii = atoms(n, n + leaf)
     rb = born_radii(pos, radii)
-    leaves = []
-
-    def recorded(count, terms):
-        def leaf_terms(lo, hi):
-            leaves.append((lo, hi))
-            block = terms(lo, hi)
-            assert block.shape == (hi - lo,) and block.flags.c_contiguous
-            return block
-        return tree_sum(count, leaf_terms)
-
-    monkeypatch.setattr(qoi, "tree_sum", recorded)
     for eps in (1.0, 4.0, 80.0):
-        leaves.clear()
-        assert gb_polarization(pos, charges, rb, eps) == loop_gb_polarization(pos, charges, rb, eps)
-    if n * n > leaf:
-        assert any(lo % n for lo, _hi in leaves) and any(hi % n for _lo, hi in leaves)
+        assert gb_polarization(pos, charges, rb, eps) == dense_gb_polarization(pos, charges, rb,
+                                                                                eps)
 
 
 @pytest.mark.parametrize("n", [2, 7, 181, 182, 300])
@@ -517,3 +454,32 @@ def test_born_coincident_pair_in_a_later_row_block():
     message = _message(born_radii, pos, radii)
     assert message == _message(loop_born_radii, pos, radii)
     assert message.endswith("pair (150, 220)")
+
+
+# ---------------------------------------------------------------- atom order
+
+def test_energies_and_area_do_not_depend_on_the_atom_order():
+    # 12 random orders of a perturbed 400-atom lattice, exclusions renumbered:
+    # each energy, each Born radius and the area keep their bits
+    n = 400
+    pos, lj_a, lj_b, charges, radii = atoms(n, 11)
+    excl = chain_exclusions(n)
+    model = CoulombModel("distance_dependent", 4.0)
+
+    def evaluate(order, excl):
+        p, q, r = pos[order], charges[order], radii[order]
+        rb = born_radii(p, r)
+        return (lj_energy(p, lj_a[order], lj_b[order], excl),
+                coulomb_energy(p, q, CoulombModel(), excl), coulomb_energy(p, q, model, excl),
+                rb, gb_polarization(p, q, rb), sasa(p, r, 1.4, 240)[0])
+
+    want = evaluate(np.arange(n), excl)
+    rng = np.random.default_rng(3)
+    for _ in range(12):
+        order = rng.permutation(n)
+        rank = np.argsort(order)  # new index of each old atom
+        renumbered = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in excl)
+        got = evaluate(order, renumbered)
+        assert got[:3] == want[:3]
+        assert np.array_equal(got[3][rank], want[3])
+        assert got[4:] == want[4:]

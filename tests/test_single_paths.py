@@ -4,9 +4,10 @@ Each oracle below is the former second implementation of a job: the voxel
 loops of ``qoi.volume`` and ``vizgrid.occupancy_map``, the single-config
 binding-site loop, the counting in ``chernoff_table``, the per-model
 ``Structure`` rebuild of ``write_pdb_models``, and the dense per-atom
-Shrake-Rupley loop run once per group of ``delta_area``.  The
-merged code must reproduce them exactly (``==``, not approx) on seeded,
-perturbed zigzag lattices.
+Shrake-Rupley loop run once per group of ``delta_area`` (its total by
+``math.fsum``, as ``sasa`` adds the atom areas).  The merged code must
+reproduce them exactly (``==``, not approx) on seeded, perturbed zigzag
+lattices.
 """
 
 import math
@@ -193,7 +194,7 @@ def oracle_sasa(positions, radii, probe=1.4, n_points=960):
     masks, inflated, _unit = oracle_exposure_mask(positions, radii, probe, n_points)
     frac = masks.mean(axis=1)
     per_atom = frac * 4.0 * math.pi * inflated**2
-    return float(per_atom.sum()), per_atom
+    return math.fsum(per_atom.tolist()), per_atom
 
 
 def oracle_delta_area(positions_a, radii_a, positions_b, radii_b, probe, n_points):
