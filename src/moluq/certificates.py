@@ -12,7 +12,8 @@ never loads it.  Sums are exact: each value is an integer count of
 rounded once.  IEEE 754 defines that rounding identically on every CPU, so
 no certificate depends on a library's order of summation.  Counts are taken
 on sorted values with the elementwise test itself.  Only the Monte-Carlo
-estimate of :func:`expected_hypercube_distance_mc` imports numpy.
+estimate of :func:`expected_hypercube_distance_mc` imports numpy (and
+:mod:`moluq.sampling`, whose stream draws its points).
 """
 
 from __future__ import annotations
@@ -142,13 +143,18 @@ def expected_hypercube_distance_mc(d: int, n_pairs: int = 10**6,
                                    seed: int = 20170815) -> tuple[float, float]:
     """Monte-Carlo mean distance between uniform points in [0,1]^d.
 
-    Returns (estimate, standard error); deterministic for a fixed seed.
+    Returns (estimate, standard error); deterministic for a fixed seed.  The
+    points are those of numpy's ``default_rng(seed).random``, drawn from
+    :class:`moluq.sampling.PCG64Stream` in chunks of 250,000 pairs: a
+    chunk's first points, then its second points.
     """
     import numpy as np  # the one numpy path of this module
 
+    from moluq.sampling import PCG64Stream
+
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = PCG64Stream(seed)
     total = 0.0
     total_sq = 0.0
     done = 0

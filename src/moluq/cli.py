@@ -401,12 +401,13 @@ def run_bound(cfg) -> list[str]:
     import numpy as np
 
     from moluq import bounds
+    from moluq.sampling import PCG64Stream
 
     out = Path(cfg["out"])
     spec = cfg["bound"] or _load_input(cfg, "bound_config", schema.BOUND)
     mode, mc_draws = spec["mode"], spec["mc_draws"]
     t_grid = [float(t) for t in (cfg["t_grid"] if spec["t_grid"] is None else spec["t_grid"])]
-    rng = np.random.default_rng(cfg["seed"] if spec["mc_seed"] is None else spec["mc_seed"])
+    rng = PCG64Stream(cfg["seed"] if spec["mc_seed"] is None else spec["mc_seed"])
 
     def draw(box):  # mc_draws uniform points of the box
         return box.lowers() + rng.random((mc_draws, box.dim)) * (box.uppers() - box.lowers())

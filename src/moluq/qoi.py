@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -101,7 +101,13 @@ class QOIConfig:
 
 @dataclass(frozen=True)
 class AtomSet:
-    """Flat parameter arrays for one group of atoms (a chain, a ligand, ...)."""
+    """Flat parameter arrays for one group of atoms (a chain, a ligand, ...).
+
+    ``code_box`` holds the exclusion codes of ``exclusions`` once
+    :attr:`codes` has built them.  ``replace`` with new positions hands the
+    box on, so that the kernels of every row of a group use one build; a
+    set with other exclusions must be made without it.
+    """
 
     positions: np.ndarray
     radii: np.ndarray
@@ -110,6 +116,17 @@ class AtomSet:
     lj_b: np.ndarray
     serials: tuple[int, ...]
     exclusions: frozenset[tuple[int, int]]
+    code_box: list = field(default_factory=list, compare=False, repr=False)
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Sorted exclusion codes (:func:`moluq.pairs.exclusion_codes`), built
+        on first use: a stage that runs no pair energy never builds them, and
+        the first build's ``np.unique`` imports numpy.ma, 1.7 MiB of peak
+        memory.  Two threads may both build them; both keep the same codes."""
+        if not self.code_box:
+            self.code_box.append(exclusion_codes(self.exclusions, self.n))
+        return self.code_box[0]
 
     @property
     def n(self) -> int:
@@ -191,8 +208,9 @@ def _row_blocks(positions, context, codes=None):
 
 def _pair_sum(positions, exclusions, context, pair_terms) -> list[float]:
     """Floats whose sum is exactly that of ``pair_terms(rows, cols, r2, work,
-    scratch)`` over the pairs i < j not in ``exclusions``, so that
-    ``math.fsum`` of them is that sum rounded once.
+    scratch)`` over the pairs i < j not in ``exclusions`` (pairs, or their
+    codes as a 1-D array), so that ``math.fsum`` of them is that sum rounded
+    once.
 
     ``pair_terms`` gets one block of :func:`_row_blocks` (checked for
     coincident atoms when ``context`` names the kernel) and returns its
@@ -200,7 +218,8 @@ def _pair_sum(positions, exclusions, context, pair_terms) -> list[float]:
     for (i, j) as for (j, i), so that the sum does not depend on the atom
     order.
     """
-    codes = exclusion_codes(exclusions, len(positions))
+    codes = (exclusions if isinstance(exclusions, np.ndarray) and exclusions.ndim == 1
+             else exclusion_codes(exclusions, len(positions)))
     parts = []
     for rows, cols, r2, work, scratch in _row_blocks(positions, context, codes):
         terms = pair_terms(rows, cols, r2, work, scratch).reshape(1, -1)
@@ -230,13 +249,14 @@ def _lj_pair_terms(eps_i, rmin_i, eps_j, rmin_j) -> tuple[np.ndarray, np.ndarray
 def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
     """12-6 energy sum a_ij/r^12 - b_ij/r^6 over unordered pairs (kcal/mol).
 
-    All pairs except the bonded ``exclusions`` contribute, and r^6 is
-    (r^2 r^2) r^2 from the squared distances.  Per-atom depth and minimum
-    distance are computed once.  When the atoms have P distinct (eps, rmin)
-    rows with P^2 <= ``_BLOCK_ELEMENTS``, a_ij and b_ij are computed once per
-    ordered pair of rows and gathered per atom pair at
-    ``kind[i] * P + kind[j]``; for more rows they are computed per atom
-    pair.  Both give the same bits.
+    All pairs except the bonded ``exclusions`` (pairs (i, j), or the 1-D
+    array of their codes that :func:`moluq.pairs.exclusion_codes` builds)
+    contribute, and r^6 is (r^2 r^2) r^2 from the squared distances.
+    Per-atom depth and minimum distance are computed once.  When the atoms
+    have P distinct (eps, rmin) rows with P^2 <= ``_BLOCK_ELEMENTS``, a_ij
+    and b_ij are computed once per ordered pair of rows and gathered per
+    atom pair at ``kind[i] * P + kind[j]``; for more rows they are computed
+    per atom pair.  Both give the same bits.
     """
     eps, rmin = _lj_atom_terms(lj_a, lj_b)
     # each atom's (eps, rmin) as the complex eps + rmin*1j, bit for bit: np.unique
@@ -271,7 +291,8 @@ def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
 def coulomb_energy(positions, charges, model: CoulombModel = CoulombModel(),
                    exclusions=frozenset()) -> float:
     """Pairwise electrostatic sum C q_i q_j / (eps(r) r) (kcal/mol): the exact
-    sum of q_i q_j / (eps(r) r), rounded once, times C."""
+    sum of q_i q_j / (eps(r) r), rounded once, times C, over the pairs not in
+    ``exclusions`` (taken as by :func:`lj_energy`)."""
     charges = np.asarray(charges, dtype=float)
 
     def terms(rows, cols, r2, work, _scratch):
@@ -345,7 +366,9 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
 
     # each pair i < j stands for (i, j) and (j, i); at i = j, r = 0 and the
     # denominator, the square root of R_i R_i rounded, is R_i exactly
-    parts = 2 * _pair_sum(positions, (), None, terms) + (charges * charges / rb).tolist()
+    no_exclusions = np.zeros(0, dtype=np.int64)
+    parts = (2 * _pair_sum(positions, no_exclusions, None, terms)
+             + (charges * charges / rb).tolist())
     return float(-(tau / 2.0) * COULOMB_CONSTANT * math.fsum(parts))
 
 
@@ -588,10 +611,10 @@ def evaluate_qoi(kind: QOIKind, a: AtomSet, config: QOIConfig = QOIConfig()) -> 
     if kind is QOIKind.VOLUME:
         return volume(a.positions, a.radii, config.spacing)
     if kind is QOIKind.LJ:
-        return lj_energy(a.positions, a.lj_a, a.lj_b, exclusions=a.exclusions)
+        return lj_energy(a.positions, a.lj_a, a.lj_b, exclusions=a.codes)
     if kind is QOIKind.COULOMB:
         return coulomb_energy(a.positions, a.charges, config.coulomb,
-                              exclusions=a.exclusions)
+                              exclusions=a.codes)
     if kind is QOIKind.GB:
         rb = born_radii(a.positions, a.radii)
         return gb_polarization(a.positions, a.charges, rb, config.solvent_dielectric)
@@ -623,8 +646,9 @@ def row_evaluator(kinds, s: Structure, idx_a, idx_b, config: QOIConfig = QOIConf
     """Function mapping (n, 3) positions of ``s`` to {kind value: QOI} for ``kinds``.
 
     Non-delta kinds cover all of ``s``; ``delta_*`` kinds cover A = atoms
-    ``idx_a`` and B = atoms ``idx_b``.  Parameters and bonded exclusions are
-    built here, once.  Each row evaluates every f(group) it needs once and
+    ``idx_a`` and B = atoms ``idx_b``.  Parameters, bonded exclusions and
+    their codes are built here, once (those of A+B, when it is not the whole,
+    once per row).  Each row evaluates every f(group) it needs once and
     computes each delta as f(A+B) - f(A) - f(B) in :func:`delta_qoi`'s order,
     with delta_area and f(A+B) for area from one grouped :func:`sasa` call.
     When A then B is all of ``s`` and their union has the exclusions of

@@ -50,14 +50,14 @@ BOUND = Key("object", keys={
     "c": NUMBERS.optional(),
     "t_grid": NUMBERS.optional(),
     "mc_draws": Key("integer", 0, minimum=0),
-    "mc_seed": INTEGER.optional(),
+    "mc_seed": Key("integer", minimum=0).optional(),
 })
 
 # the run config: every key a command reads (README.md lists the same table)
 CONFIG = {
     **dict.fromkeys(("structure", "params", "torsion_dihedrals", "ensemble", "values",
                      "bound_config", "ligand", "poses", "out"), STRING.optional()),  # paths
-    "seed": Key("integer", 0),
+    "seed": Key("integer", 0, minimum=0),
     "samples": Key("integer", minimum=1).optional(),
     "workers": Key("integer", 1, minimum=1),
     "mode": Key("string", "cartesian", choices=("cartesian", "torsion")),

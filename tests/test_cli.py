@@ -160,6 +160,28 @@ class TestQoiCertifySaturate:
         # the full structure plus chains A and B, however many models there are
         assert len(calls) == 3
 
+    def test_qoi_builds_each_groups_exclusion_codes_once(self, workspace, monkeypatch):
+        # the codes were once built on every lj and coulomb call, twice per row
+        from moluq import qoi
+        builds = []
+        real = qoi.exclusion_codes
+        monkeypatch.setattr(qoi, "exclusion_codes", lambda exclusions, n: builds.append(
+            (frozenset(exclusions), n)) or real(exclusions, n))
+        for models in (3, 12):
+            cfg = self._sampled(workspace, n=models)
+            builds.clear()
+            assert main(["qoi", "--config", str(cfg)]) == 0
+            # the bonded pairs of the whole structure (5 atoms), of chain A (3)
+            # and of chain B (2), however many models there are
+            assert sorted(n for _pairs, n in builds) == [2, 3, 5]
+        # a stage without pair energies builds none (the build's np.unique
+        # imports numpy.ma, 1.7 MiB of the stage's peak)
+        cfg.write_text(json.dumps({**json.loads(cfg.read_text()),
+                                   "qoi": ["area", "volume", "gb", "delta_area"]}))
+        builds.clear()
+        assert main(["qoi", "--config", str(cfg)]) == 0
+        assert builds == []
+
     @pytest.mark.parametrize("key", ["chain_a", "chain_b"])
     def test_qoi_rejects_unknown_chain(self, workspace, capsys, key):
         cfg = self._sampled(workspace, n=2)
@@ -589,6 +611,41 @@ class TestBound:
         assert main(["bound", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (f"moluq: data error: {path}: box[1] "
                                            f"must be 2 numbers, not [1, 2, 3]\n")
+
+
+class TestNegativeSeed:
+    """A negative seed is outside the config tables: a usage error (exit 1)
+    in the run config, a data error (exit 2) in a bound_config file, each
+    naming the key.  Both once exited 3 with "domain error: expected
+    non-negative integer", naming no key."""
+
+    @pytest.mark.parametrize("argv, raw, message", [
+        (["sample"], {"seed": -1, "samples": 2}, "config key 'seed' must be >= 0, not -1"),
+        (["sample", "--seed", "-3"], {"samples": 2}, "config key 'seed' must be >= 0, not -3"),
+        (["bound"], {"seed": -1, "bound": {"kernel": {"terms": [[1.0, 1.0]]},
+                                           "box": [[1.0, 2.0]], "mc_draws": 10}},
+         "config key 'seed' must be >= 0, not -1"),
+        (["bound"], {"bound": {"kernel": {"terms": [[1.0, 1.0]]}, "box": [[1.0, 2.0]],
+                               "mc_draws": 10, "mc_seed": -2}},
+         "config key 'bound.mc_seed' must be >= 0, not -2"),
+    ], ids=["sample_seed", "sample_seed_flag", "bound_seed", "bound_inline_mc_seed"])
+    def test_in_the_run_config_is_a_usage_error(self, workspace, capsys, argv, raw, message):
+        cfg = write_config(workspace, **raw)
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"moluq: usage error: {message}\n"
+        assert not (workspace / "run").exists()
+
+    def test_in_a_bound_config_file_is_a_data_error(self, workspace, capsys):
+        path = workspace / "bound.json"
+        path.write_text(json.dumps({"kernel": {"terms": [[1.0, 1.0]]}, "box": [[1.0, 2.0]],
+                                    "mc_draws": 10, "mc_seed": -2}))
+        cfg = write_config(workspace, bound_config=str(path))
+        capsys.readouterr()
+        assert main(["bound", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (f"moluq: data error: {path}: mc_seed "
+                                           f"must be >= 0, not -2\n")
+        assert not (workspace / "run" / "bounds.csv").exists()
 
 
 class TestBindsite:
@@ -1021,7 +1078,7 @@ STAGE_MODULES = {
     "qoi": {"molio", "pairs", "qoi", "vizgrid"},
     "certify": {"certificates"},
     "saturate": {"certificates"},
-    "bound": {"bounds"},
+    "bound": {"bounds", "sampling"},
     "bindsite": {"molio", "pairs", "vizgrid", "bindsite"},
     "volmap": {"molio", "pairs", "vizgrid"},
     "modes": {"molio", "pairs", "conformers", "sampling"},
@@ -1035,8 +1092,9 @@ class TestImportHygiene:
         """A fresh interpreter per command runs ``main`` and lists the moluq
         modules it loaded: a stage compiles no module it does not call, only
         ``--workers 2`` loads concurrent.futures, difflib, which only an
-        unknown config key needs, never loads, and certify and saturate load
-        no numpy."""
+        unknown config key needs, never loads, certify and saturate load no
+        numpy, and no command loads numpy.random: moluq draws from its own
+        PCG64 stream."""
         import moluq
         lig = make_structure([[0.0, 3.0, 0.0]])
         (workspace / "ligand.pdb").write_text(pdb_text(lig))
@@ -1056,6 +1114,7 @@ class TestImportHygiene:
             print(json.dumps({"exit": code, "futures": "concurrent.futures" in sys.modules,
                               "difflib": "difflib" in sys.modules,
                               "numpy": "numpy" in sys.modules,
+                              "numpy.random": "numpy.random" in sys.modules,
                               "modules": sorted(m for m in sys.modules
                                                 if m.split(".")[0] == "moluq")}))
         """)
@@ -1069,7 +1128,8 @@ class TestImportHygiene:
             want = ["moluq", "moluq.cli", "moluq.schema"] + [
                 f"moluq.{m}" for m in STAGE_MODULES[argv[0]]]
             assert got == {"exit": 0, "futures": argv[-1] == "2", "difflib": False,
-                           "numpy": argv[0] not in NUMPY_FREE, "modules": sorted(want)}, argv
+                           "numpy": argv[0] not in NUMPY_FREE, "numpy.random": False,
+                           "modules": sorted(want)}, argv
 
     def test_no_source_file_imports_scipy(self):
         """No module under src/moluq imports scipy, at any depth: its only
