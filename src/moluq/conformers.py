@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from moluq.molio import Structure, bond_adjacency, bonded_exclusions
-from moluq.pairs import exclusion_codes, not_in_codes, stack_cutoff_pairs
+from moluq.pairs import not_in_codes, stack_cutoff_pairs
 from moluq.sampling import (
     LowDiscrepancySequence,
     gaussian_dimension,
@@ -313,7 +313,7 @@ def _clash_check(s: Structure, factor: float):
     if n < 2:
         return lambda stack: [None] * len(stack)
     radii = s.radii
-    codes = exclusion_codes(bonded_exclusions(s), n)
+    codes = bonded_exclusions(s)
     max_cutoff = factor * (2.0 * radii.max())
 
     def check(stack: np.ndarray) -> list[str | None]:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from moluq.pairs import cutoff_pairs
+from moluq.pairs import cutoff_pairs, exclusion_codes
 
 EIGHT_PI_SQ = 8.0 * math.pi**2
 
@@ -719,9 +719,10 @@ def bond_adjacency(bonds, n: int) -> list[set[int]]:
     return adj
 
 
-def bonded_exclusions(s: Structure) -> frozenset[tuple[int, int]]:
-    """1-2 and 1-3 pairs (as sorted index tuples) from the bond list."""
+def bonded_exclusions(s: Structure) -> np.ndarray:
+    """Codes (:func:`moluq.pairs.exclusion_codes`) of the 1-2 and 1-3 pairs
+    of the bond list."""
     pairs = set(s.bonds)  # each bond is stored once as (min, max)
     for nbrs in bond_adjacency(s.bonds, s.n_atoms):
         pairs.update(itertools.combinations(sorted(nbrs), 2))
-    return frozenset(pairs)
+    return exclusion_codes(pairs, s.n_atoms)

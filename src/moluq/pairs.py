@@ -41,19 +41,11 @@ _BIN_PARTS = 2**16
 _FORWARD_OFFSETS = [o for o in itertools.product((-1, 0, 1), repeat=3) if o >= (0, 0, 0)]
 
 
-def exclusion_codes(exclusions, n: int) -> np.ndarray:
-    """Sorted int64 codes of the exclusion pairs (i, j) with 0 <= i < j < n.
-
-    Entries outside that range (reversed, out-of-range or non-integer
-    indices) are dropped: they name no pair of the upper triangle, so they
-    exclude nothing.
-    """
-    if not exclusions:
-        return np.zeros(0, dtype=np.int64)
-    ij = np.array(list(exclusions), dtype=float).reshape(-1, 2)
-    i, j = ij[:, 0], ij[:, 1]
-    keep = (0 <= i) & (i < j) & (j < n) & (i == np.floor(i)) & (j == np.floor(j))
-    return np.unique(i[keep].astype(np.int64) * n + j[keep].astype(np.int64))
+def exclusion_codes(pairs, n: int) -> np.ndarray:
+    """Sorted int64 codes i*n + j of distinct pairs (i, j), 0 <= i < j < n:
+    the one form in which bonded exclusions reach the kernels."""
+    ij = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return np.sort(ij[:, 0] * n + ij[:, 1])
 
 
 def not_in_codes(ii, jj, n: int, codes: np.ndarray) -> np.ndarray:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from moluq.molio import Structure, bonded_exclusions
-from moluq.pairs import cutoff_pairs, exact_sums, exclusion_codes
+from moluq.pairs import cutoff_pairs, exact_sums
 from moluq.vizgrid import cover_spheres, padded_box
 
 COULOMB_CONSTANT = 332.0636  # kcal mol^-1 A e^-2
@@ -46,6 +46,9 @@ _BLOCK_ELEMENTS = 2**15
 # overhead, spent holding the GIL, keeps two worker threads from overlapping.
 _DENSE_SLOTS = 4
 _BATCH_POINTS = 2**14
+
+_NO_EXCLUSIONS = np.zeros(0, dtype=np.int64)
+_NO_EXCLUSIONS.flags.writeable = False
 
 
 class QOIKind(str, enum.Enum):
@@ -101,13 +104,9 @@ class QOIConfig:
 
 @dataclass(frozen=True)
 class AtomSet:
-    """Flat parameter arrays for one group of atoms (a chain, a ligand, ...).
-
-    ``code_box`` holds the exclusion codes of ``exclusions`` once
-    :attr:`codes` has built them.  ``replace`` with new positions hands the
-    box on, so that the kernels of every row of a group use one build; a
-    set with other exclusions must be made without it.
-    """
+    """Flat parameter arrays for one group of atoms (a chain, a ligand, ...);
+    ``exclusions`` holds the codes of its bonded exclusions
+    (:func:`moluq.pairs.exclusion_codes`)."""
 
     positions: np.ndarray
     radii: np.ndarray
@@ -115,18 +114,7 @@ class AtomSet:
     lj_a: np.ndarray
     lj_b: np.ndarray
     serials: tuple[int, ...]
-    exclusions: frozenset[tuple[int, int]]
-    code_box: list = field(default_factory=list, compare=False, repr=False)
-
-    @property
-    def codes(self) -> np.ndarray:
-        """Sorted exclusion codes (:func:`moluq.pairs.exclusion_codes`), built
-        on first use: a stage that runs no pair energy never builds them, and
-        the first build's ``np.unique`` imports numpy.ma, 1.7 MiB of peak
-        memory.  Two threads may both build them; both keep the same codes."""
-        if not self.code_box:
-            self.code_box.append(exclusion_codes(self.exclusions, self.n))
-        return self.code_box[0]
+    exclusions: np.ndarray
 
     @property
     def n(self) -> int:
@@ -148,8 +136,13 @@ class AtomSet:
         overlap = set(self.serials) & set(other.serials)
         if overlap:
             raise ValueError(f"atom serials overlap between groups: {sorted(overlap)[:5]}")
-        off = self.n
-        shifted = frozenset((i + off, j + off) for i, j in other.exclusions)
+        n = self.n + other.n
+        # each group's pairs re-encoded for n atoms, B's shifted past A's: A's
+        # codes then all come before B's, so the result stays sorted
+        codes = []
+        for group, off in ((self, 0), (other, self.n)):
+            i, j = np.divmod(group.exclusions, max(group.n, 1))
+            codes.append((i + off) * n + (j + off))
         return AtomSet(
             positions=np.vstack([self.positions, other.positions]),
             radii=np.concatenate([self.radii, other.radii]),
@@ -157,7 +150,7 @@ class AtomSet:
             lj_a=np.concatenate([self.lj_a, other.lj_a]),
             lj_b=np.concatenate([self.lj_b, other.lj_b]),
             serials=self.serials + other.serials,
-            exclusions=self.exclusions | shifted,
+            exclusions=np.concatenate(codes),
         )
 
 
@@ -206,11 +199,10 @@ def _row_blocks(positions, context, codes=None):
         lo = hi
 
 
-def _pair_sum(positions, exclusions, context, pair_terms) -> list[float]:
+def _pair_sum(positions, codes, context, pair_terms) -> list[float]:
     """Floats whose sum is exactly that of ``pair_terms(rows, cols, r2, work,
-    scratch)`` over the pairs i < j not in ``exclusions`` (pairs, or their
-    codes as a 1-D array), so that ``math.fsum`` of them is that sum rounded
-    once.
+    scratch)`` over the pairs i < j whose codes are not in ``codes``, so that
+    ``math.fsum`` of them is that sum rounded once.
 
     ``pair_terms`` gets one block of :func:`_row_blocks` (checked for
     coincident atoms when ``context`` names the kernel) and returns its
@@ -218,8 +210,6 @@ def _pair_sum(positions, exclusions, context, pair_terms) -> list[float]:
     for (i, j) as for (j, i), so that the sum does not depend on the atom
     order.
     """
-    codes = (exclusions if isinstance(exclusions, np.ndarray) and exclusions.ndim == 1
-             else exclusion_codes(exclusions, len(positions)))
     parts = []
     for rows, cols, r2, work, scratch in _row_blocks(positions, context, codes):
         terms = pair_terms(rows, cols, r2, work, scratch).reshape(1, -1)
@@ -246,12 +236,12 @@ def _lj_pair_terms(eps_i, rmin_i, eps_j, rmin_j) -> tuple[np.ndarray, np.ndarray
     return eps * (rmin6 * rmin6), 2.0 * eps * rmin6
 
 
-def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
+def lj_energy(positions, lj_a, lj_b, exclusions=_NO_EXCLUSIONS) -> float:
     """12-6 energy sum a_ij/r^12 - b_ij/r^6 over unordered pairs (kcal/mol).
 
-    All pairs except the bonded ``exclusions`` (pairs (i, j), or the 1-D
-    array of their codes that :func:`moluq.pairs.exclusion_codes` builds)
-    contribute, and r^6 is (r^2 r^2) r^2 from the squared distances.
+    All pairs except the bonded ``exclusions`` (sorted codes, see
+    :func:`moluq.pairs.exclusion_codes`) contribute, and r^6 is
+    (r^2 r^2) r^2 from the squared distances.
     Per-atom depth and minimum distance are computed once.  When the atoms
     have P distinct (eps, rmin) rows with P^2 <= ``_BLOCK_ELEMENTS``, a_ij
     and b_ij are computed once per ordered pair of rows and gathered per
@@ -289,7 +279,7 @@ def lj_energy(positions, lj_a, lj_b, exclusions=frozenset()) -> float:
 
 
 def coulomb_energy(positions, charges, model: CoulombModel = CoulombModel(),
-                   exclusions=frozenset()) -> float:
+                   exclusions=_NO_EXCLUSIONS) -> float:
     """Pairwise electrostatic sum C q_i q_j / (eps(r) r) (kcal/mol): the exact
     sum of q_i q_j / (eps(r) r), rounded once, times C, over the pairs not in
     ``exclusions`` (taken as by :func:`lj_energy`)."""
@@ -366,8 +356,7 @@ def gb_polarization(positions, charges, radii_born, solvent_dielectric: float = 
 
     # each pair i < j stands for (i, j) and (j, i); at i = j, r = 0 and the
     # denominator, the square root of R_i R_i rounded, is R_i exactly
-    no_exclusions = np.zeros(0, dtype=np.int64)
-    parts = (2 * _pair_sum(positions, no_exclusions, None, terms)
+    parts = (2 * _pair_sum(positions, _NO_EXCLUSIONS, None, terms)
              + (charges * charges / rb).tolist())
     return float(-(tau / 2.0) * COULOMB_CONSTANT * math.fsum(parts))
 
@@ -611,10 +600,10 @@ def evaluate_qoi(kind: QOIKind, a: AtomSet, config: QOIConfig = QOIConfig()) -> 
     if kind is QOIKind.VOLUME:
         return volume(a.positions, a.radii, config.spacing)
     if kind is QOIKind.LJ:
-        return lj_energy(a.positions, a.lj_a, a.lj_b, exclusions=a.codes)
+        return lj_energy(a.positions, a.lj_a, a.lj_b, exclusions=a.exclusions)
     if kind is QOIKind.COULOMB:
         return coulomb_energy(a.positions, a.charges, config.coulomb,
-                              exclusions=a.codes)
+                              exclusions=a.exclusions)
     if kind is QOIKind.GB:
         rb = born_radii(a.positions, a.radii)
         return gb_polarization(a.positions, a.charges, rb, config.solvent_dielectric)
@@ -646,9 +635,9 @@ def row_evaluator(kinds, s: Structure, idx_a, idx_b, config: QOIConfig = QOIConf
     """Function mapping (n, 3) positions of ``s`` to {kind value: QOI} for ``kinds``.
 
     Non-delta kinds cover all of ``s``; ``delta_*`` kinds cover A = atoms
-    ``idx_a`` and B = atoms ``idx_b``.  Parameters, bonded exclusions and
-    their codes are built here, once (those of A+B, when it is not the whole,
-    once per row).  Each row evaluates every f(group) it needs once and
+    ``idx_a`` and B = atoms ``idx_b``.  Each group's parameters and bonded
+    exclusions are built here, once per run; overlapping groups raise
+    ``ValueError`` here.  Each row evaluates every f(group) it needs once and
     computes each delta as f(A+B) - f(A) - f(B) in :func:`delta_qoi`'s order,
     with delta_area and f(A+B) for area from one grouped :func:`sasa` call.
     When A then B is all of ``s`` and their union has the exclusions of
@@ -663,8 +652,9 @@ def row_evaluator(kinds, s: Structure, idx_a, idx_b, config: QOIConfig = QOIConf
     if split:
         group_a = AtomSet.from_structure(s.subset(idx_a))
         group_b = AtomSet.from_structure(s.subset(idx_b))
+        group_ab = group_a.union(group_b)
         if not (idx_a + idx_b == list(range(full.n))
-                and group_a.union(group_b).exclusions == full.exclusions):
+                and np.array_equal(group_ab.exclusions, full.exclusions)):
             ab = "a+b"
 
     def evaluate(positions) -> dict[str, float]:
@@ -672,9 +662,9 @@ def row_evaluator(kinds, s: Structure, idx_a, idx_b, config: QOIConfig = QOIConf
         memo: dict[tuple[QOIKind, str], float] = {}  # (base kind, group): f(group)
         if split:
             a = sets["a"] = replace(group_a, positions=positions[idx_a])
-            b = sets["b"] = replace(group_b, positions=positions[idx_b])
+            sets["b"] = replace(group_b, positions=positions[idx_b])
             if ab != "whole":
-                sets[ab] = a.union(b)
+                sets[ab] = replace(group_ab, positions=positions[idx_a + idx_b])
             if QOIKind.DELTA_AREA in kinds:
                 memo[QOIKind.AREA, ab], delta_area = _delta_area(sets[ab], a.n, config)
 

@@ -25,7 +25,7 @@ from moluq.conformers import (
     torsion_graph_from_dihedrals,
 )
 from moluq.molio import ParamTable, assign_params, bonded_exclusions, detect_bonds
-from moluq.pairs import cutoff_pairs, exclusion_codes, not_in_codes, stack_cutoff_pairs
+from moluq.pairs import cutoff_pairs, not_in_codes, stack_cutoff_pairs
 from moluq.sampling import LowDiscrepancySequence, gaussian_dimension, normals_from_unit
 from conftest import lattice, make_structure, zigzag_chain
 
@@ -122,7 +122,7 @@ def loop_clash_check(s, factor):
     if n < 2:
         return lambda positions: None
     radii = s.radii
-    codes = exclusion_codes(bonded_exclusions(s), n)
+    codes = bonded_exclusions(s)
     max_cutoff = factor * (2.0 * radii.max())
 
     def check(positions):

@@ -2,8 +2,9 @@
 
 Every kernel adds its terms exactly and rounds once, so it must equal
 ``math.fsum`` of the same terms from a dense pass over the pairs, by ``==``:
-at n = 0, 1, 2, across several row blocks, with malformed exclusions, whole
-excluded rows and coincident atoms.  The LJ coefficient table, the half-pass
+at n = 0, 1, 2, across several row blocks, with whole excluded rows and
+coincident atoms.  Exclusions reach kernels and oracles alike as sorted
+codes (``pairs.exclusion_codes``); the oracles decode them into pairs.  The LJ coefficient table, the half-pass
 GB sum and the inf-diagonal Born blocks must equal the per-pair forms they
 stand for, and no result may depend on the order of the atoms.
 ``pairs.exact_sums`` itself is checked against exact rational sums over the
@@ -88,10 +89,15 @@ def test_sums_without_a_float_value_raise(row, error):
 
 # ---------------------------------------------------------------- dense oracles
 
+def excluded_pairs(codes, n):
+    return {divmod(code, n) for code in np.asarray(codes, dtype=np.int64).tolist()}
+
+
 def dense_pair_arrays(n, exclusions):
     ii, jj = np.triu_indices(n, k=1)
-    if exclusions:
-        keep = np.array([(int(i), int(j)) not in exclusions for i, j in zip(ii, jj)],
+    excluded = excluded_pairs(exclusions, n)
+    if excluded:
+        keep = np.array([(int(i), int(j)) not in excluded for i, j in zip(ii, jj)],
                         dtype=bool)
         ii, jj = ii[keep], jj[keep]
     return ii, jj
@@ -122,7 +128,7 @@ def dense_lj_pair_terms(eps_i, rmin_i, eps_j, rmin_j):
     return eps * (rmin6 * rmin6), 2.0 * eps * rmin6
 
 
-def dense_lj_energy(positions, lj_a, lj_b, exclusions=frozenset()):
+def dense_lj_energy(positions, lj_a, lj_b, exclusions=()):
     positions = np.asarray(positions, dtype=float)
     ii, jj = dense_pair_arrays(positions.shape[0], exclusions)
     r2 = dense_squared_distances(positions, ii, jj, "lj_energy")
@@ -132,7 +138,7 @@ def dense_lj_energy(positions, lj_a, lj_b, exclusions=frozenset()):
     return math.fsum((a_ij / (r6 * r6) - b_ij / r6).tolist())
 
 
-def dense_coulomb_energy(positions, charges, model=CoulombModel(), exclusions=frozenset()):
+def dense_coulomb_energy(positions, charges, model=CoulombModel(), exclusions=()):
     positions = np.asarray(positions, dtype=float)
     charges = np.asarray(charges, dtype=float)
     ii, jj = dense_pair_arrays(positions.shape[0], exclusions)
@@ -197,24 +203,22 @@ def atoms(n, seed):
     return pos, lj_a, lj_b, rng.normal(scale=0.4, size=n), rng.uniform(1.2, 2.0, size=n)
 
 
+def chain_pairs(n):
+    return {(i, i + k) for k in (1, 2) for i in range(n - k)}
+
+
 def chain_exclusions(n):
-    return frozenset((i, i + k) for k in (1, 2) for i in range(n - k))
+    return exclusion_codes(chain_pairs(n), n)
 
 
 def trimmed_exclusions(n, count, seed):
-    """1-2/1-3 exclusions, malformed entries and random pairs, so that exactly
-    ``count`` pairs remain."""
-    base = chain_exclusions(n) | MALFORMED
-    codes = exclusion_codes(base, n)
+    """Codes of 1-2/1-3 exclusions and random pairs, so that exactly ``count``
+    pairs remain."""
+    base = chain_pairs(n)
     ii, jj = np.triu_indices(n, k=1)
-    free = np.flatnonzero(~np.isin(ii * n + jj, codes))
+    free = np.flatnonzero(~np.isin(ii * n + jj, exclusion_codes(base, n)))
     extra = np.random.default_rng(seed).choice(free, free.size - count, replace=False)
-    return base | {(int(ii[k]), int(jj[k])) for k in extra}
-
-
-# reversed, out of range, self, negative and non-integer entries exclude
-# nothing; the integer-valued floats (1.0, 4.0) exclude pair (1, 4)
-MALFORMED = frozenset({(7, 3), (-1, 4), (5, 10**6), (2, 2), (-3, -1), (1.0, 4.0), (1.5, 6)})
+    return exclusion_codes(base | {(int(ii[k]), int(jj[k])) for k in extra}, n)
 
 
 def assert_energies_match(pos, lj_a, lj_b, charges, radii, excl):
@@ -233,7 +237,7 @@ def assert_energies_match(pos, lj_a, lj_b, charges, radii, excl):
 def test_kernels_match_dense_below_eight_atoms(n):
     pos, lj_a, lj_b, charges, radii = atoms(max(n, 1), n)
     pos, lj_a, lj_b, charges, radii = (x[:n] for x in (pos, lj_a, lj_b, charges, radii))
-    for excl in (frozenset(), chain_exclusions(n), chain_exclusions(n) | MALFORMED):
+    for excl in (chain_exclusions(0), chain_exclusions(n)):
         assert_energies_match(pos, lj_a, lj_b, charges, radii, excl)
 
 
@@ -267,9 +271,9 @@ def test_kernels_match_dense_when_whole_rows_are_excluded():
     n = 300
     pos, lj_a, lj_b, charges, radii = atoms(n, 9)
     full_rows = {(i, j) for i in (0, 1, 150, 297, 298) for j in range(i + 1, n)}
-    excl = chain_exclusions(n) | full_rows | MALFORMED
+    excl = exclusion_codes(chain_pairs(n) | full_rows, n)
     assert_energies_match(pos, lj_a, lj_b, charges, radii, excl)
-    everything = frozenset((i, j) for i in range(n) for j in range(i + 1, n))
+    everything = np.arange(n * n).reshape(n, n)[np.triu_indices(n, k=1)]
     assert lj_energy(pos, lj_a, lj_b, everything) == 0.0
     assert coulomb_energy(pos, charges, exclusions=everything) == 0.0
 
@@ -277,7 +281,7 @@ def test_kernels_match_dense_when_whole_rows_are_excluded():
 @pytest.mark.parametrize("n, seed", [(120, 1), (1000, 2)])
 def test_kernels_match_dense_on_lattices(n, seed):
     pos, lj_a, lj_b, charges, radii = atoms(n, seed)
-    assert_energies_match(pos, lj_a, lj_b, charges, radii, chain_exclusions(n) | MALFORMED)
+    assert_energies_match(pos, lj_a, lj_b, charges, radii, chain_exclusions(n))
 
 
 def _message(fn, *args):
@@ -290,7 +294,7 @@ def test_coincident_atoms_name_the_same_pair():
     n = 300  # the first coincident kept pair lies in a later row block
     pos, lj_a, lj_b, charges, radii = atoms(n, 4)
     pos[[9, 260, 299]] = pos[3], pos[250], pos[250]
-    excl = chain_exclusions(n) | {(3, 9)}
+    excl = exclusion_codes(chain_pairs(n) | {(3, 9)}, n)
     for fn, dense, args in [
             (lj_energy, dense_lj_energy, (pos, lj_a, lj_b, excl)),
             (coulomb_energy, dense_coulomb_energy, (pos, charges, CoulombModel(), excl)),
@@ -310,16 +314,17 @@ def loop_pair_sum(positions, exclusions, pair_terms):
     a time."""
     positions = np.asarray(positions, dtype=float)
     n = positions.shape[0]
+    excluded = excluded_pairs(exclusions, n)
     parts = []
     for i in range(n - 1):
-        jj = np.array([j for j in range(i + 1, n) if (i, j) not in exclusions], dtype=int)
+        jj = np.array([j for j in range(i + 1, n) if (i, j) not in excluded], dtype=int)
         ii = np.full(jj.size, i)
         r2 = ((positions[ii] - positions[jj]) ** 2).sum(axis=1)
         parts += pair_terms(ii, jj, r2).tolist()
     return math.fsum(parts)
 
 
-def loop_coulomb_energy(positions, charges, model=CoulombModel(), exclusions=frozenset()):
+def loop_coulomb_energy(positions, charges, model=CoulombModel(), exclusions=()):
     charges = np.asarray(charges, dtype=float)
 
     def terms(ii, jj, r2):
@@ -329,7 +334,7 @@ def loop_coulomb_energy(positions, charges, model=CoulombModel(), exclusions=fro
     return COULOMB_CONSTANT * loop_pair_sum(positions, exclusions, terms)
 
 
-def loop_lj_energy(positions, lj_a, lj_b, exclusions=frozenset()):
+def loop_lj_energy(positions, lj_a, lj_b, exclusions=()):
     eps, rmin = _lj_atom_terms(lj_a, lj_b)
 
     def terms(ii, jj, r2):
@@ -391,7 +396,7 @@ def test_lj_table_matches_the_per_pair_loop(monkeypatch, p, tabled):
         return _lj_pair_terms(*args)
 
     monkeypatch.setattr(qoi, "_lj_pair_terms", counted)
-    for excl in (frozenset(), chain_exclusions(n) | MALFORMED):
+    for excl in (chain_exclusions(0), chain_exclusions(n)):
         sizes.clear()
         assert lj_energy(pos, lj_a, lj_b, excl) == loop_lj_energy(pos, lj_a, lj_b, excl)
         # P^2 <= 2**15: one call over the table; otherwise one per row block
@@ -406,7 +411,7 @@ def test_leaf_buffers_match_the_loops(monkeypatch, leaf):
     monkeypatch.setattr(qoi, "_BLOCK_ELEMENTS", leaf)
     n = 150
     pos, lj_a, lj_b, charges, _radii = atoms(n, leaf)
-    for excl in (frozenset(), chain_exclusions(n) | MALFORMED):
+    for excl in (chain_exclusions(0), chain_exclusions(n)):
         assert lj_energy(pos, lj_a, lj_b, excl) == loop_lj_energy(pos, lj_a, lj_b, excl)
         for model in (CoulombModel(), CoulombModel("distance_dependent", 4.0)):
             assert (coulomb_energy(pos, charges, model, excl)
@@ -478,7 +483,8 @@ def test_energies_and_area_do_not_depend_on_the_atom_order():
     for _ in range(12):
         order = rng.permutation(n)
         rank = np.argsort(order)  # new index of each old atom
-        renumbered = frozenset((min(rank[i], rank[j]), max(rank[i], rank[j])) for i, j in excl)
+        renumbered = exclusion_codes({(min(rank[i], rank[j]), max(rank[i], rank[j]))
+                                      for i, j in excluded_pairs(excl, n)}, n)
         got = evaluate(order, renumbered)
         assert got[:3] == want[:3]
         assert np.array_equal(got[3][rank], want[3])

@@ -44,6 +44,11 @@ ELEMENTS = ("C", "C", "N", "C", "O")
 
 # ---------------------------------------------------------------- oracles
 
+def decoded(codes, n):
+    """The pairs (i, j) that exclusion codes i*n + j stand for."""
+    return {divmod(code, n) for code in codes.tolist()}
+
+
 def oracle_pair_arrays(n, exclusions):
     ii, jj = np.triu_indices(n, k=1)
     if exclusions:
@@ -72,7 +77,7 @@ def oracle_clash(positions, s, factor):
     cutoff = factor * (radii[:, None] + radii[None, :])
     ratio = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
     iu = np.triu_indices(n, k=1)
-    excluded = bonded_exclusions(s)
+    excluded = decoded(bonded_exclusions(s), n)
     mask = np.array([(int(i), int(j)) not in excluded for i, j in zip(*iu)], dtype=bool)
     ratios = ratio[iu][mask]
     if ratios.size == 0 or ratios.min() >= 1.0:
@@ -220,13 +225,19 @@ def test_non_finite_positions_raise(bad):
         sasa(pos, s.radii)
 
 
-def test_exclusion_codes_drop_malformed_entries():
+def test_exclusion_codes_list_pairs_in_upper_triangle_order():
     n = 6
-    entries = {(0, 1), (4, 2), (-1, 3), (2, 6), (6, 7), (3, 3), (1.0, 5.0), (1.5, 2)}
-    assert exclusion_codes(entries, n).tolist() == [0 * n + 1, 1 * n + 5]
-    assert exclusion_codes(frozenset(), n).dtype == np.int64
+    entries = {(4, 5), (0, 1), (2, 4), (1, 5), (0, 5)}
+    codes = exclusion_codes(entries, n)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == [0 * n + 1, 0 * n + 5, 1 * n + 5, 2 * n + 4, 4 * n + 5]
+    assert decoded(codes, n) == entries
+    # sorted codes list the pairs in the order np.triu_indices gives them
     ii, jj = np.triu_indices(n, k=1)
-    mask = not_in_codes(ii, jj, n, exclusion_codes(entries, n))
+    assert [p for p in zip(ii.tolist(), jj.tolist()) if p in entries] == [
+        divmod(code, n) for code in codes.tolist()]
+    assert exclusion_codes(set(), n).dtype == np.int64
+    mask = not_in_codes(ii, jj, n, codes)
     assert mask.tolist() == [(int(i), int(j)) not in entries for i, j in zip(ii, jj)]
 
 
@@ -320,13 +331,11 @@ def test_lj_and_coulomb_match_oracle(n_atoms, seed):
     lj_b[3::11] = 0.0
     charges = s.charges
     base = bonded_exclusions(s)
-    # reversed, out-of-range, self and negative entries name no pair i < j < n
-    odd = {(7, 3), (-1, 4), (5, n_atoms), (n_atoms + 2, n_atoms + 9), (2, 2), (-3, -1)}
-    for k, excl in enumerate((frozenset(), base, base | odd, frozenset(odd))):
-        pos = perturbed(s, seed * 7 + k, 0.2)
-        assert lj_energy(pos, lj_a, lj_b, exclusions=excl) == oracle_lj(pos, lj_a, lj_b, excl)
+    for k, codes in enumerate((base[:0], base)):
+        pos, excl = perturbed(s, seed * 7 + k, 0.2), decoded(codes, n_atoms)
+        assert lj_energy(pos, lj_a, lj_b, exclusions=codes) == oracle_lj(pos, lj_a, lj_b, excl)
         for model in (CoulombModel(), CoulombModel("distance_dependent", 4.0)):
-            assert (coulomb_energy(pos, charges, model, exclusions=excl)
+            assert (coulomb_energy(pos, charges, model, exclusions=codes)
                     == oracle_coulomb(pos, charges, model, excl))
 
 

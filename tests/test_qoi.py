@@ -21,6 +21,7 @@ from moluq.qoi import (
 )
 from moluq import qoi
 from moluq.molio import ParamTable, assign_params, detect_bonds
+from moluq.pairs import exclusion_codes
 from conftest import lattice, make_structure
 
 COULOMB_C = 332.0636
@@ -105,7 +106,7 @@ def random_atomset(rng, n=20, spread=8.0):
     radii = rng.uniform(1.2, 2.0, n)
     serials = tuple(range(1, n + 1))
     return AtomSet(positions=pos, radii=radii, charges=q, lj_a=lj_a, lj_b=lj_b,
-                   serials=serials, exclusions=frozenset())
+                   serials=serials, exclusions=np.zeros(0, dtype=np.int64))
 
 
 # ----------------------------------------------------------------- LJ
@@ -134,7 +135,7 @@ class TestLJ:
     def test_exclusions_respected(self):
         pos = np.array([[0.0, 0, 0], [1.0, 0, 0], [5.0, 0, 0]])
         full = lj_energy(pos, [1e5] * 3, [1e2] * 3)
-        ex = lj_energy(pos, [1e5] * 3, [1e2] * 3, exclusions=frozenset({(0, 1)}))
+        ex = lj_energy(pos, [1e5] * 3, [1e2] * 3, exclusions=exclusion_codes({(0, 1)}, 3))
         assert ex != full
         assert ex == pytest.approx(brute_lj(pos, [1e5] * 3, [1e2] * 3,
                                             exclusions=frozenset({(0, 1)})), rel=1e-12)
@@ -429,8 +430,26 @@ class TestDelta:
         a = random_atomset(rng, n=5)
         empty = AtomSet(positions=np.zeros((0, 3)), radii=np.zeros(0), charges=np.zeros(0),
                         lj_a=np.zeros(0), lj_b=np.zeros(0), serials=(),
-                        exclusions=frozenset())
+                        exclusions=np.zeros(0, dtype=np.int64))
         assert delta_qoi(QOIKind.LJ, a, empty) == 0.0
+
+    @pytest.mark.parametrize("na, nb", [(0, 5), (6, 0), (0, 0), (7, 9), (12, 3)])
+    def test_union_codes_encode_the_shifted_pairs(self, na, nb):
+        rng = np.random.default_rng(na * 31 + nb)
+
+        def group(n, first_serial):
+            pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3}
+            return pairs, AtomSet(positions=rng.uniform(0, 9, (n, 3)), radii=np.ones(n),
+                                  charges=np.zeros(n), lj_a=np.ones(n), lj_b=np.ones(n),
+                                  serials=tuple(range(first_serial, first_serial + n)),
+                                  exclusions=exclusion_codes(pairs, n))
+
+        pairs_a, a = group(na, 1)
+        pairs_b, b = group(nb, 100)
+        shifted = pairs_a | {(i + na, j + na) for i, j in pairs_b}
+        codes = a.union(b).exclusions
+        assert codes.dtype == np.int64
+        assert codes.tolist() == exclusion_codes(shifted, na + nb).tolist()
 
     def test_overlapping_serials_rejected(self):
         rng = np.random.default_rng(9)
@@ -563,9 +582,31 @@ class TestRowEvaluator:
         row = evaluate(s.positions())
         assert row == separate_values(s, s.positions(), idx_a, [], config)
         assert all(row[k.value] == 0.0 for k in QOIKind if k.is_delta)
-        evaluate = row_evaluator(["delta_lj"], s, idx_a, idx_a[:5], config)
         with pytest.raises(ValueError, match="serials overlap"):
-            evaluate(s.positions())
+            row_evaluator(["delta_lj"], s, idx_a, idx_a[:5], config)
+
+    def test_groups_are_built_once_per_run(self, monkeypatch):
+        # A+B is not the whole here, yet its exclusion codes come from one union
+        s = chain_lattice(self.CASES["third_chain"])
+        calls = {"exclusions": 0, "union": 0}
+        real_exclusions, real_union = qoi.bonded_exclusions, AtomSet.union
+
+        def exclusions(structure):
+            calls["exclusions"] += 1
+            return real_exclusions(structure)
+
+        def union(self, other):
+            calls["union"] += 1
+            return real_union(self, other)
+
+        monkeypatch.setattr(qoi, "bonded_exclusions", exclusions)
+        monkeypatch.setattr(AtomSet, "union", union)
+        evaluate = row_evaluator(["lj", "delta_lj", "delta_area"], s,
+                                 s.chains["A"], s.chains["B"])
+        rng = np.random.default_rng(8)
+        for _ in range(3):
+            evaluate(s.positions() + rng.normal(0, 0.1, (s.n_atoms, 3)))
+        assert calls == {"exclusions": 3, "union": 1}
 
     def test_cross_chain_bond_changes_lj(self):
         # the excluded bonded pair is why lj and the delta's f(A+B) must differ here

@@ -287,7 +287,7 @@ def atom_set(positions, radii, first_serial=1):
     return AtomSet(positions=np.asarray(positions, dtype=float), radii=np.asarray(radii),
                    charges=np.zeros(n), lj_a=np.zeros(n), lj_b=np.zeros(n),
                    serials=tuple(range(first_serial, first_serial + n)),
-                   exclusions=frozenset())
+                   exclusions=np.zeros(0, dtype=np.int64))
 
 
 def assert_sasa_matches(pos, radii, probe, n_points):
