@@ -353,14 +353,19 @@ def run_certify(cfg) -> list[str]:
     text_lines = ["qoi".ljust(16) + "".join(f"{t:>9g}" for t in t_grid)]
     for name, entry in sorted(streams.items()):
         dist = certificates.EmpiricalDistribution.from_values(entry["values"])
-        table = certificates.chernoff_table(dist, t_grid)
-        for t, eps in zip(table.t_values, table.epsilons):
-            cert_rows.append([name, _fmt(t), _fmt(eps)])
-        text_lines.append(name.ljust(16) + "".join(f"{e:>9.3f}" for e in table.epsilons))
+        if dist.mean == 0.0:  # reported, not allowed to abort the other QOIs
+            text_lines.append(name.ljust(16) + "relative error undefined at zero mean")
+        else:
+            table = certificates.chernoff_table(dist, t_grid)
+            for t, eps in zip(table.t_values, table.epsilons):
+                cert_rows.append([name, _fmt(t), _fmt(eps)])
+            text_lines.append(name.ljust(16) + "".join(f"{e:>9.3f}" for e in table.epsilons))
         if entry["reference"] is not None and dist.std > 0:
             z = certificates.zscore(entry["reference"], dist)
             z_rows.append([name, _fmt(entry["reference"]), _fmt(dist.mean),
                            _fmt(dist.std), _fmt(z)])
+    if not cert_rows:
+        raise ValueError("relative-error certificate undefined for zero mean in every QOI")
     _write_csv(out / "certificates.csv", ["qoi", "t", "epsilon"], cert_rows)
     (out / "certificates.txt").write_text("\n".join(text_lines) + "\n")
     _write_csv(out / "zscores.csv", ["qoi", "reference", "mean", "std", "zscore"], z_rows)
@@ -486,8 +491,8 @@ def run_bindsite(cfg) -> list[str]:
                ([chain, seq, name, _fmt(p)] for (chain, seq, name), p
                 in bindsite.residue_site_probabilities(receptor, site_map)))
 
-    colors_csv, script = vizgrid.colormap_export(
-        receptor.serials.tolist(), site_map.probabilities, palette="rainbow")
+    colors_csv, script = vizgrid.colormap_export(receptor.serials.tolist(),
+                                                 site_map.probabilities)
     (out / "bindsite_colors.csv").write_text(colors_csv)
     (out / "bindsite_colors.pml").write_text(script)
     return ["bindsite_atoms.csv", "bindsite_residues.csv",

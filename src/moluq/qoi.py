@@ -566,11 +566,13 @@ def sasa(positions, radii, probe: float = 1.4, n_points: int = 960, groups=None)
 
 def _delta_area(both: AtomSet, n_a: int, config: QOIConfig) -> tuple[float, float]:
     """sasa(A+B) and sasa(A+B) - sasa(A) - sasa(B) from one grouped
-    :func:`sasa` pass over A+B."""
+    :func:`sasa` pass over A+B; the delta is the exact sum of each atom's
+    area in A+B less its area alone, rounded once, so it is 0.0 when
+    neither group buries a point of the other."""
     groups = np.arange(both.n) >= n_a
-    whole, _full, alone = sasa(both.positions, both.radii, config.probe, config.n_points,
-                               groups)
-    return whole, whole - math.fsum(alone[:n_a].tolist()) - math.fsum(alone[n_a:].tolist())
+    whole, per_atom, alone = sasa(both.positions, both.radii, config.probe, config.n_points,
+                                  groups)
+    return whole, math.fsum(per_atom.tolist() + (-alone).tolist())
 
 
 def volume(positions, radii, spacing: float) -> float:

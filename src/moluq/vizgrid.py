@@ -162,11 +162,9 @@ def write_grid(g: ScalarGrid, file) -> None:
     file.write('attribute "dep" string "positions"\n')
 
 
-PALETTES = {
-    "green_white_red": ((0, 255, 0), (255, 255, 255), (255, 0, 0)),
-    # low -> high runs red -> blue so that blue marks high values
-    "rainbow": ((255, 0, 0), (255, 165, 0), (255, 255, 0), (0, 255, 0), (0, 0, 255)),
-}
+# low -> high runs red -> orange -> yellow -> green -> blue, so that blue
+# marks high values
+_RAINBOW = ((255, 0, 0), (255, 165, 0), (255, 255, 0), (0, 255, 0), (0, 0, 255))
 
 
 def _interpolate(anchors, fraction: float) -> tuple[int, int, int]:
@@ -178,29 +176,26 @@ def _interpolate(anchors, fraction: float) -> tuple[int, int, int]:
     return tuple(int(round(a[ch] + t * (b[ch] - a[ch]))) for ch in range(3))
 
 
-def colormap_export(keys, values, palette: str = "green_white_red") -> tuple[str, str]:
+def colormap_export(keys, values) -> tuple[str, str]:
     """CSV color rows plus a viewer command script for per-atom coloring.
 
-    Values map linearly onto the palette over [min, max]; a constant value
-    list maps everything to the palette midpoint.  Returns (csv_text,
-    script_text); the script uses PyMOL command syntax.
+    Values map linearly onto the rainbow palette over [min, max]; a constant
+    value list maps everything to the palette midpoint, yellow.  Returns
+    (csv_text, script_text); the script uses PyMOL command syntax.
     """
-    if palette not in PALETTES:
-        raise ValueError(f"unknown palette {palette!r}")
     keys = list(keys)
     vals = np.asarray(values, dtype=float)
     if len(keys) != vals.size:
         raise ValueError("keys and values must have the same length")
     if vals.size and not np.all(np.isfinite(vals)):
         raise ValueError("values must be finite")
-    anchors = PALETTES[palette]
     lo = float(vals.min()) if vals.size else 0.0
     hi = float(vals.max()) if vals.size else 0.0
     csv_lines = ["key,value,r,g,b"]
     script_lines = []
     for row, (key, v) in enumerate(zip(keys, vals)):
         frac = 0.5 if hi == lo else (float(v) - lo) / (hi - lo)
-        r, g, b = _interpolate(anchors, frac)
+        r, g, b = _interpolate(_RAINBOW, frac)
         csv_lines.append(f"{key},{float(v)!r},{r},{g},{b}")
         script_lines.append(
             f"set_color moluq_c{row}, [{r / 255:.4f}, {g / 255:.4f}, {b / 255:.4f}]"

@@ -336,6 +336,24 @@ class TestQoiCertifySaturate:
         cert = (out / "certificates.csv").read_text().strip().splitlines()[1:]
         assert all(float(ln.split(",")[2]) == 0.0 for ln in cert)
 
+    def test_zero_mean_stream_beside_a_normal_one(self, workspace):
+        # one stream of mean exactly 0 once made certify exit 3 for every QOI
+        out = workspace / "run"
+        out.mkdir()
+        rows = (["qoi,sample_index,value", "area,-1,50.0", "delta_coulomb,-1,0.5"]
+                + [f"area,{i},{100.0 + i}" for i in range(12)]
+                + [f"delta_coulomb,{i},{(-1) ** i * 2.0}" for i in range(12)])
+        (out / "qoi_values.csv").write_text("\n".join(rows) + "\n")
+        assert main(["certify", "--config", str(write_config(workspace))]) == 0
+        cert = (out / "certificates.csv").read_text().splitlines()[1:]
+        assert len(cert) == 7 and all(ln.startswith("area,") for ln in cert)
+        text = (out / "certificates.txt").read_text().splitlines()
+        assert text[1].startswith("area ")
+        assert text[2] == "delta_coulomb".ljust(16) + "relative error undefined at zero mean"
+        zscores = (out / "zscores.csv").read_text().splitlines()
+        assert [ln.split(",")[:3] for ln in zscores[1:]] == [
+            ["area", "50.0", "105.5"], ["delta_coulomb", "0.5", "0.0"]]
+
     @pytest.mark.parametrize("command", ["certify", "saturate"])
     def test_non_finite_value_is_a_data_error(self, workspace, capsys, command):
         # certify once printed epsilon 0.000 at every t for a stream with a nan

@@ -608,6 +608,25 @@ class TestRowEvaluator:
             evaluate(s.positions() + rng.normal(0, 0.1, (s.n_atoms, 3)))
         assert calls == {"exclusions": 3, "union": 1}
 
+    def test_area_delta_of_chains_that_do_not_touch_is_exactly_zero(self):
+        # two chains 47 A apart: neither buries a point of the other, so the
+        # delta is 0.0 exactly under any rigid motion, not a rounding residue
+        s = chain_lattice(["A"] * 20 + ["B"] * 20)
+        coords = s.positions()
+        coords[20:, 1] += 47.0 - coords[20, 1]
+        idx_a, idx_b = s.chains["A"], s.chains["B"]
+        evaluate = row_evaluator(["area", "delta_area", "delta_lj"], s, idx_a, idx_b)
+        rng = np.random.default_rng(3)
+        deltas = []
+        for _ in range(16):
+            rot, _r = np.linalg.qr(rng.normal(size=(3, 3)))
+            positions = coords @ rot.T + rng.uniform(-50.0, 50.0, 3)
+            moved = replace(s, coords=positions)
+            a = AtomSet.from_structure(moved.subset(idx_a))
+            b = AtomSet.from_structure(moved.subset(idx_b))
+            deltas += [evaluate(positions)["delta_area"], delta_qoi(QOIKind.AREA, a, b)]
+        assert deltas == [0.0] * 32
+
     def test_cross_chain_bond_changes_lj(self):
         # the excluded bonded pair is why lj and the delta's f(A+B) must differ here
         s = chain_lattice(self.CASES["cross_chain_bond"])

@@ -198,11 +198,14 @@ def oracle_sasa(positions, radii, probe=1.4, n_points=960):
 
 
 def oracle_delta_area(positions_a, radii_a, positions_b, radii_b, probe, n_points):
+    """The exact sum of each atom's area in A+B less its area on its own
+    group, rounded once."""
     both = np.vstack([positions_a, positions_b])
     radii = np.concatenate([radii_a, radii_b])
-    return (oracle_sasa(both, radii, probe, n_points)[0]
-            - oracle_sasa(positions_a, radii_a, probe, n_points)[0]
-            - oracle_sasa(positions_b, radii_b, probe, n_points)[0])
+    whole = oracle_sasa(both, radii, probe, n_points)[1]
+    alone = np.concatenate([oracle_sasa(positions_a, radii_a, probe, n_points)[1],
+                            oracle_sasa(positions_b, radii_b, probe, n_points)[1]])
+    return math.fsum(whole.tolist() + (-alone).tolist())
 
 
 CASES = [(60, 1), (140, 2), (233, 3)]

@@ -154,30 +154,30 @@ class TestOccupancy:
 
 class TestColormap:
     def test_min_is_first_anchor(self):
-        csv_text, _ = colormap_export([1, 2], [0.0, 10.0], palette="green_white_red")
+        csv_text, _ = colormap_export([1, 2], [0.0, 10.0])
         rows = csv_text.strip().splitlines()[1:]
-        assert rows[0].split(",")[2:] == ["0", "255", "0"]
-        assert rows[1].split(",")[2:] == ["255", "0", "0"]
+        assert rows[0].split(",")[2:] == ["255", "0", "0"]  # red
+        assert rows[1].split(",")[2:] == ["0", "0", "255"]  # blue
 
-    def test_midpoint_is_white(self):
+    def test_midpoint_is_yellow(self):
         csv_text, _ = colormap_export([1, 2, 3], [0.0, 5.0, 10.0])
         mid = csv_text.strip().splitlines()[2].split(",")[2:]
-        assert mid == ["255", "255", "255"]
+        assert mid == ["255", "255", "0"]
 
     def test_hand_interpolated_rows(self):
-        csv_text, _ = colormap_export([1, 2, 3], [0.0, 2.5, 10.0])
+        csv_text, _ = colormap_export([1, 2, 3], [0.0, 3.75, 10.0])
         row = csv_text.strip().splitlines()[2].split(",")
-        # fraction 0.25 -> halfway along the green->white segment
-        assert row[2:] == ["128", "255", "128"]
+        # fraction 0.375 -> halfway along the orange->yellow segment
+        assert row[2:] == ["255", "210", "0"]
 
     def test_constant_values_map_to_midpoint(self):
         csv_text, _ = colormap_export([1, 2], [3.0, 3.0])
         rows = [r.split(",")[2:] for r in csv_text.strip().splitlines()[1:]]
-        assert rows[0] == rows[1] == ["255", "255", "255"]
+        assert rows[0] == rows[1] == ["255", "255", "0"]
 
     def test_monotone_per_channel_segment(self):
         vals = np.linspace(0, 1, 11)
-        csv_text, _ = colormap_export(range(11), vals, palette="rainbow")
+        csv_text, _ = colormap_export(range(11), vals)
         rows = [tuple(int(x) for x in r.split(",")[2:])
                 for r in csv_text.strip().splitlines()[1:]]
         blues = [r[2] for r in rows]
