@@ -720,8 +720,7 @@ def bond_adjacency(bonds, n: int) -> list[set[int]]:
 
 
 def bonded_exclusions(s: Structure) -> np.ndarray:
-    """Codes (:func:`moluq.pairs.exclusion_codes`) of the 1-2 and 1-3 pairs
-    of the bond list."""
+    """Exclusion codes (see moluq.pairs) of the bond list's 1-2 and 1-3 pairs."""
     pairs = set(s.bonds)  # each bond is stored once as (min, max)
     for nbrs in bond_adjacency(s.bonds, s.n_atoms):
         pairs.update(itertools.combinations(sorted(nbrs), 2))

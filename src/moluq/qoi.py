@@ -621,9 +621,7 @@ def delta_qoi(kind: QOIKind, a: AtomSet, b: AtomSet, config: QOIConfig = QOIConf
     kind = QOIKind(kind)
     if kind.is_delta:
         raise ValueError("delta_qoi expects a base (non-delta) QOI kind")
-    if b.n == 0:
-        return 0.0
-    if a.n == 0:
+    if a.n == 0 or b.n == 0:
         return 0.0
     both = a.union(b)
     if kind is QOIKind.AREA:
@@ -650,25 +648,23 @@ def row_evaluator(kinds, s: Structure, idx_a, idx_b, config: QOIConfig = QOIConf
     full = AtomSet.from_structure(s)
     idx_a, idx_b = list(idx_a), list(idx_b)
     split = any(k.is_delta for k in kinds) and bool(idx_a) and bool(idx_b)
+    groups = {"whole": (full, slice(None))}  # name: (atom set, its rows of positions)
     ab = "whole"
     if split:
-        group_a = AtomSet.from_structure(s.subset(idx_a))
-        group_b = AtomSet.from_structure(s.subset(idx_b))
-        group_ab = group_a.union(group_b)
+        groups["a"] = (AtomSet.from_structure(s.subset(idx_a)), idx_a)
+        groups["b"] = (AtomSet.from_structure(s.subset(idx_b)), idx_b)
+        both = groups["a"][0].union(groups["b"][0])
         if not (idx_a + idx_b == list(range(full.n))
-                and np.array_equal(group_ab.exclusions, full.exclusions)):
+                and np.array_equal(both.exclusions, full.exclusions)):
             ab = "a+b"
+            groups[ab] = (both, idx_a + idx_b)
 
     def evaluate(positions) -> dict[str, float]:
-        sets = {"whole": replace(full, positions=positions)}
+        sets = {name: replace(group, positions=positions[rows])
+                for name, (group, rows) in groups.items()}
         memo: dict[tuple[QOIKind, str], float] = {}  # (base kind, group): f(group)
-        if split:
-            a = sets["a"] = replace(group_a, positions=positions[idx_a])
-            sets["b"] = replace(group_b, positions=positions[idx_b])
-            if ab != "whole":
-                sets[ab] = replace(group_ab, positions=positions[idx_a + idx_b])
-            if QOIKind.DELTA_AREA in kinds:
-                memo[QOIKind.AREA, ab], delta_area = _delta_area(sets[ab], a.n, config)
+        if split and QOIKind.DELTA_AREA in kinds:
+            memo[QOIKind.AREA, ab], delta_area = _delta_area(sets[ab], len(idx_a), config)
 
         def f(kind: QOIKind, group: str) -> float:
             if (kind, group) not in memo:
