@@ -165,13 +165,15 @@ def _load_structure(cfg) -> molio.Structure:
     return molio.assign_params(s, table)
 
 
-def _map_workers(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
+def _map_workers(fn, items):
+    """``fn`` of each item, in order, on the calling thread.
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    Every kernel's numpy calls hold at most 2**15 values, so a second thread
+    loses more to the GIL handoff on each call than it gains.  The function
+    stays, under this name, because the benchmark's span tracer
+    (``perfbench/spans.py``) looks it up.
+    """
+    return [fn(x) for x in items]
 
 
 def run_sample(cfg) -> list[str]:
@@ -289,8 +291,11 @@ def run_qoi(cfg) -> list[str]:
         if len(indices) != len(coords):
             raise DataFormatError(f"{manifest_path}: accepted lists {len(indices)} sample "
                                   f"indices for the {len(coords)} models of {ensemble_path}")
+    if cfg["workers"] > 1:
+        print(f"moluq: qoi runs its rows on one thread; workers = {cfg['workers']} "
+              f"has no effect", file=sys.stderr)
     samples = [(-1, s.positions())] + list(zip(indices, coords))
-    rows = _map_workers(lambda item: (item[0], evaluate(item[1])), samples, cfg["workers"])
+    rows = _map_workers(lambda item: (item[0], evaluate(item[1])), samples)
     _write_csv(out / "qoi_values.csv", ["qoi", "sample_index", "value"],
                ([kind.value, sample_index, _fmt(row[kind.value])]
                 for kind in kinds for sample_index, row in rows))

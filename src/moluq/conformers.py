@@ -324,7 +324,8 @@ def _clash_check(s: Structure, factor: float):
         cutoff = factor * (radii[ii] + radii[jj])
         ratios = np.divide(dist, cutoff, out=np.full_like(dist, np.inf), where=cutoff > 0)
         reasons: list[str | None] = [None] * len(stack)
-        rejected = np.unique(draw[ratios < 1.0])
+        # each draw with a pair under its cutoff, once, in draw order
+        rejected = np.flatnonzero(np.bincount(draw[ratios < 1.0], minlength=len(stack)))
         # each rejected draw's worst pair: the first minimum of its own pairs
         for k, lo, hi in zip(rejected.tolist(), np.searchsorted(draw, rejected).tolist(),
                              np.searchsorted(draw, rejected, side="right").tolist()):

@@ -50,8 +50,17 @@ def exclusion_codes(pairs, n: int) -> np.ndarray:
 
 def not_in_codes(ii, jj, n: int, codes: np.ndarray) -> np.ndarray:
     """Boolean mask over the pairs (ii[k], jj[k]): True where the pair's code
-    is not in ``codes``, as built once by :func:`exclusion_codes`."""
-    return np.isin(np.asarray(ii, dtype=np.int64) * n + jj, codes, invert=True)
+    is not in ``codes``, as built once by :func:`exclusion_codes`.
+
+    ``codes`` are sorted and distinct, so one binary search per pair finds
+    the only code that can equal it (``np.isin`` would sort both sides, and
+    its ``np.unique`` call imports ``numpy.ma``).
+    """
+    pair = np.asarray(ii, dtype=np.int64) * n + jj
+    if not len(codes):
+        return np.ones(pair.shape, dtype=bool)
+    at = np.searchsorted(codes, pair)
+    return codes[np.minimum(at, len(codes) - 1)] != pair
 
 
 def cutoff_pairs(positions, max_cutoff: float):

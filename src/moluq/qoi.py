@@ -42,8 +42,7 @@ _BLOCK_ELEMENTS = 2**15
 # slots and 9% after all of them.  Over 3-6 dense slots and 2**13 or 2**14
 # points per batch the pass's CPU time varied by under 15%, least at 4 and
 # 2**14 (2 cores, numpy 2.4).  A batch spans several blocks so that each
-# numpy call covers thousands of points: on small arrays the calls' own
-# overhead, spent holding the GIL, keeps two worker threads from overlapping.
+# numpy call covers thousands of points and its fixed overhead stays small.
 _DENSE_SLOTS = 4
 _BATCH_POINTS = 2**14
 

@@ -120,7 +120,9 @@ def occupancy_map(s: Structure, coords, spacing: float, radius_mode="vdw") -> Sc
             raise ValueError("fixed radius must be finite and positive")
         radii = np.full(s.n_atoms, radius)
     lo, dims = padded_box(coords.reshape(-1, 3), radii, spacing)
-    counts = np.zeros(tuple(dims), dtype=np.int64)
+    # the smallest unsigned type that holds the draw count; every count
+    # converts to float64 exactly, so the fractions keep their bits
+    counts = np.zeros(tuple(dims), dtype=np.min_scalar_type(len(coords)))
     for positions in coords:
         counts += cover_spheres(positions, radii, lo, spacing, dims)
     return ScalarGrid(origin=lo + 0.5 * spacing, spacing=spacing,

@@ -12,7 +12,7 @@ import pytest
 
 from moluq.cli import main
 from moluq.molio import parse_pdb_models
-from conftest import make_structure, models_text, param_table_json, pdb_text
+from conftest import lattice, make_structure, models_text, param_table_json, pdb_text
 
 
 def small_protein_pdb():
@@ -119,6 +119,28 @@ class TestSample:
         assert "'Z'" in err and "'A', 'B'" in err
         assert not (workspace / "run" / "ensemble.pdb").exists()
 
+    def test_sample_with_clash_rejections_loads_no_numpy_ma(self, tmp_path):
+        """A fresh process samples a 1,000-atom lattice with a clash factor
+        that rejects draws: the exclusion filter searches the sorted codes and
+        the rejected draws are counted, so no np.isin or np.unique call
+        imports numpy.ma."""
+        import moluq
+        (tmp_path / "input.pdb").write_text(pdb_text(make_structure(lattice(1000), b_iso=5.0)))
+        cfg = write_config(tmp_path, samples=8, seed=1, clash_factor=0.8)
+        script = textwrap.dedent("""
+            import sys
+            import moluq.cli
+
+            code = moluq.cli.main(["sample", "--config", sys.argv[1]])
+            print(code, "numpy.ma" in sys.modules)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(moluq.__file__).resolve().parents[1]))
+        result = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["0", "False"]
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["accepted"] and manifest["rejected"]
 
     @pytest.mark.parametrize("value, message", [
         (math.nan, "model 3: expected (5, 3) finite positions, atom 2 has x = nan"),
@@ -1058,13 +1080,19 @@ class TestReplayAndExitCodes:
     def test_unknown_command_exit_1(self):
         assert main(["frobnicate"]) == 1
 
-    def test_workers_do_not_change_output(self, workspace):
+    def test_workers_do_not_change_output(self, workspace, capsys):
+        """``workers`` is still accepted, and qoi runs its rows on one thread
+        whatever it says; above 1 it says so on stderr."""
         cfg = write_config(workspace, samples=6, seed=4, qoi=["lj", "gb"])
         main(["sample", "--config", str(cfg)])
-        main(["qoi", "--config", str(cfg)])
+        capsys.readouterr()
+        assert main(["qoi", "--config", str(cfg), "--workers", "1"]) == 0
+        assert capsys.readouterr().err == ""
         one = (workspace / "run" / "qoi_values.csv").read_bytes()
-        main(["qoi", "--config", str(cfg), "--workers", "4",
-              "--out", str(workspace / "run")])
+        assert main(["qoi", "--config", str(cfg), "--workers", "4",
+                     "--out", str(workspace / "run")]) == 0
+        assert capsys.readouterr().err == (
+            "moluq: qoi runs its rows on one thread; workers = 4 has no effect\n")
         many = (workspace / "run" / "qoi_values.csv").read_bytes()
         assert one == many
 
@@ -1107,11 +1135,11 @@ NUMPY_FREE = {"certify", "saturate"}
 class TestImportHygiene:
     def test_each_command_loads_only_the_modules_it_runs(self, workspace):
         """A fresh interpreter per command runs ``main`` and lists the moluq
-        modules it loaded: a stage compiles no module it does not call, only
-        ``--workers 2`` loads concurrent.futures, difflib, which only an
-        unknown config key needs, never loads, certify and saturate load no
-        numpy, and no command loads numpy.random: moluq draws from its own
-        PCG64 stream."""
+        modules it loaded: a stage compiles no module it does not call, no
+        command loads concurrent.futures, not even ``qoi --workers 2``,
+        difflib, which only an unknown config key needs, never loads, certify
+        and saturate load no numpy, and no command loads numpy.random: moluq
+        draws from its own PCG64 stream."""
         import moluq
         lig = make_structure([[0.0, 3.0, 0.0]])
         (workspace / "ligand.pdb").write_text(pdb_text(lig))
@@ -1144,7 +1172,7 @@ class TestImportHygiene:
             got = json.loads(result.stdout.splitlines()[-1])
             want = ["moluq", "moluq.cli", "moluq.schema"] + [
                 f"moluq.{m}" for m in STAGE_MODULES[argv[0]]]
-            assert got == {"exit": 0, "futures": argv[-1] == "2", "difflib": False,
+            assert got == {"exit": 0, "futures": False, "difflib": False,
                            "numpy": argv[0] not in NUMPY_FREE, "numpy.random": False,
                            "modules": sorted(want)}, argv
 

@@ -241,6 +241,29 @@ def test_exclusion_codes_list_pairs_in_upper_triangle_order():
     assert mask.tolist() == [(int(i), int(j)) not in entries for i, j in zip(ii, jj)]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_not_in_codes_matches_isin(seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    ii, jj = np.triu_indices(n, k=1)
+    every = ii * n + jj
+    pick = rng.permutation(len(ii))[:rng.integers(1, 120)]
+    code_sets = [
+        np.zeros(0, dtype=np.int64),                      # no exclusions
+        every[pick],
+        np.concatenate([every[pick], every[[0, -1]]]),    # both ends
+        every[[0]], every[[-1]],
+        every,                                            # every pair excluded
+    ]
+    draw = rng.choice(len(ii), size=300)                  # repeats, any order
+    for codes in code_sets:
+        codes = np.unique(codes)                          # sorted and distinct
+        want = np.isin(ii[draw] * n + jj[draw], codes, invert=True)
+        assert np.array_equal(not_in_codes(ii[draw], jj[draw], n, codes), want)
+        assert np.array_equal(not_in_codes(ii, jj, n, codes), np.isin(every, codes, invert=True))
+    assert not_in_codes(ii[:0], jj[:0], n, every).shape == (0,)
+
+
 # ---------------------------------------------------------------- equivalence
 
 @pytest.mark.parametrize("n_atoms, seed", CASES)

@@ -225,17 +225,25 @@ def test_volume_matches_former_loop(n_atoms, seed):
                                                                         np.zeros(0), 0.5)
 
 
-@pytest.mark.parametrize("n_atoms, seed", CASES)
-def test_occupancy_map_matches_former_loop(n_atoms, seed):
+# 5 accepted draws; then 255 and 256, at the edge of the uint8 count grid,
+# on a few atoms each covers in almost every draw
+OCCUPANCY_CASES = [pytest.param(n, seed, 5, id=f"{n}-{seed}") for n, seed in CASES] + [
+    pytest.param(4, 4, draws, id=f"4-4-{draws}-draws") for draws in (255, 256)]
+
+
+@pytest.mark.parametrize("n_atoms, seed, draws", OCCUPANCY_CASES)
+def test_occupancy_map_matches_former_loop(n_atoms, seed, draws):
     s = lattice_structure(n_atoms, seed)
-    coords = np.array([jittered(s, 100 * seed + k, 0.4) for k in range(6)])
-    accepted = coords[[True, True, False, True, True, True]]  # draw 2 was rejected
+    coords = np.array([jittered(s, 100 * seed + k, 0.4) for k in range(draws + 1)])
+    accepted = np.delete(coords, 2, axis=0)  # draw 2 was rejected
     for spacing, mode in ((0.5, "vdw"), (0.8, "vdw"), (0.6, 1.6)):
         g = occupancy_map(s, accepted, spacing=spacing, radius_mode=mode)
         origin, dims, values = oracle_occupancy(s, accepted, spacing, mode)
         assert np.array_equal(g.origin, origin) and g.dims == dims
         assert np.array_equal(g.values, values)
         assert 0.0 < values.max() <= 1.0
+        if draws > 5:  # some voxel is covered by every draw
+            assert values.max() == 1.0
 
 
 # ---------------------------------------------------------------- contact map
